@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -61,8 +62,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.peaks:
             raise ValueError("at least one peak vertex is required")
+        if not (math.isfinite(self.mu) and self.mu > 0.0):
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not (math.isfinite(self.nodes_per_width) and self.nodes_per_width > 0.0):
+            raise ValueError(
+                "nodes_per_width must be positive and finite, "
+                f"got {self.nodes_per_width}"
+            )
+        if not self.lambdas:
+            raise ValueError("lambda schedule is empty")
+        if not all(math.isfinite(x) and x > 0.0 for x in self.lambdas):
+            raise ValueError(
+                f"lambda shifts must be positive and finite, got {self.lambdas}"
+            )
         if any(b <= a for a, b in zip(self.lambdas, self.lambdas[1:])):
             raise ValueError("lambda schedule must be strictly increasing")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
     def resolved(self) -> dict:
         """Every knob with its in-effect value (no hidden defaults)."""

@@ -1,21 +1,34 @@
-"""Meshes and sparse operators for the Kirchhoff Laplacian on a metric graph.
+"""Meshes and edge-condensed operators for the Kirchhoff Laplacian on a metric graph.
 
 Discretization is piecewise-linear finite elements per edge with one
 shared unknown per vertex, so continuity is built in and the Kirchhoff
 flux balance is the natural condition of the weak form.  Truncated
 half-line endpoints carry a homogeneous Dirichlet condition, applied by
 restriction to the free degrees of freedom.
+
+Every operator built here (stiffness, mass, weighted mass, and the
+Newton Jacobian made from them) is tridiagonal on each edge's interior
+nodes and couples edges only through the vertex unknowns.  `EdgeBands`
+stores exactly that, from one element routine (`edge_bands`): the
+vertex diagonal, the three interior bands with the edges concatenated,
+and four vertex couplings per edge.  `CondensedFactor` solves with it
+in O(ndof): one pivoted LAPACK tridiagonal factorization (`?gttrf`) of
+all edge interiors at once, then a dense Schur complement on the free
+vertex unknowns.  CSR matrices are built from the same bands for the
+callers that need one (eigensolves and the public matrix accessors).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import (
     EigenSolveFailure,
@@ -24,6 +37,35 @@ from .errors import (
     SolveFailure,
 )
 from .graphs import MetricGraph
+
+
+@dataclass(frozen=True)
+class EdgeLayout:
+    """Index arrays placing a mesh's elements in the condensed bands.
+
+    Vertex unknowns come first; interior unknowns follow edge after
+    edge, so the edges' interiors concatenate into one tridiagonal
+    system whose off-diagonals vanish between edges.  Element arrays
+    list the edges' elements in the same order.  Every edge has at
+    least three interior nodes, so its first element joins its source
+    vertex to its first interior node (the head) and its last element
+    joins its last interior node to its target vertex (the tail).
+    """
+
+    nv: int  # number of vertex unknowns
+    left: np.ndarray  # global dof at the start of each element
+    right: np.ndarray  # global dof at the end of each element
+    h: np.ndarray  # length of each element
+    head: np.ndarray  # index of each edge's first element
+    tail: np.ndarray  # index of each edge's last element
+    src: np.ndarray  # source vertex of each edge
+    dst: np.ndarray  # target vertex of each edge
+    first: np.ndarray  # interior position of each edge's first interior node
+    last: np.ndarray  # interior position of each edge's last interior node
+    sizes: np.ndarray  # interior nodes per edge
+    inner: np.ndarray  # elements with both ends interior
+    inner_pos: np.ndarray  # their position in the interior off-diagonals
+    free_vertices: np.ndarray  # vertex unknowns without a Dirichlet condition
 
 
 @dataclass(frozen=True)
@@ -58,6 +100,40 @@ class Mesh:
     def edge_spacing(self, eid: str) -> float:
         nodes = self.edge_nodes[eid]
         return float(nodes[1] - nodes[0])
+
+    @cached_property
+    def layout(self) -> EdgeLayout:
+        nv = len(self.vertex_dofs)
+        dofs = list(self.edge_dofs.values())
+        interior = np.concatenate([d[1:-1] for d in dofs])
+        if not np.array_equal(interior, np.arange(nv, self.ndof)):
+            raise ValueError("interior dofs must follow the vertices edge by edge")
+        n_elem = np.array([len(d) - 1 for d in dofs])
+        tail = np.cumsum(n_elem) - 1
+        head = tail - n_elem + 1
+        left = np.concatenate([d[:-1] for d in dofs])
+        right = np.concatenate([d[1:] for d in dofs])
+        h = np.repeat([self.edge_spacing(eid) for eid in self.edge_dofs], n_elem)
+        inner = np.nonzero((left >= nv) & (right >= nv))[0]
+        sizes = n_elem - 1
+        last = np.cumsum(sizes) - 1
+        free_vertices = self.free_dofs[self.free_dofs < nv]
+        return EdgeLayout(
+            nv=nv,
+            left=left,
+            right=right,
+            h=h,
+            head=head,
+            tail=tail,
+            src=left[head],
+            dst=right[tail],
+            first=last - sizes + 1,
+            last=last,
+            sizes=sizes,
+            inner=inner,
+            inner_pos=left[inner] - nv,
+            free_vertices=free_vertices,
+        )
 
 
 def build_mesh(g: MetricGraph, edge_h: dict[str, float] | float) -> Mesh:
@@ -133,28 +209,183 @@ def zero_field(mesh: Mesh) -> DiscreteField:
     return DiscreteField(mesh, np.zeros(mesh.ndof))
 
 
-def _assemble_pair(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    rows, cols, s_vals, m_vals = [], [], [], []
-    for eid, dofs in mesh.edge_dofs.items():
-        h = mesh.edge_spacing(eid)
-        left, right = dofs[:-1], dofs[1:]
-        # element matrices: stiffness (1/h)[[1,-1],[-1,1]], mass (h/6)[[2,1],[1,2]]
-        for r, c, s, m in (
-            (left, left, 1.0 / h, h / 3.0),
-            (right, right, 1.0 / h, h / 3.0),
-            (left, right, -1.0 / h, h / 6.0),
-            (right, left, -1.0 / h, h / 6.0),
+@dataclass(frozen=True)
+class EdgeBands:
+    """An operator that is tridiagonal on each edge's interior.
+
+    Interior arrays follow the mesh layout: `diag[i]` is A[i, i],
+    `upper[i]` is A[i, i+1] and `lower[i]` is A[i+1, i] in interior
+    numbering, zero where i and i+1 lie on different edges.  Per edge,
+    `head_row`/`head_col` are A[src, first] and A[first, src], and
+    `tail_row`/`tail_col` are A[dst, last] and A[last, dst].
+    """
+
+    mesh: Mesh
+    vertex_diag: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    head_row: np.ndarray
+    head_col: np.ndarray
+    tail_row: np.ndarray
+    tail_col: np.ndarray
+
+    def _arrays(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)[1:]}
+
+    def plus(self, other: "EdgeBands", scale: float = 1.0) -> "EdgeBands":
+        """self + scale * other."""
+        theirs = other._arrays()
+        return replace(
+            self, **{k: a + scale * theirs[k] for k, a in self._arrays().items()}
+        )
+
+    def scale_columns(self, s: np.ndarray) -> "EdgeBands":
+        """self @ diag(s) for a nodal vector s."""
+        lay = self.mesh.layout
+        sv, si = s[: lay.nv], s[lay.nv :]
+        return replace(
+            self,
+            vertex_diag=self.vertex_diag * sv,
+            diag=self.diag * si,
+            upper=self.upper * si[1:],
+            lower=self.lower * si[:-1],
+            head_row=self.head_row * si[lay.first],
+            head_col=self.head_col * sv[lay.src],
+            tail_row=self.tail_row * si[lay.last],
+            tail_col=self.tail_col * sv[lay.dst],
+        )
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        lay = self.mesh.layout
+        xv, xi = x[: lay.nv], x[lay.nv :]
+        yi = self.diag * xi
+        yi[:-1] += self.upper * xi[1:]
+        yi[1:] += self.lower * xi[:-1]
+        yi[lay.first] += self.head_col * xv[lay.src]
+        yi[lay.last] += self.tail_col * xv[lay.dst]
+        yv = (
+            self.vertex_diag * xv
+            + np.bincount(lay.src, self.head_row * xi[lay.first], minlength=lay.nv)
+            + np.bincount(lay.dst, self.tail_row * xi[lay.last], minlength=lay.nv)
+        )
+        return np.concatenate([yv, yi])
+
+    def tocsr(self) -> sp.csr_matrix:
+        lay = self.mesh.layout
+        nv, n = lay.nv, self.mesh.ndof
+        diag = np.arange(n)
+        up = lay.inner_pos + nv
+        first, last = lay.first + nv, lay.last + nv
+        rows = (diag, up, up + 1, lay.src, first, lay.dst, last)
+        cols = (diag, up + 1, up, first, lay.src, last, lay.dst)
+        vals = (
+            np.concatenate([self.vertex_diag, self.diag]),
+            self.upper[lay.inner_pos],
+            self.lower[lay.inner_pos],
+            self.head_row,
+            self.head_col,
+            self.tail_row,
+            self.tail_col,
+        )
+        return sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n),
+        ).tocsr()
+
+
+def edge_bands(
+    mesh: Mesh, stiffness: float = 0.0, weight: float | np.ndarray = 0.0
+) -> EdgeBands:
+    """Bands of the form stiffness * (u', v') + (w u, v), element by element.
+
+    The weight w is a constant or a nodal array interpolated linearly;
+    the element integrals are exact for piecewise linear w, u and v.
+    """
+    lay = mesh.layout
+    h = lay.h
+    if np.ndim(weight) == 0:
+        # element matrices (1/h)[[1,-1],[-1,1]] and (h/6)[[2,1],[1,2]]
+        start = end = stiffness / h + weight * h / 3.0
+        off = -stiffness / h + weight * h / 6.0
+    else:
+        # element integrals of w*phi_i*phi_j with w linear on the element
+        wl, wr = weight[lay.left], weight[lay.right]
+        start = stiffness / h + h * (3.0 * wl + wr) / 12.0
+        end = stiffness / h + h * (wl + 3.0 * wr) / 12.0
+        off = -stiffness / h + h * (wl + wr) / 12.0
+    nv = lay.nv
+    band = np.zeros(mesh.ndof - nv - 1)
+    band[lay.inner_pos] = off[lay.inner]
+    return EdgeBands(
+        mesh=mesh,
+        vertex_diag=np.bincount(lay.src, start[lay.head], minlength=nv)
+        + np.bincount(lay.dst, end[lay.tail], minlength=nv),
+        diag=end[lay.right >= nv] + start[lay.left >= nv],
+        upper=band,
+        lower=band,
+        head_row=off[lay.head],
+        head_col=off[lay.head],
+        tail_row=off[lay.tail],
+        tail_col=off[lay.tail],
+    )
+
+
+class CondensedFactor:
+    """Solver for an `EdgeBands` operator on the free dofs.
+
+    The edge interiors go first: one pivoted tridiagonal LU of all of
+    them at once (LAPACK gttrf), solved for the unit columns at every
+    edge's first and last interior node.  That leaves the dense Schur
+    complement on the free vertex unknowns, factored with getrf.  A
+    solve costs O(ndof) and returns zero at the Dirichlet dofs.  Raises
+    SolveFailure on a zero pivot or a singular vertex block.
+    """
+
+    def __init__(self, bands: EdgeBands):
+        lay = bands.mesh.layout
+        self._bands = bands
+        dl, d, du, du2, ipiv, info = lapack.dgttrf(
+            bands.lower, bands.diag, bands.upper
+        )
+        if info != 0:
+            raise SolveFailure(f"zero pivot at interior dof {lay.nv + info - 1}")
+        self._tri = (dl, d, du, du2, ipiv)
+        units = np.zeros((d.size, 2), order="F")
+        units[lay.first, 0] = 1.0
+        units[lay.last, 1] = 1.0
+        z, _ = lapack.dgttrs(*self._tri, units, overwrite_b=True)
+        self._from_head, self._from_tail = z[:, 0], z[:, 1]
+        schur = np.diag(bands.vertex_diag)
+        src, dst, first, last = lay.src, lay.dst, lay.first, lay.last
+        zh, zt = self._from_head, self._from_tail
+        for rows, cols, coupling in (
+            (src, src, bands.head_row * zh[first] * bands.head_col),
+            (src, dst, bands.head_row * zt[first] * bands.tail_col),
+            (dst, src, bands.tail_row * zh[last] * bands.head_col),
+            (dst, dst, bands.tail_row * zt[last] * bands.tail_col),
         ):
-            rows.append(r)
-            cols.append(c)
-            s_vals.append(np.full(len(r), s))
-            m_vals.append(np.full(len(r), m))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    shape = (mesh.ndof, mesh.ndof)
-    S = sp.coo_matrix((np.concatenate(s_vals), (rows, cols)), shape=shape).tocsr()
-    M = sp.coo_matrix((np.concatenate(m_vals), (rows, cols)), shape=shape).tocsr()
-    return S, M
+            np.add.at(schur, (rows, cols), -coupling)
+        free = lay.free_vertices
+        lu, piv, info = lapack.dgetrf(schur[np.ix_(free, free)])
+        if info != 0 or not np.all(np.isfinite(lu)):
+            raise SolveFailure("singular vertex Schur complement")
+        self._schur = (lu, piv)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        bands = self._bands
+        lay = bands.mesh.layout
+        y, _ = lapack.dgttrs(*self._tri, b[lay.nv :])
+        rhs = (
+            b[: lay.nv]
+            - np.bincount(lay.src, bands.head_row * y[lay.first], minlength=lay.nv)
+            - np.bincount(lay.dst, bands.tail_row * y[lay.last], minlength=lay.nv)
+        )
+        xv = np.zeros(lay.nv)
+        xv[lay.free_vertices] = lapack.dgetrs(*self._schur, rhs[lay.free_vertices])[0]
+        y -= self._from_head * np.repeat(bands.head_col * xv[lay.src], lay.sizes)
+        y -= self._from_tail * np.repeat(bands.tail_col * xv[lay.dst], lay.sizes)
+        return np.concatenate([xv, y])
 
 
 def weighted_mass(mesh: Mesh, weight: np.ndarray) -> sp.csr_matrix:
@@ -163,56 +394,41 @@ def weighted_mass(mesh: Mesh, weight: np.ndarray) -> sp.csr_matrix:
     Used to assemble symmetric linearized operators; exact for piecewise
     linear w, u, v.
     """
-    weight = np.asarray(weight, dtype=float)
-    rows, cols, vals = [], [], []
-    for eid, dofs in mesh.edge_dofs.items():
-        h = mesh.edge_spacing(eid)
-        left, right = dofs[:-1], dofs[1:]
-        wl, wr = weight[left], weight[right]
-        # element integrals of w*phi_i*phi_j with w linear on the element
-        for r, c, v in (
-            (left, left, h * (3.0 * wl + wr) / 12.0),
-            (right, right, h * (wl + 3.0 * wr) / 12.0),
-            (left, right, h * (wl + wr) / 12.0),
-            (right, left, h * (wl + wr) / 12.0),
-        ):
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-    shape = (mesh.ndof, mesh.ndof)
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=shape,
-    ).tocsr()
+    return edge_bands(mesh, weight=np.asarray(weight, dtype=float)).tocsr()
 
 
 @dataclass
 class KirchhoffOperator:
-    """Assembled weak forms of the shifted operator -u'' + lam*u.
+    """The weak forms of the shifted operator -u'' + lam*u on a mesh.
 
-    Holds the full stiffness and mass matrices plus the free-dof
-    restriction; the factorization of the shifted form on the free dofs
-    is cached on first use.
+    Holds the stiffness, mass and shifted (S + lam*M) forms as edge
+    bands.  The CSR matrices `stiffness` and `mass` are built from them
+    on first use, and the factorization of the shifted form on the free
+    dofs is cached on first use.
     """
 
     mesh: Mesh
     lam: float
-    stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
-    free: np.ndarray
-    _factor: spla.SuperLU | None = field(default=None, repr=False)
+    stiffness_bands: EdgeBands = field(repr=False)
+    mass_bands: EdgeBands = field(repr=False)
+    shifted_bands: EdgeBands = field(init=False, repr=False)
+    _factor: CondensedFactor | None = field(default=None, repr=False)
 
-    def shifted_free(self) -> sp.csc_matrix:
-        A = self.stiffness + self.lam * self.mass
-        return A[self.free][:, self.free].tocsc()
+    def __post_init__(self):
+        self.shifted_bands = self.stiffness_bands.plus(self.mass_bands, self.lam)
 
-    def factor(self) -> spla.SuperLU:
+    @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        return self.stiffness_bands.tocsr()
+
+    @cached_property
+    def mass(self) -> sp.csr_matrix:
+        return self.mass_bands.tocsr()
+
+    def factor(self) -> CondensedFactor:
         if self._factor is None:
             self._check_definite()
-            try:
-                self._factor = spla.splu(self.shifted_free())
-            except RuntimeError as exc:
-                raise SolveFailure(f"factorization failed: {exc}") from exc
+            self._factor = CondensedFactor(self.shifted_bands)
         return self._factor
 
     def _check_definite(self) -> None:
@@ -229,8 +445,12 @@ def assemble(g: MetricGraph, mesh: Mesh, lam: float) -> KirchhoffOperator:
     """Assemble the stiffness/mass pair on the mesh at the given shift."""
     if mesh.graph is not g:
         raise ValueError("mesh was built for a different graph")
-    S, M = _assemble_pair(mesh)
-    return KirchhoffOperator(mesh, float(lam), S, M, mesh.free_dofs)
+    return KirchhoffOperator(
+        mesh,
+        float(lam),
+        edge_bands(mesh, stiffness=1.0),
+        edge_bands(mesh, weight=1.0),
+    )
 
 
 def resolvent_apply(op: KirchhoffOperator, g_rhs: DiscreteField) -> DiscreteField:
@@ -239,24 +459,23 @@ def resolvent_apply(op: KirchhoffOperator, g_rhs: DiscreteField) -> DiscreteFiel
     The right-hand side enters through the mass matrix; Dirichlet dofs
     (truncation endpoints) stay pinned at zero.
     """
-    rhs = op.mass @ g_rhs.values
-    lu = op.factor()
-    x_free = lu.solve(rhs[op.free])
-    A = op.shifted_free()
-    resid = A @ x_free - rhs[op.free]
-    denom = max(float(np.linalg.norm(rhs[op.free])), 1e-300)
+    pinned = op.mesh.dirichlet_dofs
+    rhs = op.mass_bands @ g_rhs.values
+    rhs[pinned] = 0.0
+    x = op.factor().solve(rhs)
+    resid = op.shifted_bands @ x - rhs
+    resid[pinned] = 0.0
+    denom = max(float(np.linalg.norm(rhs)), 1e-300)
     if float(np.linalg.norm(resid)) / denom > 1e-10:
         raise SolveFailure("resolvent residual above 1e-10 relative")
-    out = np.zeros(op.mesh.ndof)
-    out[op.free] = x_free
-    return DiscreteField(op.mesh, out)
+    return DiscreteField(op.mesh, x)
 
 
 def lambda_norm(op: KirchhoffOperator, u: DiscreteField) -> float:
     """sqrt(u' . u' + lam * u . u) in the assembled quadrature."""
     v = u.values
-    q = float(v @ (op.stiffness @ v) + op.lam * (v @ (op.mass @ v)))
-    if q < -1e-12 * max(1.0, float(v @ (op.mass @ v))):
+    q = float(v @ (op.shifted_bands @ v))
+    if q < 0.0 and q < -1e-12 * max(1.0, float(v @ (op.mass_bands @ v))):
         raise NegativeForm(f"shifted form returned {q}")
     return math.sqrt(max(q, 0.0))
 
@@ -265,15 +484,15 @@ def dual_residual_norm(op: KirchhoffOperator, r: np.ndarray) -> float:
     """Norm of a weak-form residual measured through the shifted inverse.
 
     This is the natural norm of the Riesz representative of r: with
-    A = S + lam*M on the free dofs, returns sqrt(r^T A^{-1} r).
+    A = S + lam*M on the free dofs, returns sqrt(r^T A^{-1} r).  The
+    solve is zero at the Dirichlet dofs, so their entries of r drop out.
     """
-    rf = r[op.free]
-    y = op.factor().solve(rf)
-    return math.sqrt(max(float(rf @ y), 0.0))
+    y = op.factor().solve(r)
+    return math.sqrt(max(float(r @ y), 0.0))
 
 
 def lambda_inner(op: KirchhoffOperator, u: np.ndarray, v: np.ndarray) -> float:
-    return float(u @ (op.stiffness @ v) + op.lam * (u @ (op.mass @ v)))
+    return float(u @ (op.shifted_bands @ v))
 
 
 def spectral_bottom(g: MetricGraph, mesh: Mesh) -> float:
@@ -282,10 +501,9 @@ def spectral_bottom(g: MetricGraph, mesh: Mesh) -> float:
     Zero for compact graphs (constants); positive when Dirichlet
     truncation endpoints are present.
     """
-    S, M = _assemble_pair(mesh)
     free = mesh.free_dofs
-    Sf = S[free][:, free]
-    Mf = M[free][:, free]
+    Sf = edge_bands(mesh, stiffness=1.0).tocsr()[free][:, free]
+    Mf = edge_bands(mesh, weight=1.0).tocsr()[free][:, free]
     n = Sf.shape[0]
     if n < 8:
         vals = scipy.linalg.eigh(

@@ -45,9 +45,9 @@ def evaluate_functionals(
     and nehari_residual = kinetic + lam*mass - potential hold exactly.
     """
     v = u.values
-    kinetic = float(v @ (op.stiffness @ v))
-    mass = float(v @ (op.mass @ v))
-    potential = float(v @ (op.mass @ np.maximum(v, 0.0) ** (2.0 * mu + 1.0)))
+    kinetic = float(v @ (op.stiffness_bands @ v))
+    mass = float(v @ (op.mass_bands @ v))
+    potential = float(v @ (op.mass_bands @ np.maximum(v, 0.0) ** (2.0 * mu + 1.0)))
     energy = 0.5 * kinetic - potential / (2.0 * mu + 2.0)
     action = energy + 0.5 * op.lam * mass
     nehari = kinetic + op.lam * mass - potential
@@ -65,8 +65,8 @@ def evaluate_functionals(
 def nehari_scaling(op: KirchhoffOperator, mu: float, u: DiscreteField) -> float:
     """Scale t with zero Nehari residual at t*u, for states with u+ != 0."""
     v = u.values
-    norm_sq = float(v @ (op.stiffness @ v)) + op.lam * float(v @ (op.mass @ v))
-    potential = float(v @ (op.mass @ np.maximum(v, 0.0) ** (2.0 * mu + 1.0)))
+    norm_sq = float(v @ (op.shifted_bands @ v))
+    potential = float(v @ (op.mass_bands @ np.maximum(v, 0.0) ** (2.0 * mu + 1.0)))
     if potential <= 0.0:
         raise ValueError("state has no positive part to scale against")
     return (norm_sq / potential) ** (1.0 / (2.0 * mu))

@@ -15,20 +15,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # unused; bench/tracer.py wraps spla.splu here
 
 from .discrete import (
+    CondensedFactor,
     DiscreteField,
+    EdgeBands,
     KirchhoffOperator,
     Mesh,
     assemble,
     dual_residual_norm,
+    edge_bands,
     lambda_inner,
     lambda_norm,
     refined_mesh,
-    weighted_mass,
 )
-from .errors import NotConverged, SingularJacobian
+from .errors import NotConverged, SingularJacobian, SolveFailure
 from .graphs import MetricGraph
 from .profiles import AnsatzSpec, assemble_ansatz, sample_kernel_mode
 
@@ -102,18 +104,19 @@ def nonlinear_residual(
     f means nonpositive states produce a purely linear residual.
     """
     v = u.values
-    r = (
-        op.stiffness @ v
-        + op.lam * (op.mass @ v)
-        - op.mass @ _nodal_nonlinearity(mu, v)
-    )
+    r = op.shifted_bands @ v - op.mass_bands @ _nodal_nonlinearity(mu, v)
     return DiscreteField(op.mesh, r)
 
 
-def jacobian(op: KirchhoffOperator, mu: float, u: DiscreteField) -> sp.csr_matrix:
+def jacobian_bands(op: KirchhoffOperator, mu: float, u: DiscreteField) -> EdgeBands:
     """Exact derivative of the discrete residual: S + lam M - M f'(u)."""
-    slope = sp.diags(_nodal_nonlinearity_slope(mu, u.values))
-    return (op.stiffness + op.lam * op.mass - op.mass @ slope).tocsr()
+    slope = _nodal_nonlinearity_slope(mu, u.values)
+    return op.shifted_bands.plus(op.mass_bands.scale_columns(slope), -1.0)
+
+
+def jacobian(op: KirchhoffOperator, mu: float, u: DiscreteField) -> sp.csr_matrix:
+    """The Jacobian S + lam M - M f'(u) as a sparse matrix."""
+    return jacobian_bands(op, mu, u).tocsr()
 
 
 def symmetric_linearization(
@@ -125,8 +128,8 @@ def symmetric_linearization(
     weighted mass matrix, so the result is symmetric and suited to
     eigenvalue diagnostics of the linearization.
     """
-    W = weighted_mass(op.mesh, _nodal_nonlinearity_slope(mu, u.values))
-    return (op.stiffness + op.lam * op.mass - W).tocsr()
+    W = edge_bands(op.mesh, weight=_nodal_nonlinearity_slope(mu, u.values))
+    return op.shifted_bands.plus(W, -1.0).tocsr()
 
 
 def _relative_residual(op: KirchhoffOperator, r: np.ndarray, u: DiscreteField):
@@ -139,11 +142,13 @@ def newton_solve(
 ) -> BoundStateResult:
     """Damped Newton with the exact discrete Jacobian S + lam M - M f'(u).
 
-    Backtracking halves the step until the natural-norm residual
-    decreases (Armijo on the residual norm); non-convergence within
-    max_iters is reported in the result, not raised.
+    Each step factors the Jacobian in edge-condensed form; pivoting in
+    the interior factorization copes with the near-zero soliton
+    derivative mode on the peak edges.  Backtracking halves the step
+    until the natural-norm residual decreases (Armijo on the residual
+    norm); non-convergence within max_iters is reported in the result,
+    not raised.
     """
-    free = op.free
     v = u0.values.copy()
     v[op.mesh.dirichlet_dofs] = 0.0
     u = DiscreteField(op.mesh, v)
@@ -152,16 +157,13 @@ def newton_solve(
     iters = 0
     while not converged and iters < cfg.max_iters:
         iters += 1
-        Jf = jacobian(op, mu, u)[free][:, free].tocsc()
         r = nonlinear_residual(op, mu, u).values
         try:
-            step_free = spla.splu(Jf).solve(-r[free])
-        except RuntimeError as exc:
+            step = CondensedFactor(jacobian_bands(op, mu, u)).solve(-r)
+        except SolveFailure as exc:
             raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(step_free)):
+        if not np.all(np.isfinite(step)):
             raise SingularJacobian("non-finite Newton step")
-        step = np.zeros(op.mesh.ndof)
-        step[free] = step_free
 
         t, accepted = 1.0, False
         while t >= 2.0**-24:

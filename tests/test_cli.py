@@ -103,6 +103,31 @@ def test_solve_with_unknown_peak_writes_error_record(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--mu", "0", "mu must be positive"),
+        ("--nodes-per-width", "0", "nodes_per_width must be positive"),
+        ("--lambdas", ",", "lambda schedule is empty"),
+        ("--lambdas", "inf", "lambda shifts must be positive and finite"),
+        ("--max-iters", "-1", "max_iters must be >= 0"),
+    ],
+)
+def test_solve_rejects_invalid_knobs_before_any_work(
+    tmp_path, capsys, flag, value, message
+):
+    out = tmp_path / "bad"
+    argv = ["solve", "--graph", "tripod", "--peak", "c", flag, value]
+    rc = main(argv + ["--outdir", str(out)])
+    assert rc == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert message in record["message"]
+    # validation comes first: nothing but the error record is written
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+    assert "error: ValueError" in capsys.readouterr().err
+
+
 def test_solve_accepts_graph_files_and_custom_coeffs(tmp_path):
     graph_file = tmp_path / "wide_tripod.yaml"
     graph_file.write_text(

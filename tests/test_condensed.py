@@ -1,0 +1,145 @@
+"""Edge-condensed operators and solves against a sparse direct reference."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from graphnls import (
+    AnsatzSpec,
+    SolveConfig,
+    assemble,
+    assemble_ansatz,
+    insert_midpoints,
+    jacobian,
+    newton_solve,
+    reference_graph,
+    refined_mesh,
+    star_neighborhood,
+)
+from graphnls.discrete import (
+    CondensedFactor,
+    DiscreteField,
+    edge_bands,
+    weighted_mass,
+)
+from graphnls.errors import SingularJacobian, SolveFailure
+from graphnls.solve import jacobian_bands
+
+# every built-in graph with its peak sites: figure1 has the self-loop
+# loop3 and degree-5 vertices, and all but the tripod have truncated
+# Dirichlet ends
+PEAKS = {
+    "tripod": ["c"],
+    "t_graph": ["v"],
+    "star5": ["c"],
+    "double_tripod": ["c1", "c2"],
+    "figure1": ["v1"],
+}
+
+
+def _seeded_operator(name, lam=25.0):
+    peaks = PEAKS[name]
+    g = reference_graph(name)
+    mode = "multi" if len(peaks) > 1 else "single"
+    if mode == "multi":
+        g = insert_midpoints(g, peaks)
+    stars = [star_neighborhood(g, p, mode=mode) for p in peaks]
+    coeffs = tuple((s, (0.0,) * (s.degree - 1)) for s in stars)
+    spec = AnsatzSpec(coeffs, mu=1.0, lam=lam, alpha=0.25)
+    mesh = refined_mesh(g, lam, peaks, nodes_per_width=10.0)
+    op = assemble(g, mesh, lam)
+    return op, assemble_ansatz(g, spec, mesh)
+
+
+def _element_loop_reference(mesh, weight):
+    """Stiffness, mass and weighted mass summed element by element."""
+    entries = {"S": [], "M": [], "W": []}
+    for eid, dofs in mesh.edge_dofs.items():
+        h = mesh.edge_spacing(eid)
+        for a, b in zip(dofs[:-1], dofs[1:]):
+            wa, wb = weight[a], weight[b]
+            for r, c, s, m, w in (
+                (a, a, 1.0 / h, h / 3.0, h * (3.0 * wa + wb) / 12.0),
+                (b, b, 1.0 / h, h / 3.0, h * (wa + 3.0 * wb) / 12.0),
+                (a, b, -1.0 / h, h / 6.0, h * (wa + wb) / 12.0),
+                (b, a, -1.0 / h, h / 6.0, h * (wa + wb) / 12.0),
+            ):
+                for key, val in (("S", s), ("M", m), ("W", w)):
+                    entries[key].append((r, c, val))
+    out = {}
+    for key, triples in entries.items():
+        rows, cols, vals = zip(*triples)
+        out[key] = sp.coo_matrix(
+            (vals, (rows, cols)), shape=(mesh.ndof, mesh.ndof)
+        ).toarray()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PEAKS))
+def test_bands_match_an_element_loop(name):
+    g = reference_graph(name)
+    mesh = refined_mesh(g, 1.0, PEAKS[name][:1], nodes_per_width=1.0)
+    op = assemble(g, mesh, 1.0)
+    weight = np.random.default_rng(5).standard_normal(mesh.ndof)
+    ref = _element_loop_reference(mesh, weight)
+    for key, got in (
+        ("S", op.stiffness),
+        ("M", op.mass),
+        ("W", weighted_mass(mesh, weight)),
+    ):
+        scale = np.abs(ref[key]).max()
+        assert np.allclose(got.toarray(), ref[key], rtol=0.0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("name", sorted(PEAKS))
+def test_shifted_solve_matches_sparse_direct_reference(name):
+    op, _ = _seeded_operator(name)
+    mesh = op.mesh
+    free = mesh.free_dofs
+    b = np.random.default_rng(1).standard_normal(mesh.ndof)
+    A = (op.stiffness + op.lam * op.mass)[free][:, free].tocsc()
+    reference = spla.spsolve(A, b[free])
+    x = op.factor().solve(b)
+    assert np.all(x[mesh.dirichlet_dofs] == 0.0)
+    err = np.linalg.norm(x[free] - reference) / np.linalg.norm(reference)
+    assert err <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(PEAKS))
+def test_jacobian_solve_at_the_seed_is_as_accurate_as_the_reference(name):
+    op, seed = _seeded_operator(name)
+    mesh = op.mesh
+    free = mesh.free_dofs
+    b = np.random.default_rng(1).standard_normal(mesh.ndof)[free]
+    J = jacobian(op, 1.0, seed)[free][:, free].tocsc()
+    rhs = np.zeros(mesh.ndof)
+    rhs[free] = b
+    x = CondensedFactor(jacobian_bands(op, 1.0, seed)).solve(rhs)[free]
+    reference = spla.spsolve(J, b)
+    ours = np.linalg.norm(J @ x - b) / np.linalg.norm(b)
+    theirs = np.linalg.norm(J @ reference - b) / np.linalg.norm(b)
+    assert ours <= 10.0 * theirs
+
+
+@pytest.mark.parametrize("name", ["figure1", "star5"])
+def test_band_products_match_their_sparse_matrices(name):
+    op, seed = _seeded_operator(name)
+    d = np.random.default_rng(3).standard_normal(op.mesh.ndof)
+    bands = jacobian_bands(op, 1.0, seed)
+    J = jacobian(op, 1.0, seed)
+    assert np.allclose(bands @ d, J @ d, rtol=0.0, atol=1e-12 * abs(J).max())
+
+
+def test_zero_pivot_raises_solve_failure():
+    op, _ = _seeded_operator("tripod")
+    with pytest.raises(SolveFailure, match="zero pivot"):
+        CondensedFactor(edge_bands(op.mesh))
+
+
+def test_non_finite_jacobian_raises_singular_jacobian():
+    op, seed = _seeded_operator("tripod")
+    bad = DiscreteField(op.mesh, np.full(op.mesh.ndof, np.nan))
+    with pytest.raises(SingularJacobian):
+        newton_solve(op, 1.0, bad, SolveConfig())
+    assert newton_solve(op, 1.0, seed, SolveConfig()).converged

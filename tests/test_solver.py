@@ -17,6 +17,7 @@ from graphnls import (
     lambda_norm,
     newton_solve,
     nonlinear_residual,
+    reference_graph,
     refined_mesh,
     star_neighborhood,
     symmetric_linearization,
@@ -137,6 +138,19 @@ def test_continuation_sweep_populates_diagnostics():
         assert res.peak_locations[0][1] == pytest.approx(0.0, abs=1e-12)
     # the kernel part of the correction is tiny for a symmetric seed
     assert results[-1].kernel_component_norm < 1e-6 * results[-1].correction_norm
+
+
+def test_symmetric_star5_sweep_keeps_its_symmetry():
+    # identical edges are eliminated by identical arithmetic, so the
+    # zero-coefficient seed's 5-fold symmetry survives Newton and the
+    # kernel part of the correction stays at rounding level
+    g = reference_graph("star5")
+    star = star_neighborhood(g, "c", mode="single")
+    template = AnsatzSpec(((star, (0.0,) * 4),), mu=1.0, lam=25.0, alpha=0.25)
+    results = continuation_sweep(g, template, SolveConfig(lambda_schedule=(25, 50)))
+    for res in results:
+        assert res.converged
+        assert res.kernel_component_norm < 1e-10 * res.correction_norm
 
 
 def test_seed_strategies_agree_on_easy_sweeps():
