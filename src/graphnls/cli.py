@@ -22,9 +22,13 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .acceptance import reference_graph, run_all
-from .discrete import assemble
+from .discrete import assemble  # unused; bench/tracer.py wraps it by this name
 from .errors import GraphNLSError
+
+# evaluate_functionals is unused here; bench/tracer.py wraps it by this name
 from .functionals import evaluate_functionals, soliton_reference
 from .graphs import (
     MetricGraph,
@@ -103,6 +107,16 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _state_text(nodes: np.ndarray, values: np.ndarray) -> str:
+    """One "node value" line per node, each number as _fmt writes it.
+
+    A single %-format over the interleaved pairs; "%.17g" and the
+    format spec ".17g" render a float identically.
+    """
+    pairs = np.column_stack((nodes, values)).ravel().tolist()
+    return ("%.17g %.17g\n" * len(nodes)) % tuple(pairs)
+
+
 def cmd_solve(cfg: ExperimentConfig) -> int:
     """Run the sweep described by cfg and write its artifacts."""
     outdir = Path(os.environ.get("GRAPHNLS_OUTDIR", cfg.outdir))
@@ -144,9 +158,11 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         refinement_growth=cfg.refinement_growth,
         seed=cfg.seed,
     )
+    # the ratio columns need the reference constants, which exist only
+    # for mu >= 0.5: fail before the sweep rather than after it
+    ref = soliton_reference(cfg.mu)
     results = continuation_sweep(g, template, solve_cfg)
 
-    ref = soliton_reference(cfg.mu)
     weight = sum(s.degree for s in stars) / 2.0
     mass_pow = 1.0 / cfg.mu - 0.5
     action_pow = 1.0 / cfg.mu + 0.5
@@ -169,8 +185,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     rows = []
     for res in results:
         mesh = res.u.mesh
-        op = assemble(mesh.graph, mesh, res.lam)
-        rep = evaluate_functionals(op, cfg.mu, res.u)
+        rep = res.functionals
         row = [
             _fmt(res.lam),
             "1" if res.converged else "0",
@@ -194,12 +209,8 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         state_dir = outdir / f"state_lam{res.lam:g}"
         state_dir.mkdir(exist_ok=True)
         for eid in sorted(mesh.edge_nodes):
-            nodes = mesh.edge_nodes[eid]
-            vals = res.u.values[mesh.edge_dofs[eid]]
-            lines = [f"{_fmt(x)} {_fmt(v)}" for x, v in zip(nodes, vals)]
-            (state_dir / f"{eid}.txt").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8"
-            )
+            text = _state_text(mesh.edge_nodes[eid], res.u.values[mesh.edge_dofs[eid]])
+            (state_dir / f"{eid}.txt").write_text(text, encoding="utf-8")
 
     csv_lines = [f"# config {cfg.config_hash()}", ",".join(header)]
     csv_lines += [",".join(row) for row in rows]
@@ -225,6 +236,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
                 "lam": res.lam,
                 "converged": res.converged,
                 "iterations": res.iterations,
+                "backtracks": res.backtracks,
             }
             for res in results
         ],

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.integrate import quad
@@ -18,7 +19,9 @@ from scipy.integrate import quad
 from .discrete import DiscreteField, KirchhoffOperator, assemble
 from .errors import NotConverged, QuadratureNotConverged
 from .profiles import SolitonParams, eval_soliton, soliton_derivative
-from .solve import BoundStateResult
+
+if TYPE_CHECKING:  # solve imports this module to fill in each shift's report
+    from .solve import BoundStateResult
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # unused; bench/tracer.py wraps spla.splu here
 
+from . import functionals
 from .discrete import (
     CondensedFactor,
     DiscreteField,
@@ -26,11 +27,11 @@ from .discrete import (
     assemble,
     dual_residual_norm,
     edge_bands,
-    lambda_inner,
     lambda_norm,
     refined_mesh,
 )
 from .errors import NotConverged, SingularJacobian, SolveFailure
+from .functionals import FunctionalReport
 from .graphs import MetricGraph
 from .profiles import AnsatzSpec, assemble_ansatz, sample_kernel_mode
 
@@ -71,8 +72,10 @@ class BoundStateResult:
 
     residual_norm is the natural-norm residual relative to the state's
     own size, the quantity the Newton tolerance is applied to.
-    correction_norm, kernel_component_norm and peak_locations are
-    filled by the sweep, which knows the seed state.
+    backtracks counts the line-search trial steps beyond the first of
+    each Newton iteration.  correction_norm, kernel_component_norm,
+    peak_locations and functionals are filled by the sweep, which knows
+    the seed state and holds the operator.
     """
 
     u: DiscreteField
@@ -82,9 +85,11 @@ class BoundStateResult:
     residual_norm: float
     residual_norm_absolute: float
     min_value: float
+    backtracks: int = 0
     correction_norm: float | None = None
     kernel_component_norm: float | None = None
     peak_locations: list[tuple[str, float]] = field(default_factory=list)
+    functionals: FunctionalReport | None = None
 
 
 def _nodal_nonlinearity(mu: float, v: np.ndarray) -> np.ndarray:
@@ -152,12 +157,13 @@ def newton_solve(
     v = u0.values.copy()
     v[op.mesh.dirichlet_dofs] = 0.0
     u = DiscreteField(op.mesh, v)
-    rel, absolute = _relative_residual(op, nonlinear_residual(op, mu, u).values, u)
+    # the residual of the current state; an accepted trial hands on its own
+    r = nonlinear_residual(op, mu, u).values
+    rel, absolute = _relative_residual(op, r, u)
     converged = rel <= cfg.newton_tol
-    iters = 0
+    iters = trials = 0
     while not converged and iters < cfg.max_iters:
         iters += 1
-        r = nonlinear_residual(op, mu, u).values
         try:
             step = CondensedFactor(jacobian_bands(op, mu, u)).solve(-r)
         except SolveFailure as exc:
@@ -167,12 +173,13 @@ def newton_solve(
 
         t, accepted = 1.0, False
         while t >= 2.0**-24:
+            trials += 1
             trial = DiscreteField(op.mesh, u.values + t * step)
-            trial_rel, trial_abs = _relative_residual(
-                op, nonlinear_residual(op, mu, trial).values, trial
-            )
+            trial_r = nonlinear_residual(op, mu, trial).values
+            trial_rel, trial_abs = _relative_residual(op, trial_r, trial)
             if trial_rel <= (1.0 - 1e-4 * t) * rel or trial_rel <= cfg.newton_tol:
-                u, rel, absolute, accepted = trial, trial_rel, trial_abs, True
+                u, r, rel, absolute = trial, trial_r, trial_rel, trial_abs
+                accepted = True
                 break
             t *= cfg.damping
         if not accepted:
@@ -184,6 +191,7 @@ def newton_solve(
         lam=op.lam,
         converged=bool(converged),
         iterations=iters,
+        backtracks=trials - iters,
         residual_norm=rel,
         residual_norm_absolute=absolute,
         min_value=float(np.min(u.values)),
@@ -212,11 +220,15 @@ def kernel_projection_diagnostics(
                     mesh, star, j, ansatz.lam, ansatz.mu, ansatz.cutoff_kind
                 )
             )
-    gram = np.array([[lambda_inner(op, a, b) for b in modes] for a in modes])
-    rhs = np.array([lambda_inner(op, a, phi) for a in modes])
+    # one band product per mode and one for phi; the dot products are
+    # those of lambda_inner(op, a, b) = a @ (shifted_bands @ b)
+    shifted_modes = [op.shifted_bands @ b for b in modes]
+    shifted_phi = op.shifted_bands @ phi
+    gram = np.array([[float(a @ sb) for sb in shifted_modes] for a in modes])
+    rhs = np.array([float(a @ shifted_phi) for a in modes])
     coef = np.linalg.solve(gram, rhs)
     kernel_sq = float(coef @ gram @ coef)
-    total_sq = lambda_norm(op, DiscreteField(mesh, phi)) ** 2
+    total_sq = float(phi @ shifted_phi)
     kernel_norm = math.sqrt(max(kernel_sq, 0.0))
     orth_norm = math.sqrt(max(total_sq - kernel_sq, 0.0))
     return kernel_norm, orth_norm
@@ -296,5 +308,6 @@ def continuation_sweep(
             res.kernel_component_norm = kn
             prev = res
         res.peak_locations = peak_offsets(mesh, res.u, spec)
+        res.functionals = functionals.evaluate_functionals(op, cfg.mu, res.u)
         results.append(res)
     return results

@@ -1,10 +1,13 @@
 """Command line entry points, artifacts, determinism, and error records."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from graphnls.cli import ExperimentConfig, main
+from graphnls import cli
+from graphnls.cli import ExperimentConfig, _state_text, main
 
 FAST_SOLVE = [
     "solve",
@@ -47,6 +50,7 @@ def test_solve_writes_the_expected_artifacts(tmp_path):
     assert manifest["graph_summary"]["within_hypotheses"] is True
     assert [r["lam"] for r in manifest["results"]] == [25.0, 50.0]
     assert all(r["converged"] for r in manifest["results"])
+    assert all(r["backtracks"] >= 0 for r in manifest["results"])
     # every knob is echoed with its resolved value
     cfg = manifest["config"]
     for key in (
@@ -70,6 +74,14 @@ def test_solve_writes_the_expected_artifacts(tmp_path):
     assert not (out / "error.json").exists()
 
 
+# SHA-256 of FAST_SOLVE's outputs as the per-value writer wrote them,
+# before the state files were formatted in one call
+GOLDEN_SHA256 = {
+    "diagnostics.csv": "2739fbfd66effdd8a0046d7cf66da43188cf48066797df63ebdffdb90204a2f1",
+    "state_lam50/e1.txt": "7bbdb74547ce444a27b8a0a6bc974a439b200816f134bd497802903c1c3fe110",
+}
+
+
 def test_solve_output_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(FAST_SOLVE + ["--outdir", str(out1)]) == 0
@@ -79,6 +91,19 @@ def test_solve_output_is_deterministic(tmp_path):
     ).read_bytes()
     state = "state_lam50/e1.txt"
     assert (out1 / state).read_bytes() == (out2 / state).read_bytes()
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((out1 / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_state_text_matches_per_value_formatting():
+    values = [0.0, -0.0, 5e-324, 1e-200, -1e-200, 1e300, 0.1, 1.0 / 3.0, 2.0**53 + 1]
+    nodes = np.array(values)
+    vals = np.array(values[::-1])
+    old = "".join(f"{float(x):.17g} {float(v):.17g}\n" for x, v in zip(nodes, vals))
+    assert _state_text(nodes, vals) == old
+    assert _state_text(np.array([0.5, 1.0]), np.array([-0.0, 0.1])) == (
+        "0.5 -0\n1 0.10000000000000001\n"
+    )
 
 
 def test_environment_variable_overrides_outdir(tmp_path, monkeypatch):
@@ -126,6 +151,24 @@ def test_solve_rejects_invalid_knobs_before_any_work(
     # validation comes first: nothing but the error record is written
     assert [p.name for p in out.iterdir()] == ["error.json"]
     assert "error: ValueError" in capsys.readouterr().err
+
+
+def test_solve_fails_before_the_sweep_below_the_reference_range(
+    tmp_path, monkeypatch
+):
+    # the soliton reference constants behind the ratio columns exist only
+    # for mu >= 0.5, so such a run must fail without sweeping at all
+    sweeps = []
+    monkeypatch.setattr(cli, "continuation_sweep", lambda *a: sweeps.append(a))
+    out = tmp_path / "lowmu"
+    argv = ["solve", "--graph", "tripod", "--peak", "c", "--mu", "0.3"]
+    rc = main(argv + ["--outdir", str(out)])
+    assert rc == 1
+    assert sweeps == []
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "mu >= 0.5" in record["message"]
+    assert not list(out.glob("state_lam*"))
 
 
 def test_solve_accepts_graph_files_and_custom_coeffs(tmp_path):

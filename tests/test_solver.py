@@ -23,8 +23,11 @@ from graphnls import (
     symmetric_linearization,
     uniform_mesh,
 )
-from graphnls.discrete import DiscreteField, dual_residual_norm
+import graphnls.solve
+from graphnls.discrete import DiscreteField, dual_residual_norm, lambda_inner
 from graphnls.errors import NotConverged
+from graphnls.functionals import evaluate_functionals
+from graphnls.profiles import sample_kernel_mode
 from graphnls.solve import BoundStateResult, _resample, peak_offsets
 
 TRIPOD = """
@@ -71,6 +74,24 @@ def test_newton_converges_from_the_peaked_seed():
     r = nonlinear_residual(op, 1.0, res.u)
     rel = dual_residual_norm(op, r.values) / max(1.0, lambda_norm(op, res.u))
     assert rel == pytest.approx(res.residual_norm, rel=1e-6, abs=1e-14)
+
+
+def test_newton_reuses_the_accepted_trial_residual(monkeypatch):
+    # one residual before the loop, then one per line-search trial: the
+    # first trial of each iteration plus its backtracks
+    g, star, spec, mesh, op = _tripod_setup()
+    seed = assemble_ansatz(g, spec, mesh)
+    calls = []
+    real = graphnls.solve.nonlinear_residual
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(graphnls.solve, "nonlinear_residual", counted)
+    res = newton_solve(op, 1.0, seed, SolveConfig(mu=1.0, newton_tol=1e-10))
+    assert res.converged and res.iterations > 0
+    assert len(calls) == 1 + res.iterations + res.backtracks
 
 
 def test_newton_flags_nonconvergence_within_budget():
@@ -138,6 +159,40 @@ def test_continuation_sweep_populates_diagnostics():
         assert res.peak_locations[0][1] == pytest.approx(0.0, abs=1e-12)
     # the kernel part of the correction is tiny for a symmetric seed
     assert results[-1].kernel_component_norm < 1e-6 * results[-1].correction_norm
+
+
+def _reference_kernel_component_norm(res, template):
+    """The kernel split with one lambda_inner call per Gram entry."""
+    mesh = res.u.mesh
+    op = assemble(mesh.graph, mesh, res.lam)
+    spec = template.with_lam(res.lam)
+    phi = res.u.values - assemble_ansatz(mesh.graph, spec, mesh).values
+    modes = [
+        sample_kernel_mode(mesh, star, j, spec.lam, spec.mu, spec.cutoff_kind)
+        for star, _ in spec.peaks
+        for j in range(1, star.degree)
+    ]
+    gram = np.array([[lambda_inner(op, a, b) for b in modes] for a in modes])
+    rhs = np.array([lambda_inner(op, a, phi) for a in modes])
+    coef = np.linalg.solve(gram, rhs)
+    return math.sqrt(max(float(coef @ gram @ coef), 0.0))
+
+
+def test_sweep_diagnostics_equal_fresh_recomputation():
+    # a mode of 0.3 puts a visible kernel component into the correction
+    g = build_graph(TRIPOD)
+    star = star_neighborhood(g, "c", mode="single")
+    template = AnsatzSpec(((star, (0.3, -0.2)),), mu=1.0, lam=25.0, alpha=0.25)
+    cfg = SolveConfig(mu=1.0, lambda_schedule=(25.0, 50.0), nodes_per_width=15.0)
+    for res in continuation_sweep(g, template, cfg):
+        assert res.converged
+        mesh = res.u.mesh
+        fresh = evaluate_functionals(assemble(g, mesh, res.lam), 1.0, res.u)
+        assert res.functionals == fresh
+        assert res.kernel_component_norm > 0.0
+        assert res.kernel_component_norm == _reference_kernel_component_norm(
+            res, template
+        )
 
 
 def test_symmetric_star5_sweep_keeps_its_symmetry():
