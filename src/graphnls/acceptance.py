@@ -22,6 +22,7 @@ from .errors import GraphNLSError
 from .functionals import evaluate_functionals, ground_state_gap, soliton_reference
 from .graphs import (
     MetricGraph,
+    admissible_peak_degree,
     build_graph,
     insert_midpoints,
     star_neighborhood,
@@ -64,6 +65,20 @@ def reference_graph(name: str) -> MetricGraph:
     """Load one of the graphs shipped with the package."""
     text = (files("graphnls") / "data" / f"{name}.yaml").read_text(encoding="utf-8")
     return build_graph(text)
+
+
+# the only table of criterion names; criterion_k reports _NAMES[k]
+_NAMES = {
+    1: "kernel dimension",
+    2: "reduced-energy degree",
+    3: "even-N structure",
+    4: "peaked solution existence",
+    5: "mass asymptotics",
+    6: "correction rate",
+    7: "multi-peak",
+    8: "not a ground state",
+    9: "numerical hygiene",
+}
 
 
 def _star_yaml(N: int, truncation: float) -> str:
@@ -116,7 +131,7 @@ def criterion_1() -> CriterionResult:
             f"N={N}: {n_small} small, next {abs(vals[N - 1]):.3g}, "
             f"corr {corr_min:.5f}"
         )
-    return CriterionResult(1, "kernel dimension", passed, "; ".join(details))
+    return CriterionResult(1, _NAMES[1], passed, "; ".join(details))
 
 
 def criterion_2() -> CriterionResult:
@@ -133,7 +148,7 @@ def criterion_2() -> CriterionResult:
             f"N={N}: degree {rep.local_degree} (want {degree}), "
             f"{len(rep.critical_points)} points (want {count})"
         )
-    return CriterionResult(2, "reduced-energy degree", passed, "; ".join(details))
+    return CriterionResult(2, _NAMES[2], passed, "; ".join(details))
 
 
 def criterion_3() -> CriterionResult:
@@ -155,7 +170,7 @@ def criterion_3() -> CriterionResult:
             f"N={N}: {len(lines)} directions (want {want}), "
             f"max |grad| {worst:.2g}"
         )
-    return CriterionResult(3, "even-N structure", passed, "; ".join(details))
+    return CriterionResult(3, _NAMES[3], passed, "; ".join(details))
 
 
 _TRIPOD_SCHEDULE = (25.0, 50.0, 100.0, 200.0, 400.0)
@@ -196,7 +211,7 @@ def criterion_4() -> CriterionResult:
             f"lam={res.lam:g}: conv={res.converged} its={res.iterations} "
             f"min={low:.2g} offset={offset:.2g} (cell {h:.2g})"
         )
-    return CriterionResult(4, "peaked solution existence", passed, "; ".join(details))
+    return CriterionResult(4, _NAMES[4], passed, "; ".join(details))
 
 
 def _tripod_mass_errors() -> tuple[list[float], list[float]]:
@@ -217,7 +232,7 @@ def criterion_5() -> CriterionResult:
     detail = (
         "ratios " + ", ".join(f"{r:.4f}" for r in ratios) + f"; final in band={in_band}, monotone={monotone}"
     )
-    return CriterionResult(5, "mass asymptotics", passed, detail)
+    return CriterionResult(5, _NAMES[5], passed, detail)
 
 
 def criterion_6() -> CriterionResult:
@@ -228,7 +243,7 @@ def criterion_6() -> CriterionResult:
     ]
     passed = all(b < a for a, b in zip(rates, rates[1:]))
     detail = "rates " + ", ".join(f"{r:.4g}" for r in rates)
-    return CriterionResult(6, "correction rate", passed, detail)
+    return CriterionResult(6, _NAMES[6], passed, detail)
 
 
 # the double tripod's long truncated sides leave the linearization's
@@ -278,7 +293,7 @@ def criterion_7() -> CriterionResult:
         f"converged={all_converged}, mass ratio {ratio:.4f} "
         f"(band 7%), offsets {', '.join(offs)}"
     )
-    return CriterionResult(7, "multi-peak", passed, detail)
+    return CriterionResult(7, _NAMES[7], passed, detail)
 
 
 @lru_cache(maxsize=None)
@@ -312,7 +327,7 @@ def criterion_8() -> CriterionResult:
         f"action ratio {ratio:.4f} (band [1.35, 1.65]); mu=2 mass "
         f"{gap2.mass:.4f} vs {gap2.mass_reference:.4f}"
     )
-    return CriterionResult(8, "not a ground state", passed, detail)
+    return CriterionResult(8, _NAMES[8], passed, detail)
 
 
 def criterion_9(coarse: bool = False) -> CriterionResult:
@@ -362,20 +377,8 @@ def criterion_9(coarse: bool = False) -> CriterionResult:
         "factors " + ", ".join(f"{f:.2f}" for f in factors)
         + f"; adjointness {adj_err:.2g}; jacobian fd {jac_err:.2g}"
     )
-    return CriterionResult(9, "numerical hygiene", passed, detail)
+    return CriterionResult(9, _NAMES[9], passed, detail)
 
-
-_NAMES = {
-    1: "kernel dimension",
-    2: "reduced-energy degree",
-    3: "even-N structure",
-    4: "peaked solution existence",
-    5: "mass asymptotics",
-    6: "correction rate",
-    7: "multi-peak",
-    8: "not a ground state",
-    9: "numerical hygiene",
-}
 
 # criteria that rest on the odd-degree peak hypotheses
 _HYPOTHESIS_BOUND = (4, 5, 6, 7, 8)
@@ -385,7 +388,7 @@ def run_criterion(cid: int, peak_degree: int = 3, coarse: bool = False) -> Crite
     """Run one criterion, honoring the hypothesis gate and error capture."""
     if cid not in _NAMES:
         raise ValueError(f"no criterion {cid}")
-    if cid in _HYPOTHESIS_BOUND and (peak_degree % 2 == 0 or peak_degree < 3):
+    if cid in _HYPOTHESIS_BOUND and not admissible_peak_degree(peak_degree):
         return CriterionResult(
             cid,
             _NAMES[cid],
@@ -396,20 +399,10 @@ def run_criterion(cid: int, peak_degree: int = 3, coarse: bool = False) -> Crite
             ),
             skipped=True,
         )
-    fns = {
-        1: criterion_1,
-        2: criterion_2,
-        3: criterion_3,
-        4: criterion_4,
-        5: criterion_5,
-        6: criterion_6,
-        7: criterion_7,
-        8: criterion_8,
-    }
+    # looked up at call time, so a rebound criterion_k is the one run
+    fn = globals()[f"criterion_{cid}"]
     try:
-        if cid == 9:
-            return criterion_9(coarse=coarse)
-        return fns[cid]()
+        return fn(coarse=coarse) if cid == 9 else fn()
     except GraphNLSError as exc:
         return CriterionResult(
             cid, _NAMES[cid], passed=False, detail=f"{type(exc).__name__}: {exc}"
@@ -420,5 +413,8 @@ def run_all(
     criteria=None, peak_degree: int = 3, coarse: bool = False
 ) -> list[CriterionResult]:
     """Run the requested criteria (all nine by default) in order."""
-    wanted = sorted(set(criteria)) if criteria else list(range(1, 10))
+    wanted = sorted(set(criteria)) if criteria else sorted(_NAMES)
+    unknown = [cid for cid in wanted if cid not in _NAMES]
+    if unknown:
+        raise ValueError(f"no criterion {', '.join(map(str, unknown))}")
     return [run_criterion(cid, peak_degree, coarse) for cid in wanted]

@@ -16,10 +16,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,7 @@ from .errors import GraphNLSError
 from .functionals import evaluate_functionals, soliton_reference
 from .graphs import (
     MetricGraph,
+    admissible_peak_degree,
     check_disjoint_peak_balls,
     insert_midpoints,
     load_graph,
@@ -46,43 +46,43 @@ _BUILTIN_GRAPHS = ("tripod", "t_graph", "star5", "double_tripod", "figure1")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved description of one solve run."""
+    """Fully resolved description of one solve run.
+
+    Solver knobs take their defaults and checks from SolveConfig; the
+    fields stay flat because the config hash and manifest are made of them.
+    """
 
     graph: str
     peaks: tuple[str, ...]
-    mu: float = 1.0
+    mu: float = SolveConfig.mu
     alpha: float = 0.25
     coeffs: tuple[tuple[float, ...], ...] | None = None
     lambdas: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0, 400.0)
-    nodes_per_width: float = 40.0
-    newton_tol: float = 1e-10
-    max_iters: int = 50
-    damping: float = 0.5
-    refinement_growth: float = 0.25
-    seed: str = "previous"
-    cutoff: str = "cos2"
+    nodes_per_width: float = SolveConfig.nodes_per_width
+    newton_tol: float = SolveConfig.newton_tol
+    max_iters: int = SolveConfig.max_iters
+    damping: float = SolveConfig.damping
+    refinement_growth: float = SolveConfig.refinement_growth
+    seed: str = SolveConfig.seed
+    cutoff: str = AnsatzSpec.cutoff_kind
     outdir: str = "graphnls-out"
 
     def __post_init__(self):
         if not self.peaks:
             raise ValueError("at least one peak vertex is required")
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
-        if not (math.isfinite(self.nodes_per_width) and self.nodes_per_width > 0.0):
-            raise ValueError(
-                "nodes_per_width must be positive and finite, "
-                f"got {self.nodes_per_width}"
-            )
         if not self.lambdas:
             raise ValueError("lambda schedule is empty")
-        if not all(math.isfinite(x) and x > 0.0 for x in self.lambdas):
-            raise ValueError(
-                f"lambda shifts must be positive and finite, got {self.lambdas}"
-            )
-        if any(b <= a for a, b in zip(self.lambdas, self.lambdas[1:])):
-            raise ValueError("lambda schedule must be strictly increasing")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        self.solve_config()  # rejects out-of-range solver knobs
+
+    def solve_config(self) -> SolveConfig:
+        # every SolveConfig knob is a field of the same name here, except
+        # the schedule, which the config hash knows as "lambdas"
+        knobs = {
+            f.name: getattr(self, f.name)
+            for f in fields(SolveConfig)
+            if f.name != "lambda_schedule"
+        }
+        return SolveConfig(lambda_schedule=self.lambdas, **knobs)
 
     def resolved(self) -> dict:
         """Every knob with its in-effect value (no hidden defaults)."""
@@ -148,20 +148,10 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         alpha=cfg.alpha,
         cutoff_kind=cfg.cutoff,
     )
-    solve_cfg = SolveConfig(
-        mu=cfg.mu,
-        newton_tol=cfg.newton_tol,
-        max_iters=cfg.max_iters,
-        damping=cfg.damping,
-        lambda_schedule=cfg.lambdas,
-        nodes_per_width=cfg.nodes_per_width,
-        refinement_growth=cfg.refinement_growth,
-        seed=cfg.seed,
-    )
     # the ratio columns need the reference constants, which exist only
     # for mu >= 0.5: fail before the sweep rather than after it
     ref = soliton_reference(cfg.mu)
-    results = continuation_sweep(g, template, solve_cfg)
+    results = continuation_sweep(g, template, cfg.solve_config())
 
     weight = sum(s.degree for s in stars) / 2.0
     mass_pow = 1.0 / cfg.mu - 0.5
@@ -227,9 +217,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
             "edges": len(g.edges),
             "compact": g.is_compact,
             "peak_degrees": [s.degree for s in stars],
-            "within_hypotheses": all(
-                s.degree % 2 == 1 and s.degree >= 3 for s in stars
-            ),
+            "within_hypotheses": all(admissible_peak_degree(s.degree) for s in stars),
         },
         "results": [
             {
@@ -283,7 +271,11 @@ def cmd_reduced_energy(N: int, eps: float) -> int:
 
 def cmd_verify(criteria, peak_degree: int, coarse: bool) -> int:
     """Run acceptance criteria and report pass/fail lines."""
-    results = run_all(criteria, peak_degree=peak_degree, coarse=coarse)
+    try:
+        results = run_all(criteria, peak_degree=peak_degree, coarse=coarse)
+    except ValueError as exc:  # an unknown criterion number, before any ran
+        print(f"error: ValueError: {exc}", file=sys.stderr)
+        return 1
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.passed and not r.skipped]
@@ -317,7 +309,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="run a continuation sweep")
+    # no defaults here: an absent flag leaves ExperimentConfig's in effect
+    ps = sub.add_parser(
+        "solve", help="run a continuation sweep", argument_default=argparse.SUPPRESS
+    )
     ps.add_argument(
         "--graph",
         required=True,
@@ -331,33 +326,28 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="VERTEX",
         help="peak vertex id (repeat for multiple peaks)",
     )
-    ps.add_argument("--mu", type=float, default=1.0)
-    ps.add_argument("--alpha", type=float, default=0.25)
+    ps.add_argument("--mu", type=float)
+    ps.add_argument("--alpha", type=float)
     ps.add_argument(
         "--coeffs",
         action="append",
-        default=None,
+        type=_parse_floats,
         metavar="C1,C2,...",
         help="kernel coefficients for one peak (repeat per peak)",
     )
     ps.add_argument(
         "--lambdas",
         type=_parse_floats,
-        default=(25.0, 50.0, 100.0, 200.0, 400.0),
         help="comma-separated increasing frequency shifts",
     )
-    ps.add_argument("--nodes-per-width", type=float, default=40.0)
-    ps.add_argument("--newton-tol", type=float, default=1e-10)
-    ps.add_argument("--max-iters", type=int, default=50)
-    ps.add_argument("--damping", type=float, default=0.5)
-    ps.add_argument("--refinement-growth", type=float, default=0.25)
-    ps.add_argument("--seed", choices=("previous", "ansatz"), default="previous")
-    ps.add_argument("--cutoff", default="cos2")
-    ps.add_argument(
-        "--outdir",
-        default="graphnls-out",
-        help="output directory (env GRAPHNLS_OUTDIR overrides)",
-    )
+    ps.add_argument("--nodes-per-width", type=float)
+    ps.add_argument("--newton-tol", type=float)
+    ps.add_argument("--max-iters", type=int)
+    ps.add_argument("--damping", type=float)
+    ps.add_argument("--refinement-growth", type=float)
+    ps.add_argument("--seed", choices=SolveConfig.SEEDS)
+    ps.add_argument("--cutoff")
+    ps.add_argument("--outdir", help="output directory (env GRAPHNLS_OUTDIR overrides)")
 
     pr = sub.add_parser("reduced-energy", help="critical-point structure")
     pr.add_argument("N", type=int, help="number of star edges (>= 2)")
@@ -382,29 +372,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "solve":
-        coeffs = None
-        if args.coeffs is not None:
-            coeffs = tuple(_parse_floats(c) for c in args.coeffs)
+        # every dest of the solve parser is an ExperimentConfig field
+        knobs = {k: v for k, v in vars(args).items() if k != "command"}
+        knobs["peaks"] = tuple(knobs["peaks"])
+        if "coeffs" in knobs:
+            knobs["coeffs"] = tuple(knobs["coeffs"])
         try:
-            cfg = ExperimentConfig(
-                graph=args.graph,
-                peaks=tuple(args.peaks),
-                mu=args.mu,
-                alpha=args.alpha,
-                coeffs=coeffs,
-                lambdas=tuple(args.lambdas),
-                nodes_per_width=args.nodes_per_width,
-                newton_tol=args.newton_tol,
-                max_iters=args.max_iters,
-                damping=args.damping,
-                refinement_growth=args.refinement_growth,
-                seed=args.seed,
-                cutoff=args.cutoff,
-                outdir=args.outdir,
-            )
-            return cmd_solve(cfg)
+            return cmd_solve(ExperimentConfig(**knobs))
         except (GraphNLSError, ValueError, OSError) as exc:
-            outdir = Path(os.environ.get("GRAPHNLS_OUTDIR", args.outdir))
+            default = knobs.get("outdir", ExperimentConfig.outdir)
+            outdir = Path(os.environ.get("GRAPHNLS_OUTDIR", default))
             _write_error_record(outdir, type(exc).__name__, str(exc))
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1

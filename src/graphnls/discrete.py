@@ -164,7 +164,7 @@ def refined_mesh(
     g: MetricGraph,
     lam: float,
     peaks: list[str],
-    nodes_per_width: float = 40.0,
+    nodes_per_width: float,
 ) -> Mesh:
     """Mesh resolving the peak scale: spacing 1/(nodes_per_width*sqrt(lam))
     on edges incident to a peak, five times coarser elsewhere."""

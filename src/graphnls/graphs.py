@@ -138,7 +138,10 @@ def build_graph(text: str) -> MetricGraph:
     edge is replaced by an interval of that length whose far endpoint
     gets a homogeneous Dirichlet condition.
     """
-    doc = yaml.safe_load(text)
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"graph description is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("graph description must be a mapping")
     unknown = set(doc) - _TOP_KEYS
@@ -296,13 +299,14 @@ def metric_ball(
     return out
 
 
+def admissible_peak_degree(degree: int, min_degree: int = 3) -> bool:
+    """Odd degree >= min_degree: a peak the existence theory covers."""
+    return degree % 2 == 1 and degree >= min_degree
+
+
 def odd_degree_vertices(g: MetricGraph, min_degree: int = 3) -> list[str]:
     """Vertices with odd degree >= min_degree, the eligible peak sites."""
-    return [
-        v
-        for v in g.vertices
-        if g.degree(v) % 2 == 1 and g.degree(v) >= min_degree
-    ]
+    return [v for v in g.vertices if admissible_peak_degree(g.degree(v), min_degree)]
 
 
 def star_neighborhood(

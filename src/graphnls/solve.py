@@ -32,13 +32,13 @@ from .discrete import (
 )
 from .errors import NotConverged, SingularJacobian, SolveFailure
 from .functionals import FunctionalReport
-from .graphs import MetricGraph
+from .graphs import MetricGraph, admissible_peak_degree
 from .profiles import AnsatzSpec, assemble_ansatz, sample_kernel_mode
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Newton and continuation knobs."""
+    """Newton and continuation knobs, with their defaults and range checks."""
 
     mu: float = 1.0
     newton_tol: float = 1e-10
@@ -52,17 +52,39 @@ class SolveConfig:
     # "previous": rescale the last converged state; "ansatz": start every
     # shift from the peaked seed state itself
     seed: str = "previous"
+    SEEDS = ("previous", "ansatz")  # not a field: no annotation
 
     def __post_init__(self):
+        if not (math.isfinite(self.mu) and self.mu > 0.0):
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not (math.isfinite(self.nodes_per_width) and self.nodes_per_width > 0.0):
+            raise ValueError(
+                "nodes_per_width must be positive and finite, "
+                f"got {self.nodes_per_width}"
+            )
+        # a negative growth would coarsen the mesh as the peak narrows
+        growth = self.refinement_growth
+        if not (math.isfinite(growth) and growth >= 0.0):
+            raise ValueError(
+                "refinement_growth must be finite and >= 0, "
+                f"got {self.refinement_growth}"
+            )
         if not self.newton_tol > 0.0:
             raise ValueError("newton_tol must be positive")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not 0.0 < self.damping < 1.0:
             raise ValueError("damping must be in (0, 1)")
-        if self.seed not in ("previous", "ansatz"):
+        if self.seed not in self.SEEDS:
             raise ValueError(f"unknown seed strategy {self.seed!r}")
         sched = tuple(float(x) for x in self.lambda_schedule)
+        if not all(math.isfinite(x) and x > 0.0 for x in sched):
+            raise ValueError(
+                "lambda shifts must be positive and finite, "
+                f"got {self.lambda_schedule}"
+            )
         if any(b <= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("lambda_schedule must be strictly increasing")
+            raise ValueError("lambda schedule must be strictly increasing")
         object.__setattr__(self, "lambda_schedule", sched)
 
 
@@ -278,7 +300,7 @@ def continuation_sweep(
     if not cfg.lambda_schedule:
         raise ValueError("empty lambda schedule")
     for star, _ in template.peaks:
-        if star.degree % 2 == 0 or star.degree < 3:
+        if not admissible_peak_degree(star.degree):
             warnings.warn(
                 f"peak at {star.center!r} has degree {star.degree}: outside "
                 "the odd-degree hypotheses, exploratory run",

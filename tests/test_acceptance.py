@@ -5,6 +5,8 @@ pass/fail line, and asserts the verdict.  Tolerances are pinned inside
 graphnls.acceptance; expensive sweeps are cached and shared across tests.
 """
 
+import pytest
+
 from graphnls import acceptance
 
 
@@ -92,3 +94,20 @@ def test_even_peak_degree_skips_hypothesis_bound_criteria():
             assert "odd-degree" in res.detail
         else:
             assert res.passed
+
+
+def test_unknown_criteria_are_rejected_before_any_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(acceptance, "criterion_2", lambda: ran.append(2))
+    with pytest.raises(ValueError, match="no criterion 0"):
+        acceptance.run_all([0, 2])
+    with pytest.raises(ValueError, match="no criterion 12"):
+        acceptance.run_all([2, 12])
+    assert ran == []
+
+
+def test_run_criterion_calls_the_current_binding(monkeypatch):
+    # tracing rebinds acceptance.criterion_k, and run_criterion must honor it
+    stub = acceptance.CriterionResult(3, acceptance._NAMES[3], True, "stub")
+    monkeypatch.setattr(acceptance, "criterion_3", lambda: stub)
+    assert acceptance.run_criterion(3) is stub

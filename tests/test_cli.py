@@ -136,6 +136,8 @@ def test_solve_with_unknown_peak_writes_error_record(tmp_path, capsys):
         ("--lambdas", ",", "lambda schedule is empty"),
         ("--lambdas", "inf", "lambda shifts must be positive and finite"),
         ("--max-iters", "-1", "max_iters must be >= 0"),
+        ("--refinement-growth", "nan", "refinement_growth must be finite and >= 0"),
+        ("--refinement-growth", "-1", "refinement_growth must be finite and >= 0"),
     ],
 )
 def test_solve_rejects_invalid_knobs_before_any_work(
@@ -151,6 +153,27 @@ def test_solve_rejects_invalid_knobs_before_any_work(
     # validation comes first: nothing but the error record is written
     assert [p.name for p in out.iterdir()] == ["error.json"]
     assert "error: ValueError" in capsys.readouterr().err
+
+
+def test_malformed_graph_file_writes_error_record(tmp_path, capsys):
+    graph_file = tmp_path / "broken.yaml"
+    graph_file.write_text("vertices: [a\nedges: {\n")
+    out = tmp_path / "bad"
+    argv = ["solve", "--graph", str(graph_file), "--peak", "a"]
+    assert main(argv + ["--outdir", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "not valid YAML" in record["message"]
+    assert "error: ValueError" in capsys.readouterr().err
+
+
+def test_unparsable_coeffs_are_a_usage_error(tmp_path):
+    out = tmp_path / "bad"
+    argv = ["solve", "--graph", "tripod", "--peak", "c", "--coeffs", "a,b"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--outdir", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_solve_fails_before_the_sweep_below_the_reference_range(
@@ -275,12 +298,33 @@ def test_verify_coarse_mesh_fails_by_design(capsys):
     assert "criterion 9" in out and "FAIL" in out
 
 
+@pytest.mark.parametrize("criteria", ["12", "0,2"])
+def test_verify_rejects_unknown_criteria_before_running_any(capsys, criteria):
+    rc = main(["verify", "--criteria", criteria])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "no criterion" in captured.err
+
+
 def test_verify_skips_outside_hypotheses(capsys):
     rc = main(["verify", "--criteria", "2,4", "--peak-degree", "4"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "SKIP" in out
     assert "outside the odd-degree hypotheses" in out
+
+
+# ExperimentConfig(graph="tripod", peaks=("c",)).config_hash() as the
+# defaults stood when each was written out in three places; it changes
+# if any default value does
+GOLDEN_DEFAULT_CONFIG_HASH = "02a86d7925cff026"
+
+
+def test_default_config_hash_is_pinned():
+    cfg = ExperimentConfig(graph="tripod", peaks=("c",))
+    assert cfg.config_hash() == GOLDEN_DEFAULT_CONFIG_HASH
 
 
 def test_experiment_config_hash_ignores_outdir():

@@ -19,6 +19,7 @@ from graphnls.errors import (
     NonpositiveEdgeLength,
     OverlappingPeaks,
 )
+from graphnls.graphs import admissible_peak_degree
 
 TRIPOD = """
 vertices: [c, a1, a2, a3]
@@ -67,6 +68,14 @@ edges:
     assert g.degree("w") == 1
     assert odd_degree_vertices(g) == ["v"]
     assert odd_degree_vertices(g, min_degree=1) == ["v", "w"]
+
+
+@pytest.mark.parametrize(
+    "degree, admissible",
+    [(1, False), (2, False), (3, True), (4, False), (5, True), (6, False)],
+)
+def test_admissible_peak_degree_is_odd_and_at_least_three(degree, admissible):
+    assert admissible_peak_degree(degree) is admissible
 
 
 def test_truncated_edge_gets_dirichlet_endpoint():
@@ -138,6 +147,8 @@ truncation: 12.5
             DisconnectedGraph,
         ),
         ("vertices: [a]\nedges: []", DisconnectedGraph),
+        # not YAML at all: a ValueError, like every other rejected description
+        ("vertices: [a\nedges: {", ValueError),
     ],
 )
 def test_malformed_graphs_are_rejected(text, exc):

@@ -57,6 +57,17 @@ def test_solve_config_validation():
         SolveConfig(seed="warmstart")
     with pytest.raises(ValueError):
         SolveConfig(lambda_schedule=(25.0, 25.0))
+    # these once reached continuation_sweep and failed there, or not at all
+    for knobs in (
+        {"mu": 0.0},
+        {"nodes_per_width": 0.0},
+        {"max_iters": -1},
+        {"lambda_schedule": (math.inf,)},
+        {"refinement_growth": math.nan},
+        {"refinement_growth": -1.0},
+    ):
+        with pytest.raises(ValueError):
+            SolveConfig(**knobs)
     cfg = SolveConfig(lambda_schedule=(25, 50))
     assert cfg.lambda_schedule == (25.0, 50.0)
 
