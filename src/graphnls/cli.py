@@ -7,8 +7,12 @@ Subcommands:
     graphnls verify         run the acceptance checks
 
 Artifacts are plain CSV and two-column text files so they can be
-plotted or diffed without extra tooling.  A run is deterministic:
-identical configuration produces bit-identical tables.
+plotted or diffed without extra tooling.  A run is deterministic at a
+fixed BLAS thread count: identical configuration and identical
+OMP_NUM_THREADS/OPENBLAS_NUM_THREADS produce bit-identical tables.  A
+different thread count reorders the BLAS reductions, so the functionals
+and norms in diagnostics.csv may differ in their last digits; the
+benchmark pins 1 thread.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .acceptance import reference_graph, run_all
+from .discrete import DiscreteField
 from .discrete import assemble  # unused; bench/tracer.py wraps it by this name
 from .errors import GraphNLSError
 
@@ -117,6 +122,24 @@ def _state_text(nodes: np.ndarray, values: np.ndarray) -> str:
     return ("%.17g %.17g\n" * len(nodes)) % tuple(pairs)
 
 
+def _write_state_files(state_dir: Path, u: DiscreteField) -> None:
+    """Write one "<edge>.txt" per edge of u's mesh, as _state_text formats it.
+
+    A symmetric state repeats bit for bit on its edges, so each distinct
+    edge is formatted once.  The key is the raw bytes, not the values:
+    0.0 and -0.0 compare equal but print differently.
+    """
+    texts = {}
+    mesh = u.mesh
+    for eid in sorted(mesh.edge_nodes):
+        nodes = mesh.edge_nodes[eid]
+        vals = u.values[mesh.edge_dofs[eid]]
+        key = (nodes.tobytes(), vals.tobytes())
+        if key not in texts:
+            texts[key] = _state_text(nodes, vals)
+        (state_dir / f"{eid}.txt").write_text(texts[key], encoding="utf-8")
+
+
 def cmd_solve(cfg: ExperimentConfig) -> int:
     """Run the sweep described by cfg and write its artifacts."""
     outdir = Path(os.environ.get("GRAPHNLS_OUTDIR", cfg.outdir))
@@ -174,7 +197,6 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     ] + [f"peak_offset_{p}" for p in cfg.peaks]
     rows = []
     for res in results:
-        mesh = res.u.mesh
         rep = res.functionals
         row = [
             _fmt(res.lam),
@@ -198,9 +220,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
         state_dir = outdir / f"state_lam{res.lam:g}"
         state_dir.mkdir(exist_ok=True)
-        for eid in sorted(mesh.edge_nodes):
-            text = _state_text(mesh.edge_nodes[eid], res.u.values[mesh.edge_dofs[eid]])
-            (state_dir / f"{eid}.txt").write_text(text, encoding="utf-8")
+        _write_state_files(state_dir, res.u)
 
     csv_lines = [f"# config {cfg.config_hash()}", ",".join(header)]
     csv_lines += [",".join(row) for row in rows]

@@ -166,6 +166,11 @@ class AnsatzSpec:
                     f"peak {star.center!r}: expected {star.degree - 1} "
                     f"coefficients, got {len(coeffs)}"
                 )
+            if not all(math.isfinite(c) for c in coeffs):
+                raise ValueError(
+                    f"peak {star.center!r}: kernel coefficients must be "
+                    f"finite, got {tuple(coeffs)}"
+                )
 
     def with_lam(self, lam: float) -> "AnsatzSpec":
         return AnsatzSpec(self.peaks, self.mu, lam, self.alpha, self.cutoff_kind)

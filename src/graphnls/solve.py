@@ -69,8 +69,10 @@ class SolveConfig:
                 "refinement_growth must be finite and >= 0, "
                 f"got {self.refinement_growth}"
             )
-        if not self.newton_tol > 0.0:
-            raise ValueError("newton_tol must be positive")
+        # the tolerance bounds a relative residual: at 1 or above, the
+        # unsolved seed state would already count as converged
+        if not 0.0 < self.newton_tol < 1.0:
+            raise ValueError(f"newton_tol must be in (0, 1), got {self.newton_tol}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not 0.0 < self.damping < 1.0:

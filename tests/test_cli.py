@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from graphnls import cli
-from graphnls.cli import ExperimentConfig, _state_text, main
+from graphnls.cli import ExperimentConfig, _state_text, _write_state_files, main
+from graphnls.solve import continuation_sweep
 
 FAST_SOLVE = [
     "solve",
@@ -106,6 +108,48 @@ def test_state_text_matches_per_value_formatting():
     )
 
 
+def test_symmetric_state_is_formatted_once_per_shift(tmp_path, monkeypatch):
+    # the zero-coefficient star5 state is bitwise equal on its five edges,
+    # so each shift formats one text and writes it five times
+    calls, sweeps = [], []
+
+    def state_text_spy(nodes, values):
+        calls.append(len(nodes))
+        return _state_text(nodes, values)
+
+    def sweep_spy(*args):
+        sweeps.append(continuation_sweep(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(cli, "_state_text", state_text_spy)
+    monkeypatch.setattr(cli, "continuation_sweep", sweep_spy)
+    out = tmp_path / "star5"
+    argv = ["solve", "--graph", "star5", "--peak", "c", "--lambdas", "25,50"]
+    assert main(argv + ["--nodes-per-width", "15", "--outdir", str(out)]) == 0
+    assert len(calls) == 2
+    for res in sweeps[0]:
+        mesh = res.u.mesh
+        assert len(mesh.edge_nodes) == 5
+        for eid, nodes in mesh.edge_nodes.items():
+            text = (out / f"state_lam{res.lam:g}" / f"{eid}.txt").read_text()
+            assert text == _state_text(nodes, res.u.values[mesh.edge_dofs[eid]])
+
+
+def test_state_files_share_text_only_between_bitwise_equal_edges(tmp_path):
+    # b differs from a only by the sign of a zero, d only by its nodes
+    nodes = np.array([0.0, 0.5, 1.0])
+    mesh = SimpleNamespace(
+        edge_nodes={"a": nodes, "b": nodes, "c": nodes, "d": 2.0 * nodes},
+        edge_dofs={"a": [0, 1, 2], "b": [3, 4, 5], "c": [6, 7, 8], "d": [0, 1, 2]},
+    )
+    values = np.array([1.0, 0.5, 0.0, 1.0, 0.5, -0.0, 1.0, 0.5, 0.0])
+    _write_state_files(tmp_path, SimpleNamespace(mesh=mesh, values=values))
+    text = {e: (tmp_path / f"{e}.txt").read_text() for e in "abcd"}
+    assert text["a"] == text["c"] == "0 1\n0.5 0.5\n1 0\n"
+    assert text["b"] == "0 1\n0.5 0.5\n1 -0\n"
+    assert text["d"] == "0 1\n1 0.5\n2 0\n"
+
+
 def test_environment_variable_overrides_outdir(tmp_path, monkeypatch):
     env_dir = tmp_path / "from-env"
     ignored = tmp_path / "ignored"
@@ -138,15 +182,21 @@ def test_solve_with_unknown_peak_writes_error_record(tmp_path, capsys):
         ("--max-iters", "-1", "max_iters must be >= 0"),
         ("--refinement-growth", "nan", "refinement_growth must be finite and >= 0"),
         ("--refinement-growth", "-1", "refinement_growth must be finite and >= 0"),
+        ("--newton-tol", "inf", "newton_tol must be in (0, 1)"),
+        ("--newton-tol", "1", "newton_tol must be in (0, 1)"),
+        ("--coeffs", "nan,0", "peak 'c': kernel coefficients must be finite"),
     ],
 )
 def test_solve_rejects_invalid_knobs_before_any_work(
-    tmp_path, capsys, flag, value, message
+    tmp_path, capsys, monkeypatch, flag, value, message
 ):
+    sweeps = []
+    monkeypatch.setattr(cli, "continuation_sweep", lambda *a: sweeps.append(a))
     out = tmp_path / "bad"
     argv = ["solve", "--graph", "tripod", "--peak", "c", flag, value]
     rc = main(argv + ["--outdir", str(out)])
     assert rc == 1
+    assert sweeps == []
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "ValueError"
     assert message in record["message"]

@@ -204,6 +204,9 @@ def test_ansatz_spec_validation():
         AnsatzSpec(((star, (0.1, 0.2)),), mu=1.0, lam=0.0, alpha=0.25)
     with pytest.raises(ValueError):
         AnsatzSpec(((star, (0.1, 0.2)),), mu=1.0, lam=4.0, alpha=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="peak 'c': kernel coefficients"):
+            AnsatzSpec(((star, (bad, 0.0)),), mu=1.0, lam=4.0, alpha=0.25)
     spec = AnsatzSpec(((star, (0.1, 0.2)),), mu=1.0, lam=4.0, alpha=0.25)
     assert spec.with_lam(9.0).lam == 9.0
     assert spec.with_lam(9.0).peaks == spec.peaks

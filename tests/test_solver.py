@@ -51,6 +51,10 @@ def _tripod_setup(lam=50.0, npw=25.0):
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(newton_tol=0.0)
+    # a relative residual of 1 is as large as the state: the seed would pass
+    for tol in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"newton_tol must be in \(0, 1\)"):
+            SolveConfig(newton_tol=tol)
     with pytest.raises(ValueError):
         SolveConfig(damping=1.0)
     with pytest.raises(ValueError):
@@ -217,6 +221,14 @@ def test_symmetric_star5_sweep_keeps_its_symmetry():
     for res in results:
         assert res.converged
         assert res.kernel_component_norm < 1e-10 * res.correction_norm
+        # bit for bit, not just to rounding: the state-file writer formats
+        # one text for all five edges only when their bytes agree
+        mesh = res.u.mesh
+        states = {
+            (mesh.edge_nodes[eid].tobytes(), res.u.values[dofs].tobytes())
+            for eid, dofs in mesh.edge_dofs.items()
+        }
+        assert len(mesh.edge_dofs) == 5 and len(states) == 1
 
 
 def test_seed_strategies_agree_on_easy_sweeps():
