@@ -406,13 +406,11 @@ def main(argv=None) -> int:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
     if args.command == "reduced-energy":
-        if args.N < 2:
-            print("error: N must be >= 2", file=sys.stderr)
+        try:
+            return cmd_reduced_energy(args.N, args.eps)
+        except (GraphNLSError, ValueError) as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
-        if args.eps <= 0.0:
-            print("error: eps must be positive", file=sys.stderr)
-            return 1
-        return cmd_reduced_energy(args.N, args.eps)
     if args.command == "verify":
         return cmd_verify(args.criteria, args.peak_degree, args.coarse)
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -29,10 +29,6 @@ class OverlappingPeaks(GraphNLSError):
     """Two peak neighborhoods have intersecting support balls."""
 
 
-class QuadratureNotConverged(GraphNLSError):
-    """Adaptive quadrature failed to reach the requested accuracy."""
-
-
 class DimensionMismatch(GraphNLSError):
     """A coefficient vector has the wrong length for the requested star."""
 

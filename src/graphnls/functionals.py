@@ -8,17 +8,15 @@ identities exactly in the discrete setting (not just to O(h^2)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import quad
 
 from .discrete import DiscreteField, KirchhoffOperator, assemble
-from .errors import NotConverged, QuadratureNotConverged
-from .profiles import SolitonParams, eval_soliton, soliton_derivative
+from .errors import NotConverged
+from .profiles import beta
 
 if TYPE_CHECKING:  # solve imports this module to fill in each shift's report
     from .solve import BoundStateResult
@@ -89,7 +87,12 @@ class SolitonReference:
 
 @lru_cache(maxsize=None)
 def soliton_reference(mu: float) -> SolitonReference:
-    """Full-line soliton functionals by adaptive quadrature, cached.
+    """Full-line soliton functionals in closed form, cached.
+
+    With q = 1/mu, the substitution y = mu*x turns each integral of a
+    power of phi (and of phi' = -phi*tanh(mu*x)) into a Beta function:
+    mass = (mu+1)^q/mu * B(1/2, q), kinetic = (mu+1)^q/mu * B(3/2, q)
+    and potential = (mu+1)^(1+q)/mu * B(1/2, 1+q).
 
     The action is positive for every mu; the energy is negative exactly
     when mu < 2 (it vanishes at mu = 2 and turns positive after), so
@@ -98,17 +101,10 @@ def soliton_reference(mu: float) -> SolitonReference:
     mu = float(mu)
     if mu < 0.5:
         raise ValueError("reference constants need mu >= 0.5")
-    p = SolitonParams(mu)
-
-    def pair(f):
-        val, err = quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
-        if err > 1e-10 * max(1.0, abs(val)):
-            raise QuadratureNotConverged(f"error estimate {err:.3e}")
-        return 2.0 * val
-
-    mass = pair(lambda x: eval_soliton(p, x) ** 2)
-    kinetic = pair(lambda x: soliton_derivative(p, x) ** 2)
-    potential = pair(lambda x: eval_soliton(p, x) ** (2.0 * mu + 2.0))
+    q = 1.0 / mu
+    mass = (mu + 1.0) ** q / mu * beta(0.5, q)
+    kinetic = (mu + 1.0) ** q / mu * beta(1.5, q)
+    potential = (mu + 1.0) ** (1.0 + q) / mu * beta(0.5, 1.0 + q)
     energy = 0.5 * kinetic - potential / (2.0 * mu + 2.0)
     action = energy + 0.5 * mass
     if not action > 0.0:

@@ -16,15 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .discrete import DiscreteField, Mesh
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    OddNWithShift,
-    QuadratureNotConverged,
-)
+from .errors import DimensionMismatch, IndexOutOfRange, OddNWithShift
 from .graphs import MetricGraph, StarNeighborhood, check_disjoint_peak_balls
 
 
@@ -284,23 +278,20 @@ def sample_kernel_mode(
     return out
 
 
+def beta(a: float, b: float) -> float:
+    """Euler's Beta function B(a, b) = Gamma(a)*Gamma(b)/Gamma(a+b)."""
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+
 def reduced_cubic_coefficient(mu: float) -> float:
     """Coefficient of the cubic reduced-energy term.
 
     (mu*(2*mu+1)/3) * integral over the positive half line of
     phi^(2*mu-1) * (phi')^3; strictly negative since phi decreases
-    there.
+    there.  With q = 1/mu the integral is a Beta function, giving
+    -(2*mu+1) * (mu+1)^(1+q) / 6 * B(2, 1+q).
     """
     if mu < 0.5:
         raise ValueError("cubic coefficient defined for mu >= 1/2")
-    p = SolitonParams(mu)
-
-    def integrand(x):
-        return eval_soliton(p, x) ** (2.0 * mu - 1.0) * soliton_derivative(p, x) ** 3
-
-    val, err = quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
-    if not math.isfinite(val) or err > 1e-10 * max(1.0, abs(val)):
-        raise QuadratureNotConverged(
-            f"cubic coefficient quadrature error {err} too large"
-        )
-    return mu * (2.0 * mu + 1.0) / 3.0 * val
+    q = 1.0 / mu
+    return -(2.0 * mu + 1.0) * (mu + 1.0) ** (1.0 + q) / 6.0 * beta(2.0, 1.0 + q)

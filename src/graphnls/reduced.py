@@ -138,10 +138,10 @@ def enumerate_critical_points(N: int, eps: float) -> ReducedEnergyReport:
     """
     if N % 2 == 0:
         raise EvenN("critical points degenerate into lines for even N")
-    if N < 3:
-        raise ValueError("need N >= 3")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    if N < 2:  # for odd N, the same as N >= 3
+        raise ValueError("N must be >= 2")
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
 
     d = N - 1
     points = []
@@ -188,7 +188,7 @@ def even_case_lines(N: int) -> list[tuple[int, ...]]:
     if N % 2 == 1:
         raise OddN("the line structure exists only for even N")
     if N < 2:
-        raise ValueError("need N >= 2")
+        raise ValueError("N must be >= 2")
     out = []
     for pattern in itertools.product((1, -1), repeat=N - 1):
         n = sum(1 for s in pattern if s < 0)

@@ -57,10 +57,11 @@ class SolveConfig:
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu > 0.0):
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
-        if not (math.isfinite(self.nodes_per_width) and self.nodes_per_width > 0.0):
+        # fewer than one node per peak width cannot resolve the peak
+        if not (math.isfinite(self.nodes_per_width) and self.nodes_per_width >= 1.0):
             raise ValueError(
-                "nodes_per_width must be positive and finite, "
-                f"got {self.nodes_per_width}"
+                "nodes_per_width must be positive and finite, at least 1 node "
+                f"per peak width, got {self.nodes_per_width}"
             )
         # a negative growth would coarsen the mesh as the peak narrows
         growth = self.refinement_growth

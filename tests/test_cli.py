@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,10 +80,12 @@ def test_solve_writes_the_expected_artifacts(tmp_path):
     assert not (out / "error.json").exists()
 
 
-# SHA-256 of FAST_SOLVE's outputs as the per-value writer wrote them,
-# before the state files were formatted in one call
+# SHA-256 of FAST_SOLVE's outputs.  The state file hash dates from the
+# per-value writer; the diagnostics hash was re-taken when the soliton
+# constants became closed forms, which moved mass_ratio and action_ratio
+# in their last one or two digits
 GOLDEN_SHA256 = {
-    "diagnostics.csv": "2739fbfd66effdd8a0046d7cf66da43188cf48066797df63ebdffdb90204a2f1",
+    "diagnostics.csv": "cc4bda08355ad0838b893573c2bed4c4112134efa16cdaa416cb8be408db0d67",
     "state_lam50/e1.txt": "7bbdb74547ce444a27b8a0a6bc974a439b200816f134bd497802903c1c3fe110",
 }
 
@@ -329,6 +335,30 @@ def test_reduced_energy_input_validation(capsys):
     err = capsys.readouterr().err
     assert "N must be >= 2" in err
     assert "eps must be positive" in err
+    # nan once passed an `eps <= 0` check and ended in a traceback, and
+    # inf printed (+inf, -inf) points with exit 0
+    for eps in ("nan", "inf", "-1"):
+        assert main(["reduced-energy", "3", "--eps", eps]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: ValueError: eps must be positive and finite, got {float(eps)}\n"
+        )
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # importing scipy.integrate costs about a quarter second of every
+    # process start, and the soliton constants have closed forms
+    code = (
+        "import sys, graphnls.cli; "
+        "print(*(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout == "\n"
 
 
 def test_verify_subset_passes(capsys):

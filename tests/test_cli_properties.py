@@ -25,7 +25,7 @@ SHIFTS = st.one_of(
         max_size=2,
     ).map(",".join),
 )
-NODES_PER_WIDTH = ("5", "15", "0", "-1", "nan", "inf")
+NODES_PER_WIDTH = ("5", "15", "0", "1e-9", "-1", "nan", "inf")
 MAX_ITERS = ("0", "3", "-1")
 
 

@@ -7,16 +7,19 @@ import pytest
 
 from graphnls import (
     AnsatzSpec,
+    SolitonParams,
     SolveConfig,
     assemble,
     assemble_ansatz,
     build_graph,
+    eval_soliton,
     evaluate_functionals,
     ground_state_gap,
     lambda_norm,
     nehari_scaling,
     newton_solve,
     refined_mesh,
+    soliton_derivative,
     soliton_reference,
     star_neighborhood,
     uniform_mesh,
@@ -145,10 +148,31 @@ def test_soliton_reference_frozen_values():
     assert soliton_reference(1.0) is ref
 
 
-@pytest.mark.parametrize("mu", [0.5, 1.0, 1.7, 2.0, 3.0])
+@pytest.mark.parametrize("mu", [0.25 * k for k in range(2, 15)])
+def test_soliton_reference_matches_quadrature(mu):
+    from scipy.integrate import quad  # kept out of the package's imports
+
+    p = SolitonParams(mu)
+
+    def line_integral(f):
+        val, _ = quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
+        return 2.0 * val
+
+    ref = soliton_reference(mu)
+    expect = {
+        "mass": line_integral(lambda x: eval_soliton(p, x) ** 2),
+        "kinetic": line_integral(lambda x: soliton_derivative(p, x) ** 2),
+        "potential": line_integral(lambda x: eval_soliton(p, x) ** (2.0 * mu + 2.0)),
+    }
+    for name, value in expect.items():
+        assert getattr(ref, name) == pytest.approx(value, rel=1e-14, abs=0.0), name
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 1.7, 2.0, 3.0, 10.0, 30.0, 100.0])
 def test_soliton_reference_internal_identities(mu):
-    # the quadratures are independent, so these closed-form relations
-    # are a real consistency check:
+    # each constant has its own Beta-function formula, and these
+    # relations between them come from the Pohozaev and Nehari
+    # identities instead, so they are a real consistency check:
     #   kinetic = m mu/(mu+2), potential = 2 m (mu+1)/(mu+2),
     #   energy = m (mu-2)/(2 (mu+2)), and the line Nehari residual is zero
     ref = soliton_reference(mu)

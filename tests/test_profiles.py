@@ -293,3 +293,17 @@ def test_reduced_cubic_coefficient_frozen_values():
         assert reduced_cubic_coefficient(mu) < 0.0
     with pytest.raises(ValueError):
         reduced_cubic_coefficient(0.4)
+
+
+@pytest.mark.parametrize("mu", [0.25 * k for k in range(2, 15)])
+def test_reduced_cubic_coefficient_matches_quadrature(mu):
+    from scipy.integrate import quad  # kept out of the package's imports
+
+    p = SolitonParams(mu)
+
+    def integrand(x):
+        return eval_soliton(p, x) ** (2.0 * mu - 1.0) * soliton_derivative(p, x) ** 3
+
+    val, _ = quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
+    expect = mu * (2.0 * mu + 1.0) / 3.0 * val
+    assert reduced_cubic_coefficient(mu) == pytest.approx(expect, rel=1e-14, abs=0.0)

@@ -106,8 +106,9 @@ def test_enumerate_rejects_bad_input():
         enumerate_critical_points(4, 0.3)
     with pytest.raises(ValueError):
         enumerate_critical_points(1, 0.3)
-    with pytest.raises(ValueError):
-        enumerate_critical_points(5, 0.0)
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            enumerate_critical_points(5, eps)
 
 
 @pytest.mark.parametrize("N, count", [(2, 2), (4, 6), (6, 20)])

@@ -65,6 +65,8 @@ def test_solve_config_validation():
     for knobs in (
         {"mu": 0.0},
         {"nodes_per_width": 0.0},
+        {"nodes_per_width": 1e-9},
+        {"nodes_per_width": 0.5},
         {"max_iters": -1},
         {"lambda_schedule": (math.inf,)},
         {"refinement_growth": math.nan},
@@ -74,6 +76,7 @@ def test_solve_config_validation():
             SolveConfig(**knobs)
     cfg = SolveConfig(lambda_schedule=(25, 50))
     assert cfg.lambda_schedule == (25.0, 50.0)
+    assert SolveConfig(nodes_per_width=1.0).nodes_per_width == 1.0
 
 
 def test_newton_converges_from_the_peaked_seed():
