@@ -43,7 +43,7 @@ from .graphs import (
     star_neighborhood,
 )
 from .profiles import AnsatzSpec
-from .reduced import enumerate_critical_points, even_case_lines
+from .reduced import MAX_N, enumerate_critical_points, even_case_lines
 from .solve import SolveConfig, continuation_sweep
 
 _BUILTIN_GRAPHS = ("tripod", "t_graph", "star5", "double_tripod", "figure1")
@@ -370,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--outdir", help="output directory (env GRAPHNLS_OUTDIR overrides)")
 
     pr = sub.add_parser("reduced-energy", help="critical-point structure")
-    pr.add_argument("N", type=int, help="number of star edges (>= 2)")
+    pr.add_argument("N", type=int, help=f"number of star edges (2 to {MAX_N})")
     pr.add_argument("--eps", type=float, default=0.35)
 
     pv = sub.add_parser("verify", help="run acceptance criteria")

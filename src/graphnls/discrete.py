@@ -14,8 +14,9 @@ vertex diagonal, the three interior bands with the edges concatenated,
 and four vertex couplings per edge.  `CondensedFactor` solves with it
 in O(ndof): one pivoted LAPACK tridiagonal factorization (`?gttrf`) of
 all edge interiors at once, then a dense Schur complement on the free
-vertex unknowns.  CSR matrices are built from the same bands for the
-callers that need one (eigensolves and the public matrix accessors).
+vertex unknowns.  The eigenvalue checks shift-invert through the same
+factor (`shift_invert_eigsh`).  CSR matrices are built from the bands
+for the public matrix accessors.
 """
 
 from __future__ import annotations
@@ -495,35 +496,67 @@ def lambda_inner(op: KirchhoffOperator, u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ (op.shifted_bands @ v))
 
 
+def shift_invert_eigsh(
+    bands: EdgeBands,
+    mass: EdgeBands,
+    k: int,
+    sigma: float,
+    tol: float = 0.0,
+    ncv: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k eigenpairs of (bands, mass) nearest sigma, on the free dofs.
+
+    ARPACK shift-invert with a `CondensedFactor` of bands - sigma*mass as
+    the inverse and the mass bands as the inner product, so each step
+    costs O(ndof).  The start vector is pseudo-random: a single-vector
+    Krylov method sees one direction of a repeated eigenvalue, and the
+    others reach it only through rounding.  Identical edges are
+    eliminated by identical arithmetic, so a start vector invariant
+    under edge permutations would keep every Krylov vector invariant
+    and never find the modes that sum to zero across the edges.
+
+    Returns eigenvalues sorted by distance from sigma and M-normalized
+    full-length eigenvectors, zero at the Dirichlet dofs.  tol and ncv
+    are ARPACK's (0 asks for machine precision).
+    """
+    mesh = bands.mesh
+    n = mesh.ndof
+    factor = CondensedFactor(bands.plus(mass, -sigma))
+    v0 = np.random.default_rng(0).standard_normal(n)
+    v0[mesh.dirichlet_dofs] = 0.0
+    vals, vecs = spla.eigsh(
+        spla.LinearOperator((n, n), matvec=bands.__matmul__, dtype=float),
+        k=k,
+        M=spla.LinearOperator((n, n), matvec=mass.__matmul__, dtype=float),
+        sigma=sigma,
+        OPinv=spla.LinearOperator((n, n), matvec=factor.solve, dtype=float),
+        which="LM",
+        v0=v0,
+        tol=tol,
+        ncv=ncv,
+    )
+    order = np.argsort(np.abs(vals - sigma))
+    return vals[order], vecs[:, order]
+
+
 def spectral_bottom(g: MetricGraph, mesh: Mesh) -> float:
     """Smallest generalized eigenvalue of (stiffness, mass) on free dofs.
 
     Zero for compact graphs (constants); positive when Dirichlet
     truncation endpoints are present.
     """
+    S = edge_bands(mesh, stiffness=1.0)
+    M = edge_bands(mesh, weight=1.0)
     free = mesh.free_dofs
-    Sf = edge_bands(mesh, stiffness=1.0).tocsr()[free][:, free]
-    Mf = edge_bands(mesh, weight=1.0).tocsr()[free][:, free]
-    n = Sf.shape[0]
-    if n < 8:
-        vals = scipy.linalg.eigh(
-            Sf.toarray(), Mf.toarray(), eigvals_only=True
-        )
-        return float(np.min(vals))
-    v0 = np.ones(n) / math.sqrt(n)
+    if len(free) < 8:
+        ix = np.ix_(free, free)
+        Sf, Mf = S.tocsr().toarray()[ix], M.tocsr().toarray()[ix]
+        return float(np.min(scipy.linalg.eigh(Sf, Mf, eigvals_only=True)))
     for sigma in (-1e-4, -1e-2):
         try:
-            vals = spla.eigsh(
-                Sf.tocsc(),
-                k=1,
-                M=Mf.tocsc(),
-                sigma=sigma,
-                which="LM",
-                v0=v0,
-                return_eigenvectors=False,
-            )
+            vals, _ = shift_invert_eigsh(S, M, 1, sigma)
             return float(vals[0])
-        except (RuntimeError, spla.ArpackNoConvergence):
+        except (RuntimeError, SolveFailure):
             continue
     raise EigenSolveFailure("generalized eigensolve did not converge")
 

@@ -91,6 +91,22 @@ def perturbed_gradient_hessian(
     return grad, hess
 
 
+# Both critical-set searches walk all 2^(N-1) sign patterns, and the
+# odd one runs Newton from two starts per pattern: seconds at N=13,
+# more than a minute at N=15 on one core
+MAX_N = 13
+
+
+def _check_star_size(N: int) -> None:
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    if N > MAX_N:
+        raise ValueError(
+            f"N must be <= {MAX_N}, got {N}: the search walks all "
+            "2^(N-1) sign patterns"
+        )
+
+
 def _newton_zeros(
     N: int, eps: float, starts: np.ndarray, iters: int = 60, tol: float = 1e-12
 ) -> np.ndarray:
@@ -138,8 +154,7 @@ def enumerate_critical_points(N: int, eps: float) -> ReducedEnergyReport:
     """
     if N % 2 == 0:
         raise EvenN("critical points degenerate into lines for even N")
-    if N < 2:  # for odd N, the same as N >= 3
-        raise ValueError("N must be >= 2")
+    _check_star_size(N)  # for odd N, N >= 2 is N >= 3
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")
 
@@ -187,8 +202,7 @@ def even_case_lines(N: int) -> list[tuple[int, ...]]:
     """
     if N % 2 == 1:
         raise OddN("the line structure exists only for even N")
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    _check_star_size(N)
     out = []
     for pattern in itertools.product((1, -1), repeat=N - 1):
         n = sum(1 for s in pattern if s < 0)

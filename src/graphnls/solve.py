@@ -149,9 +149,9 @@ def jacobian(op: KirchhoffOperator, mu: float, u: DiscreteField) -> sp.csr_matri
     return jacobian_bands(op, mu, u).tocsr()
 
 
-def symmetric_linearization(
+def linearization_bands(
     op: KirchhoffOperator, mu: float, u: DiscreteField
-) -> sp.csr_matrix:
+) -> EdgeBands:
     """Galerkin form of the linearized operator -v'' + lam v - f'(u) v.
 
     Unlike the residual Jacobian, the potential term is assembled as a
@@ -159,7 +159,14 @@ def symmetric_linearization(
     eigenvalue diagnostics of the linearization.
     """
     W = edge_bands(op.mesh, weight=_nodal_nonlinearity_slope(mu, u.values))
-    return op.shifted_bands.plus(W, -1.0).tocsr()
+    return op.shifted_bands.plus(W, -1.0)
+
+
+def symmetric_linearization(
+    op: KirchhoffOperator, mu: float, u: DiscreteField
+) -> sp.csr_matrix:
+    """The symmetric linearization as a sparse matrix."""
+    return linearization_bands(op, mu, u).tocsr()
 
 
 def _relative_residual(op: KirchhoffOperator, r: np.ndarray, u: DiscreteField):

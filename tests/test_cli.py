@@ -346,6 +346,40 @@ def test_reduced_energy_input_validation(capsys):
         )
 
 
+@pytest.mark.parametrize("N", [41, 14])
+def test_reduced_energy_refuses_n_above_the_ceiling(capsys, N):
+    # 41 takes the odd path and 14 the even one; both refuse before any
+    # sign pattern is walked
+    assert main(["reduced-energy", str(N)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: ValueError: N must be <= 13, got {N}: the search walks all "
+        "2^(N-1) sign patterns\n"
+    )
+
+
+# what `graphnls verify` printed before criterion 1 moved from SuperLU
+# to the edge-condensed factor; any change to these numbers is a change
+# to the results
+GOLDEN_VERIFY = [
+    "criterion 1 (kernel dimension): PASS - N=2: 1 small, next 1, corr 1.00000; N=3: 2 small, next 1, corr 1.00000; N=4: 3 small, next 1, corr 1.00000; N=5: 4 small, next 1, corr 1.00000",
+    "criterion 2 (reduced-energy degree): PASS - N=3: degree -2 (want -2), 2 points (want 2); N=5: degree 6 (want 6), 6 points (want 6); N=7: degree -20 (want -20), 20 points (want 20); N=9: degree 70 (want 70), 70 points (want 70)",
+    "criterion 3 (even-N structure): PASS - N=4: 6 directions (want 6), max |grad| 0; N=6: 20 directions (want 20), max |grad| 3.6e-15",
+    "criterion 4 (peaked solution existence): PASS - lam=25: conv=True its=3 min=0.19 offset=0 (cell 0.005); lam=50: conv=True its=2 min=0.034 offset=0 (cell 0.003); lam=100: conv=True its=2 min=0.0026 offset=0 (cell 0.0018); lam=200: conv=True its=2 min=5.8e-05 offset=0 (cell 0.0011); lam=400: conv=True its=2 min=2.3e-07 offset=0 (cell 0.00063)",
+    "criterion 5 (mass asymptotics): PASS - ratios 1.0013, 1.0001, 1.0000, 1.0000, 1.0000; final in band=True, monotone=True",
+    "criterion 6 (correction rate): PASS - rates 0.1092, 0.02186, 0.002779, 0.0002081, 6.388e-05",
+    "criterion 7 (multi-peak): PASS - converged=True, mass ratio 1.0000 (band 7%), offsets c1:0, c2:0",
+    "criterion 8 (not a ground state): PASS - action ratio 1.5000 (band [1.35, 1.65]); mu=2 mass 4.0814 vs 2.7207",
+    "criterion 9 (numerical hygiene): PASS - factors 4.00, 4.00; adjointness 1.8e-15; jacobian fd 4.1e-12",
+]
+
+
+def test_verify_prints_the_golden_lines(capsys):
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out.splitlines() == GOLDEN_VERIFY
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # importing scipy.integrate costs about a quarter second of every
     # process start, and the soliton constants have closed forms

@@ -1,4 +1,4 @@
-"""Edge-condensed operators and solves against a sparse direct reference."""
+"""Edge-condensed operators, solves and eigensolves against sparse direct references."""
 
 import numpy as np
 import pytest
@@ -8,23 +8,29 @@ import scipy.sparse.linalg as spla
 from graphnls import (
     AnsatzSpec,
     SolveConfig,
+    acceptance,
     assemble,
     assemble_ansatz,
+    build_graph,
     insert_midpoints,
     jacobian,
     newton_solve,
     reference_graph,
     refined_mesh,
+    sample_star_state,
+    spectral_bottom,
     star_neighborhood,
+    uniform_mesh,
 )
 from graphnls.discrete import (
     CondensedFactor,
     DiscreteField,
     edge_bands,
+    shift_invert_eigsh,
     weighted_mass,
 )
 from graphnls.errors import SingularJacobian, SolveFailure
-from graphnls.solve import jacobian_bands
+from graphnls.solve import jacobian_bands, linearization_bands
 
 # every built-in graph with its peak sites: figure1 has the self-loop
 # loop3 and degree-5 vertices, and all but the tripod have truncated
@@ -143,3 +149,73 @@ def test_non_finite_jacobian_raises_singular_jacobian():
     with pytest.raises(SingularJacobian):
         newton_solve(op, 1.0, bad, SolveConfig())
     assert newton_solve(op, 1.0, seed, SolveConfig()).converged
+
+
+def _coarse_star_linearization(N):
+    """Linearization at the N-star state, on a coarse truncated star."""
+    g = build_graph(acceptance._star_yaml(N, 10.0))
+    mesh = uniform_mesh(g, 1.0 / 50.0)
+    op = assemble(g, mesh, 1.0)
+    psi = sample_star_state(mesh, star_neighborhood(g, "c"), 1.0, 1.0)
+    return linearization_bands(op, 1.0, DiscreteField(mesh, psi)), op.mass_bands
+
+
+def _kernel_eigsh(L, M, N):
+    """The eigensolve as criterion 1 runs it."""
+    return shift_invert_eigsh(
+        L, M, N, 0.0, tol=acceptance._KERNEL_TOL, ncv=acceptance._KERNEL_NCV
+    )
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_kernel_eigensolve_finds_every_kernel_mode(N):
+    # the kernel has multiplicity N-1; a start vector invariant under
+    # edge permutations finds only part of it
+    L, M = _coarse_star_linearization(N)
+    vals, vecs = _kernel_eigsh(L, M, N)
+    assert int(np.sum(np.abs(vals) < 1e-3)) == N - 1
+    assert abs(vals[N - 1]) > 1e-2
+    assert np.all(vecs[L.mesh.dirichlet_dofs] == 0.0)
+    gram = vecs.T @ np.stack([M @ v for v in vecs.T], axis=1)
+    assert np.allclose(gram, np.eye(N), rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_kernel_eigenvalues_match_a_sparse_direct_reference(N):
+    L, M = _coarse_star_linearization(N)
+    free = L.mesh.free_dofs
+    v0 = np.random.default_rng(11).standard_normal(len(free))
+    ref = spla.eigsh(
+        L.tocsr()[free][:, free].tocsc(),
+        k=N,
+        M=M.tocsr()[free][:, free].tocsc(),
+        sigma=0.0,
+        which="LM",
+        v0=v0,
+        return_eigenvectors=False,
+    )
+    ref = ref[np.argsort(np.abs(ref))]
+    assert int(np.sum(np.abs(ref) < 1e-3)) == N - 1
+    vals, _ = _kernel_eigsh(L, M, N)
+    assert np.allclose(vals[: N - 1], ref[: N - 1], rtol=0.0, atol=1e-9)
+    assert vals[N - 1] == pytest.approx(ref[N - 1], rel=1e-9, abs=0.0)
+
+
+def test_eigenvalue_checks_invert_with_the_condensed_factor(monkeypatch):
+    opinvs = []
+    eigsh = spla.eigsh
+
+    def spy(*args, **kwargs):
+        opinvs.append(kwargs.get("OPinv"))
+        return eigsh(*args, **kwargs)
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("SuperLU factorization requested")
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    monkeypatch.setattr(spla, "splu", no_splu)
+    assert acceptance.criterion_1().passed
+    g = build_graph(acceptance._star_yaml(3, 10.0))
+    assert spectral_bottom(g, uniform_mesh(g, 0.5)) > 0.0
+    assert len(opinvs) == 5
+    assert all(isinstance(op, spla.LinearOperator) for op in opinvs)
