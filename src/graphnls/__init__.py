@@ -18,7 +18,6 @@ from .discrete import (
     lambda_norm,
     refined_mesh,
     resolvent_apply,
-    spectral_bottom,
     uniform_mesh,
 )
 from .errors import GraphNLSError
@@ -28,7 +27,6 @@ from .functionals import (
     SolitonReference,
     evaluate_functionals,
     ground_state_gap,
-    nehari_scaling,
     soliton_reference,
 )
 from .graphs import (
@@ -37,11 +35,8 @@ from .graphs import (
     StarNeighborhood,
     build_graph,
     check_disjoint_peak_balls,
-    graph_distance,
     insert_midpoints,
     load_graph,
-    metric_ball,
-    odd_degree_vertices,
     star_neighborhood,
 )
 from .profiles import (
@@ -50,9 +45,7 @@ from .profiles import (
     SolitonParams,
     assemble_ansatz,
     eval_cutoff,
-    eval_kernel_function,
     eval_soliton,
-    eval_star_solution,
     kernel_basis,
     reduced_cubic_coefficient,
     sample_kernel_mode,
@@ -76,7 +69,6 @@ from .solve import (
     kernel_projection_diagnostics,
     newton_solve,
     nonlinear_residual,
-    symmetric_linearization,
 )
 
 __all__ = [
@@ -106,12 +98,9 @@ __all__ = [
     "continuation_sweep",
     "enumerate_critical_points",
     "eval_cutoff",
-    "eval_kernel_function",
     "eval_soliton",
-    "eval_star_solution",
     "evaluate_functionals",
     "even_case_lines",
-    "graph_distance",
     "ground_state_gap",
     "insert_midpoints",
     "jacobian",
@@ -120,11 +109,8 @@ __all__ = [
     "kirchhoff_flux",
     "lambda_norm",
     "load_graph",
-    "metric_ball",
-    "nehari_scaling",
     "newton_solve",
     "nonlinear_residual",
-    "odd_degree_vertices",
     "perturbed_gradient_hessian",
     "reduced_cubic_coefficient",
     "reduced_energy",
@@ -137,8 +123,6 @@ __all__ = [
     "sample_star_state",
     "soliton_derivative",
     "soliton_reference",
-    "spectral_bottom",
     "star_neighborhood",
-    "symmetric_linearization",
     "uniform_mesh",
 ]

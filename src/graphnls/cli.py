@@ -171,6 +171,8 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         alpha=cfg.alpha,
         cutoff_kind=cfg.cutoff,
     )
+    # lam**alpha is monotone in lam: checking both ends checks every shift
+    template.with_lam(cfg.lambdas[-1])
     # the ratio columns need the reference constants, which exist only
     # for mu >= 0.5: fail before the sweep rather than after it
     ref = soliton_reference(cfg.mu)

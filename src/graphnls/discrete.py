@@ -9,14 +9,15 @@ restriction to the free degrees of freedom.
 Every operator built here (stiffness, mass, weighted mass, and the
 Newton Jacobian made from them) is tridiagonal on each edge's interior
 nodes and couples edges only through the vertex unknowns.  `EdgeBands`
-stores exactly that, from one element routine (`edge_bands`): the
-vertex diagonal, the three interior bands with the edges concatenated,
-and four vertex couplings per edge.  `CondensedFactor` solves with it
-in O(ndof): one pivoted LAPACK tridiagonal factorization (`?gttrf`) of
-all edge interiors at once, then a dense Schur complement on the free
-vertex unknowns.  The eigenvalue checks shift-invert through the same
-factor (`shift_invert_eigsh`).  CSR matrices are built from the bands
-for the public matrix accessors.
+stores exactly that, and is the only form an operator takes: from one
+element routine (`edge_bands`), the vertex diagonal, the three interior
+bands with the edges concatenated, and four vertex couplings per edge.
+`CondensedFactor` solves with it in O(ndof): one pivoted LAPACK
+tridiagonal factorization (`?gttrf`) of all edge interiors at once,
+then a dense Schur complement on the free vertex unknowns.  The
+eigenvalue checks shift-invert through the same factor
+(`shift_invert_eigsh`).  Bands become a sparse matrix only on request,
+for comparison against sparse-direct references.
 """
 
 from __future__ import annotations
@@ -26,17 +27,11 @@ from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .errors import (
-    EigenSolveFailure,
-    IndefiniteOperator,
-    NegativeForm,
-    SolveFailure,
-)
+from .errors import IndefiniteOperator, NegativeForm, SolveFailure
 from .graphs import MetricGraph
 
 
@@ -195,20 +190,6 @@ class DiscreteField:
     def copy(self) -> "DiscreteField":
         return DiscreteField(self.mesh, self.values.copy())
 
-    def argmax_point(self) -> tuple[str, float, float]:
-        """(edge id, arc-length coordinate, value) of the nodal maximum."""
-        best = (None, 0.0, -math.inf)
-        for eid, dofs in self.mesh.edge_dofs.items():
-            vals = self.values[dofs]
-            k = int(np.argmax(vals))
-            if vals[k] > best[2]:
-                best = (eid, float(self.mesh.edge_nodes[eid][k]), float(vals[k]))
-        return best
-
-
-def zero_field(mesh: Mesh) -> DiscreteField:
-    return DiscreteField(mesh, np.zeros(mesh.ndof))
-
 
 @dataclass(frozen=True)
 class EdgeBands:
@@ -273,6 +254,7 @@ class EdgeBands:
         return np.concatenate([yv, yi])
 
     def tocsr(self) -> sp.csr_matrix:
+        """The operator as a sparse matrix, for sparse-direct references."""
         lay = self.mesh.layout
         nv, n = lay.nv, self.mesh.ndof
         diag = np.arange(n)
@@ -289,10 +271,10 @@ class EdgeBands:
             self.tail_row,
             self.tail_col,
         )
-        return sp.coo_matrix(
+        return sp.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n),
-        ).tocsr()
+        )
 
 
 def edge_bands(
@@ -389,63 +371,41 @@ class CondensedFactor:
         return np.concatenate([xv, y])
 
 
-def weighted_mass(mesh: Mesh, weight: np.ndarray) -> sp.csr_matrix:
-    """Mass matrix of the form integral(w u v) with w interpolated nodewise.
-
-    Used to assemble symmetric linearized operators; exact for piecewise
-    linear w, u, v.
-    """
-    return edge_bands(mesh, weight=np.asarray(weight, dtype=float)).tocsr()
-
-
 @dataclass
 class KirchhoffOperator:
     """The weak forms of the shifted operator -u'' + lam*u on a mesh.
 
-    Holds the stiffness, mass and shifted (S + lam*M) forms as edge
-    bands.  The CSR matrices `stiffness` and `mass` are built from them
-    on first use, and the factorization of the shifted form on the free
+    Holds the stiffness, mass and shifted (stiffness + lam*mass) forms
+    as edge bands; the factorization of the shifted form on the free
     dofs is cached on first use.
     """
 
     mesh: Mesh
     lam: float
-    stiffness_bands: EdgeBands = field(repr=False)
-    mass_bands: EdgeBands = field(repr=False)
-    shifted_bands: EdgeBands = field(init=False, repr=False)
+    stiffness: EdgeBands = field(repr=False)
+    mass: EdgeBands = field(repr=False)
+    shifted: EdgeBands = field(init=False, repr=False)
     _factor: CondensedFactor | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.shifted_bands = self.stiffness_bands.plus(self.mass_bands, self.lam)
-
-    @cached_property
-    def stiffness(self) -> sp.csr_matrix:
-        return self.stiffness_bands.tocsr()
-
-    @cached_property
-    def mass(self) -> sp.csr_matrix:
-        return self.mass_bands.tocsr()
+        self.shifted = self.stiffness.plus(self.mass, self.lam)
 
     def factor(self) -> CondensedFactor:
         if self._factor is None:
-            self._check_definite()
-            self._factor = CondensedFactor(self.shifted_bands)
+            self._factor = CondensedFactor(self.shifted)
         return self._factor
-
-    def _check_definite(self) -> None:
-        if self.lam > 0.0:
-            return
-        bottom = spectral_bottom(self.mesh.graph, self.mesh)
-        if self.lam <= -bottom + 1e-10:
-            raise IndefiniteOperator(
-                f"shift {self.lam} is at or below the spectral bottom {-bottom}"
-            )
 
 
 def assemble(g: MetricGraph, mesh: Mesh, lam: float) -> KirchhoffOperator:
-    """Assemble the stiffness/mass pair on the mesh at the given shift."""
+    """Assemble the stiffness/mass pair on the mesh at the given shift.
+
+    The shift must be positive and finite: then the shifted form is
+    positive definite on every graph, compact or truncated.
+    """
     if mesh.graph is not g:
         raise ValueError("mesh was built for a different graph")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise IndefiniteOperator(f"shift must be positive and finite, got {lam}")
     return KirchhoffOperator(
         mesh,
         float(lam),
@@ -461,10 +421,10 @@ def resolvent_apply(op: KirchhoffOperator, g_rhs: DiscreteField) -> DiscreteFiel
     (truncation endpoints) stay pinned at zero.
     """
     pinned = op.mesh.dirichlet_dofs
-    rhs = op.mass_bands @ g_rhs.values
+    rhs = op.mass @ g_rhs.values
     rhs[pinned] = 0.0
     x = op.factor().solve(rhs)
-    resid = op.shifted_bands @ x - rhs
+    resid = op.shifted @ x - rhs
     resid[pinned] = 0.0
     denom = max(float(np.linalg.norm(rhs)), 1e-300)
     if float(np.linalg.norm(resid)) / denom > 1e-10:
@@ -475,8 +435,8 @@ def resolvent_apply(op: KirchhoffOperator, g_rhs: DiscreteField) -> DiscreteFiel
 def lambda_norm(op: KirchhoffOperator, u: DiscreteField) -> float:
     """sqrt(u' . u' + lam * u . u) in the assembled quadrature."""
     v = u.values
-    q = float(v @ (op.shifted_bands @ v))
-    if q < 0.0 and q < -1e-12 * max(1.0, float(v @ (op.mass_bands @ v))):
+    q = float(v @ (op.shifted @ v))
+    if q < 0.0 and q < -1e-12 * max(1.0, float(v @ (op.mass @ v))):
         raise NegativeForm(f"shifted form returned {q}")
     return math.sqrt(max(q, 0.0))
 
@@ -493,7 +453,7 @@ def dual_residual_norm(op: KirchhoffOperator, r: np.ndarray) -> float:
 
 
 def lambda_inner(op: KirchhoffOperator, u: np.ndarray, v: np.ndarray) -> float:
-    return float(u @ (op.shifted_bands @ v))
+    return float(u @ (op.shifted @ v))
 
 
 def shift_invert_eigsh(
@@ -501,8 +461,8 @@ def shift_invert_eigsh(
     mass: EdgeBands,
     k: int,
     sigma: float,
-    tol: float = 0.0,
-    ncv: int | None = None,
+    tol: float,
+    ncv: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The k eigenpairs of (bands, mass) nearest sigma, on the free dofs.
 
@@ -517,7 +477,7 @@ def shift_invert_eigsh(
 
     Returns eigenvalues sorted by distance from sigma and M-normalized
     full-length eigenvectors, zero at the Dirichlet dofs.  tol and ncv
-    are ARPACK's (0 asks for machine precision).
+    are ARPACK's.
     """
     mesh = bands.mesh
     n = mesh.ndof
@@ -537,34 +497,6 @@ def shift_invert_eigsh(
     )
     order = np.argsort(np.abs(vals - sigma))
     return vals[order], vecs[:, order]
-
-
-def spectral_bottom(g: MetricGraph, mesh: Mesh) -> float:
-    """Smallest generalized eigenvalue of (stiffness, mass) on free dofs.
-
-    Zero for compact graphs (constants); positive when Dirichlet
-    truncation endpoints are present.
-    """
-    S = edge_bands(mesh, stiffness=1.0)
-    M = edge_bands(mesh, weight=1.0)
-    free = mesh.free_dofs
-    if len(free) < 8:
-        ix = np.ix_(free, free)
-        Sf, Mf = S.tocsr().toarray()[ix], M.tocsr().toarray()[ix]
-        return float(np.min(scipy.linalg.eigh(Sf, Mf, eigvals_only=True)))
-    for sigma in (-1e-4, -1e-2):
-        try:
-            vals, _ = shift_invert_eigsh(S, M, 1, sigma)
-            return float(vals[0])
-        except (RuntimeError, SolveFailure):
-            continue
-    raise EigenSolveFailure("generalized eigensolve did not converge")
-
-
-def central_second_difference(values: np.ndarray, h: float) -> np.ndarray:
-    """Second derivative at interior nodes, O(h^2)."""
-    v = np.asarray(values, dtype=float)
-    return (v[:-2] - 2.0 * v[1:-1] + v[2:]) / (h * h)
 
 
 def one_sided_derivative(values: np.ndarray, h: float, at_start: bool) -> float:

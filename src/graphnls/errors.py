@@ -17,10 +17,6 @@ class DanglingEndpoint(GraphNLSError):
     """An edge endpoint references a vertex that was never declared."""
 
 
-class OddNWithShift(GraphNLSError):
-    """The shifted star profile is only defined for an even number of edges."""
-
-
 class IndexOutOfRange(GraphNLSError):
     """A kernel-mode index lies outside 1..N-1."""
 
@@ -51,10 +47,6 @@ class SolveFailure(GraphNLSError):
 
 class NegativeForm(GraphNLSError):
     """The shifted quadratic form returned a negative square norm."""
-
-
-class EigenSolveFailure(GraphNLSError):
-    """The sparse eigenvalue solver failed to converge."""
 
 
 class SingularJacobian(GraphNLSError):

@@ -1,6 +1,6 @@
 """Action, energy, mass and the not-a-ground-state comparison.
 
-All quadratic terms use the assembled matrices, and the degree-(2*mu+2)
+All quadratic terms use the assembled forms, and the degree-(2*mu+2)
 term uses mass-matrix quadrature paired against the nonlinearity, so
 the reported action, energy and Nehari residual satisfy their algebraic
 identities exactly in the discrete setting (not just to O(h^2)).
@@ -46,9 +46,9 @@ def evaluate_functionals(
     and nehari_residual = kinetic + lam*mass - potential hold exactly.
     """
     v = u.values
-    kinetic = float(v @ (op.stiffness_bands @ v))
-    mass = float(v @ (op.mass_bands @ v))
-    potential = float(v @ (op.mass_bands @ np.maximum(v, 0.0) ** (2.0 * mu + 1.0)))
+    kinetic = float(v @ (op.stiffness @ v))
+    mass = float(v @ (op.mass @ v))
+    potential = float(v @ (op.mass @ np.maximum(v, 0.0) ** (2.0 * mu + 1.0)))
     energy = 0.5 * kinetic - potential / (2.0 * mu + 2.0)
     action = energy + 0.5 * op.lam * mass
     nehari = kinetic + op.lam * mass - potential
@@ -61,16 +61,6 @@ def evaluate_functionals(
         energy=energy,
         nehari_residual=nehari,
     )
-
-
-def nehari_scaling(op: KirchhoffOperator, mu: float, u: DiscreteField) -> float:
-    """Scale t with zero Nehari residual at t*u, for states with u+ != 0."""
-    v = u.values
-    norm_sq = float(v @ (op.shifted_bands @ v))
-    potential = float(v @ (op.mass_bands @ np.maximum(v, 0.0) ** (2.0 * mu + 1.0)))
-    if potential <= 0.0:
-        raise ValueError("state has no positive part to scale against")
-    return (norm_sq / potential) ** (1.0 / (2.0 * mu))
 
 
 @dataclass(frozen=True)

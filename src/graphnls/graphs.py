@@ -84,11 +84,6 @@ class MetricGraph:
     def is_compact(self) -> bool:
         return not any(e.truncated for e in self.edges)
 
-    @property
-    def total_length(self) -> float:
-        return sum(e.length for e in self.edges)
-
-
 @dataclass(frozen=True)
 class StarNeighborhood:
     """The star of edge-ends around a peak vertex with its taper radius."""
@@ -264,49 +259,9 @@ def vertex_distances(g: MetricGraph, source: str) -> dict[str, float]:
     return dist
 
 
-def graph_distance(g: MetricGraph, v: str, w: str) -> float:
-    return vertex_distances(g, v)[w]
-
-
-def metric_ball(
-    g: MetricGraph, v: str, r: float
-) -> dict[str, tuple[tuple[float, float], ...]]:
-    """Open ball of radius r around vertex v, as per-edge intervals.
-
-    Intervals are half-open subsets of [0, length] in each edge's own
-    arc-length coordinate (measured from the edge's `from` endpoint).  A
-    ball can enter an edge from both ends; the two pieces are merged
-    when they meet.
-    """
-    if not r > 0.0:
-        raise ValueError("ball radius must be positive")
-    dist = vertex_distances(g, v)
-    out: dict[str, tuple[tuple[float, float], ...]] = {}
-    for e in g.edges:
-        reach_src = r - dist[e.src]
-        reach_dst = r - dist[e.dst]
-        pieces: list[tuple[float, float]] = []
-        if reach_src > 0.0:
-            pieces.append((0.0, min(e.length, reach_src)))
-        if reach_dst > 0.0:
-            lo = max(0.0, e.length - reach_dst)
-            if pieces and lo <= pieces[0][1]:
-                pieces = [(0.0, e.length)]
-            else:
-                pieces.append((lo, e.length))
-        if pieces:
-            out[e.id] = tuple(pieces)
-    return out
-
-
 def admissible_peak_degree(degree: int, min_degree: int = 3) -> bool:
     """Odd degree >= min_degree: a peak the existence theory covers."""
     return degree % 2 == 1 and degree >= min_degree
-
-
-def odd_degree_vertices(g: MetricGraph, min_degree: int = 3) -> list[str]:
-    """Vertices with odd degree >= min_degree, the eligible peak sites."""
-    return [v for v in g.vertices if admissible_peak_degree(g.degree(v), min_degree)]
 
 
 def star_neighborhood(

@@ -18,31 +18,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import DiscreteField, Mesh
-from .errors import DimensionMismatch, IndexOutOfRange, OddNWithShift
+from .errors import DimensionMismatch, IndexOutOfRange
 from .graphs import MetricGraph, StarNeighborhood, check_disjoint_peak_balls
 
 
 @dataclass(frozen=True)
 class SolitonParams:
-    """Nonlinearity exponent and translation of the line soliton."""
+    """Nonlinearity exponent of the line soliton."""
 
     mu: float
-    a: float = 0.0
 
     def __post_init__(self):
         if not self.mu > 0.0:
             raise ValueError("nonlinearity exponent must be positive")
 
-    @property
-    def within_hypotheses(self) -> bool:
-        # the existence results assume mu >= 1/2; smaller mu is allowed
-        # for profile evaluation only
-        return self.mu >= 0.5
-
 
 def eval_soliton(p: SolitonParams, x):
-    """phi(x - a); strictly positive, even about a, decays like exp(-|x|)."""
-    z = p.mu * (np.asarray(x, dtype=float) - p.a)
+    """phi(x); strictly positive, even, decays like exp(-|x|)."""
+    z = p.mu * np.asarray(x, dtype=float)
     amp = (p.mu + 1.0) ** (1.0 / (2.0 * p.mu))
     s = np.exp(-np.abs(z))
     sech = 2.0 * s / (1.0 + s * s)
@@ -51,8 +44,8 @@ def eval_soliton(p: SolitonParams, x):
 
 
 def soliton_derivative(p: SolitonParams, x):
-    """phi'(x - a) = -phi * tanh(mu*(x - a))."""
-    z = p.mu * (np.asarray(x, dtype=float) - p.a)
+    """phi'(x) = -phi * tanh(mu*x)."""
+    z = p.mu * np.asarray(x, dtype=float)
     out = -np.asarray(eval_soliton(p, x)) * np.tanh(z)
     return out if out.ndim else float(out)
 
@@ -79,41 +72,6 @@ def kernel_basis(N: int) -> KernelBasis:
         v[j] = -j
         vecs.append(v)
     return KernelBasis(N, tuple(vecs))
-
-
-def eval_star_solution(N: int, mu: float, edge_index: int, x, a: float = 0.0):
-    """Value of the symmetric star state on edge `edge_index` at x >= 0.
-
-    For a = 0 this is phi on every edge (any N).  For a != 0, N must be
-    even: half the edges carry phi shifted outward by a, the other half
-    phi shifted inward, which preserves continuity and flux balance.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if not 0 <= edge_index < N:
-        raise IndexOutOfRange(f"edge index {edge_index} not in 0..{N - 1}")
-    if a == 0.0:
-        return eval_soliton(SolitonParams(mu), x)
-    if N % 2 == 1:
-        raise OddNWithShift("shifted star states exist only for even N")
-    shift = a if edge_index < N // 2 else -a
-    return eval_soliton(SolitonParams(mu, a=shift), x)
-
-
-def eval_kernel_function(
-    basis: KernelBasis, j: int, mu: float, edge_index: int, x
-):
-    """Kernel mode j on edge `edge_index`: a signed copy of phi'.
-
-    Vanishes at the vertex (phi'(0) = 0) and satisfies the vertex flux
-    balance because the sign vector sums to zero.
-    """
-    if not 1 <= j <= basis.N - 1:
-        raise IndexOutOfRange(f"kernel index {j} not in 1..{basis.N - 1}")
-    if not 0 <= edge_index < basis.N:
-        raise IndexOutOfRange(f"edge index {edge_index} not in 0..{basis.N - 1}")
-    sign = float(basis.vectors[j - 1][edge_index])
-    return sign * soliton_derivative(SolitonParams(mu), x)
 
 
 def eval_cutoff(kind: str, ell: float, x):
@@ -152,8 +110,18 @@ class AnsatzSpec:
     def __post_init__(self):
         if not self.lam > 0.0:
             raise ValueError("lam must be positive")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        # assemble_ansatz divides the coefficients by lam**alpha
+        try:
+            damping = self.lam**self.alpha
+        except OverflowError:
+            damping = math.inf
+        if not 0.0 < damping < math.inf:
+            raise ValueError(
+                f"alpha={self.alpha} puts the coefficient damping "
+                f"lam**alpha out of floating-point range at lam={self.lam:g}"
+            )
         for star, coeffs in self.peaks:
             if len(coeffs) != star.degree - 1:
                 raise DimensionMismatch(

@@ -107,14 +107,15 @@ def _check_star_size(N: int) -> None:
         )
 
 
-def _newton_zeros(
-    N: int, eps: float, starts: np.ndarray, iters: int = 60, tol: float = 1e-12
-) -> np.ndarray:
-    """Batched Newton on the perturbed gradient; returns converged points."""
+def _newton_zeros(N: int, starts: np.ndarray, iters: int = 60) -> np.ndarray:
+    """Batched Newton on the perturbed gradient at eps = 1.
+
+    Returns the points where it converged.
+    """
     x = np.array(starts, dtype=float)
     for _ in range(iters):
         s = x.sum(axis=1)
-        grad = 3.0 * x**2 - 3.0 * s[:, None] ** 2 - 3.0 * eps**2
+        grad = 3.0 * x**2 - 3.0 * s[:, None] ** 2 - 3.0
         hess = np.zeros((x.shape[0], N - 1, N - 1))
         hess[:] = -6.0 * s[:, None, None]
         idx = np.arange(N - 1)
@@ -129,17 +130,15 @@ def _newton_zeros(
         bad = ~np.isfinite(x).all(axis=1)
         x[bad] = np.inf
     s = x.sum(axis=1)
-    grad = 3.0 * x**2 - 3.0 * s[:, None] ** 2 - 3.0 * eps**2
-    ok = np.isfinite(x).all(axis=1) & (
-        np.linalg.norm(grad, axis=1) < tol * max(1.0, eps**2)
-    )
+    grad = 3.0 * x**2 - 3.0 * s[:, None] ** 2 - 3.0
+    ok = np.isfinite(x).all(axis=1) & (np.linalg.norm(grad, axis=1) < 1e-12)
     return x[ok]
 
 
-def _dedupe(points: np.ndarray, scale: float) -> list[np.ndarray]:
+def _dedupe(points: np.ndarray) -> list[np.ndarray]:
     out: list[np.ndarray] = []
     for p in points:
-        if not any(np.linalg.norm(p - q) < 1e-8 * max(1.0, scale) for q in out):
+        if not any(np.linalg.norm(p - q) < 1e-8 for q in out):
             out.append(p)
     return out
 
@@ -151,6 +150,11 @@ def enumerate_critical_points(N: int, eps: float) -> ReducedEnergyReport:
     scaled by eps.  Verification: the gradient vanishes there, and a
     Newton sweep started from every sign pattern finds nothing else.
     The local degree is the sum of Hessian determinant signs.
+
+    The perturbed cubic is homogeneous: its critical points at eps are
+    eps times those at eps = 1, and the Hessian there is eps times the
+    one at eps = 1, with the same determinant signs.  Both searches
+    therefore run at eps = 1, and eps only scales the points found.
     """
     if N % 2 == 0:
         raise EvenN("critical points degenerate into lines for even N")
@@ -164,9 +168,9 @@ def enumerate_critical_points(N: int, eps: float) -> ReducedEnergyReport:
     for pattern in itertools.product((1, -1), repeat=d):
         if sum(1 for s in pattern if s < 0) != d // 2:
             continue
-        x = eps * np.asarray(pattern, dtype=float)
-        grad, hess = perturbed_gradient_hessian(N, eps, x)
-        if np.linalg.norm(grad) >= 1e-10 * max(1.0, eps**2):
+        x = np.asarray(pattern, dtype=float)
+        grad, hess = perturbed_gradient_hessian(N, 1.0, x)
+        if np.linalg.norm(grad) >= 1e-10:
             raise AssertionError(f"closed-form point {x} is not critical")
         points.append(x)
         signs.append(int(math.copysign(1.0, np.linalg.det(hess))))
@@ -174,19 +178,18 @@ def enumerate_critical_points(N: int, eps: float) -> ReducedEnergyReport:
     # independent sweep: Newton from every sign pattern at two scales
     starts = []
     for pattern in itertools.product((1.0, -1.0), repeat=d):
-        starts.append(eps * np.asarray(pattern))
-        starts.append(0.5 * eps * np.asarray(pattern))
-    found = _dedupe(_newton_zeros(N, eps, np.asarray(starts)), eps)
-    known = {tuple(np.round(p / eps).astype(int)) for p in points}
-    for p in found:
-        key = tuple(np.round(p / eps).astype(int))
-        if key not in known or not np.allclose(p, eps * np.asarray(key), atol=1e-9):
+        starts.append(np.asarray(pattern))
+        starts.append(0.5 * np.asarray(pattern))
+    known = {tuple(p.astype(int)) for p in points}
+    for p in _dedupe(_newton_zeros(N, np.asarray(starts))):
+        key = tuple(np.round(p).astype(int))
+        if key not in known or not np.allclose(p, key, atol=1e-9):
             raise AssertionError(f"Newton sweep found an unexpected zero {p}")
 
     return ReducedEnergyReport(
         N=N,
         eps=eps,
-        critical_points=tuple(tuple(p) for p in points),
+        critical_points=tuple(tuple(eps * p) for p in points),
         hessian_signs=tuple(signs),
         local_degree=int(sum(signs)),
     )

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # unused; bench/tracer.py wraps spla.splu here
 
 from . import functionals
@@ -134,19 +133,14 @@ def nonlinear_residual(
     f means nonpositive states produce a purely linear residual.
     """
     v = u.values
-    r = op.shifted_bands @ v - op.mass_bands @ _nodal_nonlinearity(mu, v)
+    r = op.shifted @ v - op.mass @ _nodal_nonlinearity(mu, v)
     return DiscreteField(op.mesh, r)
 
 
-def jacobian_bands(op: KirchhoffOperator, mu: float, u: DiscreteField) -> EdgeBands:
+def jacobian(op: KirchhoffOperator, mu: float, u: DiscreteField) -> EdgeBands:
     """Exact derivative of the discrete residual: S + lam M - M f'(u)."""
     slope = _nodal_nonlinearity_slope(mu, u.values)
-    return op.shifted_bands.plus(op.mass_bands.scale_columns(slope), -1.0)
-
-
-def jacobian(op: KirchhoffOperator, mu: float, u: DiscreteField) -> sp.csr_matrix:
-    """The Jacobian S + lam M - M f'(u) as a sparse matrix."""
-    return jacobian_bands(op, mu, u).tocsr()
+    return op.shifted.plus(op.mass.scale_columns(slope), -1.0)
 
 
 def linearization_bands(
@@ -159,14 +153,7 @@ def linearization_bands(
     eigenvalue diagnostics of the linearization.
     """
     W = edge_bands(op.mesh, weight=_nodal_nonlinearity_slope(mu, u.values))
-    return op.shifted_bands.plus(W, -1.0)
-
-
-def symmetric_linearization(
-    op: KirchhoffOperator, mu: float, u: DiscreteField
-) -> sp.csr_matrix:
-    """The symmetric linearization as a sparse matrix."""
-    return linearization_bands(op, mu, u).tocsr()
+    return op.shifted.plus(W, -1.0)
 
 
 def _relative_residual(op: KirchhoffOperator, r: np.ndarray, u: DiscreteField):
@@ -197,7 +184,7 @@ def newton_solve(
     while not converged and iters < cfg.max_iters:
         iters += 1
         try:
-            step = CondensedFactor(jacobian_bands(op, mu, u)).solve(-r)
+            step = CondensedFactor(jacobian(op, mu, u)).solve(-r)
         except SolveFailure as exc:
             raise SingularJacobian(str(exc)) from exc
         if not np.all(np.isfinite(step)):
@@ -253,9 +240,9 @@ def kernel_projection_diagnostics(
                 )
             )
     # one band product per mode and one for phi; the dot products are
-    # those of lambda_inner(op, a, b) = a @ (shifted_bands @ b)
-    shifted_modes = [op.shifted_bands @ b for b in modes]
-    shifted_phi = op.shifted_bands @ phi
+    # those of lambda_inner(op, a, b) = a @ (shifted @ b)
+    shifted_modes = [op.shifted @ b for b in modes]
+    shifted_phi = op.shifted @ phi
     gram = np.array([[float(a @ sb) for sb in shifted_modes] for a in modes])
     rhs = np.array([float(a @ shifted_phi) for a in modes])
     coef = np.linalg.solve(gram, rhs)

@@ -13,6 +13,7 @@ import pytest
 
 from graphnls import cli
 from graphnls.cli import ExperimentConfig, _state_text, _write_state_files, main
+from graphnls.reduced import enumerate_critical_points
 from graphnls.solve import continuation_sweep
 
 FAST_SOLVE = [
@@ -191,6 +192,9 @@ def test_solve_with_unknown_peak_writes_error_record(tmp_path, capsys):
         ("--newton-tol", "inf", "newton_tol must be in (0, 1)"),
         ("--newton-tol", "1", "newton_tol must be in (0, 1)"),
         ("--coeffs", "nan,0", "peak 'c': kernel coefficients must be finite"),
+        ("--alpha", "inf", "alpha must be positive and finite"),
+        ("--alpha", "nan", "alpha must be positive and finite"),
+        ("--alpha", "1e308", "alpha=1e+308 puts the coefficient damping"),
     ],
 )
 def test_solve_rejects_invalid_knobs_before_any_work(
@@ -346,6 +350,46 @@ def test_reduced_energy_input_validation(capsys):
         )
 
 
+@pytest.mark.parametrize(
+    "lambdas, alpha, message",
+    [
+        ("0.5", "inf", "alpha must be positive and finite, got inf"),
+        # lam**1200 underflows to zero at 0.5 and overflows at 1e300, so
+        # the first shift alone or the last alone puts alpha out of range
+        ("0.5,25", "1200", "alpha=1200.0 puts the coefficient damping"),
+        ("25,1e300", "1200", "alpha=1200.0 puts the coefficient damping"),
+    ],
+)
+def test_solve_checks_alpha_at_both_ends_of_the_schedule(
+    tmp_path, monkeypatch, lambdas, alpha, message
+):
+    sweeps = []
+    monkeypatch.setattr(cli, "continuation_sweep", lambda *a: sweeps.append(a))
+    out = tmp_path / "bad"
+    argv = ["solve", "--graph", "tripod", "--peak", "c", "--alpha", alpha]
+    assert main(argv + ["--lambdas", lambdas, "--outdir", str(out)]) == 1
+    assert sweeps == []
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert message in record["message"]
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 0.35, 1e150])
+def test_reduced_energy_scales_with_eps(capsys, eps):
+    # the perturbed cubic is homogeneous, so its critical points at eps
+    # are eps times those at 1, with the same determinant signs
+    rep = enumerate_critical_points(5, eps)
+    unit = enumerate_critical_points(5, 1.0)
+    assert rep.hessian_signs == unit.hessian_signs
+    assert rep.local_degree == 6
+    for point, one in zip(rep.critical_points, unit.critical_points):
+        assert point == tuple(eps * c for c in one)
+    assert main(["reduced-energy", "5", "--eps", repr(eps)]) == 0
+    out = capsys.readouterr().out
+    assert out.count(f"{eps:+.6g}") == 12 and out.count(f"{-eps:+.6g}") == 12
+    assert out.endswith("local degree: +6\n")
+
+
 @pytest.mark.parametrize("N", [41, 14])
 def test_reduced_energy_refuses_n_above_the_ceiling(capsys, N):
     # 41 takes the odd path and 14 the even one; both refuse before any
@@ -361,7 +405,8 @@ def test_reduced_energy_refuses_n_above_the_ceiling(capsys, N):
 
 # what `graphnls verify` printed before criterion 1 moved from SuperLU
 # to the edge-condensed factor; any change to these numbers is a change
-# to the results
+# to the results.  Criterion 9's adjointness was 1.8e-15 while it paired
+# through CSR matrices; the band products sum in another order
 GOLDEN_VERIFY = [
     "criterion 1 (kernel dimension): PASS - N=2: 1 small, next 1, corr 1.00000; N=3: 2 small, next 1, corr 1.00000; N=4: 3 small, next 1, corr 1.00000; N=5: 4 small, next 1, corr 1.00000",
     "criterion 2 (reduced-energy degree): PASS - N=3: degree -2 (want -2), 2 points (want 2); N=5: degree 6 (want 6), 6 points (want 6); N=7: degree -20 (want -20), 20 points (want 20); N=9: degree 70 (want 70), 70 points (want 70)",
@@ -371,7 +416,7 @@ GOLDEN_VERIFY = [
     "criterion 6 (correction rate): PASS - rates 0.1092, 0.02186, 0.002779, 0.0002081, 6.388e-05",
     "criterion 7 (multi-peak): PASS - converged=True, mass ratio 1.0000 (band 7%), offsets c1:0, c2:0",
     "criterion 8 (not a ground state): PASS - action ratio 1.5000 (band [1.35, 1.65]); mu=2 mass 4.0814 vs 2.7207",
-    "criterion 9 (numerical hygiene): PASS - factors 4.00, 4.00; adjointness 1.8e-15; jacobian fd 4.1e-12",
+    "criterion 9 (numerical hygiene): PASS - factors 4.00, 4.00; adjointness 2.2e-15; jacobian fd 4.1e-12",
 ]
 
 

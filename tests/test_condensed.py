@@ -18,7 +18,6 @@ from graphnls import (
     reference_graph,
     refined_mesh,
     sample_star_state,
-    spectral_bottom,
     star_neighborhood,
     uniform_mesh,
 )
@@ -27,10 +26,9 @@ from graphnls.discrete import (
     DiscreteField,
     edge_bands,
     shift_invert_eigsh,
-    weighted_mass,
 )
 from graphnls.errors import SingularJacobian, SolveFailure
-from graphnls.solve import jacobian_bands, linearization_bands
+from graphnls.solve import linearization_bands
 
 # every built-in graph with its peak sites: figure1 has the self-loop
 # loop3 and degree-5 vertices, and all but the tripod have truncated
@@ -92,10 +90,12 @@ def test_bands_match_an_element_loop(name):
     for key, got in (
         ("S", op.stiffness),
         ("M", op.mass),
-        ("W", weighted_mass(mesh, weight)),
+        ("W", edge_bands(mesh, weight=weight)),
     ):
         scale = np.abs(ref[key]).max()
-        assert np.allclose(got.toarray(), ref[key], rtol=0.0, atol=1e-14 * scale)
+        assert np.allclose(
+            got.tocsr().toarray(), ref[key], rtol=0.0, atol=1e-14 * scale
+        )
 
 
 @pytest.mark.parametrize("name", sorted(PEAKS))
@@ -104,7 +104,7 @@ def test_shifted_solve_matches_sparse_direct_reference(name):
     mesh = op.mesh
     free = mesh.free_dofs
     b = np.random.default_rng(1).standard_normal(mesh.ndof)
-    A = (op.stiffness + op.lam * op.mass)[free][:, free].tocsc()
+    A = (op.stiffness.tocsr() + op.lam * op.mass.tocsr())[free][:, free].tocsc()
     reference = spla.spsolve(A, b[free])
     x = op.factor().solve(b)
     assert np.all(x[mesh.dirichlet_dofs] == 0.0)
@@ -118,10 +118,11 @@ def test_jacobian_solve_at_the_seed_is_as_accurate_as_the_reference(name):
     mesh = op.mesh
     free = mesh.free_dofs
     b = np.random.default_rng(1).standard_normal(mesh.ndof)[free]
-    J = jacobian(op, 1.0, seed)[free][:, free].tocsc()
+    bands = jacobian(op, 1.0, seed)
+    J = bands.tocsr()[free][:, free].tocsc()
     rhs = np.zeros(mesh.ndof)
     rhs[free] = b
-    x = CondensedFactor(jacobian_bands(op, 1.0, seed)).solve(rhs)[free]
+    x = CondensedFactor(bands).solve(rhs)[free]
     reference = spla.spsolve(J, b)
     ours = np.linalg.norm(J @ x - b) / np.linalg.norm(b)
     theirs = np.linalg.norm(J @ reference - b) / np.linalg.norm(b)
@@ -132,8 +133,8 @@ def test_jacobian_solve_at_the_seed_is_as_accurate_as_the_reference(name):
 def test_band_products_match_their_sparse_matrices(name):
     op, seed = _seeded_operator(name)
     d = np.random.default_rng(3).standard_normal(op.mesh.ndof)
-    bands = jacobian_bands(op, 1.0, seed)
-    J = jacobian(op, 1.0, seed)
+    bands = jacobian(op, 1.0, seed)
+    J = bands.tocsr()
     assert np.allclose(bands @ d, J @ d, rtol=0.0, atol=1e-12 * abs(J).max())
 
 
@@ -157,7 +158,7 @@ def _coarse_star_linearization(N):
     mesh = uniform_mesh(g, 1.0 / 50.0)
     op = assemble(g, mesh, 1.0)
     psi = sample_star_state(mesh, star_neighborhood(g, "c"), 1.0, 1.0)
-    return linearization_bands(op, 1.0, DiscreteField(mesh, psi)), op.mass_bands
+    return linearization_bands(op, 1.0, DiscreteField(mesh, psi)), op.mass
 
 
 def _kernel_eigsh(L, M, N):
@@ -215,7 +216,5 @@ def test_eigenvalue_checks_invert_with_the_condensed_factor(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", spy)
     monkeypatch.setattr(spla, "splu", no_splu)
     assert acceptance.criterion_1().passed
-    g = build_graph(acceptance._star_yaml(3, 10.0))
-    assert spectral_bottom(g, uniform_mesh(g, 0.5)) > 0.0
-    assert len(opinvs) == 5
+    assert len(opinvs) == 4
     assert all(isinstance(op, spla.LinearOperator) for op in opinvs)

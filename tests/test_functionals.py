@@ -16,7 +16,6 @@ from graphnls import (
     evaluate_functionals,
     ground_state_gap,
     lambda_norm,
-    nehari_scaling,
     newton_solve,
     refined_mesh,
     soliton_derivative,
@@ -117,22 +116,6 @@ def test_discrete_solution_sits_on_the_nehari_manifold():
     rep = evaluate_functionals(op, 1.0, res.u)
     scale = lambda_norm(op, res.u) ** 2
     assert abs(rep.nehari_residual) < 1e-8 * max(1.0, scale)
-
-
-def test_nehari_scaling_zeroes_the_residual():
-    g = build_graph(TRIPOD)
-    mesh = uniform_mesh(g, 0.05)
-    op = assemble(g, mesh, 3.0)
-    rng = np.random.default_rng(21)
-    for mu in (0.5, 1.0, 2.0):
-        u = DiscreteField(mesh, rng.standard_normal(mesh.ndof) + 0.3)
-        t = nehari_scaling(op, mu, u)
-        scaled = DiscreteField(mesh, t * u.values)
-        rep = evaluate_functionals(op, mu, scaled)
-        norm_sq = lambda_norm(op, scaled) ** 2
-        assert abs(rep.nehari_residual) < 1e-10 * max(1.0, norm_sq)
-    with pytest.raises(ValueError):
-        nehari_scaling(op, 1.0, DiscreteField(mesh, -np.ones(mesh.ndof)))
 
 
 def test_soliton_reference_frozen_values():

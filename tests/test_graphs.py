@@ -1,4 +1,4 @@
-"""Metric graph construction, distances, balls, and star neighborhoods."""
+"""Metric graph construction, distances, peak balls and star neighborhoods."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,7 @@ import pytest
 from graphnls import (
     build_graph,
     check_disjoint_peak_balls,
-    graph_distance,
     insert_midpoints,
-    metric_ball,
-    odd_degree_vertices,
     reference_graph,
     star_neighborhood,
 )
@@ -19,7 +16,7 @@ from graphnls.errors import (
     NonpositiveEdgeLength,
     OverlappingPeaks,
 )
-from graphnls.graphs import admissible_peak_degree
+from graphnls.graphs import admissible_peak_degree, vertex_distances
 
 TRIPOD = """
 vertices: [c, a1, a2, a3]
@@ -50,7 +47,7 @@ def test_build_tripod_basic_shape():
     assert g.vertices == ("c", "a1", "a2", "a3")
     assert g.degree("c") == 3
     assert g.degree("a1") == 1
-    assert g.total_length == pytest.approx(3.0)
+    assert sum(e.length for e in g.edges) == pytest.approx(3.0)
     assert g.is_compact
     assert g.dirichlet_vertices == frozenset()
 
@@ -66,8 +63,6 @@ edges:
     )
     assert g.degree("v") == 3
     assert g.degree("w") == 1
-    assert odd_degree_vertices(g) == ["v"]
-    assert odd_degree_vertices(g, min_degree=1) == ["v", "w"]
 
 
 @pytest.mark.parametrize(
@@ -165,8 +160,9 @@ edges:
   - {id: e2, from: b, to: c, length: 2.25}
 """
     )
-    assert graph_distance(g, "a", "c") == pytest.approx(3.75)
-    assert graph_distance(g, "a", "a") == 0.0
+    dist = vertex_distances(g, "a")
+    assert dist["c"] == pytest.approx(3.75)
+    assert dist["a"] == 0.0
 
 
 def test_distance_symmetry_and_triangle_inequality():
@@ -175,43 +171,14 @@ def test_distance_symmetry_and_triangle_inequality():
     rng = np.random.default_rng(11)
     for _ in range(25):
         u, v, w = (str(x) for x in rng.choice(names, size=3))
-        duv = graph_distance(g, u, v)
-        assert duv == pytest.approx(graph_distance(g, v, u))
-        assert duv <= graph_distance(g, u, w) + graph_distance(g, w, v) + 1e-12
+        du, dv = vertex_distances(g, u), vertex_distances(g, v)
+        assert du[v] == pytest.approx(dv[u])
+        assert du[v] <= du[w] + vertex_distances(g, w)[v] + 1e-12
 
 
 def test_parallel_edge_shortcut_wins():
     g = build_graph(PARALLEL)
-    assert graph_distance(g, "v", "w") == pytest.approx(2.0)
-
-
-def test_metric_ball_enters_edges_from_both_ends():
-    g = build_graph(PARALLEL)
-    ball = metric_ball(g, "v", 3.0)
-    assert ball["short"] == ((0.0, 2.0),)
-    assert ball["long"] == ((0.0, 3.0), (9.0, 10.0))
-
-
-def test_metric_ball_merges_pieces_when_they_meet():
-    g = build_graph(PARALLEL)
-    two = metric_ball(g, "v", 5.5)
-    assert two["long"] == ((0.0, 5.5), (6.5, 10.0))
-    merged = metric_ball(g, "v", 6.5)
-    assert merged["long"] == ((0.0, 10.0),)
-
-
-def test_metric_ball_partial_single_edge():
-    g = build_graph(
-        """
-vertices: [v, w]
-edges:
-  - {id: e, from: v, to: w, length: 4.0}
-"""
-    )
-    assert metric_ball(g, "v", 1.5) == {"e": ((0.0, 1.5),)}
-    assert metric_ball(g, "w", 1.5) == {"e": ((2.5, 4.0),)}
-    with pytest.raises(ValueError):
-        metric_ball(g, "v", 0.0)
+    assert vertex_distances(g, "v")["w"] == pytest.approx(2.0)
 
 
 def test_figure_one_graph_has_only_odd_degrees():
@@ -221,7 +188,8 @@ def test_figure_one_graph_has_only_odd_degrees():
     assert degs["v1"] == 5
     assert degs["v3"] == 5
     assert not g.is_compact
-    assert odd_degree_vertices(g) == [f"v{i}" for i in range(1, 10)]
+    sites = [v for v in g.vertices if admissible_peak_degree(g.degree(v))]
+    assert sites == [f"v{i}" for i in range(1, 10)]
 
 
 def test_star_neighborhood_radius_single_and_multi():
@@ -256,8 +224,10 @@ def test_insert_midpoints_splits_only_peak_joining_edges():
     new = set(h.vertices) - set(g.vertices)
     assert new == {"bridge__mid"}
     assert h.degree("bridge__mid") == 2
-    assert h.total_length == pytest.approx(g.total_length)
-    assert graph_distance(h, "p", "bridge__mid") == pytest.approx(1.0)
+    assert sum(e.length for e in h.edges) == pytest.approx(
+        sum(e.length for e in g.edges)
+    )
+    assert vertex_distances(h, "p")["bridge__mid"] == pytest.approx(1.0)
     ids = {e.id for e in h.edges}
     assert {"ea", "eb", "bridge__a", "bridge__b"} <= ids
     assert "bridge" not in ids
@@ -298,7 +268,7 @@ def test_multi_mode_balls_after_midpoint_split_are_disjoint():
 )
 def test_reference_graphs_load(name):
     g = reference_graph(name)
-    assert g.total_length > 0
+    assert all(e.length > 0 for e in g.edges)
     assert len(g.vertices) >= 2
 
 
@@ -311,5 +281,6 @@ def test_random_path_distances_match_partial_sums():
         for i, ell in enumerate(lengths):
             lines.append(f"  - {{id: e{i}, from: v{i}, to: v{i + 1}, length: {ell!r}}}")
         g = build_graph("\n".join(lines))
+        dist = vertex_distances(g, "v0")
         for j in range(n):
-            assert graph_distance(g, "v0", f"v{j}") == pytest.approx(sum(lengths[:j]))
+            assert dist[f"v{j}"] == pytest.approx(sum(lengths[:j]))
