@@ -78,6 +78,20 @@ class ExperimentConfig:
         if not self.lambdas:
             raise ValueError("lambda schedule is empty")
         self.solve_config()  # rejects out-of-range solver knobs
+        # each shift writes its states to a directory named by its shift
+        by_name: dict[str, list[float]] = {}
+        for lam in self.lambdas:
+            by_name.setdefault(_state_dir_name(lam), []).append(lam)
+        clashes = [
+            f"{name} ({', '.join(map(repr, lams))})"
+            for name, lams in by_name.items()
+            if len(lams) > 1
+        ]
+        if clashes:
+            raise ValueError(
+                "shifts equal to 6 significant digits would share a state "
+                "directory: " + "; ".join(clashes)
+            )
 
     def solve_config(self) -> SolveConfig:
         # every SolveConfig knob is a field of the same name here, except
@@ -104,6 +118,10 @@ def _load_config_graph(name: str) -> MetricGraph:
     if name in _BUILTIN_GRAPHS:
         return reference_graph(name)
     return load_graph(name)
+
+
+def _state_dir_name(lam: float) -> str:
+    return f"state_lam{lam:g}"
 
 
 def _fmt(x) -> str:
@@ -220,7 +238,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         ] + [_fmt(off) for _, off in res.peak_locations]
         rows.append(row)
 
-        state_dir = outdir / f"state_lam{res.lam:g}"
+        state_dir = outdir / _state_dir_name(res.lam)
         state_dir.mkdir(exist_ok=True)
         _write_state_files(state_dir, res.u)
 
@@ -245,6 +263,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
             {
                 "lam": res.lam,
                 "converged": res.converged,
+                "termination": res.termination,
                 "iterations": res.iterations,
                 "backtracks": res.backtracks,
             }

@@ -191,6 +191,36 @@ class DiscreteField:
         return DiscreteField(self.mesh, self.values.copy())
 
 
+def positive_power(v: np.ndarray, p: float) -> np.ndarray:
+    """np.maximum(v, 0.0) ** p for p > 0, bit for bit, avoiding slow pow calls.
+
+    A bound state decays like exp(-sqrt(lam) * t) away from its peaks,
+    so most nodal values of a sharp state are tiny or rounding-negative:
+    at lam = 1600 on star5, 60% lie below 1e-100 of the peak.  pow
+    computes an underflowing power, and a power of zero, on a slow
+    special-case path: on that lam = 1600 state, numpy's AVX-512 pow
+    took 19 ms for the plain expression and 4.5 ms here.  Every entry whose
+    power is known to be +0.0 therefore takes the power of 1.0 instead,
+    and is set to +0.0 afterwards:
+
+    - v < 0: the positive part is +0.0, and pow(+0.0, p) = +0.0;
+    - 0 < v <= 10**(-330/p): v**p <= 1e-330 up to the rounding of the
+      bound, far below 2**-1075 (about 2.5e-324), half the smallest
+      subnormal, so the rounded power is +0.0.
+
+    Every other entry (NaN, +-0.0, +inf and the rest) is raised to p by
+    the same `**` at the same position as before, so its bits are
+    pow's.  For p near 1 the bound underflows to 0.0, and only the
+    negative entries are replaced.
+    """
+    m = np.maximum(v, 0.0)
+    zero = (v <= 10.0 ** (-330.0 / p)) & (v != 0.0)
+    m[zero] = 1.0
+    m **= p
+    m[zero] = 0.0
+    return m
+
+
 @dataclass(frozen=True)
 class EdgeBands:
     """An operator that is tridiagonal on each edge's interior.
@@ -222,36 +252,46 @@ class EdgeBands:
             self, **{k: a + scale * theirs[k] for k, a in self._arrays().items()}
         )
 
-    def scale_columns(self, s: np.ndarray) -> "EdgeBands":
-        """self @ diag(s) for a nodal vector s."""
+    def minus_scaled_columns(self, other: "EdgeBands", s: np.ndarray) -> "EdgeBands":
+        """self - other @ diag(s) for a nodal vector s, one product per band.
+
+        Bit for bit self.plus(other @ diag(s), -1.0): negation is exact,
+        and adding a negated product is subtracting it.
+        """
         lay = self.mesh.layout
         sv, si = s[: lay.nv], s[lay.nv :]
+
+        def minus(mine, theirs, scale):
+            out = np.multiply(theirs, scale)
+            return np.subtract(mine, out, out=out)
+
         return replace(
             self,
-            vertex_diag=self.vertex_diag * sv,
-            diag=self.diag * si,
-            upper=self.upper * si[1:],
-            lower=self.lower * si[:-1],
-            head_row=self.head_row * si[lay.first],
-            head_col=self.head_col * sv[lay.src],
-            tail_row=self.tail_row * si[lay.last],
-            tail_col=self.tail_col * sv[lay.dst],
+            vertex_diag=minus(self.vertex_diag, other.vertex_diag, sv),
+            diag=minus(self.diag, other.diag, si),
+            upper=minus(self.upper, other.upper, si[1:]),
+            lower=minus(self.lower, other.lower, si[:-1]),
+            head_row=minus(self.head_row, other.head_row, si[lay.first]),
+            head_col=minus(self.head_col, other.head_col, sv[lay.src]),
+            tail_row=minus(self.tail_row, other.tail_row, si[lay.last]),
+            tail_col=minus(self.tail_col, other.tail_col, sv[lay.dst]),
         )
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         lay = self.mesh.layout
         xv, xi = x[: lay.nv], x[lay.nv :]
-        yi = self.diag * xi
-        yi[:-1] += self.upper * xi[1:]
-        yi[1:] += self.lower * xi[:-1]
+        y = np.empty(self.mesh.ndof)
+        yv, yi = y[: lay.nv], y[lay.nv :]
+        np.multiply(self.diag, xi, out=yi)
+        coupled = np.multiply(self.upper, xi[1:])
+        yi[:-1] += coupled
+        yi[1:] += np.multiply(self.lower, xi[:-1], out=coupled)
         yi[lay.first] += self.head_col * xv[lay.src]
         yi[lay.last] += self.tail_col * xv[lay.dst]
-        yv = (
-            self.vertex_diag * xv
-            + np.bincount(lay.src, self.head_row * xi[lay.first], minlength=lay.nv)
-            + np.bincount(lay.dst, self.tail_row * xi[lay.last], minlength=lay.nv)
-        )
-        return np.concatenate([yv, yi])
+        np.multiply(self.vertex_diag, xv, out=yv)
+        yv += np.bincount(lay.src, self.head_row * xi[lay.first], minlength=lay.nv)
+        yv += np.bincount(lay.dst, self.tail_row * xi[lay.last], minlength=lay.nv)
+        return y
 
     def tocsr(self) -> sp.csr_matrix:
         """The operator as a sparse matrix, for sparse-direct references."""
@@ -323,13 +363,22 @@ class CondensedFactor:
     complement on the free vertex unknowns, factored with getrf.  A
     solve costs O(ndof) and returns zero at the Dirichlet dofs.  Raises
     SolveFailure on a zero pivot or a singular vertex block.
+
+    With overwrite_interior, gttrf factors bands.lower, .diag and .upper
+    in place instead of copying them first; they must be three distinct
+    arrays that nothing reads afterwards, as with a fresh Jacobian.
     """
 
-    def __init__(self, bands: EdgeBands):
+    def __init__(self, bands: EdgeBands, overwrite_interior: bool = False):
         lay = bands.mesh.layout
         self._bands = bands
         dl, d, du, du2, ipiv, info = lapack.dgttrf(
-            bands.lower, bands.diag, bands.upper
+            bands.lower,
+            bands.diag,
+            bands.upper,
+            overwrite_dl=overwrite_interior,
+            overwrite_d=overwrite_interior,
+            overwrite_du=overwrite_interior,
         )
         if info != 0:
             raise SolveFailure(f"zero pivot at interior dof {lay.nv + info - 1}")
@@ -358,17 +407,23 @@ class CondensedFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         bands = self._bands
         lay = bands.mesh.layout
-        y, _ = lapack.dgttrs(*self._tri, b[lay.nv :])
+        nv = lay.nv
+        x = np.array(b, dtype=float)
+        # the interior solve runs in place on x's interior slice
+        y, _ = lapack.dgttrs(*self._tri, x[nv:], overwrite_b=True)
         rhs = (
-            b[: lay.nv]
-            - np.bincount(lay.src, bands.head_row * y[lay.first], minlength=lay.nv)
-            - np.bincount(lay.dst, bands.tail_row * y[lay.last], minlength=lay.nv)
+            b[:nv]
+            - np.bincount(lay.src, bands.head_row * y[lay.first], minlength=nv)
+            - np.bincount(lay.dst, bands.tail_row * y[lay.last], minlength=nv)
         )
-        xv = np.zeros(lay.nv)
+        xv = x[:nv]
+        xv[:] = 0.0
         xv[lay.free_vertices] = lapack.dgetrs(*self._schur, rhs[lay.free_vertices])[0]
-        y -= self._from_head * np.repeat(bands.head_col * xv[lay.src], lay.sizes)
-        y -= self._from_tail * np.repeat(bands.tail_col * xv[lay.dst], lay.sizes)
-        return np.concatenate([xv, y])
+        correction = np.repeat(bands.head_col * xv[lay.src], lay.sizes)
+        y -= np.multiply(self._from_head, correction, out=correction)
+        correction = np.repeat(bands.tail_col * xv[lay.dst], lay.sizes)
+        y -= np.multiply(self._from_tail, correction, out=correction)
+        return x
 
 
 @dataclass
@@ -432,10 +487,17 @@ def resolvent_apply(op: KirchhoffOperator, g_rhs: DiscreteField) -> DiscreteFiel
     return DiscreteField(op.mesh, x)
 
 
-def lambda_norm(op: KirchhoffOperator, u: DiscreteField) -> float:
-    """sqrt(u' . u' + lam * u . u) in the assembled quadrature."""
+def lambda_norm(
+    op: KirchhoffOperator, u: DiscreteField, shifted_u: np.ndarray | None = None
+) -> float:
+    """sqrt(u' . u' + lam * u . u) in the assembled quadrature.
+
+    shifted_u, if the caller has it, is op.shifted @ u.values.
+    """
     v = u.values
-    q = float(v @ (op.shifted @ v))
+    if shifted_u is None:
+        shifted_u = op.shifted @ v
+    q = float(v @ shifted_u)
     if q < 0.0 and q < -1e-12 * max(1.0, float(v @ (op.mass @ v))):
         raise NegativeForm(f"shifted form returned {q}")
     return math.sqrt(max(q, 0.0))

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .discrete import DiscreteField, KirchhoffOperator, assemble
+from .discrete import DiscreteField, KirchhoffOperator, assemble, positive_power
 from .errors import NotConverged
 from .profiles import beta
 
@@ -48,7 +46,7 @@ def evaluate_functionals(
     v = u.values
     kinetic = float(v @ (op.stiffness @ v))
     mass = float(v @ (op.mass @ v))
-    potential = float(v @ (op.mass @ np.maximum(v, 0.0) ** (2.0 * mu + 1.0)))
+    potential = float(v @ (op.mass @ positive_power(v, 2.0 * mu + 1.0)))
     energy = 0.5 * kinetic - potential / (2.0 * mu + 2.0)
     action = energy + 0.5 * op.lam * mass
     nehari = kinetic + op.lam * mass - potential

@@ -138,25 +138,19 @@ class AnsatzSpec:
         return AnsatzSpec(self.peaks, self.mu, lam, self.alpha, self.cutoff_kind)
 
 
-def _assign_on_rays(
-    mesh: Mesh,
-    star: StarNeighborhood,
-    out: np.ndarray,
-    ray_fn,
-    reach: float,
-) -> None:
-    """Write ray_fn(ray_index, distances) onto the star's rays.
+def _rays(mesh: Mesh, star: StarNeighborhood, reach: float):
+    """Yield (ray index, dofs, distances) of the nodes within reach of the center.
 
     Rays from the same peak only share the center node, where every ray
-    yields the same value, so plain assignment is well defined.
+    yields the same value up to the sign of a zero, so plain assignment
+    ray after ray is well defined; the last ray sets the sign.
     """
     for i, (eid, away) in enumerate(star.incident_edges):
         nodes = mesh.edge_nodes[eid]
         t = nodes if away else nodes[-1] - nodes
         sel = t <= reach
-        if not np.any(sel):
-            continue
-        out[mesh.edge_dofs[eid][sel]] = ray_fn(i, t[sel])
+        if np.any(sel):
+            yield i, mesh.edge_dofs[eid][sel], t[sel]
 
 
 def assemble_ansatz(
@@ -183,15 +177,12 @@ def assemble_ansatz(
         for j, vec in enumerate(basis.vectors):
             ray_sign += b[j] * vec
         ell = star.radius
-
-        def ray_fn(i, t, _ell=ell, _sign=ray_sign):
-            chi = eval_cutoff(spec.cutoff_kind, _ell, t)
-            body = eval_soliton(p, root * t) + _sign[i] * soliton_derivative(
+        for i, dofs, t in _rays(mesh, star, 2.0 * ell):
+            chi = eval_cutoff(spec.cutoff_kind, ell, t)
+            body = eval_soliton(p, root * t) + ray_sign[i] * soliton_derivative(
                 p, root * t
             )
-            return chi * scale * np.asarray(body)
-
-        _assign_on_rays(mesh, star, vals, ray_fn, 2.0 * ell)
+            vals[dofs] = chi * scale * np.asarray(body)
     return DiscreteField(mesh, vals)
 
 
@@ -203,13 +194,8 @@ def sample_star_state(
     root = math.sqrt(lam)
     p = SolitonParams(mu)
     out = np.zeros(mesh.ndof)
-    _assign_on_rays(
-        mesh,
-        star,
-        out,
-        lambda i, t: scale * np.asarray(eval_soliton(p, root * t)),
-        math.inf,
-    )
+    for _, dofs, t in _rays(mesh, star, math.inf):
+        out[dofs] = scale * np.asarray(eval_soliton(p, root * t))
     return out
 
 
@@ -235,15 +221,42 @@ def sample_kernel_mode(
     signs = basis.vectors[j - 1]
     out = np.zeros(mesh.ndof)
     reach = 2.0 * star.radius if cutoff_kind is not None else math.inf
-
-    def ray_fn(i, t):
+    for i, dofs, t in _rays(mesh, star, reach):
         body = scale * float(signs[i]) * np.asarray(soliton_derivative(p, root * t))
         if cutoff_kind is not None:
             body = body * eval_cutoff(cutoff_kind, star.radius, t)
-        return body
-
-    _assign_on_rays(mesh, star, out, ray_fn, reach)
+        out[dofs] = body
     return out
+
+
+def sample_kernel_modes(
+    mesh: Mesh,
+    star: StarNeighborhood,
+    lam: float,
+    mu: float,
+    cutoff_kind: str | None = None,
+) -> list[np.ndarray]:
+    """sample_kernel_mode for j = 1, ..., degree-1, bit for bit.
+
+    The modes differ on a ray only by their sign factor, so each ray's
+    soliton derivative and taper are evaluated once and shared by all
+    of them, in the same order of operations as one mode at a time.
+    """
+    basis = kernel_basis(star.degree)
+    scale = lam ** (1.0 / (2.0 * mu))
+    root = math.sqrt(lam)
+    p = SolitonParams(mu)
+    modes = [np.zeros(mesh.ndof) for _ in basis.vectors]
+    reach = 2.0 * star.radius if cutoff_kind is not None else math.inf
+    for i, dofs, t in _rays(mesh, star, reach):
+        slope = np.asarray(soliton_derivative(p, root * t))
+        taper = None
+        if cutoff_kind is not None:
+            taper = eval_cutoff(cutoff_kind, star.radius, t)
+        for out, signs in zip(modes, basis.vectors):
+            body = scale * float(signs[i]) * slope
+            out[dofs] = body if taper is None else body * taper
+    return modes
 
 
 def beta(a: float, b: float) -> float:

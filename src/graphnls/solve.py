@@ -27,12 +27,20 @@ from .discrete import (
     dual_residual_norm,
     edge_bands,
     lambda_norm,
+    positive_power,
     refined_mesh,
 )
 from .errors import NotConverged, SingularJacobian, SolveFailure
 from .functionals import FunctionalReport
 from .graphs import MetricGraph, admissible_peak_degree
-from .profiles import AnsatzSpec, assemble_ansatz, sample_kernel_mode
+
+# sample_kernel_mode is unused here; bench/tracer.py wraps it by this name
+from .profiles import (
+    AnsatzSpec,
+    assemble_ansatz,
+    sample_kernel_mode,
+    sample_kernel_modes,
+)
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,9 @@ class BoundStateResult:
 
     residual_norm is the natural-norm residual relative to the state's
     own size, the quantity the Newton tolerance is applied to.
+    termination says why Newton stopped: "converged", "max_iters" (the
+    iteration cap) or "line_search_stall" (no trial step down to 2**-24
+    decreased the residual).
     backtracks counts the line-search trial steps beyond the first of
     each Newton iteration.  correction_norm, kernel_component_norm,
     peak_locations and functionals are filled by the sweep, which knows
@@ -105,6 +116,7 @@ class BoundStateResult:
     u: DiscreteField
     lam: float
     converged: bool
+    termination: str
     iterations: int
     residual_norm: float
     residual_norm_absolute: float
@@ -117,30 +129,38 @@ class BoundStateResult:
 
 
 def _nodal_nonlinearity(mu: float, v: np.ndarray) -> np.ndarray:
-    return np.maximum(v, 0.0) ** (2.0 * mu + 1.0)
+    return positive_power(v, 2.0 * mu + 1.0)
 
 
 def _nodal_nonlinearity_slope(mu: float, v: np.ndarray) -> np.ndarray:
-    return (2.0 * mu + 1.0) * np.maximum(v, 0.0) ** (2.0 * mu)
+    slope = positive_power(v, 2.0 * mu)
+    slope *= 2.0 * mu + 1.0
+    return slope
 
 
 def nonlinear_residual(
-    op: KirchhoffOperator, mu: float, u: DiscreteField
+    op: KirchhoffOperator,
+    mu: float,
+    u: DiscreteField,
+    shifted_u: np.ndarray | None = None,
 ) -> DiscreteField:
     """Weak-form residual S u + lam M u - M f(u), f = (u+)^(2*mu+1).
 
     Zero exactly at discrete Kirchhoff solutions; the positive part in
     f means nonpositive states produce a purely linear residual.
+    shifted_u, if the caller has it, is op.shifted @ u.values; the
+    residual is written over it.
     """
     v = u.values
-    r = op.shifted @ v - op.mass @ _nodal_nonlinearity(mu, v)
+    r = op.shifted @ v if shifted_u is None else shifted_u
+    r -= op.mass @ _nodal_nonlinearity(mu, v)
     return DiscreteField(op.mesh, r)
 
 
 def jacobian(op: KirchhoffOperator, mu: float, u: DiscreteField) -> EdgeBands:
     """Exact derivative of the discrete residual: S + lam M - M f'(u)."""
     slope = _nodal_nonlinearity_slope(mu, u.values)
-    return op.shifted.plus(op.mass.scale_columns(slope), -1.0)
+    return op.shifted.minus_scaled_columns(op.mass, slope)
 
 
 def linearization_bands(
@@ -156,9 +176,17 @@ def linearization_bands(
     return op.shifted.plus(W, -1.0)
 
 
-def _relative_residual(op: KirchhoffOperator, r: np.ndarray, u: DiscreteField):
+def _residual_and_norms(op: KirchhoffOperator, mu: float, u: DiscreteField):
+    """The residual of u with its relative and absolute natural norms.
+
+    One shifted band product serves both the lambda-norm of u, which the
+    relative norm divides by, and the residual, which is written over it.
+    """
+    shifted_u = op.shifted @ u.values
+    size = max(1.0, lambda_norm(op, u, shifted_u))
+    r = nonlinear_residual(op, mu, u, shifted_u).values
     absolute = dual_residual_norm(op, r)
-    return absolute / max(1.0, lambda_norm(op, u)), absolute
+    return r, absolute / size, absolute
 
 
 def newton_solve(
@@ -177,14 +205,17 @@ def newton_solve(
     v[op.mesh.dirichlet_dofs] = 0.0
     u = DiscreteField(op.mesh, v)
     # the residual of the current state; an accepted trial hands on its own
-    r = nonlinear_residual(op, mu, u).values
-    rel, absolute = _relative_residual(op, r, u)
+    r, rel, absolute = _residual_and_norms(op, mu, u)
     converged = rel <= cfg.newton_tol
+    stalled = False
     iters = trials = 0
     while not converged and iters < cfg.max_iters:
         iters += 1
         try:
-            step = CondensedFactor(jacobian(op, mu, u)).solve(-r)
+            # the fresh Jacobian is factored in place: nothing else reads it
+            step = CondensedFactor(
+                jacobian(op, mu, u), overwrite_interior=True
+            ).solve(-r)
         except SolveFailure as exc:
             raise SingularJacobian(str(exc)) from exc
         if not np.all(np.isfinite(step)):
@@ -193,22 +224,29 @@ def newton_solve(
         t, accepted = 1.0, False
         while t >= 2.0**-24:
             trials += 1
-            trial = DiscreteField(op.mesh, u.values + t * step)
-            trial_r = nonlinear_residual(op, mu, trial).values
-            trial_rel, trial_abs = _relative_residual(op, trial_r, trial)
+            trial_v = t * step  # u + t * step, in one buffer
+            trial_v += u.values
+            trial = DiscreteField(op.mesh, trial_v)
+            trial_r, trial_rel, trial_abs = _residual_and_norms(op, mu, trial)
             if trial_rel <= (1.0 - 1e-4 * t) * rel or trial_rel <= cfg.newton_tol:
                 u, r, rel, absolute = trial, trial_r, trial_rel, trial_abs
                 accepted = True
                 break
             t *= cfg.damping
         if not accepted:
+            stalled = True
             break
         converged = rel <= cfg.newton_tol
 
+    if converged:
+        termination = "converged"
+    else:
+        termination = "line_search_stall" if stalled else "max_iters"
     return BoundStateResult(
         u=u,
         lam=op.lam,
         converged=bool(converged),
+        termination=termination,
         iterations=iters,
         backtracks=trials - iters,
         residual_norm=rel,
@@ -218,27 +256,27 @@ def newton_solve(
 
 
 def kernel_projection_diagnostics(
-    op: KirchhoffOperator, result: BoundStateResult, ansatz: AnsatzSpec
+    op: KirchhoffOperator,
+    result: BoundStateResult,
+    ansatz: AnsatzSpec,
+    seed: DiscreteField,
 ) -> tuple[float, float]:
     """Split u - W along the tapered kernel modes, in the natural norm.
 
-    The modes are nearly orthogonal already; the small Gram system is
-    solved exactly anyway.  Returns (norm of the kernel component,
-    norm of the orthogonal complement component).
+    seed is W, the ansatz state assembled on op's mesh.  The modes are
+    nearly orthogonal already; the small Gram system is solved exactly
+    anyway.  Returns (norm of the kernel component, norm of the
+    orthogonal complement component).
     """
     if not result.converged:
         raise NotConverged("kernel diagnostics need a converged result")
     mesh = op.mesh
-    seed = assemble_ansatz(mesh.graph, ansatz, mesh)
     phi = result.u.values - seed.values
     modes = []
     for star, _ in ansatz.peaks:
-        for j in range(1, star.degree):
-            modes.append(
-                sample_kernel_mode(
-                    mesh, star, j, ansatz.lam, ansatz.mu, ansatz.cutoff_kind
-                )
-            )
+        modes += sample_kernel_modes(
+            mesh, star, ansatz.lam, ansatz.mu, ansatz.cutoff_kind
+        )
     # one band product per mode and one for phi; the dot products are
     # those of lambda_inner(op, a, b) = a @ (shifted @ b)
     shifted_modes = [op.shifted @ b for b in modes]
@@ -323,7 +361,7 @@ def continuation_sweep(
             op, DiscreteField(mesh, res.u.values - seed.values)
         )
         if res.converged:
-            kn, _ = kernel_projection_diagnostics(op, res, spec)
+            kn, _ = kernel_projection_diagnostics(op, res, spec, seed)
             res.kernel_component_norm = kn
             prev = res
         res.peak_locations = peak_offsets(mesh, res.u, spec)

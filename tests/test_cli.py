@@ -58,6 +58,7 @@ def test_solve_writes_the_expected_artifacts(tmp_path):
     assert [r["lam"] for r in manifest["results"]] == [25.0, 50.0]
     assert all(r["converged"] for r in manifest["results"])
     assert all(r["backtracks"] >= 0 for r in manifest["results"])
+    assert all(r["termination"] == "converged" for r in manifest["results"])
     # every knob is echoed with its resolved value
     cfg = manifest["config"]
     for key in (
@@ -102,6 +103,54 @@ def test_solve_output_is_deterministic(tmp_path):
     assert (out1 / state).read_bytes() == (out2 / state).read_bytes()
     for name, digest in GOLDEN_SHA256.items():
         assert hashlib.sha256((out1 / name).read_bytes()).hexdigest() == digest, name
+
+
+# SHA-256 of `solve --graph figure1 --peak v1 --lambdas 25,50,100` with
+# BLAS threads pinned to 1.  lam=25 and 50 stall in the line search and
+# lam=100 converges after 143 backtracks, so these pin the Newton
+# kernels bit for bit: a 1e-15 change in a step alters the history.
+FIGURE1_GOLDEN_SHA256 = {
+    "diagnostics.csv": "d9178123615c52201794e76d3a199c92f0cc523aad6a92246d15c5a521fa65e3",
+    "state_lam100/h1.txt": "53f8c1527b897d6352d18fab50f236389f394d6139f8151560df3bf913386df6",
+}
+
+
+def test_figure1_stall_and_backtracks_are_bit_for_bit(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {**os.environ, "PYTHONPATH": src, **dict.fromkeys(threads, "1")}
+    out = tmp_path / "figure1"
+    argv = ["solve", "--graph", "figure1", "--peak", "v1", "--lambdas", "25,50,100"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphnls.cli", *argv, "--outdir", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [r["termination"] for r in manifest["results"]] == [
+        "line_search_stall",
+        "line_search_stall",
+        "converged",
+    ]
+    assert manifest["results"][2]["backtracks"] == 143
+    for name, digest in FIGURE1_GOLDEN_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_solve_rejects_shifts_sharing_a_state_directory(tmp_path, capsys):
+    # %g keeps 6 significant digits: both shifts would write state_lam100
+    out = tmp_path / "clash"
+    argv = ["solve", "--graph", "tripod", "--peak", "c"]
+    rc = main(argv + ["--lambdas", "100,100.0000001", "--outdir", str(out)])
+    assert rc == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "state_lam100 (100.0, 100.0000001)" in record["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    assert capsys.readouterr().out == ""
 
 
 def test_state_text_matches_per_value_formatting():

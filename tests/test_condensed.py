@@ -106,7 +106,10 @@ def test_shifted_solve_matches_sparse_direct_reference(name):
     b = np.random.default_rng(1).standard_normal(mesh.ndof)
     A = (op.stiffness.tocsr() + op.lam * op.mass.tocsr())[free][:, free].tocsc()
     reference = spla.spsolve(A, b[free])
+    b_before = b.copy()
     x = op.factor().solve(b)
+    # the interior solve runs in place on the result, not on b
+    assert np.array_equal(b, b_before)
     assert np.all(x[mesh.dirichlet_dofs] == 0.0)
     err = np.linalg.norm(x[free] - reference) / np.linalg.norm(reference)
     assert err <= 1e-12
@@ -127,6 +130,30 @@ def test_jacobian_solve_at_the_seed_is_as_accurate_as_the_reference(name):
     ours = np.linalg.norm(J @ x - b) / np.linalg.norm(b)
     theirs = np.linalg.norm(J @ reference - b) / np.linalg.norm(b)
     assert ours <= 10.0 * theirs
+
+
+@pytest.mark.parametrize("name", sorted(PEAKS))
+def test_jacobian_bands_equal_shifted_plus_negated_scaled_mass(name):
+    # bit for bit the two-step form S + lam M + (-1) * (M diag(s))
+    op, seed = _seeded_operator(name)
+    lay = op.mesh.layout
+    s = 3.0 * np.maximum(seed.values, 0.0) ** 2.0
+    sv, si = s[: lay.nv], s[lay.nv :]
+    columns = {
+        "vertex_diag": sv,
+        "diag": si,
+        "upper": si[1:],
+        "lower": si[:-1],
+        "head_row": si[lay.first],
+        "head_col": sv[lay.src],
+        "tail_row": si[lay.last],
+        "tail_col": sv[lay.dst],
+    }
+    bands = jacobian(op, 1.0, seed)
+    for key, scale in columns.items():
+        mine, theirs = getattr(op.shifted, key), getattr(op.mass, key)
+        expect = mine + -1.0 * (theirs * scale)
+        assert getattr(bands, key).tobytes() == expect.tobytes(), key
 
 
 @pytest.mark.parametrize("name", ["figure1", "star5"])

@@ -22,6 +22,7 @@ from graphnls.discrete import (
     kirchhoff_flux,
     lambda_inner,
     one_sided_derivative,
+    positive_power,
 )
 from graphnls.errors import IndefiniteOperator, NegativeForm
 
@@ -246,3 +247,33 @@ def test_discrete_field_helpers():
     mesh = uniform_mesh(g, 0.1)
     with pytest.raises(ValueError):
         DiscreteField(mesh, np.zeros(3))
+
+
+@pytest.mark.parametrize("p", [1.0001, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0])
+def test_positive_power_is_bitwise_the_plain_expression(p):
+    # magnitudes from the smallest subnormal up to 1e3, both signs, with
+    # +-0, NaN, +-inf and the values around the replacement bound
+    rng = np.random.default_rng(11)
+    v = 10.0 ** rng.uniform(-323.7, 3.0, 400_000) * rng.choice([-1.0, 1.0], 400_000)
+    bound = 10.0 ** (-330.0 / p)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+    special += [2.2250738585072014e-308, bound, -bound, 2.0 ** (-1075.0 / p)]
+    special += [bound * (1.0 + 1e-15), bound * (1.0 - 1e-15), 1.0, -1.0]
+    v[: len(special)] = special
+    v[len(special) :: 7] = 0.0  # runs of zeros and signed zeros as well
+    v[len(special) + 1 :: 7] = -0.0
+    expect = np.maximum(v, 0.0) ** p
+    got = positive_power(v, p)
+    assert got.tobytes() == expect.tobytes()
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert not np.shares_memory(got, v)
+
+
+def test_positive_power_on_a_decaying_state():
+    # a sharp peak whose tail underflows and flips sign by rounding, as
+    # a bound state's does far from its peak
+    t = np.linspace(0.0, 30.0, 200_001)
+    v = 40.0 * np.exp(-40.0 * t) + 1e-300 * np.sin(1e3 * t)
+    assert np.mean(v < 0.0) > 0.1 and np.mean(np.abs(v) < 1e-110) > 0.3
+    for p in (2.0, 3.0):
+        assert positive_power(v, p).tobytes() == (np.maximum(v, 0.0) ** p).tobytes()

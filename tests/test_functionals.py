@@ -225,6 +225,7 @@ def test_ground_state_gap_input_guards():
         u=res.u,
         lam=res.lam,
         converged=False,
+        termination="max_iters",
         iterations=0,
         residual_norm=1.0,
         residual_norm_absolute=1.0,

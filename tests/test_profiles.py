@@ -14,6 +14,8 @@ from graphnls import (
     eval_soliton,
     kernel_basis,
     reduced_cubic_coefficient,
+    reference_graph,
+    refined_mesh,
     sample_kernel_mode,
     sample_star_state,
     soliton_derivative,
@@ -22,6 +24,7 @@ from graphnls import (
 )
 from graphnls.discrete import DiscreteField, kirchhoff_flux
 from graphnls.errors import DimensionMismatch, IndexOutOfRange
+from graphnls.profiles import sample_kernel_modes
 
 MU_GRID = (0.5, 1.0, 2.0, 3.3)
 
@@ -232,6 +235,21 @@ def test_sampled_kernel_mode_signs_and_taper():
     assert tapered[mesh.edge_dofs["e1"]][-1] == 0.0
     with pytest.raises(IndexOutOfRange):
         sample_kernel_mode(mesh, star, 3, lam, 1.0)
+
+
+@pytest.mark.parametrize("name, peak", [("star5", "c"), ("figure1", "v1")])
+@pytest.mark.parametrize("cutoff", [None, "cos2"])
+def test_shared_profile_modes_equal_one_mode_at_a_time(name, peak, cutoff):
+    # bitwise, including the sign of the zero each ray writes at the center
+    g = reference_graph(name)
+    star = star_neighborhood(g, peak, mode="single")
+    lam = 100.0
+    mesh = refined_mesh(g, lam, [peak], nodes_per_width=10.0)
+    modes = sample_kernel_modes(mesh, star, lam, 1.0, cutoff)
+    assert len(modes) == star.degree - 1
+    for j, mode in enumerate(modes, start=1):
+        one = sample_kernel_mode(mesh, star, j, lam, 1.0, cutoff)
+        assert mode.tobytes() == one.tobytes(), j
 
 
 def test_reduced_cubic_coefficient_frozen_values():

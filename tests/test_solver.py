@@ -88,7 +88,7 @@ def test_newton_converges_from_the_peaked_seed():
     seed = assemble_ansatz(g, spec, mesh)
     cfg = SolveConfig(mu=1.0, newton_tol=1e-10)
     res = newton_solve(op, 1.0, seed, cfg)
-    assert res.converged
+    assert res.converged and res.termination == "converged"
     assert res.iterations <= 8
     assert res.residual_norm <= 1e-10
     assert res.min_value > 0.0
@@ -140,6 +140,19 @@ def test_newton_flags_nonconvergence_within_budget():
     res = newton_solve(op, 1.0, seed, cfg)
     assert not res.converged
     assert res.iterations == 1
+    assert res.termination == "max_iters"
+
+
+def test_newton_names_a_line_search_stall():
+    # figure1's degree-5 peak at lam=25: the steps along the near-kernel
+    # overshoot, and no trial step down to 2**-24 lowers the residual
+    g = reference_graph("figure1")
+    star = star_neighborhood(g, "v1", mode="single")
+    template = AnsatzSpec(((star, (0.0,) * 4),), mu=1.0, lam=25.0, alpha=0.25)
+    (res,) = continuation_sweep(g, template, SolveConfig(lambda_schedule=(25.0,)))
+    assert not res.converged
+    assert res.termination == "line_search_stall"
+    assert 0 < res.iterations < SolveConfig.max_iters
 
 
 def test_jacobian_matches_directional_differences():
@@ -307,13 +320,15 @@ def test_kernel_diagnostics_require_convergence():
         u=DiscreteField(mesh, np.zeros(mesh.ndof)),
         lam=4.0,
         converged=False,
+        termination="max_iters",
         iterations=0,
         residual_norm=1.0,
         residual_norm_absolute=1.0,
         min_value=0.0,
     )
     with pytest.raises(NotConverged):
-        kernel_projection_diagnostics(op, fake, spec.with_lam(4.0))
+        seed = assemble_ansatz(g, spec.with_lam(4.0), mesh)
+        kernel_projection_diagnostics(op, fake, spec.with_lam(4.0), seed)
 
 
 def test_peak_offsets_catch_displaced_maxima():
