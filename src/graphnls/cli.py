@@ -79,18 +79,12 @@ class ExperimentConfig:
             raise ValueError("lambda schedule is empty")
         self.solve_config()  # rejects out-of-range solver knobs
         # each shift writes its states to a directory named by its shift
-        by_name: dict[str, list[float]] = {}
-        for lam in self.lambdas:
-            by_name.setdefault(_state_dir_name(lam), []).append(lam)
-        clashes = [
-            f"{name} ({', '.join(map(repr, lams))})"
-            for name, lams in by_name.items()
-            if len(lams) > 1
-        ]
+        names = [_state_dir_name(lam) for lam in self.lambdas]
+        clashes = sorted({n for n in names if names.count(n) > 1})
         if clashes:
             raise ValueError(
-                "shifts equal to 6 significant digits would share a state "
-                "directory: " + "; ".join(clashes)
+                f"shifts {list(self.lambdas)} equal to 6 significant digits "
+                f"would share a state directory: {', '.join(clashes)}"
             )
 
     def solve_config(self) -> SolveConfig:

@@ -409,8 +409,12 @@ class CondensedFactor:
         lay = bands.mesh.layout
         nv = lay.nv
         x = np.array(b, dtype=float)
-        # the interior solve runs in place on x's interior slice
+        # the interior solve runs in place on x's interior slice; y must be
+        # that slice, since the corrections below go into y and x returns
         y, _ = lapack.dgttrs(*self._tri, x[nv:], overwrite_b=True)
+        if not np.shares_memory(y, x):  # f2py copied b after all
+            x[nv:] = y
+            y = x[nv:]
         rhs = (
             b[:nv]
             - np.bincount(lay.src, bands.head_row * y[lay.first], minlength=nv)

@@ -207,26 +207,10 @@ def sample_kernel_mode(
     mu: float,
     cutoff_kind: str | None = None,
 ) -> np.ndarray:
-    """Scaled kernel mode j on the star's rays, optionally tapered.
-
-    With cutoff_kind set, this is the projection-basis function used
-    for the kernel split of the correction; without it, the raw mode.
-    """
-    basis = kernel_basis(star.degree)
+    """Kernel mode j of sample_kernel_modes."""
     if not 1 <= j <= star.degree - 1:
         raise IndexOutOfRange(f"kernel index {j} not in 1..{star.degree - 1}")
-    scale = lam ** (1.0 / (2.0 * mu))
-    root = math.sqrt(lam)
-    p = SolitonParams(mu)
-    signs = basis.vectors[j - 1]
-    out = np.zeros(mesh.ndof)
-    reach = 2.0 * star.radius if cutoff_kind is not None else math.inf
-    for i, dofs, t in _rays(mesh, star, reach):
-        body = scale * float(signs[i]) * np.asarray(soliton_derivative(p, root * t))
-        if cutoff_kind is not None:
-            body = body * eval_cutoff(cutoff_kind, star.radius, t)
-        out[dofs] = body
-    return out
+    return sample_kernel_modes(mesh, star, lam, mu, cutoff_kind)[j - 1]
 
 
 def sample_kernel_modes(
@@ -236,11 +220,12 @@ def sample_kernel_modes(
     mu: float,
     cutoff_kind: str | None = None,
 ) -> list[np.ndarray]:
-    """sample_kernel_mode for j = 1, ..., degree-1, bit for bit.
+    """Scaled kernel modes j = 1, ..., degree-1 on the star's rays.
 
+    With cutoff_kind set, these are the projection-basis functions used
+    for the kernel split of the correction; without it, the raw modes.
     The modes differ on a ray only by their sign factor, so each ray's
-    soliton derivative and taper are evaluated once and shared by all
-    of them, in the same order of operations as one mode at a time.
+    soliton derivative and taper are evaluated once for all of them.
     """
     basis = kernel_basis(star.degree)
     scale = lam ** (1.0 / (2.0 * mu))

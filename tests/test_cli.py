@@ -109,17 +109,22 @@ def test_solve_output_is_deterministic(tmp_path):
 # BLAS threads pinned to 1.  lam=25 and 50 stall in the line search and
 # lam=100 converges after 143 backtracks, so these pin the Newton
 # kernels bit for bit: a 1e-15 change in a step alters the history.
+# The bits also depend on the host: numpy's AVX-512 pow differs from
+# glibc's in the last bit, so a host without AVX-512 or another numpy
+# build may need these two hashes re-taken at an unchanged commit.
 FIGURE1_GOLDEN_SHA256 = {
     "diagnostics.csv": "d9178123615c52201794e76d3a199c92f0cc523aad6a92246d15c5a521fa65e3",
     "state_lam100/h1.txt": "53f8c1527b897d6352d18fab50f236389f394d6139f8151560df3bf913386df6",
 }
 
 
-def test_figure1_stall_and_backtracks_are_bit_for_bit(tmp_path):
+@pytest.fixture(scope="module")
+def figure1_run(tmp_path_factory):
+    """Output directory of the pinned figure1 v1 run, made once."""
     src = str(Path(cli.__file__).resolve().parents[1])
     threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     env = {**os.environ, "PYTHONPATH": src, **dict.fromkeys(threads, "1")}
-    out = tmp_path / "figure1"
+    out = tmp_path_factory.mktemp("figure1")
     argv = ["solve", "--graph", "figure1", "--peak", "v1", "--lambdas", "25,50,100"]
     proc = subprocess.run(
         [sys.executable, "-m", "graphnls.cli", *argv, "--outdir", str(out)],
@@ -129,15 +134,23 @@ def test_figure1_stall_and_backtracks_are_bit_for_bit(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 2, proc.stderr
-    manifest = json.loads((out / "manifest.json").read_text())
+    return out
+
+
+def test_figure1_stalls_twice_then_converges_after_backtracks(figure1_run):
+    manifest = json.loads((figure1_run / "manifest.json").read_text())
     assert [r["termination"] for r in manifest["results"]] == [
         "line_search_stall",
         "line_search_stall",
         "converged",
     ]
     assert manifest["results"][2]["backtracks"] == 143
+
+
+def test_figure1_stall_and_backtracks_are_bit_for_bit(figure1_run):
     for name, digest in FIGURE1_GOLDEN_SHA256.items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        data = (figure1_run / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_solve_rejects_shifts_sharing_a_state_directory(tmp_path, capsys):
@@ -148,7 +161,8 @@ def test_solve_rejects_shifts_sharing_a_state_directory(tmp_path, capsys):
     assert rc == 1
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "ValueError"
-    assert "state_lam100 (100.0, 100.0000001)" in record["message"]
+    assert "[100.0, 100.0000001]" in record["message"]
+    assert record["message"].endswith("share a state directory: state_lam100")
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
     assert capsys.readouterr().out == ""
 

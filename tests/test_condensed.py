@@ -1,5 +1,7 @@
 """Edge-condensed operators, solves and eigensolves against sparse direct references."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,6 +23,7 @@ from graphnls import (
     star_neighborhood,
     uniform_mesh,
 )
+from graphnls import discrete
 from graphnls.discrete import (
     CondensedFactor,
     DiscreteField,
@@ -113,6 +116,22 @@ def test_shifted_solve_matches_sparse_direct_reference(name):
     assert np.all(x[mesh.dirichlet_dofs] == 0.0)
     err = np.linalg.norm(x[free] - reference) / np.linalg.norm(reference)
     assert err <= 1e-12
+
+
+def test_solve_does_not_rely_on_dgttrs_writing_in_place(monkeypatch):
+    # were overwrite_b ever to hand back a copy, the solve must not change
+    op, _ = _seeded_operator("figure1")
+    factor = op.factor()
+    b = np.random.default_rng(2).standard_normal(op.mesh.ndof)
+    expect = factor.solve(b)
+    dgttrs = discrete.lapack.dgttrs
+
+    def copying_dgttrs(*args, overwrite_b=False):
+        return dgttrs(*args[:-1], args[-1].copy(), overwrite_b=overwrite_b)
+
+    lapack = SimpleNamespace(dgttrs=copying_dgttrs, dgetrs=discrete.lapack.dgetrs)
+    monkeypatch.setattr(discrete, "lapack", lapack)
+    assert factor.solve(b).tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(PEAKS))

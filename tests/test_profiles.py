@@ -237,6 +237,28 @@ def test_sampled_kernel_mode_signs_and_taper():
         sample_kernel_mode(mesh, star, 3, lam, 1.0)
 
 
+def _one_kernel_mode(mesh, star, j, lam, mu, cutoff_kind):
+    """Mode j evaluated on its own, ray by ray, in the library's order."""
+    signs = kernel_basis(star.degree).vectors[j - 1]
+    scale = lam ** (1.0 / (2.0 * mu))
+    root = math.sqrt(lam)
+    reach = 2.0 * star.radius if cutoff_kind is not None else math.inf
+    out = np.zeros(mesh.ndof)
+    for i, (eid, away) in enumerate(star.incident_edges):
+        nodes = mesh.edge_nodes[eid]
+        t = nodes if away else nodes[-1] - nodes
+        sel = t <= reach
+        if not np.any(sel):
+            continue
+        t = t[sel]
+        slope = soliton_derivative(SolitonParams(mu), root * t)
+        body = scale * float(signs[i]) * np.asarray(slope)
+        if cutoff_kind is not None:
+            body = body * eval_cutoff(cutoff_kind, star.radius, t)
+        out[mesh.edge_dofs[eid][sel]] = body
+    return out
+
+
 @pytest.mark.parametrize("name, peak", [("star5", "c"), ("figure1", "v1")])
 @pytest.mark.parametrize("cutoff", [None, "cos2"])
 def test_shared_profile_modes_equal_one_mode_at_a_time(name, peak, cutoff):
@@ -248,8 +270,10 @@ def test_shared_profile_modes_equal_one_mode_at_a_time(name, peak, cutoff):
     modes = sample_kernel_modes(mesh, star, lam, 1.0, cutoff)
     assert len(modes) == star.degree - 1
     for j, mode in enumerate(modes, start=1):
-        one = sample_kernel_mode(mesh, star, j, lam, 1.0, cutoff)
+        one = _one_kernel_mode(mesh, star, j, lam, 1.0, cutoff)
         assert mode.tobytes() == one.tobytes(), j
+        picked = sample_kernel_mode(mesh, star, j, lam, 1.0, cutoff)
+        assert picked.tobytes() == one.tobytes(), j
 
 
 def test_reduced_cubic_coefficient_frozen_values():
