@@ -37,21 +37,22 @@ from .graphs import MetricGraph
 
 @dataclass(frozen=True)
 class EdgeLayout:
-    """Index arrays placing a mesh's elements in the condensed bands.
+    """Per-edge and per-vertex indices placing a mesh in the condensed bands.
 
     Vertex unknowns come first; interior unknowns follow edge after
     edge, so the edges' interiors concatenate into one tridiagonal
-    system whose off-diagonals vanish between edges.  Element arrays
-    list the edges' elements in the same order.  Every edge has at
-    least three interior nodes, so its first element joins its source
-    vertex to its first interior node (the head) and its last element
-    joins its last interior node to its target vertex (the tail).
+    system whose off-diagonals vanish between edges.  Elements are
+    numbered in the same order.  Every edge has at least three interior
+    nodes, so its first element joins its source vertex to its first
+    interior node (the head) and its last element joins its last
+    interior node to its target vertex (the tail).
+
+    Nothing here has one entry per element or per dof: a mesh keeps its
+    layout for as long as a result holds the mesh, so the per-element
+    arrays are built only while bands are assembled (`_element_arrays`).
     """
 
     nv: int  # number of vertex unknowns
-    left: np.ndarray  # global dof at the start of each element
-    right: np.ndarray  # global dof at the end of each element
-    h: np.ndarray  # length of each element
     head: np.ndarray  # index of each edge's first element
     tail: np.ndarray  # index of each edge's last element
     src: np.ndarray  # source vertex of each edge
@@ -59,9 +60,18 @@ class EdgeLayout:
     first: np.ndarray  # interior position of each edge's first interior node
     last: np.ndarray  # interior position of each edge's last interior node
     sizes: np.ndarray  # interior nodes per edge
+    free_vertices: np.ndarray  # vertex unknowns without a Dirichlet condition
+
+
+@dataclass(frozen=True)
+class _ElementArrays:
+    """Per-element indices of a mesh, built afresh for each assembly."""
+
+    left: np.ndarray  # global dof at the start of each element
+    right: np.ndarray  # global dof at the end of each element
+    h: np.ndarray  # length of each element
     inner: np.ndarray  # elements with both ends interior
     inner_pos: np.ndarray  # their position in the interior off-diagonals
-    free_vertices: np.ndarray  # vertex unknowns without a Dirichlet condition
 
 
 @dataclass(frozen=True)
@@ -71,7 +81,8 @@ class Mesh:
     `edge_nodes[eid]` holds the node coordinates on edge eid including
     both endpoints; `edge_dofs[eid]` the matching global indices.  The
     two endpoint entries are the vertex dofs, so a self-loop's ends map
-    to the same unknown.
+    to the same unknown.  The cached `layout` holds per-edge indices
+    only; per-element arrays are transient (`_element_arrays`).
     """
 
     graph: MetricGraph
@@ -106,30 +117,38 @@ class Mesh:
             raise ValueError("interior dofs must follow the vertices edge by edge")
         n_elem = np.array([len(d) - 1 for d in dofs])
         tail = np.cumsum(n_elem) - 1
-        head = tail - n_elem + 1
-        left = np.concatenate([d[:-1] for d in dofs])
-        right = np.concatenate([d[1:] for d in dofs])
-        h = np.repeat([self.edge_spacing(eid) for eid in self.edge_dofs], n_elem)
-        inner = np.nonzero((left >= nv) & (right >= nv))[0]
         sizes = n_elem - 1
         last = np.cumsum(sizes) - 1
-        free_vertices = self.free_dofs[self.free_dofs < nv]
         return EdgeLayout(
             nv=nv,
-            left=left,
-            right=right,
-            h=h,
-            head=head,
+            head=tail - n_elem + 1,
             tail=tail,
-            src=left[head],
-            dst=right[tail],
+            src=np.array([d[0] for d in dofs], dtype=int),
+            dst=np.array([d[-1] for d in dofs], dtype=int),
             first=last - sizes + 1,
             last=last,
             sizes=sizes,
-            inner=inner,
-            inner_pos=left[inner] - nv,
-            free_vertices=free_vertices,
+            free_vertices=np.setdiff1d(np.arange(nv), self.dirichlet_dofs),
         )
+
+
+def _element_arrays(mesh: Mesh) -> _ElementArrays:
+    """The per-element indices and lengths of a mesh, edge after edge."""
+    lay = mesh.layout
+    dofs = list(mesh.edge_dofs.values())
+    left = np.concatenate([d[:-1] for d in dofs])
+    right = np.concatenate([d[1:] for d in dofs])
+    h = np.repeat([mesh.edge_spacing(eid) for eid in mesh.edge_dofs], lay.sizes + 1)
+    inner = np.nonzero((left >= lay.nv) & (right >= lay.nv))[0]
+    return _ElementArrays(left, right, h, inner, left[inner] - lay.nv)
+
+
+def edge_elements(length: float, h: float) -> int:
+    """Elements on an edge of the given length at target spacing h.
+
+    At least four, so that every edge has three interior nodes.
+    """
+    return max(4, int(math.ceil(length / h)))
 
 
 def build_mesh(g: MetricGraph, edge_h: dict[str, float] | float) -> Mesh:
@@ -140,7 +159,7 @@ def build_mesh(g: MetricGraph, edge_h: dict[str, float] | float) -> Mesh:
     edge_dofs: dict[str, np.ndarray] = {}
     for e in g.edges:
         h = edge_h[e.id] if isinstance(edge_h, dict) else edge_h
-        n = max(4, int(math.ceil(e.length / h)))
+        n = edge_elements(e.length, h)
         nodes = np.linspace(0.0, e.length, n + 1)
         dofs = np.empty(n + 1, dtype=int)
         dofs[0] = vertex_dofs[e.src]
@@ -156,6 +175,20 @@ def uniform_mesh(g: MetricGraph, h: float) -> Mesh:
     return build_mesh(g, h)
 
 
+def _refined_spacing(
+    g: MetricGraph, lam: float, peaks: list[str], nodes_per_width: float
+) -> dict[str, float]:
+    """Spacing 1/(nodes_per_width*sqrt(lam)) on edges incident to a peak,
+    five times coarser elsewhere."""
+    h_fine = 1.0 / (nodes_per_width * math.sqrt(lam))
+    peak_set = set(peaks)
+    edge_h = {}
+    for e in g.edges:
+        touches = e.src in peak_set or e.dst in peak_set
+        edge_h[e.id] = h_fine if touches else 5.0 * h_fine
+    return edge_h
+
+
 def refined_mesh(
     g: MetricGraph,
     lam: float,
@@ -164,13 +197,18 @@ def refined_mesh(
 ) -> Mesh:
     """Mesh resolving the peak scale: spacing 1/(nodes_per_width*sqrt(lam))
     on edges incident to a peak, five times coarser elsewhere."""
-    h_fine = 1.0 / (nodes_per_width * math.sqrt(lam))
-    peak_set = set(peaks)
-    edge_h = {}
-    for e in g.edges:
-        touches = e.src in peak_set or e.dst in peak_set
-        edge_h[e.id] = h_fine if touches else 5.0 * h_fine
-    return build_mesh(g, edge_h)
+    return build_mesh(g, _refined_spacing(g, lam, peaks, nodes_per_width))
+
+
+def refined_ndof(
+    g: MetricGraph, lam: float, peaks: list[str], nodes_per_width: float
+) -> int:
+    """The ndof of refined_mesh(g, lam, peaks, nodes_per_width), by
+    arithmetic alone: nothing is allocated."""
+    edge_h = _refined_spacing(g, lam, peaks, nodes_per_width)
+    return len(g.vertices) + sum(
+        edge_elements(e.length, edge_h[e.id]) - 1 for e in g.edges
+    )
 
 
 @dataclass
@@ -246,11 +284,20 @@ class EdgeBands:
         return {f.name: getattr(self, f.name) for f in fields(self)[1:]}
 
     def plus(self, other: "EdgeBands", scale: float = 1.0) -> "EdgeBands":
-        """self + scale * other."""
+        """self + scale * other.
+
+        When both operands are symmetric, holding one array as `upper`
+        and `lower`, so does the sum: the two sums would be equal bit
+        for bit, so one is computed and shared.
+        """
         theirs = other._arrays()
-        return replace(
-            self, **{k: a + scale * theirs[k] for k, a in self._arrays().items()}
-        )
+        sums = {}
+        for k, a in self._arrays().items():
+            if k == "lower" and self.upper is a and other.upper is theirs[k]:
+                sums[k] = sums["upper"]
+            else:
+                sums[k] = a + scale * theirs[k]
+        return replace(self, **sums)
 
     def minus_scaled_columns(self, other: "EdgeBands", s: np.ndarray) -> "EdgeBands":
         """self - other @ diag(s) for a nodal vector s, one product per band.
@@ -296,16 +343,17 @@ class EdgeBands:
     def tocsr(self) -> sp.csr_matrix:
         """The operator as a sparse matrix, for sparse-direct references."""
         lay = self.mesh.layout
+        inner_pos = _element_arrays(self.mesh).inner_pos
         nv, n = lay.nv, self.mesh.ndof
         diag = np.arange(n)
-        up = lay.inner_pos + nv
+        up = inner_pos + nv
         first, last = lay.first + nv, lay.last + nv
         rows = (diag, up, up + 1, lay.src, first, lay.dst, last)
         cols = (diag, up + 1, up, first, lay.src, last, lay.dst)
         vals = (
             np.concatenate([self.vertex_diag, self.diag]),
-            self.upper[lay.inner_pos],
-            self.lower[lay.inner_pos],
+            self.upper[inner_pos],
+            self.lower[inner_pos],
             self.head_row,
             self.head_col,
             self.tail_row,
@@ -318,33 +366,39 @@ class EdgeBands:
 
 
 def edge_bands(
-    mesh: Mesh, stiffness: float = 0.0, weight: float | np.ndarray = 0.0
+    mesh: Mesh,
+    stiffness: float = 0.0,
+    weight: float | np.ndarray = 0.0,
+    elem: _ElementArrays | None = None,
 ) -> EdgeBands:
     """Bands of the form stiffness * (u', v') + (w u, v), element by element.
 
     The weight w is a constant or a nodal array interpolated linearly;
     the element integrals are exact for piecewise linear w, u and v.
+    elem, if the caller has them, are _element_arrays(mesh).
     """
     lay = mesh.layout
-    h = lay.h
+    if elem is None:
+        elem = _element_arrays(mesh)
+    h = elem.h
     if np.ndim(weight) == 0:
         # element matrices (1/h)[[1,-1],[-1,1]] and (h/6)[[2,1],[1,2]]
         start = end = stiffness / h + weight * h / 3.0
         off = -stiffness / h + weight * h / 6.0
     else:
         # element integrals of w*phi_i*phi_j with w linear on the element
-        wl, wr = weight[lay.left], weight[lay.right]
+        wl, wr = weight[elem.left], weight[elem.right]
         start = stiffness / h + h * (3.0 * wl + wr) / 12.0
         end = stiffness / h + h * (wl + 3.0 * wr) / 12.0
         off = -stiffness / h + h * (wl + wr) / 12.0
     nv = lay.nv
     band = np.zeros(mesh.ndof - nv - 1)
-    band[lay.inner_pos] = off[lay.inner]
+    band[elem.inner_pos] = off[elem.inner]
     return EdgeBands(
         mesh=mesh,
         vertex_diag=np.bincount(lay.src, start[lay.head], minlength=nv)
         + np.bincount(lay.dst, end[lay.tail], minlength=nv),
-        diag=end[lay.right >= nv] + start[lay.left >= nv],
+        diag=end[elem.right >= nv] + start[elem.left >= nv],
         upper=band,
         lower=band,
         head_row=off[lay.head],
@@ -367,10 +421,20 @@ class CondensedFactor:
     With overwrite_interior, gttrf factors bands.lower, .diag and .upper
     in place instead of copying them first; they must be three distinct
     arrays that nothing reads afterwards, as with a fresh Jacobian.
+    Bands that share memory between them, such as a symmetric operator's
+    single off-diagonal, raise ValueError: gttrf would overwrite one
+    array twice.
     """
 
     def __init__(self, bands: EdgeBands, overwrite_interior: bool = False):
         lay = bands.mesh.layout
+        interior = (bands.lower, bands.diag, bands.upper)
+        if overwrite_interior and any(
+            np.shares_memory(a, b)
+            for i, a in enumerate(interior)
+            for b in interior[i + 1 :]
+        ):
+            raise ValueError("bands factored in place must not share memory")
         self._bands = bands
         dl, d, du, du2, ipiv, info = lapack.dgttrf(
             bands.lower,
@@ -404,11 +468,16 @@ class CondensedFactor:
             raise SolveFailure("singular vertex Schur complement")
         self._schur = (lu, piv)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+        """The solution of bands @ x = b on the free dofs.
+
+        With overwrite_b, a float array b is solved in place and
+        returned as x, so the caller must not read b afterwards.
+        """
         bands = self._bands
         lay = bands.mesh.layout
         nv = lay.nv
-        x = np.array(b, dtype=float)
+        x = np.asarray(b, dtype=float) if overwrite_b else np.array(b, dtype=float)
         # the interior solve runs in place on x's interior slice; y must be
         # that slice, since the corrections below go into y and x returns
         y, _ = lapack.dgttrs(*self._tri, x[nv:], overwrite_b=True)
@@ -425,6 +494,7 @@ class CondensedFactor:
         xv[lay.free_vertices] = lapack.dgetrs(*self._schur, rhs[lay.free_vertices])[0]
         correction = np.repeat(bands.head_col * xv[lay.src], lay.sizes)
         y -= np.multiply(self._from_head, correction, out=correction)
+        del correction  # before the second one allocates
         correction = np.repeat(bands.tail_col * xv[lay.dst], lay.sizes)
         y -= np.multiply(self._from_tail, correction, out=correction)
         return x
@@ -435,8 +505,9 @@ class KirchhoffOperator:
     """The weak forms of the shifted operator -u'' + lam*u on a mesh.
 
     Holds the stiffness, mass and shifted (stiffness + lam*mass) forms
-    as edge bands; the factorization of the shifted form on the free
-    dofs is cached on first use.
+    as edge bands, each symmetric with one array as both off-diagonals;
+    the factorization of the shifted form on the free dofs is cached on
+    first use.
     """
 
     mesh: Mesh
@@ -465,11 +536,12 @@ def assemble(g: MetricGraph, mesh: Mesh, lam: float) -> KirchhoffOperator:
         raise ValueError("mesh was built for a different graph")
     if not (math.isfinite(lam) and lam > 0.0):
         raise IndefiniteOperator(f"shift must be positive and finite, got {lam}")
+    elem = _element_arrays(mesh)
     return KirchhoffOperator(
         mesh,
         float(lam),
-        edge_bands(mesh, stiffness=1.0),
-        edge_bands(mesh, weight=1.0),
+        edge_bands(mesh, stiffness=1.0, elem=elem),
+        edge_bands(mesh, weight=1.0, elem=elem),
     )
 
 

@@ -29,6 +29,7 @@ from .discrete import (
     lambda_norm,
     positive_power,
     refined_mesh,
+    refined_ndof,
 )
 from .errors import NotConverged, SingularJacobian, SolveFailure
 from .functionals import FunctionalReport
@@ -41,6 +42,14 @@ from .profiles import (
     sample_kernel_mode,
     sample_kernel_modes,
 )
+
+
+# Largest mesh a sweep may build.  A star5 sweep to lam=1600 (339,416
+# unknowns) peaks at about 300 bytes of resident memory per unknown of
+# its last, largest mesh, earlier shifts' results included, so this
+# ceiling keeps a sweep under about 3 GB; far beyond it a run would
+# swap or be killed instead of finishing.
+MAX_NDOF = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -212,10 +221,12 @@ def newton_solve(
     while not converged and iters < cfg.max_iters:
         iters += 1
         try:
-            # the fresh Jacobian is factored in place: nothing else reads it
+            # the fresh Jacobian is factored in place, and the step is
+            # solved over r, which nothing reads again: an accepted trial
+            # brings its own residual
             step = CondensedFactor(
                 jacobian(op, mu, u), overwrite_interior=True
-            ).solve(-r)
+            ).solve(np.negative(r, out=r), overwrite_b=True)
         except SolveFailure as exc:
             raise SingularJacobian(str(exc)) from exc
         if not np.all(np.isfinite(step)):
@@ -277,11 +288,15 @@ def kernel_projection_diagnostics(
         modes += sample_kernel_modes(
             mesh, star, ansatz.lam, ansatz.mu, ansatz.cutoff_kind
         )
-    # one band product per mode and one for phi; the dot products are
-    # those of lambda_inner(op, a, b) = a @ (shifted @ b)
-    shifted_modes = [op.shifted @ b for b in modes]
+    # one band product per mode, dropped once its Gram column is filled,
+    # and one for phi; the dot products are those of
+    # lambda_inner(op, a, b) = a @ (shifted @ b)
+    gram = np.empty((len(modes), len(modes)))
+    for j, b in enumerate(modes):
+        shifted_b = op.shifted @ b
+        gram[:, j] = [float(a @ shifted_b) for a in modes]
+        del shifted_b  # before the next product allocates
     shifted_phi = op.shifted @ phi
-    gram = np.array([[float(a @ sb) for sb in shifted_modes] for a in modes])
     rhs = np.array([float(a @ shifted_phi) for a in modes])
     coef = np.linalg.solve(gram, rhs)
     kernel_sq = float(coef @ gram @ coef)
@@ -343,11 +358,25 @@ def continuation_sweep(
             )
     peaks = [star.center for star, _ in template.peaks]
     lam0 = cfg.lambda_schedule[0]
+
+    def nodes_per_width(lam: float) -> float:
+        return cfg.nodes_per_width * (lam / lam0) ** cfg.refinement_growth
+
+    # the mesh only grows along the schedule: check the last one first
+    lam_max = cfg.lambda_schedule[-1]
+    try:
+        ndof = refined_ndof(g, lam_max, peaks, nodes_per_width(lam_max))
+    except (OverflowError, ZeroDivisionError):  # spacing beyond float range
+        ndof = math.inf
+    if ndof > MAX_NDOF:
+        raise ValueError(
+            f"the mesh at lam={lam_max:g} would have {ndof:g} unknowns, "
+            f"more than the ceiling of {MAX_NDOF}"
+        )
     results: list[BoundStateResult] = []
     prev: BoundStateResult | None = None
     for lam in cfg.lambda_schedule:
-        npw = cfg.nodes_per_width * (lam / lam0) ** cfg.refinement_growth
-        mesh = refined_mesh(g, lam, peaks, nodes_per_width=npw)
+        mesh = refined_mesh(g, lam, peaks, nodes_per_width=nodes_per_width(lam))
         op = assemble(g, mesh, lam)
         spec = template.with_lam(lam)
         seed = assemble_ansatz(g, spec, mesh)

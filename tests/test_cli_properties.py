@@ -2,7 +2,9 @@
 
 main returns 0, 1 or 2, or argparse raises SystemExit(2) for a flag it
 cannot parse; nothing else escapes.  Whenever main returns 1 or 2 an
-error.json record exists.  This says nothing about a mesh-size ceiling.
+error.json record exists.  A --nodes-per-width of 1e12 asks for a mesh
+far above the sweep's ndof ceiling, which must be refused before any
+mesh is built.
 """
 
 import tempfile
@@ -25,7 +27,7 @@ SHIFTS = st.one_of(
         max_size=2,
     ).map(",".join),
 )
-NODES_PER_WIDTH = ("5", "15", "0", "1e-9", "-1", "nan", "inf")
+NODES_PER_WIDTH = ("5", "15", "0", "1e-9", "-1", "nan", "inf", "1e12")
 MAX_ITERS = ("0", "3", "-1")
 
 

@@ -1,5 +1,6 @@
 """Edge-condensed operators, solves and eigensolves against sparse direct references."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -182,6 +183,39 @@ def test_band_products_match_their_sparse_matrices(name):
     bands = jacobian(op, 1.0, seed)
     J = bands.tocsr()
     assert np.allclose(bands @ d, J @ d, rtol=0.0, atol=1e-12 * abs(J).max())
+
+
+def test_in_place_factoring_refuses_shared_bands():
+    # the shifted form holds one off-diagonal as upper and lower; gttrf
+    # would overwrite it twice
+    op, _ = _seeded_operator("tripod")
+    assert op.shifted.upper is op.shifted.lower
+    before = op.shifted.upper.copy()
+    with pytest.raises(ValueError, match="share memory"):
+        CondensedFactor(op.shifted, overwrite_interior=True)
+    assert op.shifted.upper.tobytes() == before.tobytes()
+    # overlapping views are refused too, not only the same array
+    d = op.shifted.diag
+    buffer = np.concatenate([d, d])
+    with pytest.raises(ValueError, match="share memory"):
+        CondensedFactor(
+            replace(op.shifted, diag=buffer[: d.size], upper=buffer[1 : d.size]),
+            overwrite_interior=True,
+        )
+    # the copying factorization takes the shared bands as they are
+    x = CondensedFactor(op.shifted).solve(np.ones(op.mesh.ndof))
+    assert np.array_equal(x, op.factor().solve(np.ones(op.mesh.ndof)))
+
+
+def test_solve_over_its_right_hand_side_matches_the_copying_solve():
+    op, seed = _seeded_operator("figure1")
+    factor = CondensedFactor(jacobian(op, 1.0, seed))
+    b = np.random.default_rng(4).standard_normal(op.mesh.ndof)
+    expect = factor.solve(b)
+    mine = b.copy()
+    x = factor.solve(mine, overwrite_b=True)
+    assert x is mine
+    assert x.tobytes() == expect.tobytes()
 
 
 def test_zero_pivot_raises_solve_failure():

@@ -1,6 +1,7 @@
 """Mesh layout, assembled forms, resolvent, and flux diagnostics."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from graphnls import (
     build_graph,
     build_mesh,
     lambda_norm,
+    reference_graph,
     refined_mesh,
     resolvent_apply,
     uniform_mesh,
@@ -23,6 +25,7 @@ from graphnls.discrete import (
     lambda_inner,
     one_sided_derivative,
     positive_power,
+    refined_ndof,
 )
 from graphnls.errors import IndefiniteOperator, NegativeForm
 
@@ -240,6 +243,43 @@ edges:
     fine = 1.0 / (npw * math.sqrt(lam))
     assert mesh.edge_spacing("e1") <= fine + 1e-12
     assert mesh.edge_spacing("e3") > 4.0 * mesh.edge_spacing("e1")
+
+
+@pytest.mark.parametrize("name", ["star5", "figure1"])
+def test_refined_ndof_matches_the_built_mesh(name):
+    g = reference_graph(name)
+    peak = {"star5": "c", "figure1": "v1"}[name]
+    for lam, npw in ((25.0, 10.0), (400.0, 40.0), (1600.0, 56.6)):
+        mesh = refined_mesh(g, lam, [peak], nodes_per_width=npw)
+        assert refined_ndof(g, lam, [peak], npw) == mesh.ndof
+
+
+def test_layout_holds_no_per_element_arrays():
+    # a result keeps its mesh, and the mesh its layout, for the rest of
+    # a run: nothing in it may grow with the number of elements
+    g = reference_graph("star5")
+    mesh = refined_mesh(g, 400.0, ["c"], nodes_per_width=40.0)
+    bound = max(len(g.edges), len(g.vertices))
+    assert mesh.ndof > 100 * bound
+    lay = mesh.layout
+    for f in fields(lay):
+        value = getattr(lay, f.name)
+        assert np.size(value) <= bound, f.name
+
+
+def test_symmetric_operators_share_one_off_diagonal():
+    g = reference_graph("star5")
+    mesh = refined_mesh(g, 400.0, ["c"], nodes_per_width=40.0)
+    op = assemble(g, mesh, 400.0)
+    for bands in (op.stiffness, op.mass, op.shifted):
+        assert bands.upper is bands.lower
+    expect = op.stiffness.upper + 400.0 * op.mass.upper
+    assert op.shifted.upper.tobytes() == expect.tobytes()
+    # a sum with an unsymmetric operand keeps two off-diagonals
+    lopsided = replace(op.mass, lower=op.mass.lower.copy())
+    total = op.stiffness.plus(lopsided)
+    assert total.upper is not total.lower
+    assert total.upper.tobytes() == total.lower.tobytes()
 
 
 def test_discrete_field_helpers():

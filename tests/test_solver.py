@@ -22,8 +22,14 @@ from graphnls import (
     star_neighborhood,
     uniform_mesh,
 )
+import graphnls.discrete
 import graphnls.solve
-from graphnls.discrete import DiscreteField, dual_residual_norm, lambda_inner
+from graphnls.discrete import (
+    DiscreteField,
+    dual_residual_norm,
+    lambda_inner,
+    refined_ndof,
+)
 from graphnls.errors import NotConverged
 from graphnls.functionals import evaluate_functionals
 from graphnls.profiles import sample_kernel_mode
@@ -312,6 +318,49 @@ def test_sweep_rejects_empty_schedule():
     template = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
     with pytest.raises(ValueError):
         continuation_sweep(g, template, SolveConfig())
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"nodes_per_width": 1e12},
+        # the growth factor overflows a float before any spacing exists
+        {"nodes_per_width": 15.0, "refinement_growth": 1e6},
+    ],
+)
+def test_sweep_refuses_a_mesh_above_the_ceiling_before_building_any(
+    monkeypatch, knobs
+):
+    g = build_graph(TRIPOD)
+    star = star_neighborhood(g, "c", mode="single")
+    template = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
+    built = []
+    monkeypatch.setattr(
+        graphnls.discrete, "build_mesh", lambda *a, **k: built.append(a)
+    )
+    cfg = SolveConfig(lambda_schedule=(25.0, 50.0), **knobs)
+    with pytest.raises(ValueError, match="more than the ceiling"):
+        continuation_sweep(g, template, cfg)
+    assert built == []
+
+
+def test_sweep_accepts_a_last_mesh_at_the_ceiling(monkeypatch):
+    # only the last shift's mesh is checked: it is the largest
+    g = build_graph(TRIPOD)
+    star = star_neighborhood(g, "c", mode="single")
+    template = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
+    cfg = SolveConfig(lambda_schedule=(25.0, 50.0), nodes_per_width=15.0)
+    ndof = [
+        refined_ndof(g, lam, ["c"], 15.0 * (lam / 25.0) ** 0.25)
+        for lam in (25.0, 50.0)
+    ]
+    assert ndof[0] < ndof[1]
+    monkeypatch.setattr(graphnls.solve, "MAX_NDOF", ndof[1] - 1)
+    with pytest.raises(ValueError, match="more than the ceiling"):
+        continuation_sweep(g, template, cfg)
+    monkeypatch.setattr(graphnls.solve, "MAX_NDOF", ndof[1])
+    results = continuation_sweep(g, template, cfg)
+    assert [r.u.mesh.ndof for r in results] == ndof
 
 
 def test_kernel_diagnostics_require_convergence():
