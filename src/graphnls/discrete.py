@@ -369,17 +369,14 @@ def edge_bands(
     mesh: Mesh,
     stiffness: float = 0.0,
     weight: float | np.ndarray = 0.0,
-    elem: _ElementArrays | None = None,
 ) -> EdgeBands:
     """Bands of the form stiffness * (u', v') + (w u, v), element by element.
 
     The weight w is a constant or a nodal array interpolated linearly;
     the element integrals are exact for piecewise linear w, u and v.
-    elem, if the caller has them, are _element_arrays(mesh).
     """
     lay = mesh.layout
-    if elem is None:
-        elem = _element_arrays(mesh)
+    elem = _element_arrays(mesh)
     h = elem.h
     if np.ndim(weight) == 0:
         # element matrices (1/h)[[1,-1],[-1,1]] and (h/6)[[2,1],[1,2]]
@@ -536,12 +533,11 @@ def assemble(g: MetricGraph, mesh: Mesh, lam: float) -> KirchhoffOperator:
         raise ValueError("mesh was built for a different graph")
     if not (math.isfinite(lam) and lam > 0.0):
         raise IndefiniteOperator(f"shift must be positive and finite, got {lam}")
-    elem = _element_arrays(mesh)
     return KirchhoffOperator(
         mesh,
         float(lam),
-        edge_bands(mesh, stiffness=1.0, elem=elem),
-        edge_bands(mesh, weight=1.0, elem=elem),
+        edge_bands(mesh, stiffness=1.0),
+        edge_bands(mesh, weight=1.0),
     )
 
 
