@@ -220,12 +220,13 @@ def _tripod_sweep():
 
 def criterion_4() -> CriterionResult:
     """Ansatz-seeded Newton converges to a positive single-peak state."""
-    _, results = _tripod_sweep()
+    g, results = _tripod_sweep()
+    eid, away = star_neighborhood(g, "c", mode="single").incident_edges[0]
     details = []
     passed = True
     for res in results:
         mesh = res.u.mesh
-        h = mesh.edge_spacing(mesh.graph.edges[0].id)
+        h = mesh.edge_spacing(eid, at_start=away)
         low = float(np.min(res.u.values[mesh.free_dofs]))
         offset = res.peak_locations[0][1]
         ok = res.converged and low > 0.0 and offset <= h + 1e-12
@@ -307,8 +308,8 @@ def criterion_7() -> CriterionResult:
     offsets_ok = True
     offs = []
     for center, off in last.peak_locations:
-        eid = star_neighborhood(g, center, mode="multi").incident_edges[0][0]
-        h = mesh.edge_spacing(eid)
+        eid, away = star_neighborhood(g, center, mode="multi").incident_edges[0]
+        h = mesh.edge_spacing(eid, at_start=away)
         offsets_ok = offsets_ok and off <= h + 1e-12
         offs.append(f"{center}:{off:.2g}")
     passed = all_converged and abs(ratio - 1.0) <= 0.07 and offsets_ok

@@ -23,8 +23,10 @@ for comparison against sparse-direct references.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,13 +78,16 @@ class _ElementArrays:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Per-edge uniform grids with shared vertex unknowns.
+    """Per-edge grids with shared vertex unknowns.
 
     `edge_nodes[eid]` holds the node coordinates on edge eid including
     both endpoints; `edge_dofs[eid]` the matching global indices.  The
     two endpoint entries are the vertex dofs, so a self-loop's ends map
-    to the same unknown.  The cached `layout` holds per-edge indices
-    only; per-element arrays are transient (`_element_arrays`).
+    to the same unknown.  An edge in `graded` has element lengths that
+    vary along it (see `build_mesh`); every other edge is a uniform
+    `np.linspace` grid, whose element length is taken as
+    nodes[1] - nodes[0] throughout.  The cached `layout` holds per-edge
+    indices only; per-element arrays are transient (`_element_arrays`).
     """
 
     graph: MetricGraph
@@ -90,6 +95,7 @@ class Mesh:
     edge_dofs: dict[str, np.ndarray]
     vertex_dofs: dict[str, int]
     ndof: int
+    graded: frozenset[str] = frozenset()
 
     @property
     def dirichlet_dofs(self) -> np.ndarray:
@@ -104,9 +110,15 @@ class Mesh:
         mask[self.dirichlet_dofs] = False
         return np.nonzero(mask)[0]
 
-    def edge_spacing(self, eid: str) -> float:
+    def end_elements(self, eid: str, at_start: bool = True) -> tuple[float, float]:
+        """Lengths of the element at one end of edge eid and of the next one in."""
         nodes = self.edge_nodes[eid]
-        return float(nodes[1] - nodes[0])
+        a, b, c = nodes[:3] if at_start else nodes[-1:-4:-1]
+        return float(abs(b - a)), float(abs(c - b))
+
+    def edge_spacing(self, eid: str, at_start: bool = True) -> float:
+        """Length of the element at the start (or the end) of edge eid."""
+        return self.end_elements(eid, at_start)[0]
 
     @cached_property
     def layout(self) -> EdgeLayout:
@@ -138,7 +150,14 @@ def _element_arrays(mesh: Mesh) -> _ElementArrays:
     dofs = list(mesh.edge_dofs.values())
     left = np.concatenate([d[:-1] for d in dofs])
     right = np.concatenate([d[1:] for d in dofs])
-    h = np.repeat([mesh.edge_spacing(eid) for eid in mesh.edge_dofs], lay.sizes + 1)
+    h = np.concatenate(
+        [
+            np.diff(mesh.edge_nodes[eid])
+            if eid in mesh.graded
+            else np.full(size + 1, mesh.edge_spacing(eid))
+            for eid, size in zip(mesh.edge_dofs, lay.sizes)
+        ]
+    )
     inner = np.nonzero((left >= lay.nv) & (right >= lay.nv))[0]
     return _ElementArrays(left, right, h, inner, left[inner] - lay.nv)
 
@@ -151,16 +170,154 @@ def edge_elements(length: float, h: float) -> int:
     return max(4, int(math.ceil(length / h)))
 
 
-def build_mesh(g: MetricGraph, edge_h: dict[str, float] | float) -> Mesh:
-    """Mesh with target spacing per edge (>= 3 interior nodes each)."""
+# A peak's bound state decays like exp(-sqrt(lam) * t) along every edge
+# at it.  A graded edge keeps its fine step within GRADED_WIDTHS peak
+# widths 1/sqrt(lam) of each peak end, where the state is resolved;
+# beyond them element lengths grow by GRADING_RATIO per element.
+GRADED_WIDTHS = 30.0
+GRADING_RATIO = 1.05
+
+
+class _EdgePlan(NamedTuple):
+    """The elements of one edge, counted before any node exists.
+
+    The uniform grid is np.linspace's: n elements of step h = length / n.
+    A graded edge (`ends`: at its source, at its target) keeps the first
+    `fine` of those steps from each graded end.  A run then covers the
+    rest of the edge, or half of it when both ends are graded: `growing`
+    elements of h * GRADING_RATIO**k for k = 1, 2, ..., `coarse`
+    elements of h_coarse, one more of the previous length if `pause`,
+    and a last element, 0.5 to 1.5 times its predecessor, that ends
+    exactly at the far end (or at the midpoint).
+    """
+
+    n: int
+    h: float
+    ends: tuple[bool, bool] = (False, False)
+    fine: int = 0
+    growing: int = 0
+    coarse: int = 0
+    pause: bool = False
+    h_coarse: float = 0.0
+
+    @property
+    def elements(self) -> int:
+        if not any(self.ends):
+            return self.n
+        run = self.growing + self.coarse + self.pause + 1
+        return (self.fine + run) * sum(self.ends)
+
+    def run_lengths(self) -> np.ndarray:
+        """The run's element lengths outward, all but the last one."""
+        grow = [self.h * GRADING_RATIO**k for k in range(1, self.growing + 1)]
+        prev = grow[-1] if grow else self.h
+        return np.array(grow + [self.h_coarse] * self.coarse + [prev] * self.pause)
+
+
+def _run(span: float, h: float, h_coarse: float) -> tuple[int, int, bool]:
+    """(growing, coarse, pause) of the run that covers span beyond steps of h.
+
+    Element lengths grow from h by GRADING_RATIO up to h_coarse.  Each
+    element is taken only if at least half its length would be left
+    after it, so the last element is at least half its predecessor.
+    What is left is below 1.5 times the next length, which can reach
+    1.5 * GRADING_RATIO times the predecessor's; above 1.5 times it, one
+    more element repeats the predecessor's length (the pause), and
+    between 0.5 and 0.575 of it is left.
+    """
+    covered, prev, growing = 0.0, h, 0
+    while True:
+        step = min(h * GRADING_RATIO ** (growing + 1), h_coarse)
+        if covered + 1.5 * step > span:
+            return growing, 0, span - covered > 1.5 * prev
+        if step == h_coarse:
+            return growing, max(1, math.floor((span - covered) / h_coarse - 0.5)), False
+        covered, prev, growing = covered + step, step, growing + 1
+
+
+def _edge_plan(
+    length: float, h_target: float, ends: tuple[bool, bool], lam: float | None
+) -> _EdgePlan:
+    n = edge_elements(length, h_target)
+    h = length / n
+    sides = sum(ends)
+    if not sides:
+        return _EdgePlan(n, h)
+    width = GRADED_WIDTHS / math.sqrt(lam)
+    fine = math.ceil(width / h)
+    fine += fine * h < width  # the first node at or past the width
+    if n <= sides * fine:  # no longer than its fine zones
+        return _EdgePlan(n, h)
+    h_coarse = max(1.0 / math.sqrt(lam), 5.0 * h_target)
+    span = length / sides - fine * h
+    return _EdgePlan(n, h, ends, fine, *_run(span, h, h_coarse), h_coarse)
+
+
+def _edge_plans(
+    g: MetricGraph,
+    edge_h: dict[str, float] | float,
+    peaks: Collection[str],
+    lam: float | None,
+) -> Iterator[_EdgePlan]:
+    if peaks and lam is None:
+        raise ValueError("grading toward peaks needs the shift lam")
+    peak_set = set(peaks)
+    for e in g.edges:
+        h = edge_h[e.id] if isinstance(edge_h, dict) else edge_h
+        yield _edge_plan(e.length, h, (e.src in peak_set, e.dst in peak_set), lam)
+
+
+def _plan_nodes(length: float, plan: _EdgePlan) -> np.ndarray:
+    """The nodes of one edge, as planned.
+
+    The fine zones are np.linspace's nodes bit for bit: it computes
+    node k as k * (length / n) and sets the last one to length.
+    """
+    at_src, at_dst = plan.ends
+    if not (at_src or at_dst):
+        return np.linspace(0.0, length, plan.n + 1)
+    n, h, m = plan.n, plan.h, plan.fine
+    run = np.cumsum(plan.run_lengths())
+    if at_src:
+        parts = [np.arange(m + 1) * h, m * h + run]
+    else:
+        parts = [np.zeros(1)]
+    if at_src and at_dst:
+        parts.append(np.full(1, 0.5 * length))
+    if at_dst:
+        fine = np.arange(n - m, n + 1) * h
+        fine[-1] = length
+        parts += [(n - m) * h - run[::-1], fine]
+    else:
+        parts.append(np.full(1, length))
+    return np.concatenate(parts)
+
+
+def build_mesh(
+    g: MetricGraph,
+    edge_h: dict[str, float] | float,
+    peaks: Collection[str] = (),
+    lam: float | None = None,
+) -> Mesh:
+    """Mesh with target spacing per edge (>= 3 interior nodes each).
+
+    Every edge gets np.linspace's uniform grid at the largest step not
+    above its target spacing, except that given peak vertices and the
+    shift lam, an edge end at a peak is graded (`_EdgePlan`): the grid
+    is kept within GRADED_WIDTHS/sqrt(lam) of it, and beyond that the
+    elements grow by GRADING_RATIO up to max(1/sqrt(lam), 5 * target).
+    An edge with peaks at both ends is graded from both, symmetrically
+    about its midpoint.  An edge no longer than its fine zones stays
+    uniform.
+    """
     vertex_dofs = {v: i for i, v in enumerate(g.vertices)}
     next_dof = len(g.vertices)
     edge_nodes: dict[str, np.ndarray] = {}
     edge_dofs: dict[str, np.ndarray] = {}
-    for e in g.edges:
-        h = edge_h[e.id] if isinstance(edge_h, dict) else edge_h
-        n = edge_elements(e.length, h)
-        nodes = np.linspace(0.0, e.length, n + 1)
+    graded = set()
+    for e, plan in zip(g.edges, _edge_plans(g, edge_h, peaks, lam)):
+        nodes = _plan_nodes(e.length, plan)
+        n = len(nodes) - 1
         dofs = np.empty(n + 1, dtype=int)
         dofs[0] = vertex_dofs[e.src]
         dofs[-1] = vertex_dofs[e.dst]
@@ -168,7 +325,9 @@ def build_mesh(g: MetricGraph, edge_h: dict[str, float] | float) -> Mesh:
         next_dof += n - 1
         edge_nodes[e.id] = nodes
         edge_dofs[e.id] = dofs
-    return Mesh(g, edge_nodes, edge_dofs, vertex_dofs, next_dof)
+        if any(plan.ends):
+            graded.add(e.id)
+    return Mesh(g, edge_nodes, edge_dofs, vertex_dofs, next_dof, frozenset(graded))
 
 
 def uniform_mesh(g: MetricGraph, h: float) -> Mesh:
@@ -195,19 +354,24 @@ def refined_mesh(
     peaks: list[str],
     nodes_per_width: float,
 ) -> Mesh:
-    """Mesh resolving the peak scale: spacing 1/(nodes_per_width*sqrt(lam))
-    on edges incident to a peak, five times coarser elsewhere."""
-    return build_mesh(g, _refined_spacing(g, lam, peaks, nodes_per_width))
+    """Mesh resolving the peak scale.
+
+    Target spacing 1/(nodes_per_width*sqrt(lam)) on edges incident to a
+    peak, five times coarser elsewhere; each peak end is graded, so the
+    fine spacing reaches GRADED_WIDTHS peak widths into the edge and the
+    elements beyond grow to the coarse spacing (`build_mesh`).
+    """
+    return build_mesh(g, _refined_spacing(g, lam, peaks, nodes_per_width), peaks, lam)
 
 
 def refined_ndof(
     g: MetricGraph, lam: float, peaks: list[str], nodes_per_width: float
 ) -> int:
     """The ndof of refined_mesh(g, lam, peaks, nodes_per_width), by
-    arithmetic alone: nothing is allocated."""
+    arithmetic alone: the same edge plans, and no node array."""
     edge_h = _refined_spacing(g, lam, peaks, nodes_per_width)
     return len(g.vertices) + sum(
-        edge_elements(e.length, edge_h[e.id]) - 1 for e in g.edges
+        plan.elements - 1 for plan in _edge_plans(g, edge_h, peaks, lam)
     )
 
 
@@ -633,12 +797,22 @@ def shift_invert_eigsh(
     return vals[order], vecs[:, order]
 
 
-def one_sided_derivative(values: np.ndarray, h: float, at_start: bool) -> float:
-    """Outgoing first derivative at an edge end, O(h^2) stencil."""
+def one_sided_derivative(
+    values: np.ndarray, h: float, at_start: bool, h_next: float | None = None
+) -> float:
+    """Outgoing first derivative at an edge end, O(h^2) stencil.
+
+    h is the length of the end's element and h_next that of the next
+    one in (h by default); the three-node stencil is exact on quadratics
+    for any two lengths.
+    """
     v = np.asarray(values, dtype=float)
-    if at_start:
-        return float((-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h))
-    return float((-3.0 * v[-1] + 4.0 * v[-2] - v[-3]) / (2.0 * h))
+    v0, v1, v2 = (v[0], v[1], v[2]) if at_start else (v[-1], v[-2], v[-3])
+    h_next = h if h_next is None else h_next
+    s = h + h_next
+    return float(
+        -(h + s) / (h * s) * v0 + s / (h * h_next) * v1 - h / (h_next * s) * v2
+    )
 
 
 def kirchhoff_flux(mesh: Mesh, u: DiscreteField) -> dict[str, float]:
@@ -648,7 +822,7 @@ def kirchhoff_flux(mesh: Mesh, u: DiscreteField) -> dict[str, float]:
         total = 0.0
         for e, away in mesh.graph.incident(v):
             vals = u.values[mesh.edge_dofs[e.id]]
-            h = mesh.edge_spacing(e.id)
-            total += one_sided_derivative(vals, h, at_start=away)
+            h, h_next = mesh.end_elements(e.id, at_start=away)
+            total += one_sided_derivative(vals, h, at_start=away, h_next=h_next)
         out[v] = total
     return out

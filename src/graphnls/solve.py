@@ -44,11 +44,12 @@ from .profiles import (
 )
 
 
-# Largest mesh a sweep may build.  A star5 sweep to lam=1600 (339,416
-# unknowns) peaks at about 300 bytes of resident memory per unknown of
-# its last, largest mesh, earlier shifts' results included, so this
-# ceiling keeps a sweep under about 3 GB; far beyond it a run would
-# swap or be killed instead of finishing.
+# Largest mesh a sweep may build.  A star5 sweep to lam=1600 on an
+# ungraded peak mesh (339,416 unknowns) peaked at about 300 bytes of
+# resident memory per unknown of its last, largest mesh, earlier
+# shifts' results included, so this ceiling keeps a sweep under about
+# 3 GB; far beyond it a run would swap or be killed instead of
+# finishing.
 MAX_NDOF = 10_000_000
 
 

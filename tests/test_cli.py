@@ -107,14 +107,15 @@ def test_solve_output_is_deterministic(tmp_path):
 
 # SHA-256 of `solve --graph figure1 --peak v1 --lambdas 25,50,100` with
 # BLAS threads pinned to 1.  lam=25 and 50 stall in the line search and
-# lam=100 converges after 143 backtracks, so these pin the Newton
+# lam=100 converges after 139 backtracks, so these pin the Newton
 # kernels bit for bit: a 1e-15 change in a step alters the history.
+# They were re-taken when the peak edges' meshes became graded.
 # The bits also depend on the host: numpy's AVX-512 pow differs from
 # glibc's in the last bit, so a host without AVX-512 or another numpy
 # build may need these two hashes re-taken at an unchanged commit.
 FIGURE1_GOLDEN_SHA256 = {
-    "diagnostics.csv": "d9178123615c52201794e76d3a199c92f0cc523aad6a92246d15c5a521fa65e3",
-    "state_lam100/h1.txt": "53f8c1527b897d6352d18fab50f236389f394d6139f8151560df3bf913386df6",
+    "diagnostics.csv": "4a3fda61540bf190641a7bef5a16ea59746bcaba518e14cb753048134ce14db8",
+    "state_lam100/h1.txt": "aac0c1213d789e27266ab7c9afd9774c3999cecf828fe2a6e93d3de145118e56",
 }
 
 
@@ -144,7 +145,7 @@ def test_figure1_stalls_twice_then_converges_after_backtracks(figure1_run):
         "line_search_stall",
         "converged",
     ]
-    assert manifest["results"][2]["backtracks"] == 143
+    assert manifest["results"][2]["backtracks"] == 139
 
 
 def test_figure1_stall_and_backtracks_are_bit_for_bit(figure1_run):

@@ -64,8 +64,8 @@ def _element_loop_reference(mesh, weight):
     """Stiffness, mass and weighted mass summed element by element."""
     entries = {"S": [], "M": [], "W": []}
     for eid, dofs in mesh.edge_dofs.items():
-        h = mesh.edge_spacing(eid)
-        for a, b in zip(dofs[:-1], dofs[1:]):
+        lengths = np.diff(mesh.edge_nodes[eid])
+        for a, b, h in zip(dofs[:-1], dofs[1:], lengths):
             wa, wb = weight[a], weight[b]
             for r, c, s, m, w in (
                 (a, a, 1.0 / h, h / 3.0, h * (3.0 * wa + wb) / 12.0),
@@ -84,10 +84,7 @@ def _element_loop_reference(mesh, weight):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(PEAKS))
-def test_bands_match_an_element_loop(name):
-    g = reference_graph(name)
-    mesh = refined_mesh(g, 1.0, PEAKS[name][:1], nodes_per_width=1.0)
+def _check_bands_against_element_loop(g, mesh):
     op = assemble(g, mesh, 1.0)
     weight = np.random.default_rng(5).standard_normal(mesh.ndof)
     ref = _element_loop_reference(mesh, weight)
@@ -100,6 +97,24 @@ def test_bands_match_an_element_loop(name):
         assert np.allclose(
             got.tocsr().toarray(), ref[key], rtol=0.0, atol=1e-14 * scale
         )
+
+
+@pytest.mark.parametrize("name", sorted(PEAKS))
+def test_bands_match_an_element_loop(name):
+    g = reference_graph(name)
+    mesh = refined_mesh(g, 1.0, PEAKS[name][:1], nodes_per_width=1.0)
+    assert not mesh.graded
+    _check_bands_against_element_loop(g, mesh)
+
+
+@pytest.mark.parametrize("name", sorted(PEAKS))
+def test_graded_bands_match_an_element_loop(name):
+    # at lam=3600 every peak edge is longer than its fine zone; the
+    # unsplit double tripod's bridge is graded from both ends
+    g = reference_graph(name)
+    mesh = refined_mesh(g, 3600.0, PEAKS[name], nodes_per_width=1.0)
+    assert mesh.graded
+    _check_bands_against_element_loop(g, mesh)
 
 
 @pytest.mark.parametrize("name", sorted(PEAKS))

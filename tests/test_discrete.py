@@ -1,6 +1,7 @@
 """Mesh layout, assembled forms, resolvent, and flux diagnostics."""
 
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from graphnls import (
     assemble,
     build_graph,
     build_mesh,
+    insert_midpoints,
     lambda_norm,
     reference_graph,
     refined_mesh,
@@ -17,10 +19,13 @@ from graphnls import (
     uniform_mesh,
 )
 from graphnls.discrete import (
+    GRADED_WIDTHS,
+    GRADING_RATIO,
     DiscreteField,
     KirchhoffOperator,
     dual_residual_norm,
     edge_bands,
+    edge_elements,
     kirchhoff_flux,
     lambda_inner,
     one_sided_derivative,
@@ -216,6 +221,17 @@ def test_difference_stencils_are_exact_on_quadratics():
     assert one_sided_derivative(u, h, at_start=False) == pytest.approx(-8.0)
 
 
+def test_difference_stencils_are_exact_on_unequal_quadratics():
+    x = np.array([0.0, 0.1, 0.25, 0.5, 0.8, 1.0])
+    u = 3.0 * x**2 + 2.0 * x + 1.0
+    start = one_sided_derivative(u, 0.1, at_start=True, h_next=0.15)
+    end = one_sided_derivative(u, 0.2, at_start=False, h_next=0.3)
+    assert start == pytest.approx(2.0, rel=1e-12)
+    assert end == pytest.approx(-8.0, rel=1e-12)
+    # read with the first element's length at both ends, the end is wrong
+    assert one_sided_derivative(u, 0.1, at_start=False) != pytest.approx(-8.0)
+
+
 def test_kirchhoff_flux_balances_for_resolvent_solutions():
     g = build_graph(TRIPOD)
     mesh = uniform_mesh(g, 0.005)
@@ -245,13 +261,125 @@ edges:
     assert mesh.edge_spacing("e3") > 4.0 * mesh.edge_spacing("e1")
 
 
-@pytest.mark.parametrize("name", ["star5", "figure1"])
+# every built-in graph with its peaks, split as `solve` splits it, and
+# the double tripod unsplit, whose bridge has peaks at both ends
+MESHED_PEAKS = {
+    "tripod": ["c"],
+    "t_graph": ["v"],
+    "star5": ["c"],
+    "figure1": ["v1"],
+    "double_tripod": ["c1", "c2"],
+    "double_tripod_unsplit": ["c1", "c2"],
+}
+
+
+def _meshed_graph(name):
+    peaks = MESHED_PEAKS[name]
+    g = reference_graph(name.removesuffix("_unsplit"))
+    if name == "double_tripod":
+        g = insert_midpoints(g, peaks)
+    return g, peaks
+
+
+@pytest.mark.parametrize("name", sorted(MESHED_PEAKS))
 def test_refined_ndof_matches_the_built_mesh(name):
-    g = reference_graph(name)
-    peak = {"star5": "c", "figure1": "v1"}[name]
-    for lam, npw in ((25.0, 10.0), (400.0, 40.0), (1600.0, 56.6)):
-        mesh = refined_mesh(g, lam, [peak], nodes_per_width=npw)
-        assert refined_ndof(g, lam, [peak], npw) == mesh.ndof
+    g, peaks = _meshed_graph(name)
+    graded = set()
+    for lam, npw in ((25.0, 10.0), (400.0, 40.0), (1600.0, 56.6), (3600.0, 1.0)):
+        mesh = refined_mesh(g, lam, peaks, nodes_per_width=npw)
+        assert refined_ndof(g, lam, peaks, npw) == mesh.ndof
+        assert mesh.ndof == len(g.vertices) + sum(
+            len(nodes) - 2 for nodes in mesh.edge_nodes.values()
+        )
+        graded |= mesh.graded
+    assert graded
+    if name == "double_tripod_unsplit":
+        assert "bridge" in graded
+
+
+def test_refined_ndof_builds_no_nodes():
+    g = reference_graph("star5")
+    npw = 40.0 * 64.0**0.25  # the default growth at the star5 sweep's last shift
+    tracemalloc.start()
+    try:
+        ndof = refined_ndof(g, 1600.0, ["c"], npw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one peak edge's nodes alone would take 32 kB
+    assert peak < 8_000
+    # the uniform mesh had 339,416 unknowns here
+    assert ndof <= 25_000
+
+
+def test_graded_edges_keep_the_uniform_fine_zone_bit_for_bit():
+    # side edges graded at their source, bridge__b at its target, the
+    # unsplit bridge at both ends
+    lam, npw = 1600.0, 40.0
+    h_fine = 1.0 / (npw * math.sqrt(lam))
+    width = GRADED_WIDTHS / math.sqrt(lam)
+    ends_seen = set()
+    for name in ("double_tripod", "double_tripod_unsplit"):
+        g, peaks = _meshed_graph(name)
+        mesh = refined_mesh(g, lam, peaks, nodes_per_width=npw)
+        for e in g.edges:
+            ends = (e.src in peaks, e.dst in peaks)
+            if not any(ends):
+                continue
+            assert e.id in mesh.graded
+            ends_seen.add(ends)
+            nodes = mesh.edge_nodes[e.id]
+            uniform = np.linspace(0.0, e.length, edge_elements(e.length, h_fine) + 1)
+            assert len(nodes) < len(uniform) / 2
+            if ends[0]:
+                k = int(np.argmax(uniform >= width))  # the first node at or past it
+                assert nodes[: k + 1].tobytes() == uniform[: k + 1].tobytes()
+            if ends[1]:
+                k = int(np.argmax(e.length - uniform[::-1] >= width))
+                assert nodes[-k - 1 :].tobytes() == uniform[-k - 1 :].tobytes()
+            h = np.diff(nodes)
+            assert np.all(h > 0.0) and nodes[0] == 0.0 and nodes[-1] == e.length
+            # outward from a peak to the far end (or the midpoint), elements
+            # grow by at most GRADING_RATIO up to the coarse spacing; only
+            # the last one may shrink, or grow by up to 1.5
+            outward = h if ends[0] else h[::-1]
+            if all(ends):
+                outward = outward[: len(h) // 2]
+            ratio = outward[1:] / outward[:-1]
+            assert np.all(ratio[:-1] <= GRADING_RATIO * (1.0 + 1e-9))
+            assert 0.5 <= ratio[-1] <= 1.5
+            assert h.max() <= 1.5 * max(1.0 / math.sqrt(lam), 5.0 * h_fine)
+            if all(ends):  # symmetric about the midpoint
+                assert np.allclose(h, h[::-1], rtol=1e-9, atol=0.0)
+    assert ends_seen == {(True, False), (False, True), (True, True)}
+
+
+def test_spacing_and_flux_read_their_own_end():
+    # e1 runs into the peak and e2 out of it: each peak end is fine and
+    # each far end a stretched last element
+    g = build_graph(
+        """
+vertices: [a, c, b]
+edges:
+  - {id: e1, from: a, to: c, length: 2.0}
+  - {id: e2, from: c, to: b, length: 2.0}
+"""
+    )
+    mesh = refined_mesh(g, 3600.0, ["c"], nodes_per_width=1.0)
+    assert mesh.graded == {"e1", "e2"}
+    fine = mesh.edge_spacing("e1", at_start=False)
+    assert mesh.edge_spacing("e2") == pytest.approx(fine, rel=1e-12)
+    assert mesh.edge_spacing("e1") > 3.0 * fine
+    assert mesh.edge_spacing("e2", at_start=False) > 3.0 * fine
+    # quadratics on each edge, continuous at c: the stencils are exact
+    x1, x2 = mesh.edge_nodes["e1"], mesh.edge_nodes["e2"]
+    u = np.zeros(mesh.ndof)
+    u[mesh.edge_dofs["e1"]] = x1**2
+    u[mesh.edge_dofs["e2"]] = 4.0 + 3.0 * x2 + x2**2
+    flux = kirchhoff_flux(mesh, DiscreteField(mesh, u))
+    assert flux["a"] == pytest.approx(0.0, abs=1e-9)
+    assert flux["c"] == pytest.approx(-4.0 + 3.0, rel=1e-9)
+    assert flux["b"] == pytest.approx(-7.0, rel=1e-9)
 
 
 def test_layout_holds_no_per_element_arrays():

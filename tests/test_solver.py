@@ -11,6 +11,7 @@ from graphnls import (
     assemble,
     assemble_ansatz,
     build_graph,
+    build_mesh,
     continuation_sweep,
     jacobian,
     kernel_projection_diagnostics,
@@ -342,6 +343,27 @@ def test_sweep_refuses_a_mesh_above_the_ceiling_before_building_any(
     with pytest.raises(ValueError, match="more than the ceiling"):
         continuation_sweep(g, template, cfg)
     assert built == []
+
+
+def test_graded_and_uniform_star5_solves_agree():
+    # the graded mesh drops the unknowns that resolve the decayed tail
+    g = reference_graph("star5")
+    lam, npw = 400.0, 40.0
+    star = star_neighborhood(g, "c", mode="single")
+    spec = AnsatzSpec(((star, (0.0,) * 4),), mu=1.0, lam=lam, alpha=0.25)
+    graded = refined_mesh(g, lam, ["c"], nodes_per_width=npw)
+    uniform = build_mesh(g, 1.0 / (npw * math.sqrt(lam)))
+    assert not uniform.graded and graded.ndof < uniform.ndof / 4
+    found = []
+    for mesh in (graded, uniform):
+        op = assemble(g, mesh, lam)
+        res = newton_solve(op, 1.0, assemble_ansatz(g, spec, mesh), SolveConfig())
+        assert res.converged
+        report = evaluate_functionals(op, 1.0, res.u)
+        found.append((report.mass, report.action))
+    (mass, action), (mass_u, action_u) = found
+    assert mass == pytest.approx(mass_u, rel=1e-9)
+    assert action == pytest.approx(action_u, rel=1e-9)
 
 
 def test_sweep_accepts_a_last_mesh_at_the_ceiling(monkeypatch):
