@@ -34,7 +34,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import IndefiniteOperator, NegativeForm, SolveFailure
-from .graphs import MetricGraph
+from .graphs import MetricGraph, vertex_distances
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,12 @@ class Mesh:
     `edge_nodes[eid]` holds the node coordinates on edge eid including
     both endpoints; `edge_dofs[eid]` the matching global indices.  The
     two endpoint entries are the vertex dofs, so a self-loop's ends map
-    to the same unknown.  An edge in `graded` has element lengths that
-    vary along it (see `build_mesh`); every other edge is a uniform
-    `np.linspace` grid, whose element length is taken as
-    nodes[1] - nodes[0] throughout.  The cached `layout` holds per-edge
-    indices only; per-element arrays are transient (`_element_arrays`).
+    to the same unknown.  An edge in `graded` has an end near a peak and
+    element lengths that vary along it (see `build_mesh`); every other
+    edge, near a peak or far from every one, is a uniform `np.linspace`
+    grid, whose element length is taken as nodes[1] - nodes[0]
+    throughout.  The cached `layout` holds per-edge indices only;
+    per-element arrays are transient (`_element_arrays`).
     """
 
     graph: MetricGraph
@@ -170,10 +171,11 @@ def edge_elements(length: float, h: float) -> int:
     return max(4, int(math.ceil(length / h)))
 
 
-# A peak's bound state decays like exp(-sqrt(lam) * t) along every edge
-# at it.  A graded edge keeps its fine step within GRADED_WIDTHS peak
-# widths 1/sqrt(lam) of each peak end, where the state is resolved;
-# beyond them element lengths grow by GRADING_RATIO per element.
+# A peak's bound state decays like exp(-sqrt(lam) * t) with the graph
+# distance t from the peak.  A graded edge end keeps its fine step up to
+# GRADED_WIDTHS peak widths 1/sqrt(lam) from the nearest peak, where the
+# state is resolved; beyond them element lengths grow by GRADING_RATIO
+# per element.
 GRADED_WIDTHS = 30.0
 GRADING_RATIO = 1.05
 
@@ -182,30 +184,35 @@ class _EdgePlan(NamedTuple):
     """The elements of one edge, counted before any node exists.
 
     The uniform grid is np.linspace's: n elements of step h = length / n.
-    A graded edge (`ends`: at its source, at its target) keeps the first
-    `fine` of those steps from each graded end.  A run then covers the
-    rest of the edge, or half of it when both ends are graded: `growing`
-    elements of h * GRADING_RATIO**k for k = 1, 2, ..., `coarse`
-    elements of h_coarse, one more of the previous length if `pause`,
-    and a last element, 0.5 to 1.5 times its predecessor, that ends
-    exactly at the far end (or at the midpoint).
+    A graded edge keeps the first `fine[0]` of those steps from its
+    source and the last `fine[1]` from its target; a count of 0 leaves
+    that end ungraded.  A run then covers the rest of the edge, or, when
+    both ends are graded, each side of the cut
+    0.5 * (length + (fine[0] - fine[1]) * h), which leaves the two sides
+    the same span: `growing` elements of h * GRADING_RATIO**k for
+    k = 1, 2, ..., `coarse` elements of h_coarse, one more of the
+    previous length if `pause`, and a last element, 0.5 to 1.5 times its
+    predecessor, that ends exactly at the far end (or at the cut).
     """
 
     n: int
     h: float
-    ends: tuple[bool, bool] = (False, False)
-    fine: int = 0
+    fine: tuple[int, int] = (0, 0)
     growing: int = 0
     coarse: int = 0
     pause: bool = False
     h_coarse: float = 0.0
 
     @property
+    def graded(self) -> bool:
+        return any(self.fine)
+
+    @property
     def elements(self) -> int:
-        if not any(self.ends):
+        if not self.graded:
             return self.n
         run = self.growing + self.coarse + self.pause + 1
-        return (self.fine + run) * sum(self.ends)
+        return sum(self.fine) + run * sum(k > 0 for k in self.fine)
 
     def run_lengths(self) -> np.ndarray:
         """The run's element lengths outward, all but the last one."""
@@ -236,21 +243,29 @@ def _run(span: float, h: float, h_coarse: float) -> tuple[int, int, bool]:
 
 
 def _edge_plan(
-    length: float, h_target: float, ends: tuple[bool, bool], lam: float | None
+    length: float,
+    h_target: float,
+    reach: tuple[float, float],
+    h_far: float,
 ) -> _EdgePlan:
+    """The plan of an edge whose fine zones reach reach[0] into it from
+    its source and reach[1] from its target.  A reach of 0 or less leaves
+    that end ungraded; with both ends ungraded the edge is a uniform
+    grid at the far-field length h_far."""
+    if max(reach) <= 0.0:
+        n = edge_elements(length, h_far)
+        return _EdgePlan(n, length / n)
     n = edge_elements(length, h_target)
     h = length / n
-    sides = sum(ends)
-    if not sides:
+    fine = [0, 0]
+    for i, r in enumerate(reach):
+        if r > 0.0:
+            k = math.ceil(r / h)
+            fine[i] = k + (k * h < r)  # the first node at or past the reach
+    if n <= sum(fine):  # no longer than its fine zones
         return _EdgePlan(n, h)
-    width = GRADED_WIDTHS / math.sqrt(lam)
-    fine = math.ceil(width / h)
-    fine += fine * h < width  # the first node at or past the width
-    if n <= sides * fine:  # no longer than its fine zones
-        return _EdgePlan(n, h)
-    h_coarse = max(1.0 / math.sqrt(lam), 5.0 * h_target)
-    span = length / sides - fine * h
-    return _EdgePlan(n, h, ends, fine, *_run(span, h, h_coarse), h_coarse)
+    span = (length - sum(fine) * h) / sum(k > 0 for k in fine)
+    return _EdgePlan(n, h, tuple(fine), *_run(span, h, h_far), h_far)
 
 
 def _edge_plans(
@@ -259,12 +274,22 @@ def _edge_plans(
     peaks: Collection[str],
     lam: float | None,
 ) -> Iterator[_EdgePlan]:
-    if peaks and lam is None:
+    def spacing(e):
+        return edge_h[e.id] if isinstance(edge_h, dict) else edge_h
+
+    if not peaks:
+        for e in g.edges:
+            n = edge_elements(e.length, spacing(e))
+            yield _EdgePlan(n, e.length / n)
+        return
+    if lam is None:
         raise ValueError("grading toward peaks needs the shift lam")
-    peak_set = set(peaks)
+    width = GRADED_WIDTHS / math.sqrt(lam)
+    h_far = max(1.0 / math.sqrt(lam), 5.0 * min(map(spacing, g.edges)))
+    tables = [vertex_distances(g, p) for p in set(peaks)]
+    reach = {v: width - min(t[v] for t in tables) for v in g.vertices}
     for e in g.edges:
-        h = edge_h[e.id] if isinstance(edge_h, dict) else edge_h
-        yield _edge_plan(e.length, h, (e.src in peak_set, e.dst in peak_set), lam)
+        yield _edge_plan(e.length, spacing(e), (reach[e.src], reach[e.dst]), h_far)
 
 
 def _plan_nodes(length: float, plan: _EdgePlan) -> np.ndarray:
@@ -273,21 +298,21 @@ def _plan_nodes(length: float, plan: _EdgePlan) -> np.ndarray:
     The fine zones are np.linspace's nodes bit for bit: it computes
     node k as k * (length / n) and sets the last one to length.
     """
-    at_src, at_dst = plan.ends
-    if not (at_src or at_dst):
+    if not plan.graded:
         return np.linspace(0.0, length, plan.n + 1)
-    n, h, m = plan.n, plan.h, plan.fine
+    n, h = plan.n, plan.h
+    at_src, at_dst = plan.fine
     run = np.cumsum(plan.run_lengths())
     if at_src:
-        parts = [np.arange(m + 1) * h, m * h + run]
+        parts = [np.arange(at_src + 1) * h, at_src * h + run]
     else:
         parts = [np.zeros(1)]
     if at_src and at_dst:
-        parts.append(np.full(1, 0.5 * length))
+        parts.append(np.full(1, 0.5 * (length + (at_src - at_dst) * h)))
     if at_dst:
-        fine = np.arange(n - m, n + 1) * h
+        fine = np.arange(n - at_dst, n + 1) * h
         fine[-1] = length
-        parts += [(n - m) * h - run[::-1], fine]
+        parts += [(n - at_dst) * h - run[::-1], fine]
     else:
         parts.append(np.full(1, length))
     return np.concatenate(parts)
@@ -301,14 +326,21 @@ def build_mesh(
 ) -> Mesh:
     """Mesh with target spacing per edge (>= 3 interior nodes each).
 
-    Every edge gets np.linspace's uniform grid at the largest step not
-    above its target spacing, except that given peak vertices and the
-    shift lam, an edge end at a peak is graded (`_EdgePlan`): the grid
-    is kept within GRADED_WIDTHS/sqrt(lam) of it, and beyond that the
-    elements grow by GRADING_RATIO up to max(1/sqrt(lam), 5 * target).
-    An edge with peaks at both ends is graded from both, symmetrically
-    about its midpoint.  An edge no longer than its fine zones stays
-    uniform.
+    Without peaks, every edge gets np.linspace's uniform grid at the
+    largest step not above its target spacing.  Given peak vertices and
+    the shift lam, the mesh is graded by the graph distance d(v) from
+    each vertex to its nearest peak (`_EdgePlan`).  With the width
+    W = GRADED_WIDTHS/sqrt(lam) and the far-field length
+    max(1/sqrt(lam), 5 * the finest target spacing):
+
+    - an edge end with d < W keeps the uniform grid for W - d into the
+      edge, and beyond that the elements grow by GRADING_RATIO up to the
+      far-field length; a peak end is the case d = 0;
+    - an edge graded from both ends is cut where the two runs have equal
+      spans, the midpoint when both keep the same number of fine steps;
+    - an edge no longer than its fine zones stays uniform at its target;
+    - an edge with both ends at d >= W is a uniform grid at the
+      far-field length.
     """
     vertex_dofs = {v: i for i, v in enumerate(g.vertices)}
     next_dof = len(g.vertices)
@@ -325,7 +357,7 @@ def build_mesh(
         next_dof += n - 1
         edge_nodes[e.id] = nodes
         edge_dofs[e.id] = dofs
-        if any(plan.ends):
+        if plan.graded:
             graded.add(e.id)
     return Mesh(g, edge_nodes, edge_dofs, vertex_dofs, next_dof, frozenset(graded))
 
@@ -337,8 +369,9 @@ def uniform_mesh(g: MetricGraph, h: float) -> Mesh:
 def _refined_spacing(
     g: MetricGraph, lam: float, peaks: list[str], nodes_per_width: float
 ) -> dict[str, float]:
-    """Spacing 1/(nodes_per_width*sqrt(lam)) on edges incident to a peak,
-    five times coarser elsewhere."""
+    """Target spacing 1/(nodes_per_width*sqrt(lam)) on edges incident to a
+    peak, five times coarser elsewhere.  Only the fine zones of edge ends
+    near a peak keep their edge's target; `build_mesh` grades the rest."""
     h_fine = 1.0 / (nodes_per_width * math.sqrt(lam))
     peak_set = set(peaks)
     edge_h = {}
@@ -356,10 +389,13 @@ def refined_mesh(
 ) -> Mesh:
     """Mesh resolving the peak scale.
 
-    Target spacing 1/(nodes_per_width*sqrt(lam)) on edges incident to a
-    peak, five times coarser elsewhere; each peak end is graded, so the
-    fine spacing reaches GRADED_WIDTHS peak widths into the edge and the
-    elements beyond grow to the coarse spacing (`build_mesh`).
+    Target spacing h = 1/(nodes_per_width*sqrt(lam)) on edges incident
+    to a peak, five times coarser elsewhere.  The mesh is graded by graph
+    distance (`build_mesh`): each edge end within GRADED_WIDTHS peak
+    widths of the nearest peak keeps its edge's target spacing up to
+    that distance, the elements beyond grow to the far-field length
+    max(1/sqrt(lam), 5h), and an edge farther than that from every peak
+    is a uniform grid at the far-field length.
     """
     return build_mesh(g, _refined_spacing(g, lam, peaks, nodes_per_width), peaks, lam)
 

@@ -135,14 +135,6 @@ def _newton_zeros(N: int, starts: np.ndarray, iters: int = 60) -> np.ndarray:
     return x[ok]
 
 
-def _dedupe(points: np.ndarray) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for p in points:
-        if not any(np.linalg.norm(p - q) < 1e-8 for q in out):
-            out.append(p)
-    return out
-
-
 def enumerate_critical_points(N: int, eps: float) -> ReducedEnergyReport:
     """All critical points of the perturbed cubic, found two ways.
 
@@ -180,11 +172,17 @@ def enumerate_critical_points(N: int, eps: float) -> ReducedEnergyReport:
     for pattern in itertools.product((1.0, -1.0), repeat=d):
         starts.append(np.asarray(pattern))
         starts.append(0.5 * np.asarray(pattern))
-    known = {tuple(p.astype(int)) for p in points}
-    for p in _dedupe(_newton_zeros(N, np.asarray(starts))):
-        key = tuple(np.round(p).astype(int))
-        if key not in known or not np.allclose(p, key, atol=1e-9):
-            raise AssertionError(f"Newton sweep found an unexpected zero {p}")
+    # each zero must round to a closed-form point and lie next to it
+    zeros = _newton_zeros(N, np.asarray(starts))
+    keys = np.round(zeros)
+    expected = (
+        (np.abs(keys) == 1.0).all(axis=1)
+        & ((keys < 0.0).sum(axis=1) == d // 2)
+        & np.isclose(zeros, keys, atol=1e-9).all(axis=1)
+    )
+    if not expected.all():
+        unexpected = zeros[np.argmin(expected)]
+        raise AssertionError(f"Newton sweep found an unexpected zero {unexpected}")
 
     return ReducedEnergyReport(
         N=N,

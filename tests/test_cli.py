@@ -109,13 +109,14 @@ def test_solve_output_is_deterministic(tmp_path):
 # BLAS threads pinned to 1.  lam=25 and 50 stall in the line search and
 # lam=100 converges after 139 backtracks, so these pin the Newton
 # kernels bit for bit: a 1e-15 change in a step alters the history.
-# They were re-taken when the peak edges' meshes became graded.
+# They were re-taken when the peak edges' meshes became graded, and
+# again when every edge end near a peak did.
 # The bits also depend on the host: numpy's AVX-512 pow differs from
 # glibc's in the last bit, so a host without AVX-512 or another numpy
 # build may need these two hashes re-taken at an unchanged commit.
 FIGURE1_GOLDEN_SHA256 = {
-    "diagnostics.csv": "4a3fda61540bf190641a7bef5a16ea59746bcaba518e14cb753048134ce14db8",
-    "state_lam100/h1.txt": "aac0c1213d789e27266ab7c9afd9774c3999cecf828fe2a6e93d3de145118e56",
+    "diagnostics.csv": "74fd44a473cfc5e1a5d0a9a6a69fc8bfd31bc5f3f4671a3eacf47d7e4a50128b",
+    "state_lam100/h1.txt": "917e37a674347fa58f2249b89586a3297a054631a2bdc0be7d5a3c8b22ec0253",
 }
 
 

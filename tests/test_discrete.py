@@ -33,6 +33,7 @@ from graphnls.discrete import (
     refined_ndof,
 )
 from graphnls.errors import IndefiniteOperator, NegativeForm
+from graphnls.graphs import vertex_distances
 
 TRIPOD = """
 vertices: [c, a1, a2, a3]
@@ -262,21 +263,24 @@ edges:
 
 
 # every built-in graph with its peaks, split as `solve` splits it, and
-# the double tripod unsplit, whose bridge has peaks at both ends
+# the double tripod unsplit, whose bridge has peaks at both ends; the
+# figure1 peak pairs grade ends by their distance to the nearer peak
 MESHED_PEAKS = {
-    "tripod": ["c"],
-    "t_graph": ["v"],
-    "star5": ["c"],
-    "figure1": ["v1"],
-    "double_tripod": ["c1", "c2"],
-    "double_tripod_unsplit": ["c1", "c2"],
+    "tripod": ("tripod", ["c"]),
+    "t_graph": ("t_graph", ["v"]),
+    "star5": ("star5", ["c"]),
+    "figure1": ("figure1", ["v1"]),
+    "figure1_v1_v9": ("figure1", ["v1", "v9"]),
+    "figure1_v3_v4": ("figure1", ["v3", "v4"]),
+    "double_tripod": ("double_tripod", ["c1", "c2"]),
+    "double_tripod_unsplit": ("double_tripod", ["c1", "c2"]),
 }
 
 
 def _meshed_graph(name):
-    peaks = MESHED_PEAKS[name]
-    g = reference_graph(name.removesuffix("_unsplit"))
-    if name == "double_tripod":
+    graph, peaks = MESHED_PEAKS[name]
+    g = reference_graph(graph)
+    if not name.endswith("_unsplit"):
         g = insert_midpoints(g, peaks)
     return g, peaks
 
@@ -312,46 +316,110 @@ def test_refined_ndof_builds_no_nodes():
     assert ndof <= 25_000
 
 
+def _check_grading(g, peaks, lam, npw):
+    """Check refined_mesh's grading edge by edge against the graph distance
+    d to the nearest peak; returns the mesh and the kinds of edge seen:
+    "far", "uniform", or the kinds ("peak", "near", None) of a graded
+    edge's two ends."""
+    mesh = refined_mesh(g, lam, peaks, nodes_per_width=npw)
+    h_fine = 1.0 / (npw * math.sqrt(lam))
+    h_far = max(1.0 / math.sqrt(lam), 5.0 * h_fine)
+    width = GRADED_WIDTHS / math.sqrt(lam)
+    tables = [vertex_distances(g, p) for p in peaks]
+    seen = set()
+    for e in g.edges:
+        nodes = mesh.edge_nodes[e.id]
+        d = [min(t[v] for t in tables) for v in (e.src, e.dst)]
+        if min(d) >= width:  # both ends far: linspace at the far-field length
+            far = np.linspace(0.0, e.length, edge_elements(e.length, h_far) + 1)
+            assert e.id not in mesh.graded
+            assert nodes.tobytes() == far.tobytes()
+            seen.add("far")
+            continue
+        target = h_fine if 0.0 in d else 5.0 * h_fine
+        uniform = np.linspace(0.0, e.length, edge_elements(e.length, target) + 1)
+        if e.id not in mesh.graded:  # no longer than its fine zones
+            assert nodes.tobytes() == uniform.tobytes()
+            seen.add("uniform")
+            continue
+        assert len(nodes) < len(uniform)
+        # each end within the width keeps the uniform nodes up to the
+        # first one at or past width - d, bit for bit
+        fine = [0, 0]
+        if d[0] < width:
+            fine[0] = k = int(np.argmax(uniform >= width - d[0]))
+            assert nodes[: k + 1].tobytes() == uniform[: k + 1].tobytes()
+        if d[1] < width:
+            fine[1] = k = int(np.argmax(e.length - uniform[::-1] >= width - d[1]))
+            assert nodes[-k - 1 :].tobytes() == uniform[-k - 1 :].tobytes()
+        h = np.diff(nodes)
+        assert np.all(h > 0.0) and nodes[0] == 0.0 and nodes[-1] == e.length
+        assert h.max() <= 1.5 * h_far
+        # outward from each graded end to the far end (or the cut),
+        # elements grow by at most GRADING_RATIO up to the far-field
+        # length; only the last one may shrink, or grow by up to 1.5
+        run, rest = divmod(len(h) - sum(fine), sum(k > 0 for k in fine))
+        assert rest == 0
+        runs = []
+        for k, outward in zip(fine, (h, h[::-1])):
+            if k:
+                ratio = outward[1 : k + run] / outward[: k + run - 1]
+                assert np.all(ratio[:-1] <= GRADING_RATIO * (1.0 + 1e-9))
+                assert 0.5 <= ratio[-1] <= 1.5
+                runs.append(outward[k : k + run])
+        if len(runs) == 2:  # both sides of the cut share one run
+            assert np.allclose(runs[0], runs[1], rtol=1e-9, atol=0.0)
+        kinds = [None if x >= width else "near" if x else "peak" for x in d]
+        seen.add(tuple(kinds))
+    return mesh, seen
+
+
 def test_graded_edges_keep_the_uniform_fine_zone_bit_for_bit():
     # side edges graded at their source, bridge__b at its target, the
     # unsplit bridge at both ends
-    lam, npw = 1600.0, 40.0
-    h_fine = 1.0 / (npw * math.sqrt(lam))
-    width = GRADED_WIDTHS / math.sqrt(lam)
-    ends_seen = set()
+    seen = set()
     for name in ("double_tripod", "double_tripod_unsplit"):
         g, peaks = _meshed_graph(name)
-        mesh = refined_mesh(g, lam, peaks, nodes_per_width=npw)
-        for e in g.edges:
-            ends = (e.src in peaks, e.dst in peaks)
-            if not any(ends):
-                continue
-            assert e.id in mesh.graded
-            ends_seen.add(ends)
-            nodes = mesh.edge_nodes[e.id]
-            uniform = np.linspace(0.0, e.length, edge_elements(e.length, h_fine) + 1)
-            assert len(nodes) < len(uniform) / 2
-            if ends[0]:
-                k = int(np.argmax(uniform >= width))  # the first node at or past it
-                assert nodes[: k + 1].tobytes() == uniform[: k + 1].tobytes()
-            if ends[1]:
-                k = int(np.argmax(e.length - uniform[::-1] >= width))
-                assert nodes[-k - 1 :].tobytes() == uniform[-k - 1 :].tobytes()
-            h = np.diff(nodes)
-            assert np.all(h > 0.0) and nodes[0] == 0.0 and nodes[-1] == e.length
-            # outward from a peak to the far end (or the midpoint), elements
-            # grow by at most GRADING_RATIO up to the coarse spacing; only
-            # the last one may shrink, or grow by up to 1.5
-            outward = h if ends[0] else h[::-1]
-            if all(ends):
-                outward = outward[: len(h) // 2]
-            ratio = outward[1:] / outward[:-1]
-            assert np.all(ratio[:-1] <= GRADING_RATIO * (1.0 + 1e-9))
-            assert 0.5 <= ratio[-1] <= 1.5
-            assert h.max() <= 1.5 * max(1.0 / math.sqrt(lam), 5.0 * h_fine)
-            if all(ends):  # symmetric about the midpoint
-                assert np.allclose(h, h[::-1], rtol=1e-9, atol=0.0)
-    assert ends_seen == {(True, False), (False, True), (True, True)}
+        seen |= _check_grading(g, peaks, 1600.0, 40.0)[1]
+    assert {("peak", None), (None, "peak"), ("peak", "peak")} <= seen
+
+
+def test_figure1_grades_every_edge_by_its_distance_from_the_peak():
+    # the default growth at the figure1 sweep's last shift: v2, v5 and
+    # v6 lie 1 from v1, within the 1.06 of 30 peak widths
+    g = reference_graph("figure1")
+    lam = 800.0
+    mesh, seen = _check_grading(g, ["v1"], lam, 40.0 * (lam / 25.0) ** 0.25)
+    assert {"far", "uniform", ("peak", None), ("near", None), (None, "near")} <= seen
+    # 44,860 unknowns when only peak ends were graded
+    assert mesh.ndof <= 17_000
+
+
+@pytest.mark.parametrize("peaks", [["v1", "v9"], ["v3", "v4"]])
+def test_figure1_peak_pairs_grade_by_the_nearer_peak(peaks):
+    g = reference_graph("figure1")
+    seen = set()
+    for lam in (25.0, 100.0, 400.0, 1600.0):
+        seen |= _check_grading(g, peaks, lam, 40.0 * (lam / 25.0) ** 0.25)[1]
+    assert {"far", ("peak", None), ("near", None)} <= seen
+
+
+def test_an_edge_near_a_peak_at_both_ends_is_cut_between_unequal_zones():
+    # a and b lie 0.3 and 0.5 from the peak: at lam=900, 30 peak widths
+    # reach 0.7 and 0.5 into ab from its two ends
+    g = build_graph(
+        """
+vertices: [c, a, b, t]
+edges:
+  - {id: ca, from: c, to: a, length: 0.3}
+  - {id: cb, from: c, to: b, length: 0.5}
+  - {id: ab, from: a, to: b, length: 3.0}
+  - {id: ct, from: c, to: t, length: 4.0}
+"""
+    )
+    mesh, seen = _check_grading(g, ["c"], 900.0, 10.0)
+    assert ("near", "near") in seen
+    assert refined_ndof(g, 900.0, ["c"], 10.0) == mesh.ndof
 
 
 def test_spacing_and_flux_read_their_own_end():

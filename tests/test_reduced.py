@@ -13,6 +13,7 @@ from graphnls import (
     reduced_energy,
     reduced_energy_diagonal,
 )
+from graphnls import reduced
 from graphnls.errors import DimensionMismatch, EvenN, OddN
 
 
@@ -91,6 +92,22 @@ def test_odd_star_counts_and_degrees(N, count, degree):
         # every point is a sign pattern scaled by eps with (N-1)/2 minuses
         assert sorted(abs(c) for c in p) == pytest.approx([0.3] * (N - 1))
         assert sum(1 for c in p if c < 0) == (N - 1) // 2
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        [1.0, 1.0, 1.0, 1.0],  # a sign pattern with no minus entry
+        [1.0, -1.0, 1.0, 0.0],  # an entry that rounds to zero
+        [1.0, -1.0, 1.0, -1.001],  # rounds to a pattern but lies off it
+    ],
+)
+def test_newton_sweep_rejects_a_zero_off_the_closed_form(monkeypatch, planted):
+    # beside the closed-form points, as a real sweep returns them
+    zeros = np.array([[1.0, -1.0, 1.0, -1.0], planted, [-1.0, 1.0, -1.0, 1.0]])
+    monkeypatch.setattr(reduced, "_newton_zeros", lambda N, starts: zeros)
+    with pytest.raises(AssertionError, match="unexpected zero"):
+        enumerate_critical_points(5, 0.3)
 
 
 def test_critical_points_scale_linearly_with_eps():

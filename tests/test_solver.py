@@ -345,15 +345,15 @@ def test_sweep_refuses_a_mesh_above_the_ceiling_before_building_any(
     assert built == []
 
 
-def test_graded_and_uniform_star5_solves_agree():
-    # the graded mesh drops the unknowns that resolve the decayed tail
-    g = reference_graph("star5")
-    lam, npw = 400.0, 40.0
-    star = star_neighborhood(g, "c", mode="single")
-    spec = AnsatzSpec(((star, (0.0,) * 4),), mu=1.0, lam=lam, alpha=0.25)
-    graded = refined_mesh(g, lam, ["c"], nodes_per_width=npw)
+def _check_graded_matches_fine(g, peak, lam, npw, shrink):
+    """Newton from the ansatz at one peak, on the graded mesh and on the
+    all-fine one: the graded mesh has under 1/shrink of the unknowns, and
+    mass and action agree to 1e-9 relative."""
+    star = star_neighborhood(g, peak, mode="single")
+    spec = AnsatzSpec(((star, (0.0,) * (star.degree - 1)),), 1.0, lam, 0.25)
+    graded = refined_mesh(g, lam, [peak], nodes_per_width=npw)
     uniform = build_mesh(g, 1.0 / (npw * math.sqrt(lam)))
-    assert not uniform.graded and graded.ndof < uniform.ndof / 4
+    assert not uniform.graded and graded.ndof < uniform.ndof / shrink
     found = []
     for mesh in (graded, uniform):
         op = assemble(g, mesh, lam)
@@ -364,6 +364,20 @@ def test_graded_and_uniform_star5_solves_agree():
     (mass, action), (mass_u, action_u) = found
     assert mass == pytest.approx(mass_u, rel=1e-9)
     assert action == pytest.approx(action_u, rel=1e-9)
+
+
+def test_graded_and_uniform_star5_solves_agree():
+    # the graded mesh drops the unknowns that resolve the decayed tail
+    _check_graded_matches_fine(reference_graph("star5"), "c", 400.0, 40.0, 4)
+
+
+def test_graded_and_uniform_figure1_solves_agree():
+    # at lam=200, 30 peak widths reach 2.1 from v3: v2 and v7 lie 1 from
+    # it and v1, v4 and v9 lie 2, every other vertex lies beyond.  Neither
+    # the near ends, graded by their distance, nor the far edges at the
+    # far-field length lose anything the all-fine mesh resolves (5,415
+    # unknowns against 50,350)
+    _check_graded_matches_fine(reference_graph("figure1"), "v3", 200.0, 40.0, 8)
 
 
 def test_sweep_accepts_a_last_mesh_at_the_ceiling(monkeypatch):
