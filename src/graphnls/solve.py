@@ -363,12 +363,17 @@ def continuation_sweep(
     def nodes_per_width(lam: float) -> float:
         return cfg.nodes_per_width * (lam / lam0) ** cfg.refinement_growth
 
-    # the mesh only grows along the schedule: check the last one first
-    lam_max = cfg.lambda_schedule[-1]
-    try:
-        ndof = refined_ndof(g, lam_max, peaks, nodes_per_width(lam_max))
-    except (OverflowError, ZeroDivisionError):  # spacing beyond float range
-        ndof = math.inf
+    def ndof_at(lam: float) -> float:
+        try:
+            return refined_ndof(g, lam, peaks, nodes_per_width(lam))
+        except (OverflowError, ZeroDivisionError):  # spacing beyond float range
+            return math.inf
+
+    # the largest mesh need not be the last: an edge within the graded
+    # width of a peak at an early shift may lie beyond it at a later
+    # one, and shrink to the far-field length.  Count every shift's
+    # mesh, by arithmetic, before building any.
+    ndof, lam_max = max((ndof_at(lam), lam) for lam in cfg.lambda_schedule)
     if ndof > MAX_NDOF:
         raise ValueError(
             f"the mesh at lam={lam_max:g} would have {ndof:g} unknowns, "

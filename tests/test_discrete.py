@@ -338,19 +338,27 @@ def _check_grading(g, peaks, lam, npw):
             continue
         target = h_fine if 0.0 in d else 5.0 * h_fine
         uniform = np.linspace(0.0, e.length, edge_elements(e.length, target) + 1)
+        # each end within the width keeps the uniform nodes up to the
+        # first one at or past width - d; an end whose zone covers the
+        # edge keeps them all
+        n = len(uniform) - 1
+        fine = [0, 0]
+        if d[0] < width:
+            fine[0] = int(np.argmax(np.append(uniform, np.inf) >= width - d[0]))
+        if d[1] < width:
+            back = np.append(e.length - uniform[::-1], np.inf)
+            fine[1] = int(np.argmax(back >= width - d[1]))
         if e.id not in mesh.graded:  # no longer than its fine zones
+            assert sum(fine) >= n
             assert nodes.tobytes() == uniform.tobytes()
             seen.add("uniform")
             continue
-        assert len(nodes) < len(uniform)
-        # each end within the width keeps the uniform nodes up to the
-        # first one at or past width - d, bit for bit
-        fine = [0, 0]
-        if d[0] < width:
-            fine[0] = k = int(np.argmax(uniform >= width - d[0]))
+        assert sum(fine) < n and len(nodes) < len(uniform)
+        if fine[0]:
+            k = fine[0]
             assert nodes[: k + 1].tobytes() == uniform[: k + 1].tobytes()
-        if d[1] < width:
-            fine[1] = k = int(np.argmax(e.length - uniform[::-1] >= width - d[1]))
+        if fine[1]:
+            k = fine[1]
             assert nodes[-k - 1 :].tobytes() == uniform[-k - 1 :].tobytes()
         h = np.diff(nodes)
         assert np.all(h > 0.0) and nodes[0] == 0.0 and nodes[-1] == e.length
@@ -377,10 +385,19 @@ def _check_grading(g, peaks, lam, npw):
 def test_graded_edges_keep_the_uniform_fine_zone_bit_for_bit():
     # side edges graded at their source, bridge__b at its target, the
     # unsplit bridge at both ends
+    lam, npw = 1600.0, 40.0
+    h_fine = 1.0 / (npw * math.sqrt(lam))
     seen = set()
     for name in ("double_tripod", "double_tripod_unsplit"):
         g, peaks = _meshed_graph(name)
-        seen |= _check_grading(g, peaks, 1600.0, 40.0)[1]
+        mesh, kinds = _check_grading(g, peaks, lam, npw)
+        seen |= kinds
+        # every edge with a peak end is graded, to under half the nodes
+        for e in g.edges:
+            if e.src in peaks or e.dst in peaks:
+                assert e.id in mesh.graded
+                uniform = edge_elements(e.length, h_fine) + 1
+                assert len(mesh.edge_nodes[e.id]) < uniform / 2
     assert {("peak", None), (None, "peak"), ("peak", "peak")} <= seen
 
 

@@ -381,7 +381,7 @@ def test_graded_and_uniform_figure1_solves_agree():
 
 
 def test_sweep_accepts_a_last_mesh_at_the_ceiling(monkeypatch):
-    # only the last shift's mesh is checked: it is the largest
+    # on the tripod the last shift's mesh is the largest
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
     template = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
@@ -397,6 +397,39 @@ def test_sweep_accepts_a_last_mesh_at_the_ceiling(monkeypatch):
     monkeypatch.setattr(graphnls.solve, "MAX_NDOF", ndof[1])
     results = continuation_sweep(g, template, cfg)
     assert [r.u.mesh.ndof for r in results] == ndof
+
+
+def test_sweep_checks_an_earlier_mesh_larger_than_the_last(monkeypatch):
+    # a lies 2 from the peak: within 30 peak widths at lam=25, so its 100
+    # pendant edges are fine there, and beyond them at lam=400, where
+    # they shrink to the far-field length
+    pendants = "".join(
+        f"  - {{id: p{i}, from: a, to: t{i}, length: 1.0}}\n" for i in range(100)
+    )
+    g = build_graph(
+        "vertices: [c, l1, l2, a, "
+        + ", ".join(f"t{i}" for i in range(100))
+        + "]\nedges:\n"
+        + "  - {id: l1, from: c, to: l1, length: 1.0}\n"
+        + "  - {id: l2, from: c, to: l2, length: 1.0}\n"
+        + "  - {id: ca, from: c, to: a, length: 2.0}\n"
+        + pendants
+    )
+    star = star_neighborhood(g, "c", mode="single")
+    template = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
+    cfg = SolveConfig(
+        lambda_schedule=(25.0, 400.0), nodes_per_width=100.0, refinement_growth=0.0
+    )
+    ndof = [refined_ndof(g, lam, ["c"], 100.0) for lam in (25.0, 400.0)]
+    assert ndof[0] > ndof[1]
+    built = []
+    monkeypatch.setattr(
+        graphnls.discrete, "build_mesh", lambda *a, **k: built.append(a)
+    )
+    monkeypatch.setattr(graphnls.solve, "MAX_NDOF", ndof[0] - 1)
+    with pytest.raises(ValueError, match="at lam=25 would have"):
+        continuation_sweep(g, template, cfg)
+    assert built == []
 
 
 def test_kernel_diagnostics_require_convergence():
