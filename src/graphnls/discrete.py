@@ -171,12 +171,21 @@ def edge_elements(length: float, h: float) -> int:
     return max(4, int(math.ceil(length / h)))
 
 
-# A peak's bound state decays like exp(-sqrt(lam) * t) with the graph
-# distance t from the peak.  A graded edge end keeps its fine step up to
-# GRADED_WIDTHS peak widths 1/sqrt(lam) from the nearest peak, where the
-# state is resolved; beyond them element lengths grow by GRADING_RATIO
-# per element.
-GRADED_WIDTHS = 30.0
+# A peak's bound state decays like exp(-s) in s = sqrt(lam) * t, the
+# graph distance t from the peak in peak widths 1/sqrt(lam).  A graded
+# edge end keeps its fine step, h = 1/nodes_per_width widths, up to
+# s = W = GRADED_WIDTHS from the nearest peak; beyond it element lengths
+# grow by GRADING_RATIO per element, to about h + 0.05 * (s - W) widths
+# at s.  The P1 interpolation error (length**2 / 8 times exp(-s)) of
+# that tail peaks within two widths past W, at about 1.7e-4 * exp(-W) of
+# the peak value: 5e-11 at W = 15 (6e-11 to 8e-11 measured on the star5
+# meshes at lam=1600 and lam=25).  The peak's own error h**2 / 8 is
+# about 1e-5 or more at the default nodes_per_width through lam=1600,
+# so the tail adds under 1e-5 of it.  Widths near 10 would still be
+# accurate enough; they are ruled out by figure1's seed at c = 0, whose
+# stalls move with the mesh (W = 10 turns the figure1 v1 sweep's two
+# stalled shifts into four).
+GRADED_WIDTHS = 15.0
 GRADING_RATIO = 1.05
 
 

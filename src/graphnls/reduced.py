@@ -110,25 +110,32 @@ def _check_star_size(N: int) -> None:
 def _newton_zeros(N: int, starts: np.ndarray, iters: int = 60) -> np.ndarray:
     """Batched Newton on the perturbed gradient at eps = 1.
 
-    Returns the points where it converged.
+    A start stops once its gradient norm is below 1e-12; the rest keep
+    stepping.  Returns the points where it converged.
     """
     x = np.array(starts, dtype=float)
+    run = np.arange(x.shape[0])
+    idx = np.arange(N - 1)
     for _ in range(iters):
-        s = x.sum(axis=1)
-        grad = 3.0 * x**2 - 3.0 * s[:, None] ** 2 - 3.0
-        hess = np.zeros((x.shape[0], N - 1, N - 1))
+        xr = x[run]
+        s = xr.sum(axis=1)
+        grad = 3.0 * xr**2 - 3.0 * s[:, None] ** 2 - 3.0
+        going = ~(np.linalg.norm(grad, axis=1) < 1e-12)
+        if not going.any():
+            break
+        run, xr, s, grad = run[going], xr[going], s[going], grad[going]
+        hess = np.zeros((xr.shape[0], N - 1, N - 1))
         hess[:] = -6.0 * s[:, None, None]
-        idx = np.arange(N - 1)
-        hess[:, idx, idx] += 6.0 * x
+        hess[:, idx, idx] += 6.0 * xr
         try:
             step = np.linalg.solve(hess, grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
             # regularize the singular batch entries and keep going
             hess[:, idx, idx] += 1e-12
             step = np.linalg.solve(hess, grad[..., None])[..., 0]
-        x = x - step
-        bad = ~np.isfinite(x).all(axis=1)
-        x[bad] = np.inf
+        xr = xr - step
+        xr[~np.isfinite(xr).all(axis=1)] = np.inf
+        x[run] = xr
     s = x.sum(axis=1)
     grad = 3.0 * x**2 - 3.0 * s[:, None] ** 2 - 3.0
     ok = np.isfinite(x).all(axis=1) & (np.linalg.norm(grad, axis=1) < 1e-12)

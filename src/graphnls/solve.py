@@ -49,7 +49,9 @@ from .profiles import (
 # resident memory per unknown of its last, largest mesh, earlier
 # shifts' results included, so this ceiling keeps a sweep under about
 # 3 GB; far beyond it a run would swap or be killed instead of
-# finishing.
+# finishing.  The graded mesh (fine spacing within 15 peak widths of
+# the peak) has 11,796 unknowns at that shift, so only nodes_per_width
+# or refinement_growth far above their defaults come near the ceiling.
 MAX_NDOF = 10_000_000
 
 

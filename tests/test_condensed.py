@@ -101,8 +101,11 @@ def _check_bands_against_element_loop(g, mesh):
 
 @pytest.mark.parametrize("name", sorted(PEAKS))
 def test_bands_match_an_element_loop(name):
+    # at lam=0.25, 15 peak widths reach 30 from the peak and cover every
+    # edge (t_graph's half-lines end at 20), so each stays a uniform grid
+    # at spacing 1
     g = reference_graph(name)
-    mesh = refined_mesh(g, 1.0, PEAKS[name][:1], nodes_per_width=1.0)
+    mesh = refined_mesh(g, 0.25, PEAKS[name][:1], nodes_per_width=2.0)
     assert not mesh.graded
     _check_bands_against_element_loop(g, mesh)
 

@@ -402,14 +402,18 @@ def test_graded_edges_keep_the_uniform_fine_zone_bit_for_bit():
 
 
 def test_figure1_grades_every_edge_by_its_distance_from_the_peak():
-    # the default growth at the figure1 sweep's last shift: v2, v5 and
-    # v6 lie 1 from v1, within the 1.06 of 30 peak widths
+    # the default growth of the figure1 sweep: at lam=200, v2, v5 and v6
+    # lie 1 from v1, within the 1.06 of 15 peak widths
     g = reference_graph("figure1")
-    lam = 800.0
+    lam = 200.0
     mesh, seen = _check_grading(g, ["v1"], lam, 40.0 * (lam / 25.0) ** 0.25)
     assert {"far", "uniform", ("peak", None), ("near", None), (None, "near")} <= seen
-    # 44,860 unknowns when only peak ends were graded
-    assert mesh.ndof <= 17_000
+    # at the last shift only the peak ends are near: 44,860 unknowns when
+    # only they were graded, 16,732 with the fine spacing to 30 widths
+    lam = 800.0
+    mesh, seen = _check_grading(g, ["v1"], lam, 40.0 * (lam / 25.0) ** 0.25)
+    assert seen == {"far", ("peak", None)}
+    assert mesh.ndof <= 10_000
 
 
 @pytest.mark.parametrize("peaks", [["v1", "v9"], ["v3", "v4"]])
@@ -422,7 +426,7 @@ def test_figure1_peak_pairs_grade_by_the_nearer_peak(peaks):
 
 
 def test_an_edge_near_a_peak_at_both_ends_is_cut_between_unequal_zones():
-    # a and b lie 0.3 and 0.5 from the peak: at lam=900, 30 peak widths
+    # a and b lie 0.3 and 0.5 from the peak: at lam=225, 15 peak widths
     # reach 0.7 and 0.5 into ab from its two ends
     g = build_graph(
         """
@@ -434,9 +438,9 @@ edges:
   - {id: ct, from: c, to: t, length: 4.0}
 """
     )
-    mesh, seen = _check_grading(g, ["c"], 900.0, 10.0)
+    mesh, seen = _check_grading(g, ["c"], 225.0, 20.0)
     assert ("near", "near") in seen
-    assert refined_ndof(g, 900.0, ["c"], 10.0) == mesh.ndof
+    assert refined_ndof(g, 225.0, ["c"], 20.0) == mesh.ndof
 
 
 def test_spacing_and_flux_read_their_own_end():

@@ -1,8 +1,12 @@
 """Metric graph construction, distances, peak balls and star neighborhoods."""
 
+from importlib.resources import files
+
 import numpy as np
 import pytest
+import yaml
 
+import graphnls.graphs
 from graphnls import (
     build_graph,
     check_disjoint_peak_balls,
@@ -16,6 +20,7 @@ from graphnls.errors import (
     NonpositiveEdgeLength,
     OverlappingPeaks,
 )
+from graphnls.acceptance import _star_yaml
 from graphnls.graphs import admissible_peak_degree, vertex_distances
 
 TRIPOD = """
@@ -270,6 +275,23 @@ def test_reference_graphs_load(name):
     g = reference_graph(name)
     assert all(e.length > 0 for e in g.edges)
     assert len(g.vertices) >= 2
+
+
+def test_pure_python_and_libyaml_loaders_build_equal_graphs(monkeypatch):
+    texts = [p.read_text() for p in (files("graphnls") / "data").iterdir()]
+    assert len(texts) == 5
+    texts += [_star_yaml(N, 25.0) for N in range(2, 6)]
+    default = [build_graph(t) for t in texts]
+    loaders = [yaml.SafeLoader]
+    if hasattr(yaml, "CSafeLoader"):
+        loaders.append(yaml.CSafeLoader)
+    for loader in loaders:
+        monkeypatch.setattr(graphnls.graphs, "_YAML_LOADER", loader)
+        assert [build_graph(t) for t in texts] == default, loader
+        with pytest.raises(ValueError, match="not valid YAML"):
+            build_graph("vertices: [a\nedges: {\n")
+    if len(loaders) == 1:
+        pytest.skip("PyYAML was built without libyaml")
 
 
 def test_random_path_distances_match_partial_sums():

@@ -79,12 +79,48 @@ def test_tripod_critical_points_closed_form():
     assert rep.even_case_lines is None
 
 
+def _newton_zeros_every_row(N, starts, iters=60):
+    """Reference sweep: batched Newton stepping every start all `iters`
+    times, converged or not."""
+    x = np.array(starts, dtype=float)
+    idx = np.arange(N - 1)
+    for _ in range(iters):
+        s = x.sum(axis=1)
+        grad = 3.0 * x**2 - 3.0 * s[:, None] ** 2 - 3.0
+        hess = np.zeros((x.shape[0], N - 1, N - 1))
+        hess[:] = -6.0 * s[:, None, None]
+        hess[:, idx, idx] += 6.0 * x
+        try:
+            step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            hess[:, idx, idx] += 1e-12
+            step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        x = x - step
+        x[~np.isfinite(x).all(axis=1)] = np.inf
+    s = x.sum(axis=1)
+    grad = 3.0 * x**2 - 3.0 * s[:, None] ** 2 - 3.0
+    ok = np.isfinite(x).all(axis=1) & (np.linalg.norm(grad, axis=1) < 1e-12)
+    return x[ok]
+
+
 @pytest.mark.parametrize(
     "N, count, degree",
-    [(3, 2, -2), (5, 6, 6), (7, 20, -20)],
+    [(3, 2, -2), (5, 6, 6), (7, 20, -20), (9, 70, 70), (11, 252, -252)],
 )
-def test_odd_star_counts_and_degrees(N, count, degree):
-    rep = enumerate_critical_points(N, 0.3)
+def test_odd_star_counts_and_degrees(monkeypatch, N, count, degree):
+    sweeps, reports = [], []
+
+    def recording(newton):
+        def run(N, starts):
+            sweeps.append(newton(N, starts))
+            return sweeps[-1]
+
+        return run
+
+    for newton in (reduced._newton_zeros, _newton_zeros_every_row):
+        monkeypatch.setattr(reduced, "_newton_zeros", recording(newton))
+        reports.append(enumerate_critical_points(N, 0.3))
+    rep = reports[0]
     assert len(rep.critical_points) == count
     assert count == math.comb(N - 1, (N - 1) // 2)
     assert rep.local_degree == degree
@@ -92,6 +128,12 @@ def test_odd_star_counts_and_degrees(N, count, degree):
         # every point is a sign pattern scaled by eps with (N-1)/2 minuses
         assert sorted(abs(c) for c in p) == pytest.approx([0.3] * (N - 1))
         assert sum(1 for c in p if c < 0) == (N - 1) // 2
+    # starts stop once converged: the same report, and the same zeros to
+    # 1e-12, as stepping every start to the end
+    assert reports[1] == rep
+    zeros, reference = sweeps
+    assert zeros.shape == reference.shape
+    assert np.abs(zeros - reference).max() <= 1e-12
 
 
 @pytest.mark.parametrize(

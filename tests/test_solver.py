@@ -372,11 +372,10 @@ def test_graded_and_uniform_star5_solves_agree():
 
 
 def test_graded_and_uniform_figure1_solves_agree():
-    # at lam=200, 30 peak widths reach 2.1 from v3: v2 and v7 lie 1 from
-    # it and v1, v4 and v9 lie 2, every other vertex lies beyond.  Neither
-    # the near ends, graded by their distance, nor the far edges at the
-    # far-field length lose anything the all-fine mesh resolves (5,415
-    # unknowns against 50,350)
+    # at lam=200, 15 peak widths reach 1.06 from v3: v2 and v7 lie 1 from
+    # it, every other vertex lies beyond.  Neither the near ends, graded
+    # by their distance, nor the far edges at the far-field length lose
+    # anything the all-fine mesh resolves (4,232 unknowns against 50,350)
     _check_graded_matches_fine(reference_graph("figure1"), "v3", 200.0, 40.0, 8)
 
 
@@ -400,7 +399,7 @@ def test_sweep_accepts_a_last_mesh_at_the_ceiling(monkeypatch):
 
 
 def test_sweep_checks_an_earlier_mesh_larger_than_the_last(monkeypatch):
-    # a lies 2 from the peak: within 30 peak widths at lam=25, so its 100
+    # a lies 2 from the peak: within 15 peak widths at lam=25, so its 100
     # pendant edges are fine there, and beyond them at lam=400, where
     # they shrink to the far-field length
     pendants = "".join(
