@@ -13,7 +13,6 @@ from .discrete import (
     KirchhoffOperator,
     Mesh,
     assemble,
-    build_mesh,
     kirchhoff_flux,
     lambda_norm,
     refined_mesh,
@@ -92,7 +91,6 @@ __all__ = [
     "assemble",
     "assemble_ansatz",
     "build_graph",
-    "build_mesh",
     "change_of_variables_matrix",
     "check_disjoint_peak_balls",
     "continuation_sweep",

@@ -211,7 +211,7 @@ def _tripod_sweep():
     )
     cfg = SolveConfig(
         mu=1.0,
-        lambda_schedule=_TRIPOD_SCHEDULE,
+        lambdas=_TRIPOD_SCHEDULE,
         nodes_per_width=40.0,
         seed="ansatz",
     )
@@ -290,7 +290,7 @@ def _double_sweep():
     )
     cfg = SolveConfig(
         mu=1.0,
-        lambda_schedule=_DOUBLE_SCHEDULE,
+        lambdas=_DOUBLE_SCHEDULE,
         nodes_per_width=40.0,
         seed="previous",
     )
@@ -328,7 +328,7 @@ def _mu2_result():
         peaks=((star, (0.0, 0.0)),), mu=2.0, lam=400.0, alpha=0.25
     )
     cfg = SolveConfig(
-        mu=2.0, lambda_schedule=(400.0,), nodes_per_width=40.0, seed="ansatz"
+        mu=2.0, lambdas=(400.0,), nodes_per_width=40.0, seed="ansatz"
     )
     return continuation_sweep(g, template, cfg)[-1]
 
@@ -365,7 +365,7 @@ def criterion_9(coarse: bool = False) -> CriterionResult:
         mesh = uniform_mesh(g, h)
         op = assemble(g, mesh, lam)
         exact = sample_star_state(mesh, star, lam, mu)
-        cfg = SolveConfig(mu=mu, newton_tol=1e-11, lambda_schedule=(lam,))
+        cfg = SolveConfig(mu=mu, newton_tol=1e-11, lambdas=(lam,))
         res = newton_solve(op, mu, DiscreteField(mesh, exact), cfg)
         diff = res.u.values - exact
         diff[mesh.dirichlet_dofs] = 0.0

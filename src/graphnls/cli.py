@@ -47,28 +47,25 @@ from .reduced import MAX_N, enumerate_critical_points, even_case_lines
 from .solve import SolveConfig, continuation_sweep
 
 _BUILTIN_GRAPHS = ("tripod", "t_graph", "star5", "double_tripod", "figure1")
+# the ExperimentConfig fields whose solve flags are written by hand: they
+# parse a list, or carry help text
+_HAND_WRITTEN_FLAGS = ("graph", "peaks", "coeffs", "lambdas", "outdir")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(SolveConfig):
     """Fully resolved description of one solve run.
 
-    Solver knobs take their defaults and checks from SolveConfig; the
-    fields stay flat because the config hash and manifest are made of them.
+    The solver knobs, their defaults and their checks are SolveConfig's;
+    this adds what the seed state and the artifacts need.  The fields
+    stay flat because the config hash and manifest are made of them.
     """
 
     graph: str
     peaks: tuple[str, ...]
-    mu: float = SolveConfig.mu
     alpha: float = 0.25
     coeffs: tuple[tuple[float, ...], ...] | None = None
     lambdas: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0, 400.0)
-    nodes_per_width: float = SolveConfig.nodes_per_width
-    newton_tol: float = SolveConfig.newton_tol
-    max_iters: int = SolveConfig.max_iters
-    damping: float = SolveConfig.damping
-    refinement_growth: float = SolveConfig.refinement_growth
-    seed: str = SolveConfig.seed
     cutoff: str = AnsatzSpec.cutoff_kind
     outdir: str = "graphnls-out"
 
@@ -77,7 +74,7 @@ class ExperimentConfig:
             raise ValueError("at least one peak vertex is required")
         if not self.lambdas:
             raise ValueError("lambda schedule is empty")
-        self.solve_config()  # rejects out-of-range solver knobs
+        super().__post_init__()  # rejects out-of-range solver knobs
         # each shift writes its states to a directory named by its shift
         names = [_state_dir_name(lam) for lam in self.lambdas]
         clashes = sorted({n for n in names if names.count(n) > 1})
@@ -86,16 +83,6 @@ class ExperimentConfig:
                 f"shifts {list(self.lambdas)} equal to 6 significant digits "
                 f"would share a state directory: {', '.join(clashes)}"
             )
-
-    def solve_config(self) -> SolveConfig:
-        # every SolveConfig knob is a field of the same name here, except
-        # the schedule, which the config hash knows as "lambdas"
-        knobs = {
-            f.name: getattr(self, f.name)
-            for f in fields(SolveConfig)
-            if f.name != "lambda_schedule"
-        }
-        return SolveConfig(lambda_schedule=self.lambdas, **knobs)
 
     def resolved(self) -> dict:
         """Every knob with its in-effect value (no hidden defaults)."""
@@ -188,7 +175,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     # the ratio columns need the reference constants, which exist only
     # for mu >= 0.5: fail before the sweep rather than after it
     ref = soliton_reference(cfg.mu)
-    results = continuation_sweep(g, template, cfg.solve_config())
+    results = continuation_sweep(g, template, cfg)
 
     weight = sum(s.degree for s in stars) / 2.0
     mass_pow = 1.0 / cfg.mu - 0.5
@@ -361,8 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="VERTEX",
         help="peak vertex id (repeat for multiple peaks)",
     )
-    ps.add_argument("--mu", type=float)
-    ps.add_argument("--alpha", type=float)
     ps.add_argument(
         "--coeffs",
         action="append",
@@ -375,14 +360,12 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_parse_floats,
         help="comma-separated increasing frequency shifts",
     )
-    ps.add_argument("--nodes-per-width", type=float)
-    ps.add_argument("--newton-tol", type=float)
-    ps.add_argument("--max-iters", type=int)
-    ps.add_argument("--damping", type=float)
-    ps.add_argument("--refinement-growth", type=float)
-    ps.add_argument("--seed", choices=SolveConfig.SEEDS)
-    ps.add_argument("--cutoff")
     ps.add_argument("--outdir", help="output directory (env GRAPHNLS_OUTDIR overrides)")
+    # every other field is a scalar knob: its flag is --<field-name>,
+    # parsed as the type of its default
+    for f in fields(ExperimentConfig):
+        if f.name not in _HAND_WRITTEN_FLAGS:
+            ps.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
 
     pr = sub.add_parser("reduced-energy", help="critical-point structure")
     pr.add_argument("N", type=int, help=f"number of star edges (2 to {MAX_N})")

@@ -23,7 +23,7 @@ for comparison against sparse-direct references.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -84,7 +84,7 @@ class Mesh:
     both endpoints; `edge_dofs[eid]` the matching global indices.  The
     two endpoint entries are the vertex dofs, so a self-loop's ends map
     to the same unknown.  An edge in `graded` has an end near a peak and
-    element lengths that vary along it (see `build_mesh`); every other
+    element lengths that vary along it (see `refined_mesh`); every other
     edge, near a peak or far from every one, is a uniform `np.linspace`
     grid, whose element length is taken as nodes[1] - nodes[0]
     throughout.  The cached `layout` holds per-edge indices only;
@@ -279,26 +279,26 @@ def _edge_plan(
 
 def _edge_plans(
     g: MetricGraph,
-    edge_h: dict[str, float] | float,
-    peaks: Collection[str],
-    lam: float | None,
+    h: float,
+    peaks: Collection[str] = (),
+    lam: float | None = None,
 ) -> Iterator[_EdgePlan]:
-    def spacing(e):
-        return edge_h[e.id] if isinstance(edge_h, dict) else edge_h
-
+    """The plan of every edge of g: np.linspace's grid at spacing h, or,
+    given peaks and the shift lam, graded toward the peaks with spacing
+    h as `refined_mesh` states."""
     if not peaks:
         for e in g.edges:
-            n = edge_elements(e.length, spacing(e))
+            n = edge_elements(e.length, h)
             yield _EdgePlan(n, e.length / n)
         return
-    if lam is None:
-        raise ValueError("grading toward peaks needs the shift lam")
+    peaks = set(peaks)
     width = GRADED_WIDTHS / math.sqrt(lam)
-    h_far = max(1.0 / math.sqrt(lam), 5.0 * min(map(spacing, g.edges)))
-    tables = [vertex_distances(g, p) for p in set(peaks)]
+    h_far = max(1.0 / math.sqrt(lam), 5.0 * h)
+    tables = [vertex_distances(g, p) for p in peaks]
     reach = {v: width - min(t[v] for t in tables) for v in g.vertices}
     for e in g.edges:
-        yield _edge_plan(e.length, spacing(e), (reach[e.src], reach[e.dst]), h_far)
+        h_edge = h if e.src in peaks or e.dst in peaks else 5.0 * h
+        yield _edge_plan(e.length, h_edge, (reach[e.src], reach[e.dst]), h_far)
 
 
 def _plan_nodes(length: float, plan: _EdgePlan) -> np.ndarray:
@@ -327,36 +327,14 @@ def _plan_nodes(length: float, plan: _EdgePlan) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def build_mesh(
-    g: MetricGraph,
-    edge_h: dict[str, float] | float,
-    peaks: Collection[str] = (),
-    lam: float | None = None,
-) -> Mesh:
-    """Mesh with target spacing per edge (>= 3 interior nodes each).
-
-    Without peaks, every edge gets np.linspace's uniform grid at the
-    largest step not above its target spacing.  Given peak vertices and
-    the shift lam, the mesh is graded by the graph distance d(v) from
-    each vertex to its nearest peak (`_EdgePlan`).  With the width
-    W = GRADED_WIDTHS/sqrt(lam) and the far-field length
-    max(1/sqrt(lam), 5 * the finest target spacing):
-
-    - an edge end with d < W keeps the uniform grid for W - d into the
-      edge, and beyond that the elements grow by GRADING_RATIO up to the
-      far-field length; a peak end is the case d = 0;
-    - an edge graded from both ends is cut where the two runs have equal
-      spans, the midpoint when both keep the same number of fine steps;
-    - an edge no longer than its fine zones stays uniform at its target;
-    - an edge with both ends at d >= W is a uniform grid at the
-      far-field length.
-    """
+def build_mesh(g: MetricGraph, plans: Iterable[_EdgePlan]) -> Mesh:
+    """The mesh of g whose edges, in g.edges' order, follow plans."""
     vertex_dofs = {v: i for i, v in enumerate(g.vertices)}
     next_dof = len(g.vertices)
     edge_nodes: dict[str, np.ndarray] = {}
     edge_dofs: dict[str, np.ndarray] = {}
     graded = set()
-    for e, plan in zip(g.edges, _edge_plans(g, edge_h, peaks, lam)):
+    for e, plan in zip(g.edges, plans):
         nodes = _plan_nodes(e.length, plan)
         n = len(nodes) - 1
         dofs = np.empty(n + 1, dtype=int)
@@ -372,22 +350,16 @@ def build_mesh(
 
 
 def uniform_mesh(g: MetricGraph, h: float) -> Mesh:
-    return build_mesh(g, h)
+    """np.linspace's grid on every edge, at the largest step not above h
+    (and at least four elements)."""
+    return build_mesh(g, _edge_plans(g, h))
 
 
-def _refined_spacing(
+def _refined_plans(
     g: MetricGraph, lam: float, peaks: list[str], nodes_per_width: float
-) -> dict[str, float]:
-    """Target spacing 1/(nodes_per_width*sqrt(lam)) on edges incident to a
-    peak, five times coarser elsewhere.  Only the fine zones of edge ends
-    near a peak keep their edge's target; `build_mesh` grades the rest."""
-    h_fine = 1.0 / (nodes_per_width * math.sqrt(lam))
-    peak_set = set(peaks)
-    edge_h = {}
-    for e in g.edges:
-        touches = e.src in peak_set or e.dst in peak_set
-        edge_h[e.id] = h_fine if touches else 5.0 * h_fine
-    return edge_h
+) -> Iterator[_EdgePlan]:
+    h = 1.0 / (nodes_per_width * math.sqrt(lam))
+    return _edge_plans(g, h, peaks, lam)
 
 
 def refined_mesh(
@@ -396,17 +368,25 @@ def refined_mesh(
     peaks: list[str],
     nodes_per_width: float,
 ) -> Mesh:
-    """Mesh resolving the peak scale.
+    """Mesh resolving the peak scale, graded by graph distance from the peaks.
 
-    Target spacing h = 1/(nodes_per_width*sqrt(lam)) on edges incident
-    to a peak, five times coarser elsewhere.  The mesh is graded by graph
-    distance (`build_mesh`): each edge end within GRADED_WIDTHS peak
-    widths of the nearest peak keeps its edge's target spacing up to
-    that distance, the elements beyond grow to the far-field length
-    max(1/sqrt(lam), 5h), and an edge farther than that from every peak
-    is a uniform grid at the far-field length.
+    The peak spacing is h = 1/(nodes_per_width*sqrt(lam)): an edge that
+    touches a peak targets h, every other edge 5h.  With d(v) the graph
+    distance from vertex v to its nearest peak, the width
+    W = GRADED_WIDTHS/sqrt(lam) and the far-field length
+    max(1/sqrt(lam), 5h) (`_EdgePlan` counts the elements):
+
+    - an edge end with d < W keeps np.linspace's grid at its edge's
+      target for W - d into the edge, and beyond that the elements grow
+      by GRADING_RATIO up to the far-field length; a peak end is the
+      case d = 0;
+    - an edge graded from both ends is cut where the two runs have equal
+      spans, the midpoint when both keep the same number of fine steps;
+    - an edge no longer than its fine zones stays uniform at its target;
+    - an edge with both ends at d >= W is a uniform grid at the
+      far-field length.
     """
-    return build_mesh(g, _refined_spacing(g, lam, peaks, nodes_per_width), peaks, lam)
+    return build_mesh(g, _refined_plans(g, lam, peaks, nodes_per_width))
 
 
 def refined_ndof(
@@ -414,10 +394,8 @@ def refined_ndof(
 ) -> int:
     """The ndof of refined_mesh(g, lam, peaks, nodes_per_width), by
     arithmetic alone: the same edge plans, and no node array."""
-    edge_h = _refined_spacing(g, lam, peaks, nodes_per_width)
-    return len(g.vertices) + sum(
-        plan.elements - 1 for plan in _edge_plans(g, edge_h, peaks, lam)
-    )
+    plans = _refined_plans(g, lam, peaks, nodes_per_width)
+    return len(g.vertices) + sum(plan.elements - 1 for plan in plans)
 
 
 @dataclass

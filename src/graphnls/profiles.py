@@ -74,13 +74,17 @@ def kernel_basis(N: int) -> KernelBasis:
     return KernelBasis(N, tuple(vecs))
 
 
+# the registered cutoff families; eval_cutoff implements each
+CUTOFF_KINDS = ("cos2",)
+
+
 def eval_cutoff(kind: str, ell: float, x):
     """Monotone C^1 taper: 1 on [0, ell], 0 from 2*ell on.
 
     The only registered family is "cos2", the squared-cosine ramp; its
     value at 1.5*ell is exactly one half.
     """
-    if kind != "cos2":
+    if kind not in CUTOFF_KINDS:
         raise ValueError(f"unknown cutoff kind {kind!r}")
     if not ell > 0.0:
         raise ValueError("cutoff radius must be positive")
@@ -105,9 +109,11 @@ class AnsatzSpec:
     mu: float
     lam: float
     alpha: float
-    cutoff_kind: str = "cos2"
+    cutoff_kind: str = CUTOFF_KINDS[0]
 
     def __post_init__(self):
+        if self.cutoff_kind not in CUTOFF_KINDS:
+            raise ValueError(f"unknown cutoff kind {self.cutoff_kind!r}")
         if not self.lam > 0.0:
             raise ValueError("lam must be positive")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):

@@ -63,7 +63,7 @@ class SolveConfig:
     newton_tol: float = 1e-10
     max_iters: int = 50
     damping: float = 0.5
-    lambda_schedule: tuple[float, ...] = ()
+    lambdas: tuple[float, ...] = ()
     nodes_per_width: float = 40.0
     # mesh refinement grows like (lam/lam0)^growth so discretization
     # error in the normalized diagnostics keeps shrinking along a sweep
@@ -99,15 +99,14 @@ class SolveConfig:
             raise ValueError("damping must be in (0, 1)")
         if self.seed not in self.SEEDS:
             raise ValueError(f"unknown seed strategy {self.seed!r}")
-        sched = tuple(float(x) for x in self.lambda_schedule)
+        sched = tuple(float(x) for x in self.lambdas)
         if not all(math.isfinite(x) and x > 0.0 for x in sched):
             raise ValueError(
-                "lambda shifts must be positive and finite, "
-                f"got {self.lambda_schedule}"
+                f"lambda shifts must be positive and finite, got {self.lambdas}"
             )
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("lambda schedule must be strictly increasing")
-        object.__setattr__(self, "lambda_schedule", sched)
+        object.__setattr__(self, "lambdas", sched)
 
 
 @dataclass
@@ -274,13 +273,12 @@ def kernel_projection_diagnostics(
     result: BoundStateResult,
     ansatz: AnsatzSpec,
     seed: DiscreteField,
-) -> tuple[float, float]:
-    """Split u - W along the tapered kernel modes, in the natural norm.
+) -> float:
+    """Norm of the component of u - W along the tapered kernel modes.
 
-    seed is W, the ansatz state assembled on op's mesh.  The modes are
-    nearly orthogonal already; the small Gram system is solved exactly
-    anyway.  Returns (norm of the kernel component, norm of the
-    orthogonal complement component).
+    seed is W, the ansatz state assembled on op's mesh; the norm is the
+    natural one.  The modes are nearly orthogonal already; the small
+    Gram system is solved exactly anyway.
     """
     if not result.converged:
         raise NotConverged("kernel diagnostics need a converged result")
@@ -303,10 +301,7 @@ def kernel_projection_diagnostics(
     rhs = np.array([float(a @ shifted_phi) for a in modes])
     coef = np.linalg.solve(gram, rhs)
     kernel_sq = float(coef @ gram @ coef)
-    total_sq = float(phi @ shifted_phi)
-    kernel_norm = math.sqrt(max(kernel_sq, 0.0))
-    orth_norm = math.sqrt(max(total_sq - kernel_sq, 0.0))
-    return kernel_norm, orth_norm
+    return math.sqrt(max(kernel_sq, 0.0))
 
 
 def peak_offsets(
@@ -350,8 +345,14 @@ def continuation_sweep(
     degree-1 vertices are permitted but flagged as exploratory, since
     the existence theory covers odd degree >= 3 only.
     """
-    if not cfg.lambda_schedule:
+    if not cfg.lambdas:
         raise ValueError("empty lambda schedule")
+    # the seed and kernel modes are built at the template's mu, Newton
+    # runs at the config's: they must be the same equation
+    if template.mu != cfg.mu:
+        raise ValueError(
+            f"the ansatz has mu={template.mu:g} but the solver mu={cfg.mu:g}"
+        )
     for star, _ in template.peaks:
         if not admissible_peak_degree(star.degree):
             warnings.warn(
@@ -360,7 +361,7 @@ def continuation_sweep(
                 stacklevel=2,
             )
     peaks = [star.center for star, _ in template.peaks]
-    lam0 = cfg.lambda_schedule[0]
+    lam0 = cfg.lambdas[0]
 
     def nodes_per_width(lam: float) -> float:
         return cfg.nodes_per_width * (lam / lam0) ** cfg.refinement_growth
@@ -375,7 +376,7 @@ def continuation_sweep(
     # width of a peak at an early shift may lie beyond it at a later
     # one, and shrink to the far-field length.  Count every shift's
     # mesh, by arithmetic, before building any.
-    ndof, lam_max = max((ndof_at(lam), lam) for lam in cfg.lambda_schedule)
+    ndof, lam_max = max((ndof_at(lam), lam) for lam in cfg.lambdas)
     if ndof > MAX_NDOF:
         raise ValueError(
             f"the mesh at lam={lam_max:g} would have {ndof:g} unknowns, "
@@ -383,7 +384,7 @@ def continuation_sweep(
         )
     results: list[BoundStateResult] = []
     prev: BoundStateResult | None = None
-    for lam in cfg.lambda_schedule:
+    for lam in cfg.lambdas:
         mesh = refined_mesh(g, lam, peaks, nodes_per_width=nodes_per_width(lam))
         op = assemble(g, mesh, lam)
         spec = template.with_lam(lam)
@@ -398,8 +399,9 @@ def continuation_sweep(
             op, DiscreteField(mesh, res.u.values - seed.values)
         )
         if res.converged:
-            kn, _ = kernel_projection_diagnostics(op, res, spec, seed)
-            res.kernel_component_norm = kn
+            res.kernel_component_norm = kernel_projection_diagnostics(
+                op, res, spec, seed
+            )
             prev = res
         res.peak_locations = peak_offsets(mesh, res.u, spec)
         res.functionals = functionals.evaluate_functionals(op, cfg.mu, res.u)

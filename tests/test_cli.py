@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -261,6 +262,8 @@ def test_solve_with_unknown_peak_writes_error_record(tmp_path, capsys):
         ("--alpha", "inf", "alpha must be positive and finite"),
         ("--alpha", "nan", "alpha must be positive and finite"),
         ("--alpha", "1e308", "alpha=1e+308 puts the coefficient damping"),
+        ("--cutoff", "foo", "unknown cutoff kind"),
+        ("--seed", "bogus", "unknown seed strategy"),
     ],
 )
 def test_solve_rejects_invalid_knobs_before_any_work(
@@ -562,3 +565,35 @@ def test_experiment_config_hash_ignores_outdir():
         ExperimentConfig(graph="tripod", peaks=())
     with pytest.raises(ValueError):
         ExperimentConfig(graph="tripod", peaks=("c",), lambdas=(50.0, 25.0))
+
+
+def test_every_scalar_config_field_reaches_the_config_through_its_flag(
+    tmp_path, monkeypatch
+):
+    # the scalar flags are generated from the config's fields, so a knob
+    # added to SolveConfig gets its flag without anyone writing one
+    monkeypatch.chdir(tmp_path)
+    handed = []
+    monkeypatch.setattr(cli, "cmd_solve", lambda cfg: handed.append(cfg) or 0)
+    checked = []
+    for f in fields(ExperimentConfig):
+        if f.type not in ("float", "int", "str"):
+            continue
+        # a valid value other than the default, where there is one
+        if f.type == "float":
+            value = f.default / 2.0
+        elif f.type == "int":
+            value = f.default + 1
+        else:
+            value = {"seed": "ansatz"}.get(f.name, "other")
+        assert value != f.default, f.name
+        flag = "--" + f.name.replace("_", "-")
+        argv = ["solve", "--graph", "tripod", "--peak", "c", flag, str(value)]
+        try:
+            assert main(argv) == 0, f.name
+        except SystemExit:
+            pytest.fail(f"solve has no flag {flag} for the field {f.name}")
+        assert getattr(handed[-1], f.name) == value, f.name
+        checked.append(f.name)
+    assert len(handed) == len(checked)
+    assert {"mu", "max_iters", "seed", "cutoff", "outdir"} <= set(checked)

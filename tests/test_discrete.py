@@ -10,7 +10,6 @@ import pytest
 from graphnls import (
     assemble,
     build_graph,
-    build_mesh,
     insert_midpoints,
     lambda_norm,
     reference_graph,
@@ -86,7 +85,7 @@ edges:
 
 def test_mesh_enforces_minimum_resolution():
     g = build_graph(SINGLE_EDGE)
-    mesh = build_mesh(g, 10.0)
+    mesh = uniform_mesh(g, 10.0)
     assert len(mesh.edge_nodes["e"]) == 5
     assert mesh.edge_spacing("e") == pytest.approx(0.25)
 

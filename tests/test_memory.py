@@ -28,7 +28,7 @@ def test_sweep_peak_and_held_memory_per_dof():
     g = reference_graph("star5")
     star = star_neighborhood(g, "c", mode="single")
     template = AnsatzSpec(((star, (0.0,) * 4),), mu=1.0, lam=25.0, alpha=0.25)
-    cfg = SolveConfig(lambda_schedule=(25.0, 50.0, 100.0))
+    cfg = SolveConfig(lambdas=(25.0, 50.0, 100.0))
     continuation_sweep(g, template, cfg)  # first-call caches stay out of it
     tracemalloc.start()
     try:

@@ -24,7 +24,6 @@ PUBLIC_API = [
     "assemble",
     "assemble_ansatz",
     "build_graph",
-    "build_mesh",
     "change_of_variables_matrix",
     "check_disjoint_peak_balls",
     "continuation_sweep",

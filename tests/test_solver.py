@@ -11,7 +11,6 @@ from graphnls import (
     assemble,
     assemble_ansatz,
     build_graph,
-    build_mesh,
     continuation_sweep,
     jacobian,
     kernel_projection_diagnostics,
@@ -59,7 +58,7 @@ def _tripod_setup(lam=50.0, npw=25.0):
     return g, star, spec, mesh, op
 
 
-def test_solve_config_validation():
+def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(newton_tol=0.0)
     # a relative residual of 1 is as large as the state: the seed would pass
@@ -71,7 +70,7 @@ def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(seed="warmstart")
     with pytest.raises(ValueError):
-        SolveConfig(lambda_schedule=(25.0, 25.0))
+        SolveConfig(lambdas=(25.0, 25.0))
     # these once reached continuation_sweep and failed there, or not at all
     for knobs in (
         {"mu": 0.0},
@@ -79,14 +78,14 @@ def test_solve_config_validation():
         {"nodes_per_width": 1e-9},
         {"nodes_per_width": 0.5},
         {"max_iters": -1},
-        {"lambda_schedule": (math.inf,)},
+        {"lambdas": (math.inf,)},
         {"refinement_growth": math.nan},
         {"refinement_growth": -1.0},
     ):
         with pytest.raises(ValueError):
             SolveConfig(**knobs)
-    cfg = SolveConfig(lambda_schedule=(25, 50))
-    assert cfg.lambda_schedule == (25.0, 50.0)
+    cfg = SolveConfig(lambdas=(25, 50))
+    assert cfg.lambdas == (25.0, 50.0)
     assert SolveConfig(nodes_per_width=1.0).nodes_per_width == 1.0
 
 
@@ -156,7 +155,7 @@ def test_newton_names_a_line_search_stall():
     g = reference_graph("figure1")
     star = star_neighborhood(g, "v1", mode="single")
     template = AnsatzSpec(((star, (0.0,) * 4),), mu=1.0, lam=25.0, alpha=0.25)
-    (res,) = continuation_sweep(g, template, SolveConfig(lambda_schedule=(25.0,)))
+    (res,) = continuation_sweep(g, template, SolveConfig(lambdas=(25.0,)))
     assert not res.converged
     assert res.termination == "line_search_stall"
     assert 0 < res.iterations < SolveConfig.max_iters
@@ -207,7 +206,7 @@ def test_continuation_sweep_populates_diagnostics():
     star = star_neighborhood(g, "c", mode="single")
     template = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
     cfg = SolveConfig(
-        mu=1.0, lambda_schedule=(25.0, 50.0), nodes_per_width=20.0, seed="previous"
+        mu=1.0, lambdas=(25.0, 50.0), nodes_per_width=20.0, seed="previous"
     )
     results = continuation_sweep(g, template, cfg)
     assert [r.lam for r in results] == [25.0, 50.0]
@@ -243,7 +242,7 @@ def test_sweep_diagnostics_equal_fresh_recomputation():
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
     template = AnsatzSpec(((star, (0.3, -0.2)),), mu=1.0, lam=25.0, alpha=0.25)
-    cfg = SolveConfig(mu=1.0, lambda_schedule=(25.0, 50.0), nodes_per_width=15.0)
+    cfg = SolveConfig(mu=1.0, lambdas=(25.0, 50.0), nodes_per_width=15.0)
     for res in continuation_sweep(g, template, cfg):
         assert res.converged
         mesh = res.u.mesh
@@ -262,7 +261,7 @@ def test_symmetric_star5_sweep_keeps_its_symmetry():
     g = reference_graph("star5")
     star = star_neighborhood(g, "c", mode="single")
     template = AnsatzSpec(((star, (0.0,) * 4),), mu=1.0, lam=25.0, alpha=0.25)
-    results = continuation_sweep(g, template, SolveConfig(lambda_schedule=(25, 50)))
+    results = continuation_sweep(g, template, SolveConfig(lambdas=(25, 50)))
     for res in results:
         assert res.converged
         assert res.kernel_component_norm < 1e-10 * res.correction_norm
@@ -282,12 +281,12 @@ def test_seed_strategies_agree_on_easy_sweeps():
     template = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
     sched = (25.0, 50.0)
     res_prev = continuation_sweep(
-        g, template, SolveConfig(lambda_schedule=sched, nodes_per_width=15.0)
+        g, template, SolveConfig(lambdas=sched, nodes_per_width=15.0)
     )
     res_ansatz = continuation_sweep(
         g,
         template,
-        SolveConfig(lambda_schedule=sched, nodes_per_width=15.0, seed="ansatz"),
+        SolveConfig(lambdas=sched, nodes_per_width=15.0, seed="ansatz"),
     )
     for a, b in zip(res_prev, res_ansatz):
         assert a.converged and b.converged
@@ -307,7 +306,7 @@ edges:
     )
     star = star_neighborhood(g, "c", mode="single")
     template = AnsatzSpec(((star, (0.0,) * 3),), mu=1.0, lam=25.0, alpha=0.25)
-    cfg = SolveConfig(lambda_schedule=(25.0,), nodes_per_width=15.0)
+    cfg = SolveConfig(lambdas=(25.0,), nodes_per_width=15.0)
     with pytest.warns(UserWarning, match="outside the odd-degree hypotheses"):
         results = continuation_sweep(g, template, cfg)
     assert results[0].converged
@@ -319,6 +318,21 @@ def test_sweep_rejects_empty_schedule():
     template = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
     with pytest.raises(ValueError):
         continuation_sweep(g, template, SolveConfig())
+
+
+def test_sweep_refuses_a_template_at_another_mu_before_any_mesh(monkeypatch):
+    # seeded at mu=2 and solved at mu=1, the tripod at lam=25 once stalled
+    # in the line search after one iteration and raised nothing
+    g = build_graph(TRIPOD)
+    star = star_neighborhood(g, "c", mode="single")
+    template = AnsatzSpec(((star, (0.0, 0.0)),), mu=2.0, lam=25.0, alpha=0.25)
+    built = []
+    monkeypatch.setattr(
+        graphnls.solve, "refined_mesh", lambda *a, **k: built.append(a)
+    )
+    with pytest.raises(ValueError, match="mu=2 but the solver mu=1"):
+        continuation_sweep(g, template, SolveConfig(mu=1.0, lambdas=(25.0,)))
+    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -339,7 +353,7 @@ def test_sweep_refuses_a_mesh_above_the_ceiling_before_building_any(
     monkeypatch.setattr(
         graphnls.discrete, "build_mesh", lambda *a, **k: built.append(a)
     )
-    cfg = SolveConfig(lambda_schedule=(25.0, 50.0), **knobs)
+    cfg = SolveConfig(lambdas=(25.0, 50.0), **knobs)
     with pytest.raises(ValueError, match="more than the ceiling"):
         continuation_sweep(g, template, cfg)
     assert built == []
@@ -352,7 +366,7 @@ def _check_graded_matches_fine(g, peak, lam, npw, shrink):
     star = star_neighborhood(g, peak, mode="single")
     spec = AnsatzSpec(((star, (0.0,) * (star.degree - 1)),), 1.0, lam, 0.25)
     graded = refined_mesh(g, lam, [peak], nodes_per_width=npw)
-    uniform = build_mesh(g, 1.0 / (npw * math.sqrt(lam)))
+    uniform = uniform_mesh(g, 1.0 / (npw * math.sqrt(lam)))
     assert not uniform.graded and graded.ndof < uniform.ndof / shrink
     found = []
     for mesh in (graded, uniform):
@@ -384,7 +398,7 @@ def test_sweep_accepts_a_last_mesh_at_the_ceiling(monkeypatch):
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
     template = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
-    cfg = SolveConfig(lambda_schedule=(25.0, 50.0), nodes_per_width=15.0)
+    cfg = SolveConfig(lambdas=(25.0, 50.0), nodes_per_width=15.0)
     ndof = [
         refined_ndof(g, lam, ["c"], 15.0 * (lam / 25.0) ** 0.25)
         for lam in (25.0, 50.0)
@@ -417,7 +431,7 @@ def test_sweep_checks_an_earlier_mesh_larger_than_the_last(monkeypatch):
     star = star_neighborhood(g, "c", mode="single")
     template = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
     cfg = SolveConfig(
-        lambda_schedule=(25.0, 400.0), nodes_per_width=100.0, refinement_growth=0.0
+        lambdas=(25.0, 400.0), nodes_per_width=100.0, refinement_growth=0.0
     )
     ndof = [refined_ndof(g, lam, ["c"], 100.0) for lam in (25.0, 400.0)]
     assert ndof[0] > ndof[1]
