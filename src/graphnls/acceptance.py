@@ -17,7 +17,10 @@ import numpy as np
 
 from .discrete import (
     DiscreteField,
+    EdgeBands,
+    Mesh,
     assemble,
+    refined_mesh,
     resolvent_apply,
     shift_invert_eigsh,
     uniform_mesh,
@@ -104,15 +107,31 @@ def _star_yaml(N: int, truncation: float) -> str:
 # eigenvalues (about 6e-6) against 1e-3, the next one (about 1.0045)
 # against a gap of 1e-2 and to 3 digits, and the kernel vectors through
 # corr > 0.999.  tol=1e-8 asks for Ritz residuals below 1e-8 relative;
-# against a machine-precision solve the eigenvalues move by at most
-# 2e-13 (kernel) and 1.4e-8 relative (next), far inside those margins.
-# Shift-invert maps the kernel to about 1.6e5 and the rest of the
-# spectrum below 1, so a kernel vector's angle error, its residual over
-# that gap, is about 1e-8 too.  ncv=40 takes all N pairs in one Lanczos
-# run: the next eigenvalue sits at the bottom of the continuum, where
-# smaller bases restart and used up to 70% more solves.
+# on `_kernel_mesh`, against a machine-precision solve (tol=0) the
+# eigenvalues move by at most 1e-20 (kernel) and 4e-13 relative (next),
+# far inside those margins.  Shift-invert maps the kernel to about
+# 1.6e5 and the rest of the spectrum below 1, so a kernel vector's
+# angle error, its residual over that gap, is about 1e-8 too.  ncv=40
+# takes all N pairs in one Lanczos run of 41 solves for every N: the
+# next eigenvalue sits at the bottom of the continuum, where ncv = 20
+# to 36 restart and took 48 to 68 solves at N = 3 to 5.
 _KERNEL_TOL = 1e-8
 _KERNEL_NCV = 40
+
+
+def _kernel_mesh(N: int) -> Mesh:
+    """Criterion 1's mesh of the N-star truncated at 25: h = 1/200 at
+    the centre, graded beyond 15 peak widths (see `refined_mesh`)."""
+    return refined_mesh(build_graph(_star_yaml(N, 25.0)), 1.0, ["c"], 200.0)
+
+
+def _star_linearization(mesh: Mesh) -> tuple[EdgeBands, EdgeBands]:
+    """The linearization at the star state centred at c (lam = mu = 1)
+    on mesh, and the mass bands."""
+    op = assemble(mesh.graph, mesh, 1.0)
+    star = star_neighborhood(mesh.graph, "c")
+    psi = DiscreteField(mesh, sample_star_state(mesh, star, 1.0, 1.0))
+    return linearization_bands(op, 1.0, psi), op.mass
 
 
 def criterion_1() -> CriterionResult:
@@ -120,18 +139,11 @@ def criterion_1() -> CriterionResult:
     details = []
     passed = True
     for N in (2, 3, 4, 5):
-        g = build_graph(_star_yaml(N, 25.0))
-        mesh = uniform_mesh(g, 1.0 / 200.0)
-        op = assemble(g, mesh, 1.0)
-        star = star_neighborhood(g, "c")
-        psi = DiscreteField(mesh, sample_star_state(mesh, star, 1.0, 1.0))
+        mesh = _kernel_mesh(N)
+        bands, mass = _star_linearization(mesh)
+        star = star_neighborhood(mesh.graph, "c")
         vals, vecs = shift_invert_eigsh(
-            linearization_bands(op, 1.0, psi),
-            op.mass,
-            N,
-            0.0,
-            tol=_KERNEL_TOL,
-            ncv=_KERNEL_NCV,
+            bands, mass, N, 0.0, tol=_KERNEL_TOL, ncv=_KERNEL_NCV
         )
 
         n_small = int(np.sum(np.abs(vals) < 1e-3))
@@ -139,14 +151,14 @@ def criterion_1() -> CriterionResult:
         modes = np.stack(sample_kernel_modes(mesh, star, 1.0, 1.0), axis=1)
         # the eigenvectors vanish there; the modes are taken on the free dofs
         modes[mesh.dirichlet_dofs] = 0.0
-        mass_modes = np.stack([op.mass @ m for m in modes.T], axis=1)
+        mass_modes = np.stack([mass @ m for m in modes.T], axis=1)
         gram = modes.T @ mass_modes
         corr_min = 1.0
         for i in range(N - 1):
             v = vecs[:, i]
             b = mass_modes.T @ v
             proj_sq = float(b @ np.linalg.solve(gram, b))
-            corr = math.sqrt(max(proj_sq, 0.0) / float(v @ (op.mass @ v)))
+            corr = math.sqrt(max(proj_sq, 0.0) / float(v @ (mass @ v)))
             corr_min = min(corr_min, corr)
         ok = n_small == N - 1 and gap_ok and corr_min > 0.999
         passed = passed and ok

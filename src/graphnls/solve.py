@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse.linalg as spla  # unused; bench/tracer.py wraps spla.splu here
@@ -74,6 +74,16 @@ class SolveConfig:
     SEEDS = ("previous", "ansatz")  # not a field: no annotation
 
     def __post_init__(self):
+        # every scalar knob takes the type of its default, the type its
+        # flag parses, so one run has one config hash: mu=2 is mu=2.0
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is float:
+                object.__setattr__(self, f.name, float(value))
+            elif type(f.default) is int:
+                if not float(value).is_integer():
+                    raise ValueError(f"{f.name} must be an integer, got {value}")
+                object.__setattr__(self, f.name, int(value))
         if not (math.isfinite(self.mu) and self.mu > 0.0):
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
         # fewer than one node per peak width cannot resolve the peak

@@ -567,6 +567,23 @@ def test_experiment_config_hash_ignores_outdir():
         ExperimentConfig(graph="tripod", peaks=("c",), lambdas=(50.0, 25.0))
 
 
+@pytest.mark.parametrize(
+    "given, parsed",
+    [
+        ({"mu": 2}, {"mu": 2.0}),
+        ({"alpha": 1}, {"alpha": 1.0}),
+        ({"max_iters": 50.0}, {"max_iters": 50}),
+    ],
+)
+def test_config_hash_does_not_depend_on_a_knob_python_type(given, parsed):
+    # a library caller's value and the same value as its flag parses it
+    a = ExperimentConfig(graph="tripod", peaks=("c",), **given)
+    b = ExperimentConfig(graph="tripod", peaks=("c",), **parsed)
+    assert a.config_hash() == b.config_hash()
+    [(name, value)] = parsed.items()
+    assert type(getattr(a, name)) is type(value)
+
+
 def test_every_scalar_config_field_reaches_the_config_through_its_flag(
     tmp_path, monkeypatch
 ):

@@ -20,7 +20,6 @@ from graphnls import (
     newton_solve,
     reference_graph,
     refined_mesh,
-    sample_star_state,
     star_neighborhood,
     uniform_mesh,
 )
@@ -32,7 +31,6 @@ from graphnls.discrete import (
     shift_invert_eigsh,
 )
 from graphnls.errors import SingularJacobian, SolveFailure
-from graphnls.solve import linearization_bands
 
 # every built-in graph with its peak sites: figure1 has the self-loop
 # loop3 and degree-5 vertices, and all but the tripod have truncated
@@ -253,10 +251,14 @@ def test_non_finite_jacobian_raises_singular_jacobian():
 def _coarse_star_linearization(N):
     """Linearization at the N-star state, on a coarse truncated star."""
     g = build_graph(acceptance._star_yaml(N, 10.0))
-    mesh = uniform_mesh(g, 1.0 / 50.0)
-    op = assemble(g, mesh, 1.0)
-    psi = sample_star_state(mesh, star_neighborhood(g, "c"), 1.0, 1.0)
-    return linearization_bands(op, 1.0, DiscreteField(mesh, psi)), op.mass
+    return acceptance._star_linearization(uniform_mesh(g, 1.0 / 50.0))
+
+
+def _coarse_graded_star_linearization(N):
+    """The same on a coarse graded star: truncated at 25, every edge
+    outlasts its fine zone and grows beyond it."""
+    g = build_graph(acceptance._star_yaml(N, 25.0))
+    return acceptance._star_linearization(refined_mesh(g, 1.0, ["c"], 50.0))
 
 
 def _kernel_eigsh(L, M, N):
@@ -279,9 +281,7 @@ def test_kernel_eigensolve_finds_every_kernel_mode(N):
     assert np.allclose(gram, np.eye(N), rtol=0.0, atol=1e-10)
 
 
-@pytest.mark.parametrize("N", [3, 5])
-def test_kernel_eigenvalues_match_a_sparse_direct_reference(N):
-    L, M = _coarse_star_linearization(N)
+def _check_kernel_eigenvalues_against_sparse_direct(L, M, N):
     free = L.mesh.free_dofs
     v0 = np.random.default_rng(11).standard_normal(len(free))
     ref = spla.eigsh(
@@ -300,19 +300,72 @@ def test_kernel_eigenvalues_match_a_sparse_direct_reference(N):
     assert vals[N - 1] == pytest.approx(ref[N - 1], rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("N", [3, 5])
+def test_kernel_eigenvalues_match_a_sparse_direct_reference(N):
+    L, M = _coarse_star_linearization(N)
+    assert not L.mesh.graded
+    _check_kernel_eigenvalues_against_sparse_direct(L, M, N)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_graded_kernel_eigenvalues_match_a_sparse_direct_reference(N):
+    L, M = _coarse_graded_star_linearization(N)
+    assert L.mesh.graded
+    _check_kernel_eigenvalues_against_sparse_direct(L, M, N)
+
+
+def test_criterion_1_mesh_keeps_the_fine_spacing_at_the_centre_only():
+    mesh = acceptance._kernel_mesh(5)
+    # the uniform h = 1/200 grid it replaced has 25,001 unknowns
+    assert mesh.ndof <= 16_000
+    assert mesh.graded == frozenset(mesh.edge_nodes)
+    steps = np.concatenate([np.diff(nodes) for nodes in mesh.edge_nodes.values()])
+    assert steps.min() == pytest.approx(1.0 / 200.0, rel=1e-12)
+    for edge in mesh.graph.edges:
+        assert edge.src == "c"
+        assert mesh.end_elements(edge.id)[0] == pytest.approx(1.0 / 200.0, rel=1e-12)
+
+
+def test_criterion_1_graded_mesh_keeps_the_uniform_mesh_eigenvalues():
+    N = 3
+    graded = acceptance._kernel_mesh(N)
+    uniform = uniform_mesh(graded.graph, 1.0 / 200.0)
+    vals, _ = _kernel_eigsh(*acceptance._star_linearization(graded), N)
+    ref, _ = _kernel_eigsh(*acceptance._star_linearization(uniform), N)
+    assert np.allclose(vals[: N - 1], ref[: N - 1], rtol=0.0, atol=1e-12)
+    assert vals[N - 1] == pytest.approx(ref[N - 1], rel=2e-8, abs=0.0)
+
+
 def test_eigenvalue_checks_invert_with_the_condensed_factor(monkeypatch):
     opinvs = []
+    sizes = []
+    solves_per_eigsh = []
+    solves = []
     eigsh = spla.eigsh
+    factor_solve = CondensedFactor.solve
 
     def spy(*args, **kwargs):
         opinvs.append(kwargs.get("OPinv"))
-        return eigsh(*args, **kwargs)
+        sizes.append(args[0].shape[0])
+        solves.clear()
+        out = eigsh(*args, **kwargs)
+        solves_per_eigsh.append(len(solves))
+        return out
+
+    def counted_solve(self, *args, **kwargs):
+        solves.append(None)
+        return factor_solve(self, *args, **kwargs)
 
     def no_splu(*args, **kwargs):
         raise AssertionError("SuperLU factorization requested")
 
     monkeypatch.setattr(spla, "eigsh", spy)
     monkeypatch.setattr(spla, "splu", no_splu)
+    monkeypatch.setattr(CondensedFactor, "solve", counted_solve)
     assert acceptance.criterion_1().passed
     assert len(opinvs) == 4
     assert all(isinstance(op, spla.LinearOperator) for op in opinvs)
+    # on the graded meshes, ncv basis vectors and one more solve: a
+    # single Lanczos run, no restart
+    assert sizes == [acceptance._kernel_mesh(N).ndof for N in (2, 3, 4, 5)]
+    assert solves_per_eigsh == [acceptance._KERNEL_NCV + 1] * 4

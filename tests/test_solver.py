@@ -71,6 +71,9 @@ def test_solver_config_validation():
         SolveConfig(seed="warmstart")
     with pytest.raises(ValueError):
         SolveConfig(lambdas=(25.0, 25.0))
+    for iters in (50.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolveConfig(max_iters=iters)
     # these once reached continuation_sweep and failed there, or not at all
     for knobs in (
         {"mu": 0.0},
