@@ -15,26 +15,59 @@ bands with the edges concatenated, and four vertex couplings per edge.
 `CondensedFactor` solves with it in O(ndof): one pivoted LAPACK
 tridiagonal factorization (`?gttrf`) of all edge interiors at once,
 then a dense Schur complement on the free vertex unknowns.  The
-eigenvalue checks shift-invert through the same factor
-(`shift_invert_eigsh`).  Bands become a sparse matrix only on request,
-for comparison against sparse-direct references.
+eigenvalue checks count eigenvalues by inertia over the same split
+(`count_below`) and invert through the same factor.
+
+The LAPACK routines are scipy's compiled f2py wrappers, loaded from
+their extension file so that the scipy package itself is never
+imported (`_load_lapack`).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from .errors import IndefiniteOperator, NegativeForm, SolveFailure
 from .graphs import MetricGraph, vertex_distances
+
+
+def _load_lapack():
+    """scipy's compiled LAPACK wrappers, loaded without the scipy package.
+
+    Importing scipy.linalg costs about 0.3 s of Python start-up, for four
+    routines (dgttrf, dgttrs, dgetrf, dgetrs).  find_spec locates scipy
+    without importing it, and its _flapack extension is loaded by file
+    path: the same binary and the same f2py signatures as
+    scipy.linalg.lapack.  Another layout, or an extension that cannot be
+    loaded on its own (a Windows DLL path), falls back to that import.
+    """
+    try:
+        scipy = importlib.util.find_spec("scipy")
+        linalg = Path(scipy.origin).parent / "linalg"
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = linalg / f"_flapack{suffix}"
+            if path.is_file():
+                spec = importlib.util.spec_from_file_location("_flapack", path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                return module
+    except (ImportError, AttributeError, TypeError, OSError):
+        pass
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+lapack = _load_lapack()
 
 
 @dataclass(frozen=True)
@@ -132,6 +165,9 @@ class Mesh:
         tail = np.cumsum(n_elem) - 1
         sizes = n_elem - 1
         last = np.cumsum(sizes) - 1
+        # a mask, not np.setdiff1d, whose np.unique imports numpy.ma
+        free = np.ones(nv, dtype=bool)
+        free[self.dirichlet_dofs] = False
         return EdgeLayout(
             nv=nv,
             head=tail - n_elem + 1,
@@ -141,7 +177,7 @@ class Mesh:
             first=last - sizes + 1,
             last=last,
             sizes=sizes,
-            free_vertices=np.setdiff1d(np.arange(nv), self.dirichlet_dofs),
+            free_vertices=np.flatnonzero(free),
         )
 
 
@@ -527,30 +563,6 @@ class EdgeBands:
         yv += np.bincount(lay.dst, self.tail_row * xi[lay.last], minlength=lay.nv)
         return y
 
-    def tocsr(self) -> sp.csr_matrix:
-        """The operator as a sparse matrix, for sparse-direct references."""
-        lay = self.mesh.layout
-        inner_pos = _element_arrays(self.mesh).inner_pos
-        nv, n = lay.nv, self.mesh.ndof
-        diag = np.arange(n)
-        up = inner_pos + nv
-        first, last = lay.first + nv, lay.last + nv
-        rows = (diag, up, up + 1, lay.src, first, lay.dst, last)
-        cols = (diag, up + 1, up, first, lay.src, last, lay.dst)
-        vals = (
-            np.concatenate([self.vertex_diag, self.diag]),
-            self.upper[inner_pos],
-            self.lower[inner_pos],
-            self.head_row,
-            self.head_col,
-            self.tail_row,
-            self.tail_col,
-        )
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-
 
 def edge_bands(
     mesh: Mesh,
@@ -598,9 +610,9 @@ class CondensedFactor:
     The edge interiors go first: one pivoted tridiagonal LU of all of
     them at once (LAPACK gttrf), solved for the unit columns at every
     edge's first and last interior node.  That leaves the dense Schur
-    complement on the free vertex unknowns, factored with getrf.  A
-    solve costs O(ndof) and returns zero at the Dirichlet dofs.  Raises
-    SolveFailure on a zero pivot or a singular vertex block.
+    complement on the free vertex unknowns, kept as `schur` and factored
+    with getrf.  A solve costs O(ndof) and returns zero at the Dirichlet
+    dofs.  Raises SolveFailure on a zero pivot or a singular vertex block.
 
     With overwrite_interior, gttrf factors bands.lower, .diag and .upper
     in place instead of copying them first; they must be three distinct
@@ -647,7 +659,8 @@ class CondensedFactor:
         ):
             np.add.at(schur, (rows, cols), -coupling)
         free = lay.free_vertices
-        lu, piv, info = lapack.dgetrf(schur[np.ix_(free, free)])
+        self.schur = schur[np.ix_(free, free)]
+        lu, piv, info = lapack.dgetrf(self.schur)
         if info != 0 or not np.all(np.isfinite(lu)):
             raise SolveFailure("singular vertex Schur complement")
         self._schur = (lu, piv)
@@ -777,47 +790,38 @@ def lambda_inner(op: KirchhoffOperator, u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ (op.shifted @ v))
 
 
-def shift_invert_eigsh(
-    bands: EdgeBands,
-    mass: EdgeBands,
-    k: int,
-    sigma: float,
-    tol: float,
-    ncv: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The k eigenpairs of (bands, mass) nearest sigma, on the free dofs.
+def count_below(bands: EdgeBands, mass: EdgeBands, sigma: float) -> int:
+    """The number of eigenvalues of the pencil (bands, mass) below sigma,
+    on the free dofs.  bands must be symmetric.
 
-    ARPACK shift-invert with a `CondensedFactor` of bands - sigma*mass as
-    the inverse and the mass bands as the inner product, so each step
-    costs O(ndof).  The start vector is pseudo-random: a single-vector
-    Krylov method sees one direction of a repeated eigenvalue, and the
-    others reach it only through rounding.  Identical edges are
-    eliminated by identical arithmetic, so a start vector invariant
-    under edge permutations would keep every Krylov vector invariant
-    and never find the modes that sum to zero across the edges.
-
-    Returns eigenvalues sorted by distance from sigma and M-normalized
-    full-length eigenvectors, zero at the Dirichlet dofs.  tol and ncv
-    are ARPACK's.
+    Sylvester's law of inertia: that number is the count of negative
+    eigenvalues of A = bands - sigma*mass, and by Haynsworth's inertia
+    additivity it is the count of A's interior block plus that of the
+    free vertex Schur complement.  The interior block is tridiagonal,
+    edge after edge, and its count is the number of negative pivots of
+    its unpivoted LDL^T (Sturm) recurrence, d_i = a_i - u_i l_i / d_i-1.
+    The Schur complement is `CondensedFactor`'s, a few vertices square,
+    whose eigenvalues numpy computes.  Raises SolveFailure on a zero
+    pivot: sigma is then an eigenvalue of a leading interior block.
     """
-    mesh = bands.mesh
-    n = mesh.ndof
-    factor = CondensedFactor(bands.plus(mass, -sigma))
-    v0 = np.random.default_rng(0).standard_normal(n)
-    v0[mesh.dirichlet_dofs] = 0.0
-    vals, vecs = spla.eigsh(
-        spla.LinearOperator((n, n), matvec=bands.__matmul__, dtype=float),
-        k=k,
-        M=spla.LinearOperator((n, n), matvec=mass.__matmul__, dtype=float),
-        sigma=sigma,
-        OPinv=spla.LinearOperator((n, n), matvec=factor.solve, dtype=float),
-        which="LM",
-        v0=v0,
-        tol=tol,
-        ncv=ncv,
-    )
-    order = np.argsort(np.abs(vals - sigma))
-    return vals[order], vecs[:, order]
+    shifted = bands.plus(mass, -sigma)
+    couplings = [0.0] + (shifted.upper * shifted.lower).tolist()
+    negative, pivot = 0, 1.0
+    try:
+        for a, coupling in zip(shifted.diag.tolist(), couplings):
+            # a zero pivot raises ZeroDivisionError at the next step
+            pivot = a - coupling / pivot
+            if pivot < 0.0:
+                negative += 1
+    except ZeroDivisionError:
+        pivot = 0.0
+    if pivot == 0.0:
+        raise SolveFailure(
+            f"zero pivot: sigma={sigma!r} is an eigenvalue of a leading "
+            "block of the edge interiors"
+        )
+    schur = CondensedFactor(shifted).schur
+    return negative + int(np.count_nonzero(np.linalg.eigvalsh(schur) < 0.0))
 
 
 def one_sided_derivative(

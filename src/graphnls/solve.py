@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.sparse.linalg as spla  # unused; bench/tracer.py wraps spla.splu here
 
 from . import functionals
 from .discrete import (
@@ -417,3 +416,14 @@ def continuation_sweep(
         res.functionals = functionals.evaluate_functionals(op, cfg.mu, res.u)
         results.append(res)
     return results
+
+
+def __getattr__(name: str):
+    # solve.spla exists only for bench/tracer.py, which wraps spla.splu
+    # here until it wraps CondensedFactor instead; scipy is imported only
+    # when the tracer asks for it
+    if name == "spla":
+        import scipy.sparse.linalg
+
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

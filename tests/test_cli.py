@@ -477,7 +477,7 @@ def test_reduced_energy_refuses_n_above_the_ceiling(capsys, N):
 # to the results.  Criterion 9's adjointness was 1.8e-15 while it paired
 # through CSR matrices; the band products sum in another order
 GOLDEN_VERIFY = [
-    "criterion 1 (kernel dimension): PASS - N=2: 1 small, next 1, corr 1.00000; N=3: 2 small, next 1, corr 1.00000; N=4: 3 small, next 1, corr 1.00000; N=5: 4 small, next 1, corr 1.00000",
+    "criterion 1 (kernel dimension): PASS - N=2: 1 small, 0 in gap, 1 below -1e-3, corr 1.00000; N=3: 2 small, 0 in gap, 1 below -1e-3, corr 1.00000; N=4: 3 small, 0 in gap, 1 below -1e-3, corr 1.00000; N=5: 4 small, 0 in gap, 1 below -1e-3, corr 1.00000",
     "criterion 2 (reduced-energy degree): PASS - N=3: degree -2 (want -2), 2 points (want 2); N=5: degree 6 (want 6), 6 points (want 6); N=7: degree -20 (want -20), 20 points (want 20); N=9: degree 70 (want 70), 70 points (want 70)",
     "criterion 3 (even-N structure): PASS - N=4: 6 directions (want 6), max |grad| 0; N=6: 20 directions (want 20), max |grad| 3.6e-15",
     "criterion 4 (peaked solution existence): PASS - lam=25: conv=True its=3 min=0.19 offset=0 (cell 0.005); lam=50: conv=True its=2 min=0.034 offset=0 (cell 0.003); lam=100: conv=True its=2 min=0.0026 offset=0 (cell 0.0018); lam=200: conv=True its=2 min=5.8e-05 offset=0 (cell 0.0011); lam=400: conv=True its=2 min=2.3e-07 offset=0 (cell 0.00063)",
@@ -494,19 +494,53 @@ def test_verify_prints_the_golden_lines(capsys):
     assert capsys.readouterr().out.splitlines() == GOLDEN_VERIFY
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # importing scipy.integrate costs about a quarter second of every
-    # process start, and the soliton constants have closed forms
-    code = (
-        "import sys, graphnls.cli; "
-        "print(*(m for m in sys.modules if m.startswith('scipy.integrate')))"
-    )
+def _modules_loaded_by(code):
+    """The modules a fresh interpreter holds after running code."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules, file=sys.stderr)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
     )
-    assert run.stdout == "\n"
+    return run.stderr.split()
+
+
+def _skip_unless_lapack_loads_directly():
+    from graphnls import discrete
+
+    if discrete.lapack.__name__ == "scipy.linalg.lapack":
+        pytest.skip(
+            "scipy's _flapack extension does not load by file path here, so "
+            "graphnls imports scipy.linalg for LAPACK"
+        )
+
+
+def _scipy_modules(modules):
+    return [m for m in modules if m.startswith("scipy")]
+
+
+def test_cli_import_leaves_out_scipy():
+    # importing scipy's Python package costs about a third of a second of
+    # every process start; graphnls loads only its compiled LAPACK
+    # extension, and the soliton constants have closed forms
+    _skip_unless_lapack_loads_directly()
+    assert _scipy_modules(_modules_loaded_by("import graphnls.cli")) == []
+
+
+def test_verify_and_solve_run_without_scipy_or_numpy_ma(tmp_path):
+    _skip_unless_lapack_loads_directly()
+    verify = _modules_loaded_by("from graphnls.cli import main; assert main(['verify']) == 0")
+    assert _scipy_modules(verify) == []
+    argv = ["solve", "--graph", "star5", "--peak", "c", "--lambdas", "25,50"]
+    argv += ["--outdir", str(tmp_path / "run")]
+    solve = _modules_loaded_by(f"from graphnls.cli import main; assert main({argv!r}) == 0")
+    assert "graphnls.solve" in solve
+    assert _scipy_modules(solve) == []
+    # np.unique, and the set routines built on it, import numpy.ma
+    assert "numpy.ma" not in solve
 
 
 def test_verify_subset_passes(capsys):

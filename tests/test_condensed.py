@@ -1,10 +1,12 @@
-"""Edge-condensed operators, solves and eigensolves against sparse direct references."""
+"""Edge-condensed operators, solves and eigenvalue checks against sparse direct references."""
 
+import importlib.util
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -27,10 +29,12 @@ from graphnls import discrete
 from graphnls.discrete import (
     CondensedFactor,
     DiscreteField,
+    count_below,
     edge_bands,
-    shift_invert_eigsh,
 )
 from graphnls.errors import SingularJacobian, SolveFailure
+from graphnls.solve import linearization_bands
+from sparse_reference import free_block, tocsr
 
 # every built-in graph with its peak sites: figure1 has the self-loop
 # loop3 and degree-5 vertices, and all but the tripod have truncated
@@ -44,7 +48,7 @@ PEAKS = {
 }
 
 
-def _seeded_operator(name, lam=25.0):
+def _seeded_operator(name, lam=25.0, nodes_per_width=10.0):
     peaks = PEAKS[name]
     g = reference_graph(name)
     mode = "multi" if len(peaks) > 1 else "single"
@@ -53,7 +57,7 @@ def _seeded_operator(name, lam=25.0):
     stars = [star_neighborhood(g, p, mode=mode) for p in peaks]
     coeffs = tuple((s, (0.0,) * (s.degree - 1)) for s in stars)
     spec = AnsatzSpec(coeffs, mu=1.0, lam=lam, alpha=0.25)
-    mesh = refined_mesh(g, lam, peaks, nodes_per_width=10.0)
+    mesh = refined_mesh(g, lam, peaks, nodes_per_width)
     op = assemble(g, mesh, lam)
     return op, assemble_ansatz(g, spec, mesh)
 
@@ -93,7 +97,7 @@ def _check_bands_against_element_loop(g, mesh):
     ):
         scale = np.abs(ref[key]).max()
         assert np.allclose(
-            got.tocsr().toarray(), ref[key], rtol=0.0, atol=1e-14 * scale
+            tocsr(got).toarray(), ref[key], rtol=0.0, atol=1e-14 * scale
         )
 
 
@@ -124,7 +128,7 @@ def test_shifted_solve_matches_sparse_direct_reference(name):
     mesh = op.mesh
     free = mesh.free_dofs
     b = np.random.default_rng(1).standard_normal(mesh.ndof)
-    A = (op.stiffness.tocsr() + op.lam * op.mass.tocsr())[free][:, free].tocsc()
+    A = (tocsr(op.stiffness) + op.lam * tocsr(op.mass))[free][:, free].tocsc()
     reference = spla.spsolve(A, b[free])
     b_before = b.copy()
     x = op.factor().solve(b)
@@ -158,7 +162,7 @@ def test_jacobian_solve_at_the_seed_is_as_accurate_as_the_reference(name):
     free = mesh.free_dofs
     b = np.random.default_rng(1).standard_normal(mesh.ndof)[free]
     bands = jacobian(op, 1.0, seed)
-    J = bands.tocsr()[free][:, free].tocsc()
+    J = free_block(bands)
     rhs = np.zeros(mesh.ndof)
     rhs[free] = b
     x = CondensedFactor(bands).solve(rhs)[free]
@@ -197,7 +201,7 @@ def test_band_products_match_their_sparse_matrices(name):
     op, seed = _seeded_operator(name)
     d = np.random.default_rng(3).standard_normal(op.mesh.ndof)
     bands = jacobian(op, 1.0, seed)
-    J = bands.tocsr()
+    J = tocsr(bands)
     assert np.allclose(bands @ d, J @ d, rtol=0.0, atol=1e-12 * abs(J).max())
 
 
@@ -261,43 +265,56 @@ def _coarse_graded_star_linearization(N):
     return acceptance._star_linearization(refined_mesh(g, 1.0, ["c"], 50.0))
 
 
-def _kernel_eigsh(L, M, N):
-    """The eigensolve as criterion 1 runs it."""
-    return shift_invert_eigsh(
-        L, M, N, 0.0, tol=acceptance._KERNEL_TOL, ncv=acceptance._KERNEL_NCV
-    )
-
-
-@pytest.mark.parametrize("N", [3, 4, 5])
-def test_kernel_eigensolve_finds_every_kernel_mode(N):
-    # the kernel has multiplicity N-1; a start vector invariant under
-    # edge permutations finds only part of it
-    L, M = _coarse_star_linearization(N)
-    vals, vecs = _kernel_eigsh(L, M, N)
-    assert int(np.sum(np.abs(vals) < 1e-3)) == N - 1
-    assert abs(vals[N - 1]) > 1e-2
-    assert np.all(vecs[L.mesh.dirichlet_dofs] == 0.0)
-    gram = vecs.T @ np.stack([M @ v for v in vecs.T], axis=1)
-    assert np.allclose(gram, np.eye(N), rtol=0.0, atol=1e-10)
-
-
-def _check_kernel_eigenvalues_against_sparse_direct(L, M, N):
-    free = L.mesh.free_dofs
-    v0 = np.random.default_rng(11).standard_normal(len(free))
-    ref = spla.eigsh(
-        L.tocsr()[free][:, free].tocsc(),
-        k=N,
-        M=M.tocsr()[free][:, free].tocsc(),
+def _sparse_direct_eigsh(L, M, k):
+    """The k eigenvalues of the pencil nearest zero on the free dofs, by
+    ARPACK shift-invert with SuperLU, sorted by distance from zero."""
+    v0 = np.random.default_rng(11).standard_normal(len(L.mesh.free_dofs))
+    vals = spla.eigsh(
+        free_block(L),
+        k=k,
+        M=free_block(M),
         sigma=0.0,
         which="LM",
         v0=v0,
         return_eigenvectors=False,
     )
-    ref = ref[np.argsort(np.abs(ref))]
+    return vals[np.argsort(np.abs(vals))]
+
+
+def _kernel_counts(L, M):
+    return [count_below(L, M, sigma) for sigma in acceptance._KERNEL_SHIFTS]
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_kernel_eigensolve_finds_every_kernel_mode(N):
+    # the kernel has multiplicity N-1; a start block invariant under
+    # edge permutations finds only part of it
+    L, M = _coarse_star_linearization(N)
+    vals, vecs = acceptance._kernel_ritz(L, M, N - 1)
+    assert vals.shape == (N - 1,)
+    assert np.all(np.abs(vals) < 1e-3)
+    assert _kernel_counts(L, M) == [1, 1, N, N]
+    assert np.all(vecs[L.mesh.dirichlet_dofs] == 0.0)
+    gram = vecs.T @ np.stack([M @ v for v in vecs.T], axis=1)
+    assert np.allclose(gram, np.eye(N - 1), rtol=0.0, atol=1e-10)
+
+
+def _check_kernel_eigenvalues_against_sparse_direct(L, M, N):
+    ref = _sparse_direct_eigsh(L, M, N)
     assert int(np.sum(np.abs(ref) < 1e-3)) == N - 1
-    vals, _ = _kernel_eigsh(L, M, N)
-    assert np.allclose(vals[: N - 1], ref[: N - 1], rtol=0.0, atol=1e-9)
-    assert vals[N - 1] == pytest.approx(ref[N - 1], rel=1e-9, abs=0.0)
+    # the reference holds every eigenvalue nearer zero than ref[N - 1], so
+    # it fixes the counts at the shifts inside that distance
+    assert abs(ref[N - 1]) > 1e-2
+    far_neg, near_neg, near_pos, far_pos = _kernel_counts(L, M)
+    assert near_pos - near_neg == N - 1
+    assert far_pos == near_pos and near_neg == far_neg
+    vals, _ = acceptance._kernel_ritz(L, M, N - 1)
+    assert np.allclose(vals, np.sort(ref[: N - 1]), rtol=0.0, atol=1e-9)
+    # the next eigenvalue, bracketed by counts to the reference's 1e-9
+    below, above = (
+        count_below(L, M, ref[N - 1] * (1.0 + s * 1e-9)) for s in (-1.0, 1.0)
+    )
+    assert above > below
 
 
 @pytest.mark.parametrize("N", [3, 5])
@@ -330,42 +347,109 @@ def test_criterion_1_graded_mesh_keeps_the_uniform_mesh_eigenvalues():
     N = 3
     graded = acceptance._kernel_mesh(N)
     uniform = uniform_mesh(graded.graph, 1.0 / 200.0)
-    vals, _ = _kernel_eigsh(*acceptance._star_linearization(graded), N)
-    ref, _ = _kernel_eigsh(*acceptance._star_linearization(uniform), N)
-    assert np.allclose(vals[: N - 1], ref[: N - 1], rtol=0.0, atol=1e-12)
-    assert vals[N - 1] == pytest.approx(ref[N - 1], rel=2e-8, abs=0.0)
+    pencils = [acceptance._star_linearization(m) for m in (graded, uniform)]
+    (vals, _), (ref, _) = (acceptance._kernel_ritz(L, M, N - 1) for L, M in pencils)
+    assert np.allclose(vals, ref, rtol=0.0, atol=1e-12)
+    nxt, ref_nxt = (_sparse_direct_eigsh(L, M, N)[N - 1] for L, M in pencils)
+    assert nxt == pytest.approx(ref_nxt, rel=2e-8, abs=0.0)
+    assert _kernel_counts(*pencils[0]) == _kernel_counts(*pencils[1]) == [1, 1, N, N]
 
 
-def test_eigenvalue_checks_invert_with_the_condensed_factor(monkeypatch):
-    opinvs = []
-    sizes = []
-    solves_per_eigsh = []
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_criterion_1_meshes_count_one_negative_and_n_minus_1_kernel_eigenvalues(N):
+    L, M = acceptance._star_linearization(acceptance._kernel_mesh(N))
+    assert _kernel_counts(L, M) == [1, 1, N, N]
+
+
+def test_criterion_1_counts_and_iterates_with_the_condensed_factor(monkeypatch):
+    factors = []
     solves = []
-    eigsh = spla.eigsh
+    factor_init = CondensedFactor.__init__
     factor_solve = CondensedFactor.solve
 
-    def spy(*args, **kwargs):
-        opinvs.append(kwargs.get("OPinv"))
-        sizes.append(args[0].shape[0])
-        solves.clear()
-        out = eigsh(*args, **kwargs)
-        solves_per_eigsh.append(len(solves))
-        return out
+    def counted_init(self, bands, *args, **kwargs):
+        factors.append(bands.mesh.ndof)
+        factor_init(self, bands, *args, **kwargs)
 
     def counted_solve(self, *args, **kwargs):
         solves.append(None)
         return factor_solve(self, *args, **kwargs)
 
-    def no_splu(*args, **kwargs):
-        raise AssertionError("SuperLU factorization requested")
+    def refuse(*args, **kwargs):
+        raise AssertionError("ARPACK or SuperLU requested")
 
-    monkeypatch.setattr(spla, "eigsh", spy)
-    monkeypatch.setattr(spla, "splu", no_splu)
+    monkeypatch.setattr(spla, "eigsh", refuse)
+    monkeypatch.setattr(spla, "splu", refuse)
+    monkeypatch.setattr(CondensedFactor, "__init__", counted_init)
     monkeypatch.setattr(CondensedFactor, "solve", counted_solve)
     assert acceptance.criterion_1().passed
-    assert len(opinvs) == 4
-    assert all(isinstance(op, spla.LinearOperator) for op in opinvs)
-    # on the graded meshes, ncv basis vectors and one more solve: a
-    # single Lanczos run, no restart
-    assert sizes == [acceptance._kernel_mesh(N).ndof for N in (2, 3, 4, 5)]
-    assert solves_per_eigsh == [acceptance._KERNEL_NCV + 1] * 4
+    # per N: one factor per counted shift and one for the iteration,
+    # whose steps each solve once per kernel vector
+    sizes = [acceptance._kernel_mesh(N).ndof for N in (2, 3, 4, 5)]
+    per_n = len(acceptance._KERNEL_SHIFTS) + 1
+    assert factors == [n for n in sizes for _ in range(per_n)]
+    assert len(solves) == acceptance._KERNEL_STEPS * sum(N - 1 for N in (2, 3, 4, 5))
+
+
+SMALL_LAM = 400.0
+
+
+@pytest.mark.parametrize("name", sorted(PEAKS))
+def test_count_below_matches_a_dense_eigensolve(name):
+    # the linearization at the seed on a small graded mesh
+    op, seed = _seeded_operator(name, SMALL_LAM, nodes_per_width=2.0)
+    L, M = linearization_bands(op, 1.0, seed), op.mass
+    assert L.mesh.graded and L.mesh.ndof <= 1000
+    dense = scipy.linalg.eigh(
+        free_block(L).toarray(), free_block(M).toarray(), eigvals_only=True
+    )
+    # below everything, between the one negative eigenvalue per peak
+    # (about -2.85 lam) and the near-kernel ones (about 0.05 lam on this
+    # coarse mesh), above those, and twice in the continuum above lam
+    shifts = SMALL_LAM * np.array([-3.0, -1.0, -0.01, 0.01, 0.1, 0.5, 1.7])
+    counts = [count_below(L, M, sigma) for sigma in shifts]
+    for sigma, count in zip(shifts, counts):
+        assert np.min(np.abs(dense - sigma)) > 1e-3 * SMALL_LAM
+        assert count == int(np.sum(dense < sigma)), sigma
+    assert counts[0] == 0 and 0 < counts[1] < counts[4] < counts[-1] < len(dense)
+
+
+def test_count_below_names_the_shift_at_a_zero_pivot():
+    op, _ = _seeded_operator("tripod")
+    # every leading block of mass - 1.0 * mass is zero
+    with pytest.raises(SolveFailure, match="sigma=1.0"):
+        count_below(op.mass, op.mass, 1.0)
+    # a zero last pivot: at sigma = 0 the shifted bands are the bands
+    bands = replace(op.shifted, diag=op.shifted.diag.copy())
+    couplings = np.concatenate([[0.0], bands.upper * bands.lower]).tolist()
+    pivot = 1.0
+    for a, coupling in zip(bands.diag[:-1].tolist(), couplings):
+        pivot = a - coupling / pivot
+    bands.diag[-1] = couplings[-1] / pivot
+    with pytest.raises(SolveFailure, match="sigma=0.0"):
+        count_below(bands, op.mass, 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(PEAKS))
+def test_lapack_fallback_gives_bitwise_equal_factors_and_solves(monkeypatch, name):
+    direct = discrete._load_lapack()
+    if direct.__name__ == "scipy.linalg.lapack":
+        pytest.skip("scipy's _flapack extension does not load by file path here")
+
+    def refuse(*args, **kwargs):
+        raise ImportError("direct load refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.util, "spec_from_file_location", refuse)
+        fallback = discrete._load_lapack()
+    assert fallback.__name__ == "scipy.linalg.lapack"
+    op, seed = _seeded_operator(name)
+    bands = jacobian(op, 1.0, seed)
+    b = np.random.default_rng(6).standard_normal(op.mesh.ndof)
+    outputs = []
+    for module in (direct, fallback):
+        monkeypatch.setattr(discrete, "lapack", module)
+        factor = CondensedFactor(bands)
+        arrays = (*factor._tri, *factor._schur, factor.solve(b))
+        outputs.append([a.tobytes() for a in arrays])
+    assert outputs[0] == outputs[1]

@@ -39,6 +39,7 @@ from graphnls.solve import (
     linearization_bands,
     peak_offsets,
 )
+from sparse_reference import tocsr
 
 TRIPOD = """
 vertices: [c, a1, a2, a3]
@@ -187,7 +188,7 @@ def test_symmetric_linearization_is_symmetric_and_consistent():
     g, star, spec, mesh, op = _tripod_setup(lam=9.0, npw=10.0)
     u = assemble_ansatz(g, spec.with_lam(9.0), mesh)
     L = linearization_bands(op, 1.0, u)
-    A = L.tocsr()
+    A = tocsr(L)
     assert abs(A - A.T).max() < 1e-12
     # both linearizations act identically on smooth directions up to
     # quadrature error
