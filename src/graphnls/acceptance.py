@@ -135,6 +135,17 @@ def _star_linearization(mesh: Mesh) -> tuple[EdgeBands, EdgeBands]:
     return linearization_bands(op, 1.0, psi), op.mass
 
 
+# the golden ratio: i*j*phi mod 1 never repeats in the integer i
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def _weyl_vectors(n: int, k: int) -> np.ndarray:
+    """k deterministic test vectors of length n, the rows of the result:
+    row j holds the Weyl sequence frac(i*(j+1)*phi) - 1/2 over the
+    index i = 0..n-1, spread over [-1/2, 1/2)."""
+    return (np.arange(1, k + 1)[:, None] * np.arange(n) * _PHI) % 1.0 - 0.5
+
+
 def _kernel_ritz(
     bands: EdgeBands, mass: EdgeBands, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -142,8 +153,9 @@ def _kernel_ritz(
 
     Block inverse iteration with a `CondensedFactor` of bands, each step
     M-orthonormalized by a Cholesky factor of the block's mass Gram
-    matrix, then one Rayleigh-Ritz step.  The start block is
-    pseudo-random: identical edges are eliminated by identical
+    matrix, then one Rayleigh-Ritz step.  The start block is a Weyl
+    sequence over the dof index (`_weyl_vectors`), so it differs from
+    edge to edge.  It must: identical edges are eliminated by identical
     arithmetic, so a block invariant under edge permutations would stay
     invariant and miss the kernel modes that sum to zero across the
     edges.  Returns the Ritz values in ascending order and M-orthonormal
@@ -151,7 +163,7 @@ def _kernel_ritz(
     """
     mesh = bands.mesh
     factor = CondensedFactor(bands)
-    x = np.random.default_rng(0).standard_normal((mesh.ndof, k))
+    x = _weyl_vectors(mesh.ndof, k).T
     x[mesh.dirichlet_dofs] = 0.0
     for _ in range(_KERNEL_STEPS):
         y = np.stack([factor.solve(mass @ v) for v in x.T], axis=1)
@@ -415,16 +427,15 @@ def criterion_9(coarse: bool = False) -> CriterionResult:
 
     mesh = uniform_mesh(g, 1.0 / 100.0)
     op = assemble(g, mesh, 3.0)
-    rng = np.random.default_rng(7)
-    f = DiscreteField(mesh, rng.standard_normal(mesh.ndof))
-    w = DiscreteField(mesh, rng.standard_normal(mesh.ndof))
+    vf, vw, direction, vu = _weyl_vectors(mesh.ndof, 4)
+    f = DiscreteField(mesh, vf)
+    w = DiscreteField(mesh, vw)
     lhs = float(resolvent_apply(op, f).values @ (op.mass @ w.values))
     rhs = float(f.values @ (op.mass @ resolvent_apply(op, w).values))
     adj_err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     adj_ok = adj_err <= 1e-10
 
-    u = DiscreteField(mesh, 0.1 + rng.random(mesh.ndof))
-    direction = rng.standard_normal(mesh.ndof)
+    u = DiscreteField(mesh, 0.6 + vu)
     eps = 1e-5
     up = DiscreteField(mesh, u.values + eps * direction)
     dn = DiscreteField(mesh, u.values - eps * direction)
@@ -452,6 +463,8 @@ def run_criterion(cid: int, peak_degree: int = 3, coarse: bool = False) -> Crite
     """Run one criterion, honoring the hypothesis gate and error capture."""
     if cid not in _NAMES:
         raise ValueError(f"no criterion {cid}")
+    if peak_degree < 1:
+        raise ValueError(f"peak degree must be >= 1, got {peak_degree}")
     if cid in _HYPOTHESIS_BOUND and not admissible_peak_degree(peak_degree):
         return CriterionResult(
             cid,

@@ -295,7 +295,7 @@ def cmd_verify(criteria, peak_degree: int, coarse: bool) -> int:
     """Run acceptance criteria and report pass/fail lines."""
     try:
         results = run_all(criteria, peak_degree=peak_degree, coarse=coarse)
-    except ValueError as exc:  # an unknown criterion number, before any ran
+    except ValueError as exc:  # an unknown criterion or a peak degree below 1
         print(f"error: ValueError: {exc}", file=sys.stderr)
         return 1
     for res in results:

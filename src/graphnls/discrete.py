@@ -16,7 +16,10 @@ bands with the edges concatenated, and four vertex couplings per edge.
 tridiagonal factorization (`?gttrf`) of all edge interiors at once,
 then a dense Schur complement on the free vertex unknowns.  The
 eigenvalue checks count eigenvalues by inertia over the same split
-(`count_below`) and invert through the same factor.
+(`count_below`: the interior's Sturm pivots from LAPACK's symmetric
+tridiagonal factorization `?pttrf`, resumed past each negative pivot,
+plus the Schur complement's eigenvalues) and invert through the same
+factor.
 
 The LAPACK routines are scipy's compiled f2py wrappers, loaded from
 their extension file so that the scipy package itself is never
@@ -43,9 +46,9 @@ from .graphs import MetricGraph, vertex_distances
 def _load_lapack():
     """scipy's compiled LAPACK wrappers, loaded without the scipy package.
 
-    Importing scipy.linalg costs about 0.3 s of Python start-up, for four
-    routines (dgttrf, dgttrs, dgetrf, dgetrs).  find_spec locates scipy
-    without importing it, and its _flapack extension is loaded by file
+    Importing scipy.linalg costs about 0.3 s of Python start-up, for five
+    routines (dgttrf, dgttrs, dgetrf, dgetrs, dpttrf).  find_spec locates
+    scipy without importing it, and its _flapack extension is loaded by file
     path: the same binary and the same f2py signatures as
     scipy.linalg.lapack.  Another layout, or an extension that cannot be
     loaded on its own (a Windows DLL path), falls back to that import.
@@ -792,34 +795,50 @@ def lambda_inner(op: KirchhoffOperator, u: np.ndarray, v: np.ndarray) -> float:
 
 def count_below(bands: EdgeBands, mass: EdgeBands, sigma: float) -> int:
     """The number of eigenvalues of the pencil (bands, mass) below sigma,
-    on the free dofs.  bands must be symmetric.
+    on the free dofs.  bands and mass must be symmetric; nonsymmetric
+    bands raise ValueError.
 
     Sylvester's law of inertia: that number is the count of negative
     eigenvalues of A = bands - sigma*mass, and by Haynsworth's inertia
     additivity it is the count of A's interior block plus that of the
     free vertex Schur complement.  The interior block is tridiagonal,
     edge after edge, and its count is the number of negative pivots of
-    its unpivoted LDL^T (Sturm) recurrence, d_i = a_i - u_i l_i / d_i-1.
-    The Schur complement is `CondensedFactor`'s, a few vertices square,
-    whose eigenvalues numpy computes.  Raises SolveFailure on a zero
-    pivot: sigma is then an eigenvalue of a leading interior block.
+    its unpivoted LDL^T (Sturm) recurrence, which LAPACK's pttrf runs
+    until a pivot is not positive.  That pivot is counted here, the next
+    one is updated with pttrf's own formula, and pttrf resumes after it,
+    so the whole count is one pass over the interior however many pivots
+    are negative.  The Schur complement is `CondensedFactor`'s, a few
+    vertices square, whose eigenvalues numpy computes.  Raises
+    SolveFailure on a zero pivot: sigma is then an eigenvalue of a
+    leading interior block.
     """
     shifted = bands.plus(mass, -sigma)
-    couplings = [0.0] + (shifted.upper * shifted.lower).tolist()
-    negative, pivot = 0, 1.0
-    try:
-        for a, coupling in zip(shifted.diag.tolist(), couplings):
-            # a zero pivot raises ZeroDivisionError at the next step
-            pivot = a - coupling / pivot
-            if pivot < 0.0:
-                negative += 1
-    except ZeroDivisionError:
-        pivot = 0.0
-    if pivot == 0.0:
-        raise SolveFailure(
-            f"zero pivot: sigma={sigma!r} is an eigenvalue of a leading "
-            "block of the edge interiors"
-        )
+    pairs = (
+        (shifted.upper, shifted.lower),
+        (shifted.head_row, shifted.head_col),
+        (shifted.tail_row, shifted.tail_col),
+    )
+    if not all(a is b or np.array_equal(a, b) for a, b in pairs):
+        raise ValueError("count_below needs symmetric bands")
+    d, e = shifted.diag.copy(), shifted.upper.copy()
+    negative = 0
+    while d.size:
+        if d.size > 1:  # f2py refuses an empty e
+            d, e, info = lapack.dpttrf(d, e, overwrite_d=True, overwrite_e=True)
+        else:
+            info = int(d[0] <= 0.0)
+        if info == 0:
+            break
+        pivot = d[info - 1]
+        if pivot == 0.0:
+            raise SolveFailure(
+                f"zero pivot: sigma={sigma!r} is an eigenvalue of a leading "
+                "block of the edge interiors"
+            )
+        negative += 1
+        if info < d.size:
+            d[info] -= (e[info - 1] / pivot) * e[info - 1]
+        d, e = d[info:], e[info:]
     schur = CondensedFactor(shifted).schur
     return negative + int(np.count_nonzero(np.linalg.eigvalsh(schur) < 0.0))
 

@@ -106,6 +106,15 @@ def test_unknown_criteria_are_rejected_before_any_runs(monkeypatch):
     assert ran == []
 
 
+@pytest.mark.parametrize("degree", [0, -3])
+def test_a_peak_degree_below_one_is_rejected_before_any_runs(monkeypatch, degree):
+    ran = []
+    monkeypatch.setattr(acceptance, "criterion_2", lambda: ran.append(2))
+    with pytest.raises(ValueError, match="peak degree must be >= 1"):
+        acceptance.run_all([2, 4], peak_degree=degree)
+    assert ran == []
+
+
 def test_run_criterion_calls_the_current_binding(monkeypatch):
     # tracing rebinds acceptance.criterion_k, and run_criterion must honor it
     stub = acceptance.CriterionResult(3, acceptance._NAMES[3], True, "stub")

@@ -475,7 +475,9 @@ def test_reduced_energy_refuses_n_above_the_ceiling(capsys, N):
 # what `graphnls verify` printed before criterion 1 moved from SuperLU
 # to the edge-condensed factor; any change to these numbers is a change
 # to the results.  Criterion 9's adjointness was 1.8e-15 while it paired
-# through CSR matrices; the band products sum in another order
+# through CSR matrices; the band products sum in another order.  On its
+# Weyl-sequence test vectors both sides of the adjointness round to the
+# same double, hence 0
 GOLDEN_VERIFY = [
     "criterion 1 (kernel dimension): PASS - N=2: 1 small, 0 in gap, 1 below -1e-3, corr 1.00000; N=3: 2 small, 0 in gap, 1 below -1e-3, corr 1.00000; N=4: 3 small, 0 in gap, 1 below -1e-3, corr 1.00000; N=5: 4 small, 0 in gap, 1 below -1e-3, corr 1.00000",
     "criterion 2 (reduced-energy degree): PASS - N=3: degree -2 (want -2), 2 points (want 2); N=5: degree 6 (want 6), 6 points (want 6); N=7: degree -20 (want -20), 20 points (want 20); N=9: degree 70 (want 70), 70 points (want 70)",
@@ -485,7 +487,7 @@ GOLDEN_VERIFY = [
     "criterion 6 (correction rate): PASS - rates 0.1092, 0.02186, 0.002779, 0.0002081, 6.388e-05",
     "criterion 7 (multi-peak): PASS - converged=True, mass ratio 1.0000 (band 7%), offsets c1:0, c2:0",
     "criterion 8 (not a ground state): PASS - action ratio 1.5000 (band [1.35, 1.65]); mu=2 mass 4.0814 vs 2.7207",
-    "criterion 9 (numerical hygiene): PASS - factors 4.00, 4.00; adjointness 2.2e-15; jacobian fd 4.1e-12",
+    "criterion 9 (numerical hygiene): PASS - factors 4.00, 4.00; adjointness 0; jacobian fd 1.9e-11",
 ]
 
 
@@ -534,6 +536,9 @@ def test_verify_and_solve_run_without_scipy_or_numpy_ma(tmp_path):
     _skip_unless_lapack_loads_directly()
     verify = _modules_loaded_by("from graphnls.cli import main; assert main(['verify']) == 0")
     assert _scipy_modules(verify) == []
+    # its test vectors are Weyl sequences; importing numpy.random costs
+    # about 20 ms of the run
+    assert "numpy.random" not in verify
     argv = ["solve", "--graph", "star5", "--peak", "c", "--lambdas", "25,50"]
     argv += ["--outdir", str(tmp_path / "run")]
     solve = _modules_loaded_by(f"from graphnls.cli import main; assert main({argv!r}) == 0")
@@ -568,6 +573,15 @@ def test_verify_rejects_unknown_criteria_before_running_any(capsys, criteria):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "no criterion" in captured.err
+
+
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_verify_rejects_a_peak_degree_below_one_before_running_any(capsys, degree):
+    rc = main(["verify", "--criteria", "2,4", "--peak-degree", degree])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: peak degree must be >= 1, got {degree}\n"
 
 
 def test_verify_skips_outside_hypotheses(capsys):

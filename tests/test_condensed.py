@@ -394,8 +394,21 @@ def test_criterion_1_counts_and_iterates_with_the_condensed_factor(monkeypatch):
 SMALL_LAM = 400.0
 
 
+def _sturm_count_reference(bands, mass, sigma):
+    """count_below with the interior's Sturm recurrence as a Python loop,
+    d_i = a_i - u_i l_i / d_i-1, counting its negative pivots."""
+    shifted = bands.plus(mass, -sigma)
+    couplings = [0.0] + (shifted.upper * shifted.lower).tolist()
+    negative, pivot = 0, 1.0
+    for a, coupling in zip(shifted.diag.tolist(), couplings):
+        pivot = a - coupling / pivot
+        negative += pivot < 0.0
+    schur = CondensedFactor(shifted).schur
+    return negative + int(np.count_nonzero(np.linalg.eigvalsh(schur) < 0.0))
+
+
 @pytest.mark.parametrize("name", sorted(PEAKS))
-def test_count_below_matches_a_dense_eigensolve(name):
+def test_count_below_matches_a_dense_eigensolve(monkeypatch, name):
     # the linearization at the seed on a small graded mesh
     op, seed = _seeded_operator(name, SMALL_LAM, nodes_per_width=2.0)
     L, M = linearization_bands(op, 1.0, seed), op.mass
@@ -403,15 +416,61 @@ def test_count_below_matches_a_dense_eigensolve(name):
     dense = scipy.linalg.eigh(
         free_block(L).toarray(), free_block(M).toarray(), eigvals_only=True
     )
+    pttrf, calls = discrete.lapack.dpttrf, []
+
+    def counted(d, e, **kwargs):
+        calls.append(d.size)
+        return pttrf(d, e, **kwargs)
+
+    monkeypatch.setattr(discrete.lapack, "dpttrf", counted)
     # below everything, between the one negative eigenvalue per peak
     # (about -2.85 lam) and the near-kernel ones (about 0.05 lam on this
     # coarse mesh), above those, and twice in the continuum above lam
     shifts = SMALL_LAM * np.array([-3.0, -1.0, -0.01, 0.01, 0.1, 0.5, 1.7])
-    counts = [count_below(L, M, sigma) for sigma in shifts]
+    counts = []
+    for sigma in shifts:
+        del calls[:]
+        counts.append(count_below(L, M, sigma))
+        assert counts[-1] == _sturm_count_reference(L, M, sigma), sigma
     for sigma, count in zip(shifts, counts):
         assert np.min(np.abs(dense - sigma)) > 1e-3 * SMALL_LAM
         assert count == int(np.sum(dense < sigma)), sigma
     assert counts[0] == 0 and 0 < counts[1] < counts[4] < counts[-1] < len(dense)
+    # in the continuum pttrf stops at each of many negative pivots and
+    # resumes after it, each call on what is left of the interior
+    assert len(calls) > 10
+    assert calls == sorted(calls, reverse=True)
+
+
+def test_count_below_counts_a_one_pivot_tail():
+    # a negative last-but-one pivot leaves pttrf a single pivot to resume
+    # on, which its f2py wrapper refuses; count_below tests its sign
+    op, _ = _seeded_operator("tripod")
+    counts = []
+    for last in (-1e3, 1e3):
+        bands = replace(op.shifted, diag=op.shifted.diag.copy())
+        bands.diag[-2:] = (-1e3, last)
+        counts.append(count_below(bands, op.mass, 0.0))
+        assert counts[-1] == _sturm_count_reference(bands, op.mass, 0.0)
+    assert counts[0] == counts[1] + 1
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_criterion_1_counts_match_the_python_sturm_recurrence(N):
+    L, M = acceptance._star_linearization(acceptance._kernel_mesh(N))
+    for sigma in acceptance._KERNEL_SHIFTS:
+        assert count_below(L, M, sigma) == _sturm_count_reference(L, M, sigma)
+
+
+def test_count_below_refuses_nonsymmetric_bands():
+    op, seed = _seeded_operator("tripod")
+    J = jacobian(op, 1.0, seed)
+    assert not np.array_equal(J.upper, J.lower)
+    with pytest.raises(ValueError, match="symmetric"):
+        count_below(J, op.mass, 0.0)
+    # the same bands made symmetric count
+    sym = replace(J, lower=J.upper, head_col=J.head_row, tail_col=J.tail_row)
+    assert count_below(sym, op.mass, 0.0) == _sturm_count_reference(sym, op.mass, 0.0)
 
 
 def test_count_below_names_the_shift_at_a_zero_pivot():
@@ -419,13 +478,14 @@ def test_count_below_names_the_shift_at_a_zero_pivot():
     # every leading block of mass - 1.0 * mass is zero
     with pytest.raises(SolveFailure, match="sigma=1.0"):
         count_below(op.mass, op.mass, 1.0)
-    # a zero last pivot: at sigma = 0 the shifted bands are the bands
+    # a zero last pivot, from pttrf's own update d_i+1 -= (e_i / d_i) e_i:
+    # at sigma = 0 the shifted bands are the bands
     bands = replace(op.shifted, diag=op.shifted.diag.copy())
-    couplings = np.concatenate([[0.0], bands.upper * bands.lower]).tolist()
-    pivot = 1.0
-    for a, coupling in zip(bands.diag[:-1].tolist(), couplings):
-        pivot = a - coupling / pivot
-    bands.diag[-1] = couplings[-1] / pivot
+    diag, upper = bands.diag.tolist(), bands.upper.tolist()
+    pivot = diag[0]
+    for a, e in zip(diag[1:-1], upper[:-1]):
+        pivot = a - (e / pivot) * e
+    bands.diag[-1] = (upper[-1] / pivot) * upper[-1]
     with pytest.raises(SolveFailure, match="sigma=0.0"):
         count_below(bands, op.mass, 0.0)
 

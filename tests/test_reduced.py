@@ -136,6 +136,22 @@ def test_odd_star_counts_and_degrees(monkeypatch, N, count, degree):
     assert np.abs(zeros - reference).max() <= 1e-12
 
 
+@pytest.mark.parametrize("N", [3, 5, 7, 9, 11])
+def test_the_half_sweep_and_its_mirror_are_the_full_sweep(N):
+    half = reduced._positive_starts(N)
+    everything = np.concatenate([half, -half])
+    # every sign pattern, each at scales 1 and 1/2
+    patterns = {tuple(row) for row in np.sign(everything)}
+    assert len(patterns) == 2 ** (N - 1) and len(everything) == 2**N
+    assert set(np.abs(everything).ravel()) == {0.5, 1.0}
+    for newton in (reduced._newton_zeros, _newton_zeros_every_row):
+        full = newton(N, everything)
+        zeros = newton(N, half)
+        mirrored = np.concatenate([zeros, -zeros])
+        assert full.shape == mirrored.shape and len(full) > 0
+        assert full.tobytes() == mirrored.tobytes()
+
+
 @pytest.mark.parametrize(
     "planted",
     [
