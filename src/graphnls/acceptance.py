@@ -8,6 +8,7 @@ sweep feeds 4, 5, 6 and 8) only pay for it once per process.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,9 +78,12 @@ class CriterionResult:
 
 
 def reference_graph(name: str) -> MetricGraph:
-    """Load one of the graphs shipped with the package."""
-    text = (files("graphnls") / "data" / f"{name}.yaml").read_text(encoding="utf-8")
-    return build_graph(text)
+    """Load one of the graphs shipped with the package.
+
+    They are JSON (`data/<name>.json`), read without PyYAML.
+    """
+    text = (files("graphnls") / "data" / f"{name}.json").read_text(encoding="utf-8")
+    return build_graph(json.loads(text))
 
 
 # the only table of criterion names; criterion_k reports _NAMES[k]
@@ -96,12 +100,17 @@ _NAMES = {
 }
 
 
-def _star_yaml(N: int, truncation: float) -> str:
-    lines = [f"vertices: [c, {', '.join(f't{i}' for i in range(N))}]", "edges:"]
-    for i in range(N):
-        lines.append(f'  - {{id: e{i}, from: c, to: t{i}, length: "inf"}}')
-    lines.append(f"truncation: {truncation}")
-    return "\n".join(lines)
+def _star_description(N: int, truncation: float) -> dict:
+    """The N-star of half-lines e0..e(N-1) from c to t0..t(N-1),
+    truncated at truncation: a mapping for `build_graph`."""
+    return {
+        "vertices": ["c"] + [f"t{i}" for i in range(N)],
+        "edges": [
+            {"id": f"e{i}", "from": "c", "to": f"t{i}", "length": "inf"}
+            for i in range(N)
+        ],
+        "truncation": truncation,
+    }
 
 
 # Criterion 1 counts the pencil's eigenvalues below each of these
@@ -123,7 +132,7 @@ _KERNEL_STEPS = 3
 def _kernel_mesh(N: int) -> Mesh:
     """Criterion 1's mesh of the N-star truncated at 25: h = 1/200 at
     the centre, graded beyond 15 peak widths (see `refined_mesh`)."""
-    return refined_mesh(build_graph(_star_yaml(N, 25.0)), 1.0, ["c"], 200.0)
+    return refined_mesh(build_graph(_star_description(N, 25.0)), 1.0, ["c"], 200.0)
 
 
 def _star_linearization(mesh: Mesh) -> tuple[EdgeBands, EdgeBands]:
@@ -143,7 +152,10 @@ def _weyl_vectors(n: int, k: int) -> np.ndarray:
     """k deterministic test vectors of length n, the rows of the result:
     row j holds the Weyl sequence frac(i*(j+1)*phi) - 1/2 over the
     index i = 0..n-1, spread over [-1/2, 1/2)."""
-    return (np.arange(1, k + 1)[:, None] * np.arange(n) * _PHI) % 1.0 - 0.5
+    x = np.arange(1, k + 1)[:, None] * np.arange(n) * _PHI
+    # the same bits as x % 1.0 in a third of the time: for these
+    # nonnegative x below 2**52 both are exact
+    return x - np.floor(x) - 0.5
 
 
 def _kernel_ritz(
@@ -409,7 +421,7 @@ def criterion_8() -> CriterionResult:
 def criterion_9(coarse: bool = False) -> CriterionResult:
     """Discretization hygiene: h^2 rate, resolvent symmetry, Jacobian."""
     spacings = (2.0, 1.0, 0.5) if coarse else (1.0 / 40.0, 1.0 / 80.0, 1.0 / 160.0)
-    g = build_graph(_star_yaml(3, 10.0))
+    g = build_graph(_star_description(3, 10.0))
     star = star_neighborhood(g, "c")
     lam, mu = 4.0, 1.0
     errors = []

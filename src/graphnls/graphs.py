@@ -12,8 +12,6 @@ import heapq
 import math
 from dataclasses import dataclass
 
-import yaml
-
 from .errors import (
     DanglingEndpoint,
     DisconnectedGraph,
@@ -117,15 +115,25 @@ def _parse_length(raw, edge_id: str, truncation: float | None) -> tuple[float, b
     return val, False
 
 
-# libyaml's parser where PyYAML was built with it: it reads the same
-# documents as the pure-Python SafeLoader about ten times faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+def _parse_yaml(text: str):
+    # imported here: only a graph read as text needs PyYAML, and
+    # importing it would cost every run 15-40 ms of start-up
+    import yaml
+
+    # libyaml's parser where PyYAML was built with it: it reads the same
+    # documents as the pure-Python SafeLoader about ten times faster
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    try:
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"graph description is not valid YAML: {exc}") from exc
 
 
-def build_graph(text: str) -> MetricGraph:
-    """Build a validated MetricGraph from its textual description.
+def build_graph(description: str | dict) -> MetricGraph:
+    """Build a validated MetricGraph from its description.
 
-    The description is a strict YAML document::
+    The description is a strict YAML document, or the mapping such a
+    document parses to (JSON text is YAML too)::
 
         vertices: [c, a, b]
         edges:
@@ -133,15 +141,12 @@ def build_graph(text: str) -> MetricGraph:
           - {id: e2, from: c, to: b, length: "inf"}
         truncation: 20.0
 
-    Unknown fields are rejected at every level.  `truncation` is
-    required exactly when some edge has length "inf"; each unbounded
-    edge is replaced by an interval of that length whose far endpoint
-    gets a homogeneous Dirichlet condition.
+    Text and mappings pass the same checks.  Unknown fields are rejected
+    at every level.  `truncation` is required exactly when some edge has
+    length "inf"; each unbounded edge is replaced by an interval of that
+    length whose far endpoint gets a homogeneous Dirichlet condition.
     """
-    try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ValueError(f"graph description is not valid YAML: {exc}") from exc
+    doc = _parse_yaml(description) if isinstance(description, str) else description
     if not isinstance(doc, dict):
         raise ValueError("graph description must be a mapping")
     unknown = set(doc) - _TOP_KEYS
@@ -164,6 +169,10 @@ def build_graph(text: str) -> MetricGraph:
         truncation = float(truncation)
         if not truncation > 0.0:
             raise ValueError("'truncation' must be a positive number")
+        # an infinite truncation would give every unbounded edge an
+        # infinite length, and its mesh infinitely many nodes
+        if math.isinf(truncation):
+            raise ValueError("'truncation' must be finite, got inf")
 
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):

@@ -296,6 +296,24 @@ def test_malformed_graph_file_writes_error_record(tmp_path, capsys):
     assert "error: ValueError" in capsys.readouterr().err
 
 
+def test_infinite_truncation_writes_error_record(tmp_path, capsys):
+    # it would give the unbounded edge infinitely many nodes: refused on
+    # reading, before any mesh is sized
+    graph_file = tmp_path / "inf_truncation.yaml"
+    graph_file.write_text(
+        "vertices: [c, t]\nedges:\n  - {id: h, from: c, to: t, length: inf}\n"
+        "truncation: .inf\n"
+    )
+    out = tmp_path / "bad"
+    argv = ["solve", "--graph", str(graph_file), "--peak", "c"]
+    assert main(argv + ["--outdir", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "'truncation' must be finite" in record["message"]
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+    assert "error: ValueError" in capsys.readouterr().err
+
+
 def test_unparsable_coeffs_are_a_usage_error(tmp_path):
     out = tmp_path / "bad"
     argv = ["solve", "--graph", "tripod", "--peak", "c", "--coeffs", "a,b"]
@@ -524,25 +542,54 @@ def _scipy_modules(modules):
     return [m for m in modules if m.startswith("scipy")]
 
 
+def _yaml_modules(modules):
+    return [m for m in modules if m.split(".")[0] in ("yaml", "_yaml")]
+
+
 def test_cli_import_leaves_out_scipy():
     # importing scipy's Python package costs about a third of a second of
     # every process start; graphnls loads only its compiled LAPACK
-    # extension, and the soliton constants have closed forms
+    # extension, and the soliton constants have closed forms.  PyYAML
+    # (15-40 ms) is imported only to read a graph file
+    modules = _modules_loaded_by("import graphnls.cli")
+    assert _yaml_modules(modules) == []
     _skip_unless_lapack_loads_directly()
-    assert _scipy_modules(_modules_loaded_by("import graphnls.cli")) == []
+    assert _scipy_modules(modules) == []
 
 
 def test_verify_and_solve_run_without_scipy_or_numpy_ma(tmp_path):
-    _skip_unless_lapack_loads_directly()
     verify = _modules_loaded_by("from graphnls.cli import main; assert main(['verify']) == 0")
-    assert _scipy_modules(verify) == []
-    # its test vectors are Weyl sequences; importing numpy.random costs
-    # about 20 ms of the run
-    assert "numpy.random" not in verify
+    # criteria 1 and 9 build their stars as mappings
+    assert _yaml_modules(verify) == []
     argv = ["solve", "--graph", "star5", "--peak", "c", "--lambdas", "25,50"]
     argv += ["--outdir", str(tmp_path / "run")]
     solve = _modules_loaded_by(f"from graphnls.cli import main; assert main({argv!r}) == 0")
     assert "graphnls.solve" in solve
+    # the built-in graphs are JSON
+    assert _yaml_modules(solve) == []
+
+    # a graph file is YAML, parsed by the PyYAML that build_graph imports
+    graph_file = tmp_path / "tripod.yaml"
+    graph_file.write_text(
+        "vertices: [c, a1, a2, a3]\nedges:\n"
+        + "".join(f"  - {{id: e{i}, from: c, to: a{i}, length: 1.0}}\n" for i in (1, 2, 3))
+    )
+    argv = ["solve", "--graph", str(graph_file), "--peak", "c", "--lambdas", "25"]
+    argv += ["--outdir", str(tmp_path / "file")]
+    from_file = _modules_loaded_by(f"from graphnls.cli import main; assert main({argv!r}) == 0")
+    assert "yaml" in from_file
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("vertices: [a\nedges: {\n")
+    argv = ["solve", "--graph", str(broken), "--peak", "a", "--outdir", str(tmp_path / "bad")]
+    _modules_loaded_by(f"from graphnls.cli import main; assert main({argv!r}) == 1")
+    record = json.loads((tmp_path / "bad" / "error.json").read_text())
+    assert "not valid YAML" in record["message"]
+
+    _skip_unless_lapack_loads_directly()
+    assert _scipy_modules(verify) == []
+    # its test vectors are Weyl sequences; importing numpy.random costs
+    # about 20 ms of the run
+    assert "numpy.random" not in verify
     assert _scipy_modules(solve) == []
     # np.unique, and the set routines built on it, import numpy.ma
     assert "numpy.ma" not in solve

@@ -254,14 +254,14 @@ def test_non_finite_jacobian_raises_singular_jacobian():
 
 def _coarse_star_linearization(N):
     """Linearization at the N-star state, on a coarse truncated star."""
-    g = build_graph(acceptance._star_yaml(N, 10.0))
+    g = build_graph(acceptance._star_description(N, 10.0))
     return acceptance._star_linearization(uniform_mesh(g, 1.0 / 50.0))
 
 
 def _coarse_graded_star_linearization(N):
     """The same on a coarse graded star: truncated at 25, every edge
     outlasts its fine zone and grows beyond it."""
-    g = build_graph(acceptance._star_yaml(N, 25.0))
+    g = build_graph(acceptance._star_description(N, 25.0))
     return acceptance._star_linearization(refined_mesh(g, 1.0, ["c"], 50.0))
 
 
@@ -359,6 +359,22 @@ def test_criterion_1_graded_mesh_keeps_the_uniform_mesh_eigenvalues():
 def test_criterion_1_meshes_count_one_negative_and_n_minus_1_kernel_eigenvalues(N):
     L, M = acceptance._star_linearization(acceptance._kernel_mesh(N))
     assert _kernel_counts(L, M) == [1, 1, N, N]
+
+
+def _weyl_shapes():
+    """The (n, k) of every `_weyl_vectors` call in criteria 1 and 9."""
+    shapes = [(acceptance._kernel_mesh(N).ndof, N - 1) for N in (2, 3, 4, 5)]
+    star3 = build_graph(acceptance._star_description(3, 10.0))
+    return shapes + [(uniform_mesh(star3, 1.0 / 100.0).ndof, 4)]
+
+
+def test_weyl_vectors_keep_the_bits_of_the_remainder_form():
+    for n, k in _weyl_shapes():
+        x = np.arange(1, k + 1)[:, None] * np.arange(n) * acceptance._PHI
+        want = x % 1.0 - 0.5
+        got = acceptance._weyl_vectors(n, k)
+        assert got.shape == (k, n)
+        assert got.tobytes() == want.tobytes(), (n, k)
 
 
 def test_criterion_1_counts_and_iterates_with_the_condensed_factor(monkeypatch):

@@ -1,12 +1,12 @@
 """Metric graph construction, distances, peak balls and star neighborhoods."""
 
+import json
 from importlib.resources import files
 
 import numpy as np
 import pytest
 import yaml
 
-import graphnls.graphs
 from graphnls import (
     build_graph,
     check_disjoint_peak_balls,
@@ -20,8 +20,12 @@ from graphnls.errors import (
     NonpositiveEdgeLength,
     OverlappingPeaks,
 )
-from graphnls.acceptance import _star_yaml
+from graphnls.acceptance import _star_description
 from graphnls.graphs import admissible_peak_degree, vertex_distances
+
+BUILTIN_NAMES = ["tripod", "t_graph", "star5", "double_tripod", "figure1"]
+STARS = [(N, truncation) for N in range(2, 7) for truncation in (10.0, 25.0)]
+
 
 TRIPOD = """
 vertices: [c, a1, a2, a3]
@@ -95,7 +99,7 @@ truncation: 12.5
 
 
 @pytest.mark.parametrize(
-    "text, exc",
+    "description, exc",
     [
         ("vertices: [v]\nedges: []\nbogus: 1", ValueError),
         ("vertices: [v, v]\nedges: []", ValueError),
@@ -149,11 +153,14 @@ truncation: 12.5
         ("vertices: [a]\nedges: []", DisconnectedGraph),
         # not YAML at all: a ValueError, like every other rejected description
         ("vertices: [a\nedges: {", ValueError),
+        # a parsed description meets the same checks as text
+        ({"vertices": ["v", "w"], "edges": [{"id": "e", "from": "v", "to": "w"}]}, ValueError),
+        (["vertices", "edges"], ValueError),
     ],
 )
-def test_malformed_graphs_are_rejected(text, exc):
+def test_malformed_graphs_are_rejected(description, exc):
     with pytest.raises(exc):
-        build_graph(text)
+        build_graph(description)
 
 
 def test_distance_on_path_is_additive():
@@ -268,30 +275,70 @@ def test_multi_mode_balls_after_midpoint_split_are_disjoint():
     check_disjoint_peak_balls(h, stars)
 
 
-@pytest.mark.parametrize(
-    "name", ["tripod", "t_graph", "star5", "double_tripod", "figure1"]
-)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_reference_graphs_load(name):
     g = reference_graph(name)
     assert all(e.length > 0 for e in g.edges)
     assert len(g.vertices) >= 2
 
 
+def _star_yaml(N, truncation):
+    """The YAML text criteria 1 and 9 built their N-stars from before
+    `_star_description` replaced it: the reference its mappings keep."""
+    lines = [f"vertices: [c, {', '.join(f't{i}' for i in range(N))}]", "edges:"]
+    for i in range(N):
+        lines.append(f'  - {{id: e{i}, from: c, to: t{i}, length: "inf"}}')
+    lines.append(f"truncation: {truncation}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("N, truncation", STARS)
+def test_star_mappings_build_the_graphs_of_the_yaml_stars(N, truncation):
+    g = build_graph(_star_description(N, truncation))
+    assert g == build_graph(_star_yaml(N, truncation))
+    assert g.truncation_length == truncation
+    assert [e.length for e in g.edges] == [truncation] * N
+
+
 def test_pure_python_and_libyaml_loaders_build_equal_graphs(monkeypatch):
-    texts = [p.read_text() for p in (files("graphnls") / "data").iterdir()]
-    assert len(texts) == 5
-    texts += [_star_yaml(N, 25.0) for N in range(2, 6)]
-    default = [build_graph(t) for t in texts]
+    # the built-ins are JSON, read by reference_graph without PyYAML; read
+    # as YAML text they must give the same graphs, and so must the YAML
+    # stars their mappings replaced, under either loader
+    data = {p.name: p.read_text() for p in (files("graphnls") / "data").iterdir()}
+    assert sorted(data) == sorted(f"{name}.json" for name in BUILTIN_NAMES)
+    texts = [data[f"{name}.json"] for name in BUILTIN_NAMES]
+    texts += [_star_yaml(N, truncation) for N, truncation in STARS]
+    expected = [reference_graph(name) for name in BUILTIN_NAMES]
+    expected += [build_graph(_star_description(N, t)) for N, t in STARS]
     loaders = [yaml.SafeLoader]
     if hasattr(yaml, "CSafeLoader"):
         loaders.append(yaml.CSafeLoader)
     for loader in loaders:
-        monkeypatch.setattr(graphnls.graphs, "_YAML_LOADER", loader)
-        assert [build_graph(t) for t in texts] == default, loader
+        # build_graph parses with yaml.CSafeLoader where PyYAML has it
+        monkeypatch.setattr(yaml, "CSafeLoader", loader, raising=False)
+        assert [build_graph(t) for t in texts] == expected, loader
         with pytest.raises(ValueError, match="not valid YAML"):
             build_graph("vertices: [a\nedges: {\n")
     if len(loaders) == 1:
         pytest.skip("PyYAML was built without libyaml")
+
+
+@pytest.mark.parametrize(
+    "description",
+    [
+        "vertices: [v, t]\nedges:\n  - {id: h, from: v, to: t, length: inf}\n"
+        "truncation: .inf",
+        json.loads(
+            '{"vertices": ["v", "t"], "edges": [{"id": "h", "from": "v", '
+            '"to": "t", "length": "inf"}], "truncation": Infinity}'
+        ),
+    ],
+    ids=["yaml", "json"],
+)
+def test_infinite_truncation_is_rejected(description):
+    # it would give every unbounded edge an infinite length
+    with pytest.raises(ValueError, match="'truncation' must be finite"):
+        build_graph(description)
 
 
 def test_random_path_distances_match_partial_sums():
