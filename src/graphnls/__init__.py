@@ -68,6 +68,7 @@ from .solve import (
     kernel_projection_diagnostics,
     newton_solve,
     nonlinear_residual,
+    peak_template,
 )
 
 __all__ = [
@@ -109,6 +110,7 @@ __all__ = [
     "load_graph",
     "newton_solve",
     "nonlinear_residual",
+    "peak_template",
     "perturbed_gradient_hessian",
     "reduced_cubic_coefficient",
     "reduced_energy",

@@ -34,16 +34,10 @@ from .graphs import (
     MetricGraph,
     admissible_peak_degree,
     build_graph,
-    insert_midpoints,
     star_neighborhood,
 )
 # sample_kernel_mode is unused here; bench/tracer.py wraps it by this name
-from .profiles import (
-    AnsatzSpec,
-    sample_kernel_mode,
-    sample_kernel_modes,
-    sample_star_state,
-)
+from .profiles import sample_kernel_mode, sample_kernel_modes, sample_star_state
 from .reduced import (
     enumerate_critical_points,
     even_case_lines,
@@ -56,6 +50,7 @@ from .solve import (
     linearization_bands,
     newton_solve,
     nonlinear_residual,
+    peak_template,
 )
 
 
@@ -77,11 +72,20 @@ class CriterionResult:
         return f"criterion {self.cid} ({self.name}): {status} - {self.detail}"
 
 
+# the graphs shipped with the package, as `data/<name>.json`
+BUILTIN_GRAPHS = ("tripod", "t_graph", "star5", "double_tripod", "figure1")
+
+
 def reference_graph(name: str) -> MetricGraph:
     """Load one of the graphs shipped with the package.
 
     They are JSON (`data/<name>.json`), read without PyYAML.
     """
+    if name not in BUILTIN_GRAPHS:
+        raise ValueError(
+            f"no built-in graph {name!r}; the built-ins are "
+            f"{', '.join(BUILTIN_GRAPHS)}"
+        )
     text = (files("graphnls") / "data" / f"{name}.json").read_text(encoding="utf-8")
     return build_graph(json.loads(text))
 
@@ -263,23 +267,19 @@ def criterion_3() -> CriterionResult:
 _TRIPOD_SCHEDULE = (25.0, 50.0, 100.0, 200.0, 400.0)
 
 
-@lru_cache(maxsize=None)
-def _tripod_sweep():
-    g = reference_graph("tripod")
-    star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(
-        peaks=((star, (0.0, 0.0)),),
-        mu=1.0,
-        lam=_TRIPOD_SCHEDULE[0],
-        alpha=0.25,
-    )
-    cfg = SolveConfig(
-        mu=1.0,
-        lambdas=_TRIPOD_SCHEDULE,
-        nodes_per_width=40.0,
-        seed="ansatz",
+def _sweep(graph: str, peaks: tuple[str, ...], **knobs):
+    """The zero-coefficient sweep of the built-in graph with peaks at
+    peaks: the swept graph (split between adjacent peaks) and the results."""
+    cfg = SolveConfig(**knobs)
+    g, template = peak_template(
+        reference_graph(graph), peaks, mu=cfg.mu, lambdas=cfg.lambdas
     )
     return g, continuation_sweep(g, template, cfg)
+
+
+@lru_cache(maxsize=None)
+def _tripod_sweep():
+    return _sweep("tripod", ("c",), mu=1.0, lambdas=_TRIPOD_SCHEDULE, seed="ansatz")
 
 
 def criterion_4() -> CriterionResult:
@@ -343,22 +343,7 @@ _DOUBLE_SCHEDULE = (50.0, 100.0, 200.0, 400.0)
 
 @lru_cache(maxsize=None)
 def _double_sweep():
-    g0 = reference_graph("double_tripod")
-    g = insert_midpoints(g0, ["c1", "c2"])
-    stars = [star_neighborhood(g, v, mode="multi") for v in ("c1", "c2")]
-    template = AnsatzSpec(
-        peaks=tuple((s, (0.0, 0.0)) for s in stars),
-        mu=1.0,
-        lam=_DOUBLE_SCHEDULE[0],
-        alpha=0.25,
-    )
-    cfg = SolveConfig(
-        mu=1.0,
-        lambdas=_DOUBLE_SCHEDULE,
-        nodes_per_width=40.0,
-        seed="previous",
-    )
-    return g, continuation_sweep(g, template, cfg)
+    return _sweep("double_tripod", ("c1", "c2"), mu=1.0, lambdas=_DOUBLE_SCHEDULE)
 
 
 def criterion_7() -> CriterionResult:
@@ -386,15 +371,7 @@ def criterion_7() -> CriterionResult:
 
 @lru_cache(maxsize=None)
 def _mu2_result():
-    g = reference_graph("tripod")
-    star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(
-        peaks=((star, (0.0, 0.0)),), mu=2.0, lam=400.0, alpha=0.25
-    )
-    cfg = SolveConfig(
-        mu=2.0, lambdas=(400.0,), nodes_per_width=40.0, seed="ansatz"
-    )
-    return continuation_sweep(g, template, cfg)[-1]
+    return _sweep("tripod", ("c",), mu=2.0, lambdas=(400.0,), seed="ansatz")[1][-1]
 
 
 def criterion_8() -> CriterionResult:

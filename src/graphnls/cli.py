@@ -27,26 +27,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .acceptance import reference_graph, run_all
+from .acceptance import BUILTIN_GRAPHS, reference_graph, run_all
 from .discrete import DiscreteField
 from .discrete import assemble  # unused; bench/tracer.py wraps it by this name
 from .errors import GraphNLSError
 
 # evaluate_functionals is unused here; bench/tracer.py wraps it by this name
 from .functionals import evaluate_functionals, soliton_reference
-from .graphs import (
-    MetricGraph,
-    admissible_peak_degree,
-    check_disjoint_peak_balls,
-    insert_midpoints,
-    load_graph,
-    star_neighborhood,
-)
+from .graphs import MetricGraph, admissible_peak_degree, load_graph
 from .profiles import AnsatzSpec
 from .reduced import MAX_N, enumerate_critical_points, even_case_lines
-from .solve import SolveConfig, continuation_sweep
+from .solve import SolveConfig, continuation_sweep, peak_template
 
-_BUILTIN_GRAPHS = ("tripod", "t_graph", "star5", "double_tripod", "figure1")
 # the ExperimentConfig fields whose solve flags are written by hand: they
 # parse a list, or carry help text
 _HAND_WRITTEN_FLAGS = ("graph", "peaks", "coeffs", "lambdas", "outdir")
@@ -63,7 +55,7 @@ class ExperimentConfig(SolveConfig):
 
     graph: str
     peaks: tuple[str, ...]
-    alpha: float = 0.25
+    alpha: float = AnsatzSpec.alpha
     coeffs: tuple[tuple[float, ...], ...] | None = None
     lambdas: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0, 400.0)
     cutoff: str = AnsatzSpec.cutoff_kind
@@ -96,7 +88,7 @@ class ExperimentConfig(SolveConfig):
 
 
 def _load_config_graph(name: str) -> MetricGraph:
-    if name in _BUILTIN_GRAPHS:
+    if name in BUILTIN_GRAPHS:
         return reference_graph(name)
     return load_graph(name)
 
@@ -143,35 +135,16 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     """Run the sweep described by cfg and write its artifacts."""
     outdir = Path(os.environ.get("GRAPHNLS_OUTDIR", cfg.outdir))
     outdir.mkdir(parents=True, exist_ok=True)
-    g = _load_config_graph(cfg.graph)
-    missing = [p for p in cfg.peaks if p not in g.vertices]
-    if missing:
-        raise ValueError(f"peak vertices not in graph: {missing}")
-    if len(set(cfg.peaks)) != len(cfg.peaks):
-        raise ValueError("duplicate peak vertices")
-
-    mode = "multi" if len(cfg.peaks) > 1 else "single"
-    if mode == "multi":
-        g = insert_midpoints(g, list(cfg.peaks))
-    stars = [star_neighborhood(g, p, mode=mode) for p in cfg.peaks]
-    check_disjoint_peak_balls(g, stars)
-
-    coeffs = cfg.coeffs
-    if coeffs is None:
-        coeffs = tuple(tuple(0.0 for _ in range(s.degree - 1)) for s in stars)
-    if len(coeffs) != len(stars):
-        raise ValueError(
-            f"got {len(coeffs)} coefficient vectors for {len(stars)} peaks"
-        )
-    template = AnsatzSpec(
-        peaks=tuple(zip(stars, coeffs)),
+    g, template = peak_template(
+        _load_config_graph(cfg.graph),
+        cfg.peaks,
         mu=cfg.mu,
-        lam=cfg.lambdas[0],
+        lambdas=cfg.lambdas,
         alpha=cfg.alpha,
+        coeffs=cfg.coeffs,
         cutoff_kind=cfg.cutoff,
     )
-    # lam**alpha is monotone in lam: checking both ends checks every shift
-    template.with_lam(cfg.lambdas[-1])
+    stars = [star for star, _ in template.peaks]
     # the ratio columns need the reference constants, which exist only
     # for mu >= 0.5: fail before the sweep rather than after it
     ref = soliton_reference(cfg.mu)
@@ -338,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument(
         "--graph",
         required=True,
-        help=f"graph file, or one of: {', '.join(_BUILTIN_GRAPHS)}",
+        help=f"graph file, or one of: {', '.join(BUILTIN_GRAPHS)}",
     )
     ps.add_argument(
         "--peak",

@@ -9,6 +9,7 @@ homogeneous Dirichlet condition imposed at the artificial endpoint.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from dataclasses import dataclass
 
@@ -133,7 +134,7 @@ def build_graph(description: str | dict) -> MetricGraph:
     """Build a validated MetricGraph from its description.
 
     The description is a strict YAML document, or the mapping such a
-    document parses to (JSON text is YAML too)::
+    document (or a JSON one, see `load_graph`) parses to::
 
         vertices: [c, a, b]
         edges:
@@ -228,8 +229,20 @@ def build_graph(description: str | dict) -> MetricGraph:
 
 
 def load_graph(path) -> MetricGraph:
+    """Read a graph file: JSON where the name ends in .json, else YAML.
+
+    A .json file is parsed by the standard library, not as YAML 1.1,
+    where `1e3` would be a string.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return build_graph(fh.read())
+        text = fh.read()
+    if not str(path).endswith(".json"):
+        return build_graph(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"graph description is not valid JSON: {exc}") from exc
+    return build_graph(doc)
 
 
 def _check_connected(g: MetricGraph) -> None:

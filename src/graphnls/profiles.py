@@ -108,7 +108,7 @@ class AnsatzSpec:
     peaks: tuple[tuple[StarNeighborhood, tuple[float, ...]], ...]
     mu: float
     lam: float
-    alpha: float
+    alpha: float = 0.25
     cutoff_kind: str = CUTOFF_KINDS[0]
 
     def __post_init__(self):
@@ -129,6 +129,13 @@ class AnsatzSpec:
                 f"lam**alpha out of floating-point range at lam={self.lam:g}"
             )
         for star, coeffs in self.peaks:
+            # the seed's kernel modes need two rays: a degree-1 vertex
+            # has none, and the state could not be assembled
+            if star.degree < 2:
+                raise ValueError(
+                    f"peak {star.center!r} has degree {star.degree}: a peak "
+                    "needs at least 2 incident edge-ends"
+                )
             if len(coeffs) != star.degree - 1:
                 raise DimensionMismatch(
                     f"peak {star.center!r}: expected {star.degree - 1} "

@@ -32,7 +32,13 @@ from .discrete import (
 )
 from .errors import NotConverged, SingularJacobian, SolveFailure
 from .functionals import FunctionalReport
-from .graphs import MetricGraph, admissible_peak_degree
+from .graphs import (
+    MetricGraph,
+    admissible_peak_degree,
+    check_disjoint_peak_balls,
+    insert_midpoints,
+    star_neighborhood,
+)
 
 # sample_kernel_mode is unused here; bench/tracer.py wraps it by this name
 from .profiles import (
@@ -344,15 +350,56 @@ def _resample(prev: DiscreteField, mesh: Mesh) -> np.ndarray:
     return out
 
 
+def peak_template(
+    g: MetricGraph,
+    peaks: tuple[str, ...],
+    *,
+    mu: float,
+    lambdas: tuple[float, ...],
+    alpha: float = AnsatzSpec.alpha,
+    coeffs: tuple[tuple[float, ...], ...] | None = None,
+    cutoff_kind: str = AnsatzSpec.cutoff_kind,
+) -> tuple[MetricGraph, AnsatzSpec]:
+    """The graph to sweep and its seed template, peaks at `peaks`; no mesh.
+
+    Several peaks need disjoint support balls: each edge joining two is
+    split at its midpoint (a new graph) and every star is taken in
+    multi-peak mode.  coeffs, one kernel-coefficient vector per peak,
+    are zeros by default.  The template is set at lambdas[0]; lam**alpha
+    is monotone in lam, so checking it at lambdas[-1] checks every shift.
+    """
+    missing = [p for p in peaks if p not in g.vertices]
+    if missing:
+        raise ValueError(f"peak vertices not in graph: {missing}")
+    if len(set(peaks)) != len(peaks):
+        raise ValueError("duplicate peak vertices")
+    mode = "multi" if len(peaks) > 1 else "single"
+    if mode == "multi":
+        g = insert_midpoints(g, list(peaks))
+    stars = [star_neighborhood(g, p, mode=mode) for p in peaks]
+    check_disjoint_peak_balls(g, stars)
+    if coeffs is None:
+        coeffs = tuple((0.0,) * (s.degree - 1) for s in stars)
+    if len(coeffs) != len(stars):
+        raise ValueError(
+            f"got {len(coeffs)} coefficient vectors for {len(stars)} peaks"
+        )
+    template = AnsatzSpec(tuple(zip(stars, coeffs)), mu, lambdas[0], alpha, cutoff_kind)
+    template.with_lam(lambdas[-1])
+    return g, template
+
+
 def continuation_sweep(
     g: MetricGraph, template: AnsatzSpec, cfg: SolveConfig
 ) -> list[BoundStateResult]:
     """Solve along the schedule, reseeding from the previous solution.
 
     Each shift gets a fresh peak-refined mesh and seed state; failures
-    are recorded and the sweep continues.  Peaks at even-degree or
-    degree-1 vertices are permitted but flagged as exploratory, since
-    the existence theory covers odd degree >= 3 only.
+    are recorded and the sweep continues.  Peaks at even-degree vertices
+    are permitted but flagged as exploratory, since the existence theory
+    covers odd degree >= 3 only; a degree-1 peak has no kernel modes,
+    and `AnsatzSpec` refuses it.  `peak_template` builds g and template
+    for a peak set.
     """
     if not cfg.lambdas:
         raise ValueError("empty lambda schedule")

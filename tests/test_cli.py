@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from graphnls import cli
+from graphnls import cli, load_graph, reference_graph
 from graphnls.cli import ExperimentConfig, _state_text, _write_state_files, main
 from graphnls.reduced import enumerate_critical_points
 from graphnls.solve import continuation_sweep
@@ -293,6 +293,37 @@ def test_malformed_graph_file_writes_error_record(tmp_path, capsys):
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "ValueError"
     assert "not valid YAML" in record["message"]
+    assert "error: ValueError" in capsys.readouterr().err
+
+
+def test_malformed_json_graph_file_writes_error_record(tmp_path, capsys):
+    # a .json file is parsed as JSON, not as YAML
+    graph_file = tmp_path / "broken.json"
+    graph_file.write_text('{"vertices": ["a"], "edges": [}')
+    out = tmp_path / "bad"
+    argv = ["solve", "--graph", str(graph_file), "--peak", "a"]
+    assert main(argv + ["--outdir", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "not valid JSON" in record["message"]
+    assert "error: ValueError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph, peak", [("tripod", "a1"), ("double_tripod", "s1")])
+def test_solve_refuses_a_degree_one_peak_before_any_work(
+    tmp_path, capsys, monkeypatch, graph, peak
+):
+    # a degree-1 vertex has no kernel modes, so its seed state cannot be
+    # built; the run once failed only after meshing
+    sweeps = []
+    monkeypatch.setattr(cli, "continuation_sweep", lambda *a: sweeps.append(a))
+    out = tmp_path / "bad"
+    assert main(["solve", "--graph", graph, "--peak", peak, "--outdir", str(out)]) == 1
+    assert sweeps == []
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert f"peak {peak!r} has degree 1" in record["message"]
+    assert [p.name for p in out.iterdir()] == ["error.json"]
     assert "error: ValueError" in capsys.readouterr().err
 
 
@@ -578,6 +609,20 @@ def test_verify_and_solve_run_without_scipy_or_numpy_ma(tmp_path):
     argv += ["--outdir", str(tmp_path / "file")]
     from_file = _modules_loaded_by(f"from graphnls.cli import main; assert main({argv!r}) == 0")
     assert "yaml" in from_file
+    # a .json graph file is read by json, so exponent lengths are numbers
+    # (under YAML 1.1, 1e0 is a string) and PyYAML stays unloaded
+    json_file = tmp_path / "tripod.json"
+    json_file.write_text(
+        '{"vertices": ["c", "a1", "a2", "a3"], "edges": ['
+        '{"id": "e1", "from": "c", "to": "a1", "length": 1e0}, '
+        '{"id": "e2", "from": "c", "to": "a2", "length": 10E-1}, '
+        '{"id": "e3", "from": "c", "to": "a3", "length": 1.0e+0}]}'
+    )
+    assert load_graph(json_file) == reference_graph("tripod")
+    argv = ["solve", "--graph", str(json_file), "--peak", "c", "--lambdas", "25"]
+    argv += ["--outdir", str(tmp_path / "json")]
+    from_json = _modules_loaded_by(f"from graphnls.cli import main; assert main({argv!r}) == 0")
+    assert _yaml_modules(from_json) == []
     broken = tmp_path / "broken.yaml"
     broken.write_text("vertices: [a\nedges: {\n")
     argv = ["solve", "--graph", str(broken), "--peak", "a", "--outdir", str(tmp_path / "bad")]

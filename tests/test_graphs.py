@@ -20,7 +20,7 @@ from graphnls.errors import (
     NonpositiveEdgeLength,
     OverlappingPeaks,
 )
-from graphnls.acceptance import _star_description
+from graphnls.acceptance import BUILTIN_GRAPHS, _star_description
 from graphnls.graphs import admissible_peak_degree, vertex_distances
 
 BUILTIN_NAMES = ["tripod", "t_graph", "star5", "double_tripod", "figure1"]
@@ -282,6 +282,12 @@ def test_reference_graphs_load(name):
     assert len(g.vertices) >= 2
 
 
+def test_unknown_reference_graph_names_the_built_ins():
+    message = "no built-in graph 'nope'; the built-ins are tripod, t_graph, star5"
+    with pytest.raises(ValueError, match=message):
+        reference_graph("nope")
+
+
 def _star_yaml(N, truncation):
     """The YAML text criteria 1 and 9 built their N-stars from before
     `_star_description` replaced it: the reference its mappings keep."""
@@ -306,6 +312,8 @@ def test_pure_python_and_libyaml_loaders_build_equal_graphs(monkeypatch):
     # stars their mappings replaced, under either loader
     data = {p.name: p.read_text() for p in (files("graphnls") / "data").iterdir()}
     assert sorted(data) == sorted(f"{name}.json" for name in BUILTIN_NAMES)
+    # the built-in names have one definition, and it names every data file
+    assert sorted(n.removesuffix(".json") for n in data) == sorted(BUILTIN_GRAPHS)
     texts = [data[f"{name}.json"] for name in BUILTIN_NAMES]
     texts += [_star_yaml(N, truncation) for N, truncation in STARS]
     expected = [reference_graph(name) for name in BUILTIN_NAMES]

@@ -1,4 +1,6 @@
-"""The package's public names."""
+"""The package's public names, and the README's library example."""
+
+from pathlib import Path
 
 import graphnls
 
@@ -42,6 +44,7 @@ PUBLIC_API = [
     "load_graph",
     "newton_solve",
     "nonlinear_residual",
+    "peak_template",
     "perturbed_gradient_hessian",
     "reduced_cubic_coefficient",
     "reduced_energy",
@@ -64,3 +67,15 @@ def test_public_names_are_pinned_and_resolve():
     assert graphnls.__all__ == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(graphnls, name) is not None
+
+
+def test_readme_library_example_runs(capsys):
+    # the example is run as written, so it cannot drift from the API
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(readme), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        [lam, "True"] for lam in ("25.0", "50.0", "100.0")
+    ]

@@ -12,11 +12,13 @@ from graphnls import (
     assemble_ansatz,
     build_graph,
     continuation_sweep,
+    insert_midpoints,
     jacobian,
     kernel_projection_diagnostics,
     lambda_norm,
     newton_solve,
     nonlinear_residual,
+    peak_template,
     reference_graph,
     refined_mesh,
     star_neighborhood,
@@ -30,7 +32,7 @@ from graphnls.discrete import (
     lambda_inner,
     refined_ndof,
 )
-from graphnls.errors import NotConverged
+from graphnls.errors import NotConverged, OverlappingPeaks
 from graphnls.functionals import evaluate_functionals
 from graphnls.profiles import sample_kernel_mode
 from graphnls.solve import (
@@ -314,6 +316,59 @@ edges:
     with pytest.warns(UserWarning, match="outside the odd-degree hypotheses"):
         results = continuation_sweep(g, template, cfg)
     assert results[0].converged
+
+
+def test_peak_templates_equal_the_hand_built_ones():
+    # the templates verify's sweeps built by hand before peak_template
+    g = reference_graph("tripod")
+    star = star_neighborhood(g, "c", mode="single")
+    tripod = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
+    sched = (25.0, 50.0, 100.0, 200.0, 400.0)
+    assert peak_template(g, ("c",), mu=1.0, lambdas=sched) == (g, tripod)
+    mu2 = AnsatzSpec(((star, (0.0, 0.0)),), mu=2.0, lam=400.0, alpha=0.25)
+    assert peak_template(g, ("c",), mu=2.0, lambdas=(400.0,)) == (g, mu2)
+
+    g0 = reference_graph("double_tripod")
+    split = insert_midpoints(g0, ["c1", "c2"])
+    stars = [star_neighborhood(split, v, mode="multi") for v in ("c1", "c2")]
+    double = AnsatzSpec(
+        tuple((s, (0.0, 0.0)) for s in stars), mu=1.0, lam=50.0, alpha=0.25
+    )
+    sched = (50.0, 100.0, 200.0, 400.0)
+    got = peak_template(g0, ("c1", "c2"), mu=1.0, lambdas=sched)
+    assert got == (split, double)
+    assert "bridge__mid" in got[0].vertices
+
+
+@pytest.mark.parametrize(
+    "graph, peaks, coeffs, message",
+    [
+        ("tripod", ("nope",), None, r"peak vertices not in graph: \['nope'\]"),
+        ("double_tripod", ("c1", "c1"), None, "duplicate peak vertices"),
+        ("double_tripod", ("c1", "c2"), ((0.0, 0.0),), "got 1 coefficient vectors"),
+        # a degree-1 peak has no kernel modes: refused before any mesh
+        ("tripod", ("a1",), None, "peak 'a1' has degree 1"),
+        ("double_tripod", ("s1",), None, "peak 's1' has degree 1"),
+    ],
+)
+def test_peak_template_refuses_an_invalid_peak_set(graph, peaks, coeffs, message):
+    g = reference_graph(graph)
+    with pytest.raises(ValueError, match=message):
+        peak_template(g, peaks, mu=1.0, lambdas=(25.0,), coeffs=coeffs)
+
+
+def test_peak_template_still_checks_that_peak_balls_are_disjoint(monkeypatch):
+    # split edges and multi-peak radii keep the balls apart; with both
+    # undone, the double tripod's peaks overlap across the bridge
+    monkeypatch.setattr(graphnls.solve, "insert_midpoints", lambda g, peaks: g)
+    monkeypatch.setattr(
+        graphnls.solve,
+        "star_neighborhood",
+        lambda g, v, mode: star_neighborhood(g, v, mode="single"),
+    )
+    g = reference_graph("double_tripod")
+    with pytest.raises(OverlappingPeaks, match="support balls of peaks 'c1' and 'c2'"):
+        peak_template(g, ("c1", "c2"), mu=1.0, lambdas=(50.0,))
 
 
 def test_sweep_rejects_empty_schedule():
