@@ -270,11 +270,8 @@ _TRIPOD_SCHEDULE = (25.0, 50.0, 100.0, 200.0, 400.0)
 def _sweep(graph: str, peaks: tuple[str, ...], **knobs):
     """The zero-coefficient sweep of the built-in graph with peaks at
     peaks: the swept graph (split between adjacent peaks) and the results."""
-    cfg = SolveConfig(**knobs)
-    g, template = peak_template(
-        reference_graph(graph), peaks, mu=cfg.mu, lambdas=cfg.lambdas
-    )
-    return g, continuation_sweep(g, template, cfg)
+    g, template = peak_template(reference_graph(graph), peaks)
+    return g, continuation_sweep(g, template, SolveConfig(**knobs))
 
 
 @lru_cache(maxsize=None)

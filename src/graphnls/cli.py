@@ -138,8 +138,6 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     g, template = peak_template(
         _load_config_graph(cfg.graph),
         cfg.peaks,
-        mu=cfg.mu,
-        lambdas=cfg.lambdas,
         alpha=cfg.alpha,
         coeffs=cfg.coeffs,
         cutoff_kind=cfg.cutoff,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .discrete import DiscreteField, Mesh
 from .errors import DimensionMismatch, IndexOutOfRange
-from .graphs import MetricGraph, StarNeighborhood, check_disjoint_peak_balls
+from .graphs import StarNeighborhood, check_disjoint_peak_balls
 
 
 @dataclass(frozen=True)
@@ -98,36 +98,24 @@ def eval_cutoff(kind: str, ell: float, x):
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    """Everything defining the peaked seed state.
+    """The peaked seed state's shape, fixed across a sweep.
 
     Each peak pairs a star neighborhood with a coefficient vector of
     length degree-1 weighting the kernel modes; the coefficients are
-    damped by lam**(-alpha) when the state is assembled.
+    divided by damping(lam) when the state is assembled at a shift.
     """
 
     peaks: tuple[tuple[StarNeighborhood, tuple[float, ...]], ...]
-    mu: float
-    lam: float
     alpha: float = 0.25
     cutoff_kind: str = CUTOFF_KINDS[0]
 
     def __post_init__(self):
+        if not self.peaks:
+            raise ValueError("at least one peak vertex is required")
         if self.cutoff_kind not in CUTOFF_KINDS:
             raise ValueError(f"unknown cutoff kind {self.cutoff_kind!r}")
-        if not self.lam > 0.0:
-            raise ValueError("lam must be positive")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        # assemble_ansatz divides the coefficients by lam**alpha
-        try:
-            damping = self.lam**self.alpha
-        except OverflowError:
-            damping = math.inf
-        if not 0.0 < damping < math.inf:
-            raise ValueError(
-                f"alpha={self.alpha} puts the coefficient damping "
-                f"lam**alpha out of floating-point range at lam={self.lam:g}"
-            )
         for star, coeffs in self.peaks:
             # the seed's kernel modes need two rays: a degree-1 vertex
             # has none, and the state could not be assembled
@@ -147,8 +135,24 @@ class AnsatzSpec:
                     f"finite, got {tuple(coeffs)}"
                 )
 
-    def with_lam(self, lam: float) -> "AnsatzSpec":
-        return AnsatzSpec(self.peaks, self.mu, lam, self.alpha, self.cutoff_kind)
+    def damping(self, lam: float) -> float:
+        """lam**alpha, the divisor of the kernel coefficients at shift lam.
+
+        A shift that is not positive and finite, or an alpha that puts
+        the power out of floating-point range at it, is refused.
+        """
+        if not (math.isfinite(lam) and lam > 0.0):
+            raise ValueError("lam must be positive")
+        try:
+            damping = lam**self.alpha
+        except OverflowError:
+            damping = math.inf
+        if not 0.0 < damping < math.inf:
+            raise ValueError(
+                f"alpha={self.alpha} puts the coefficient damping "
+                f"lam**alpha out of floating-point range at lam={lam:g}"
+            )
+        return damping
 
 
 def _rays(mesh: Mesh, star: StarNeighborhood, reach: float):
@@ -167,24 +171,23 @@ def _rays(mesh: Mesh, star: StarNeighborhood, reach: float):
 
 
 def assemble_ansatz(
-    g: MetricGraph, spec: AnsatzSpec, mesh: Mesh
+    spec: AnsatzSpec, mesh: Mesh, lam: float, mu: float
 ) -> DiscreteField:
-    """Sample the peaked seed state W on the mesh.
+    """Sample the peaked seed state W at shift lam on the mesh.
 
     W is supported in the union of the peaks' 2*radius balls; at each
     peak vertex its value is lam^(1/(2*mu)) * (mu+1)^(1/(2*mu)) since
     the kernel modes vanish there and the taper equals one.
     """
-    if mesh.graph is not g:
-        raise ValueError("mesh was built for a different graph")
-    check_disjoint_peak_balls(g, [star for star, _ in spec.peaks])
-    scale = spec.lam ** (1.0 / (2.0 * spec.mu))
-    root = math.sqrt(spec.lam)
-    p = SolitonParams(spec.mu)
+    check_disjoint_peak_balls(mesh.graph, [star for star, _ in spec.peaks])
+    damping = spec.damping(lam)
+    scale = lam ** (1.0 / (2.0 * mu))
+    root = math.sqrt(lam)
+    p = SolitonParams(mu)
     vals = np.zeros(mesh.ndof)
     for star, coeffs in spec.peaks:
         basis = kernel_basis(star.degree)
-        b = np.asarray(coeffs, dtype=float) / spec.lam**spec.alpha
+        b = np.asarray(coeffs, dtype=float) / damping
         # per-ray kernel weight: sum_j b_j e^j_i
         ray_sign = np.zeros(star.degree)
         for j, vec in enumerate(basis.vectors):

@@ -35,7 +35,6 @@ from .functionals import FunctionalReport
 from .graphs import (
     MetricGraph,
     admissible_peak_degree,
-    check_disjoint_peak_balls,
     insert_midpoints,
     star_neighborhood,
 )
@@ -43,6 +42,7 @@ from .graphs import (
 # sample_kernel_mode is unused here; bench/tracer.py wraps it by this name
 from .profiles import (
     AnsatzSpec,
+    _rays,
     assemble_ansatz,
     sample_kernel_mode,
     sample_kernel_modes,
@@ -134,9 +134,10 @@ class BoundStateResult:
     iteration cap) or "line_search_stall" (no trial step down to 2**-24
     decreased the residual).
     backtracks counts the line-search trial steps beyond the first of
-    each Newton iteration.  correction_norm, kernel_component_norm,
-    peak_locations and functionals are filled by the sweep, which knows
-    the seed state and holds the operator.
+    each Newton iteration.  functionals are those of u under the
+    operator and mu Newton ran with.  correction_norm,
+    kernel_component_norm and peak_locations are filled by the sweep,
+    which knows the seed state.
     """
 
     u: DiscreteField
@@ -280,20 +281,22 @@ def newton_solve(
         residual_norm=rel,
         residual_norm_absolute=absolute,
         min_value=float(np.min(u.values)),
+        functionals=functionals.evaluate_functionals(op, mu, u),
     )
 
 
 def kernel_projection_diagnostics(
     op: KirchhoffOperator,
+    mu: float,
     result: BoundStateResult,
     ansatz: AnsatzSpec,
     seed: DiscreteField,
 ) -> float:
     """Norm of the component of u - W along the tapered kernel modes.
 
-    seed is W, the ansatz state assembled on op's mesh; the norm is the
-    natural one.  The modes are nearly orthogonal already; the small
-    Gram system is solved exactly anyway.
+    seed is W, the ansatz state assembled on op's mesh at op.lam and
+    mu; the norm is the natural one.  The modes are nearly orthogonal
+    already; the small Gram system is solved exactly anyway.
     """
     if not result.converged:
         raise NotConverged("kernel diagnostics need a converged result")
@@ -301,9 +304,7 @@ def kernel_projection_diagnostics(
     phi = result.u.values - seed.values
     modes = []
     for star, _ in ansatz.peaks:
-        modes += sample_kernel_modes(
-            mesh, star, ansatz.lam, ansatz.mu, ansatz.cutoff_kind
-        )
+        modes += sample_kernel_modes(mesh, star, op.lam, mu, ansatz.cutoff_kind)
     # one band product per mode, dropped once its Gram column is filled,
     # and one for phi; the dot products are those of
     # lambda_inner(op, a, b) = a @ (shifted @ b)
@@ -326,16 +327,11 @@ def peak_offsets(
     out = []
     for star, _ in ansatz.peaks:
         best_t, best_val = 0.0, -math.inf
-        for eid, away in star.incident_edges:
-            nodes = mesh.edge_nodes[eid]
-            t = nodes if away else nodes[-1] - nodes
-            sel = t <= 2.0 * star.radius
-            vals = u.values[mesh.edge_dofs[eid][sel]]
-            if vals.size == 0:
-                continue
+        for _, dofs, t in _rays(mesh, star, 2.0 * star.radius):
+            vals = u.values[dofs]
             k = int(np.argmax(vals))
             if vals[k] > best_val:
-                best_val, best_t = float(vals[k]), float(t[sel][k])
+                best_val, best_t = float(vals[k]), float(t[k])
         out.append((star.center, best_t))
     return out
 
@@ -354,8 +350,6 @@ def peak_template(
     g: MetricGraph,
     peaks: tuple[str, ...],
     *,
-    mu: float,
-    lambdas: tuple[float, ...],
     alpha: float = AnsatzSpec.alpha,
     coeffs: tuple[tuple[float, ...], ...] | None = None,
     cutoff_kind: str = AnsatzSpec.cutoff_kind,
@@ -364,9 +358,8 @@ def peak_template(
 
     Several peaks need disjoint support balls: each edge joining two is
     split at its midpoint (a new graph) and every star is taken in
-    multi-peak mode.  coeffs, one kernel-coefficient vector per peak,
-    are zeros by default.  The template is set at lambdas[0]; lam**alpha
-    is monotone in lam, so checking it at lambdas[-1] checks every shift.
+    multi-peak mode, whose radii keep the balls apart.  coeffs, one
+    kernel-coefficient vector per peak, are zeros by default.
     """
     missing = [p for p in peaks if p not in g.vertices]
     if missing:
@@ -377,16 +370,13 @@ def peak_template(
     if mode == "multi":
         g = insert_midpoints(g, list(peaks))
     stars = [star_neighborhood(g, p, mode=mode) for p in peaks]
-    check_disjoint_peak_balls(g, stars)
     if coeffs is None:
         coeffs = tuple((0.0,) * (s.degree - 1) for s in stars)
     if len(coeffs) != len(stars):
         raise ValueError(
             f"got {len(coeffs)} coefficient vectors for {len(stars)} peaks"
         )
-    template = AnsatzSpec(tuple(zip(stars, coeffs)), mu, lambdas[0], alpha, cutoff_kind)
-    template.with_lam(lambdas[-1])
-    return g, template
+    return g, AnsatzSpec(tuple(zip(stars, coeffs)), alpha, cutoff_kind)
 
 
 def continuation_sweep(
@@ -394,21 +384,24 @@ def continuation_sweep(
 ) -> list[BoundStateResult]:
     """Solve along the schedule, reseeding from the previous solution.
 
-    Each shift gets a fresh peak-refined mesh and seed state; failures
-    are recorded and the sweep continues.  Peaks at even-degree vertices
-    are permitted but flagged as exploratory, since the existence theory
-    covers odd degree >= 3 only; a degree-1 peak has no kernel modes,
-    and `AnsatzSpec` refuses it.  `peak_template` builds g and template
-    for a peak set.
+    Each shift gets a fresh peak-refined mesh and seed state, the
+    template assembled at that shift and cfg.mu; failures are recorded
+    and the sweep continues.  Before any mesh, the template's alpha is
+    checked at both ends of the schedule and every shift's mesh against
+    MAX_NDOF.  Each result's functionals come from newton_solve; the
+    sweep adds correction_norm, kernel_component_norm and
+    peak_locations.  Peaks at even-degree vertices are permitted but
+    flagged as exploratory, since the existence theory covers odd
+    degree >= 3 only; a degree-1 peak has no kernel modes, and
+    `AnsatzSpec` refuses it.  `peak_template` builds g and template for
+    a peak set.
     """
     if not cfg.lambdas:
         raise ValueError("empty lambda schedule")
-    # the seed and kernel modes are built at the template's mu, Newton
-    # runs at the config's: they must be the same equation
-    if template.mu != cfg.mu:
-        raise ValueError(
-            f"the ansatz has mu={template.mu:g} but the solver mu={cfg.mu:g}"
-        )
+    # lam**alpha is monotone in lam: in range at both ends, in range at
+    # every shift
+    template.damping(cfg.lambdas[0])
+    template.damping(cfg.lambdas[-1])
     for star, _ in template.peaks:
         if not admissible_peak_degree(star.degree):
             warnings.warn(
@@ -443,8 +436,7 @@ def continuation_sweep(
     for lam in cfg.lambdas:
         mesh = refined_mesh(g, lam, peaks, nodes_per_width=nodes_per_width(lam))
         op = assemble(g, mesh, lam)
-        spec = template.with_lam(lam)
-        seed = assemble_ansatz(g, spec, mesh)
+        seed = assemble_ansatz(template, mesh, lam, cfg.mu)
         if cfg.seed == "previous" and prev is not None and prev.converged:
             scale = (lam / prev.lam) ** (1.0 / (2.0 * cfg.mu))
             u0 = DiscreteField(mesh, scale * _resample(prev.u, mesh))
@@ -456,11 +448,10 @@ def continuation_sweep(
         )
         if res.converged:
             res.kernel_component_norm = kernel_projection_diagnostics(
-                op, res, spec, seed
+                op, cfg.mu, res, template, seed
             )
             prev = res
-        res.peak_locations = peak_offsets(mesh, res.u, spec)
-        res.functionals = functionals.evaluate_functionals(op, cfg.mu, res.u)
+        res.peak_locations = peak_offsets(mesh, res.u, template)
         results.append(res)
     return results
 

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import graphnls.solve
 from graphnls import cli, load_graph, reference_graph
 from graphnls.cli import ExperimentConfig, _state_text, _write_state_files, main
 from graphnls.reduced import enumerate_critical_points
@@ -246,6 +247,15 @@ def test_solve_with_unknown_peak_writes_error_record(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _record_meshes(monkeypatch):
+    """Calls the sweep makes to build a mesh; none means no work was done."""
+    meshes = []
+    monkeypatch.setattr(
+        graphnls.solve, "refined_mesh", lambda *a, **k: meshes.append(a)
+    )
+    return meshes
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [
@@ -269,13 +279,13 @@ def test_solve_with_unknown_peak_writes_error_record(tmp_path, capsys):
 def test_solve_rejects_invalid_knobs_before_any_work(
     tmp_path, capsys, monkeypatch, flag, value, message
 ):
-    sweeps = []
-    monkeypatch.setattr(cli, "continuation_sweep", lambda *a: sweeps.append(a))
+    # the alpha range is checked inside the sweep, before its first mesh
+    meshes = _record_meshes(monkeypatch)
     out = tmp_path / "bad"
     argv = ["solve", "--graph", "tripod", "--peak", "c", flag, value]
     rc = main(argv + ["--outdir", str(out)])
     assert rc == 1
-    assert sweeps == []
+    assert meshes == []
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "ValueError"
     assert message in record["message"]
@@ -481,12 +491,11 @@ def test_reduced_energy_input_validation(capsys):
 def test_solve_checks_alpha_at_both_ends_of_the_schedule(
     tmp_path, monkeypatch, lambdas, alpha, message
 ):
-    sweeps = []
-    monkeypatch.setattr(cli, "continuation_sweep", lambda *a: sweeps.append(a))
+    meshes = _record_meshes(monkeypatch)
     out = tmp_path / "bad"
     argv = ["solve", "--graph", "tripod", "--peak", "c", "--alpha", alpha]
     assert main(argv + ["--lambdas", lambdas, "--outdir", str(out)]) == 1
-    assert sweeps == []
+    assert meshes == []
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "ValueError"
     assert message in record["message"]

@@ -56,10 +56,10 @@ def _seeded_operator(name, lam=25.0, nodes_per_width=10.0):
         g = insert_midpoints(g, peaks)
     stars = [star_neighborhood(g, p, mode=mode) for p in peaks]
     coeffs = tuple((s, (0.0,) * (s.degree - 1)) for s in stars)
-    spec = AnsatzSpec(coeffs, mu=1.0, lam=lam, alpha=0.25)
+    spec = AnsatzSpec(coeffs, alpha=0.25)
     mesh = refined_mesh(g, lam, peaks, nodes_per_width)
     op = assemble(g, mesh, lam)
-    return op, assemble_ansatz(g, spec, mesh)
+    return op, assemble_ansatz(spec, mesh, lam, 1.0)
 
 
 def _element_loop_reference(mesh, weight):

@@ -48,10 +48,10 @@ truncation: 20.0
 def _solve_tripod(lam=25.0, mu=1.0, npw=20.0):
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    spec = AnsatzSpec(((star, (0.0, 0.0)),), mu=mu, lam=lam, alpha=0.25)
+    spec = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
     mesh = refined_mesh(g, lam, ["c"], nodes_per_width=npw)
     op = assemble(g, mesh, lam)
-    seed = assemble_ansatz(g, spec, mesh)
+    seed = assemble_ansatz(spec, mesh, lam, mu)
     res = newton_solve(op, mu, seed, SolveConfig(mu=mu))
     assert res.converged
     return op, res
@@ -100,8 +100,8 @@ def test_line_surrogate_matches_soliton_integrals():
     star = star_neighborhood(g, "v", mode="single")
     mesh = uniform_mesh(g, 0.01)
     op = assemble(g, mesh, 1.0)
-    spec = AnsatzSpec(((star, (0.0,)),), mu=1.0, lam=1.0, alpha=0.25)
-    res = newton_solve(op, 1.0, assemble_ansatz(g, spec, mesh), SolveConfig())
+    spec = AnsatzSpec(((star, (0.0,)),), alpha=0.25)
+    res = newton_solve(op, 1.0, assemble_ansatz(spec, mesh, 1.0, 1.0), SolveConfig())
     assert res.converged
     rep = evaluate_functionals(op, 1.0, res.u)
     assert rep.mass == pytest.approx(4.0, rel=2e-4)

@@ -1,6 +1,7 @@
 """Newton iteration, linearizations, and the continuation sweep."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ edges:
 def _tripod_setup(lam=50.0, npw=25.0):
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    spec = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=lam, alpha=0.25)
+    spec = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
     mesh = refined_mesh(g, lam, ["c"], nodes_per_width=npw)
     op = assemble(g, mesh, lam)
     return g, star, spec, mesh, op
@@ -97,7 +98,7 @@ def test_solver_config_validation():
 
 def test_newton_converges_from_the_peaked_seed():
     g, star, spec, mesh, op = _tripod_setup()
-    seed = assemble_ansatz(g, spec, mesh)
+    seed = assemble_ansatz(spec, mesh, op.lam, 1.0)
     cfg = SolveConfig(mu=1.0, newton_tol=1e-10)
     res = newton_solve(op, 1.0, seed, cfg)
     assert res.converged and res.termination == "converged"
@@ -114,7 +115,7 @@ def test_newton_reuses_the_accepted_trial_residual(monkeypatch):
     # one residual before the loop, then one per line-search trial: the
     # first trial of each iteration plus its backtracks
     g, star, spec, mesh, op = _tripod_setup()
-    seed = assemble_ansatz(g, spec, mesh)
+    seed = assemble_ansatz(spec, mesh, op.lam, 1.0)
     calls = []
     real = graphnls.solve.nonlinear_residual
 
@@ -131,7 +132,7 @@ def test_newton_reuses_the_accepted_trial_residual(monkeypatch):
 def test_newton_builds_each_jacobian_through_the_module_name(monkeypatch):
     # bench/tracer.py times Newton's Jacobian by rebinding solve.jacobian
     g, star, spec, mesh, op = _tripod_setup()
-    seed = assemble_ansatz(g, spec, mesh)
+    seed = assemble_ansatz(spec, mesh, op.lam, 1.0)
     calls = []
     real = graphnls.solve.jacobian
 
@@ -147,7 +148,7 @@ def test_newton_builds_each_jacobian_through_the_module_name(monkeypatch):
 
 def test_newton_flags_nonconvergence_within_budget():
     g, star, spec, mesh, op = _tripod_setup()
-    seed = assemble_ansatz(g, spec, mesh)
+    seed = assemble_ansatz(spec, mesh, op.lam, 1.0)
     cfg = SolveConfig(mu=1.0, newton_tol=1e-10, max_iters=1)
     res = newton_solve(op, 1.0, seed, cfg)
     assert not res.converged
@@ -160,7 +161,7 @@ def test_newton_names_a_line_search_stall():
     # overshoot, and no trial step down to 2**-24 lowers the residual
     g = reference_graph("figure1")
     star = star_neighborhood(g, "v1", mode="single")
-    template = AnsatzSpec(((star, (0.0,) * 4),), mu=1.0, lam=25.0, alpha=0.25)
+    template = AnsatzSpec(((star, (0.0,) * 4),), alpha=0.25)
     (res,) = continuation_sweep(g, template, SolveConfig(lambdas=(25.0,)))
     assert not res.converged
     assert res.termination == "line_search_stall"
@@ -188,7 +189,7 @@ def test_jacobian_matches_directional_differences():
 
 def test_symmetric_linearization_is_symmetric_and_consistent():
     g, star, spec, mesh, op = _tripod_setup(lam=9.0, npw=10.0)
-    u = assemble_ansatz(g, spec.with_lam(9.0), mesh)
+    u = assemble_ansatz(spec, mesh, 9.0, 1.0)
     L = linearization_bands(op, 1.0, u)
     A = tocsr(L)
     assert abs(A - A.T).max() < 1e-12
@@ -210,7 +211,7 @@ def test_residual_of_negative_state_is_linear():
 def test_continuation_sweep_populates_diagnostics():
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
+    template = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
     cfg = SolveConfig(
         mu=1.0, lambdas=(25.0, 50.0), nodes_per_width=20.0, seed="previous"
     )
@@ -230,11 +231,10 @@ def _reference_kernel_component_norm(res, template):
     """The kernel split with one lambda_inner call per Gram entry."""
     mesh = res.u.mesh
     op = assemble(mesh.graph, mesh, res.lam)
-    spec = template.with_lam(res.lam)
-    phi = res.u.values - assemble_ansatz(mesh.graph, spec, mesh).values
+    phi = res.u.values - assemble_ansatz(template, mesh, res.lam, 1.0).values
     modes = [
-        sample_kernel_mode(mesh, star, j, spec.lam, spec.mu, spec.cutoff_kind)
-        for star, _ in spec.peaks
+        sample_kernel_mode(mesh, star, j, res.lam, 1.0, template.cutoff_kind)
+        for star, _ in template.peaks
         for j in range(1, star.degree)
     ]
     gram = np.array([[lambda_inner(op, a, b) for b in modes] for a in modes])
@@ -247,7 +247,7 @@ def test_sweep_diagnostics_equal_fresh_recomputation():
     # a mode of 0.3 puts a visible kernel component into the correction
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.3, -0.2)),), mu=1.0, lam=25.0, alpha=0.25)
+    template = AnsatzSpec(((star, (0.3, -0.2)),), alpha=0.25)
     cfg = SolveConfig(mu=1.0, lambdas=(25.0, 50.0), nodes_per_width=15.0)
     for res in continuation_sweep(g, template, cfg):
         assert res.converged
@@ -266,7 +266,7 @@ def test_symmetric_star5_sweep_keeps_its_symmetry():
     # kernel part of the correction stays at rounding level
     g = reference_graph("star5")
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0,) * 4),), mu=1.0, lam=25.0, alpha=0.25)
+    template = AnsatzSpec(((star, (0.0,) * 4),), alpha=0.25)
     results = continuation_sweep(g, template, SolveConfig(lambdas=(25, 50)))
     for res in results:
         assert res.converged
@@ -284,7 +284,7 @@ def test_symmetric_star5_sweep_keeps_its_symmetry():
 def test_seed_strategies_agree_on_easy_sweeps():
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
+    template = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
     sched = (25.0, 50.0)
     res_prev = continuation_sweep(
         g, template, SolveConfig(lambdas=sched, nodes_per_width=15.0)
@@ -311,7 +311,7 @@ edges:
 """
     )
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0,) * 3),), mu=1.0, lam=25.0, alpha=0.25)
+    template = AnsatzSpec(((star, (0.0,) * 3),), alpha=0.25)
     cfg = SolveConfig(lambdas=(25.0,), nodes_per_width=15.0)
     with pytest.warns(UserWarning, match="outside the odd-degree hypotheses"):
         results = continuation_sweep(g, template, cfg)
@@ -319,25 +319,28 @@ edges:
 
 
 def test_peak_templates_equal_the_hand_built_ones():
-    # the templates verify's sweeps built by hand before peak_template
+    # the templates verify's sweeps built by hand before peak_template;
+    # the mu=1 and mu=2 tripod sweeps share one, since mu is the solver's
     g = reference_graph("tripod")
     star = star_neighborhood(g, "c", mode="single")
-    tripod = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
-    sched = (25.0, 50.0, 100.0, 200.0, 400.0)
-    assert peak_template(g, ("c",), mu=1.0, lambdas=sched) == (g, tripod)
-    mu2 = AnsatzSpec(((star, (0.0, 0.0)),), mu=2.0, lam=400.0, alpha=0.25)
-    assert peak_template(g, ("c",), mu=2.0, lambdas=(400.0,)) == (g, mu2)
+    tripod = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
+    assert peak_template(g, ("c",)) == (g, tripod)
 
     g0 = reference_graph("double_tripod")
     split = insert_midpoints(g0, ["c1", "c2"])
     stars = [star_neighborhood(split, v, mode="multi") for v in ("c1", "c2")]
-    double = AnsatzSpec(
-        tuple((s, (0.0, 0.0)) for s in stars), mu=1.0, lam=50.0, alpha=0.25
-    )
-    sched = (50.0, 100.0, 200.0, 400.0)
-    got = peak_template(g0, ("c1", "c2"), mu=1.0, lambdas=sched)
+    double = AnsatzSpec(tuple((s, (0.0, 0.0)) for s in stars), alpha=0.25)
+    got = peak_template(g0, ("c1", "c2"))
     assert got == (split, double)
     assert "bridge__mid" in got[0].vertices
+
+
+def test_a_template_holds_no_solver_knob():
+    # mu has one definition, SolveConfig's: a template field of the same
+    # name would be a second one for the sweep to keep equal
+    solver = {f.name for f in fields(SolveConfig)}
+    assert [f.name for f in fields(AnsatzSpec)] == ["peaks", "alpha", "cutoff_kind"]
+    assert not solver & {f.name for f in fields(AnsatzSpec)}
 
 
 @pytest.mark.parametrize(
@@ -354,44 +357,58 @@ def test_peak_templates_equal_the_hand_built_ones():
 def test_peak_template_refuses_an_invalid_peak_set(graph, peaks, coeffs, message):
     g = reference_graph(graph)
     with pytest.raises(ValueError, match=message):
-        peak_template(g, peaks, mu=1.0, lambdas=(25.0,), coeffs=coeffs)
+        peak_template(g, peaks, coeffs=coeffs)
 
 
-def test_peak_template_still_checks_that_peak_balls_are_disjoint(monkeypatch):
-    # split edges and multi-peak radii keep the balls apart; with both
-    # undone, the double tripod's peaks overlap across the bridge
-    monkeypatch.setattr(graphnls.solve, "insert_midpoints", lambda g, peaks: g)
+def _record_meshes(monkeypatch):
+    built = []
     monkeypatch.setattr(
-        graphnls.solve,
-        "star_neighborhood",
-        lambda g, v, mode: star_neighborhood(g, v, mode="single"),
+        graphnls.solve, "refined_mesh", lambda *a, **k: built.append(a)
     )
+    return built
+
+
+def test_an_empty_peak_set_is_refused_before_any_mesh(monkeypatch):
+    # it once swept u = 0 and reported every shift converged
+    built = _record_meshes(monkeypatch)
+    with pytest.raises(ValueError, match="at least one peak vertex is required"):
+        peak_template(reference_graph("tripod"), ())
+    with pytest.raises(ValueError, match="at least one peak vertex is required"):
+        AnsatzSpec(())
+    assert built == []
+
+
+def test_sweep_checks_that_hand_built_peak_balls_are_disjoint():
+    # peak_template splits the bridge and takes multi-peak stars; a
+    # template with neither, on the unsplit double tripod, overlaps
     g = reference_graph("double_tripod")
+    stars = [star_neighborhood(g, v, mode="single") for v in ("c1", "c2")]
+    template = AnsatzSpec(tuple((s, (0.0, 0.0)) for s in stars))
     with pytest.raises(OverlappingPeaks, match="support balls of peaks 'c1' and 'c2'"):
-        peak_template(g, ("c1", "c2"), mu=1.0, lambdas=(50.0,))
+        continuation_sweep(g, template, SolveConfig(lambdas=(50.0,)))
+
+
+@pytest.mark.parametrize(
+    "lambdas, at", [((1e-300, 25.0), "lam=1e-300"), ((25.0, 1e300), "lam=1e[+]300")]
+)
+def test_sweep_checks_alpha_at_both_ends_before_any_mesh(monkeypatch, lambdas, at):
+    # lam**100 is in range at 25 only: it underflows to zero at 1e-300
+    # and overflows at 1e300
+    built = _record_meshes(monkeypatch)
+    g = build_graph(TRIPOD)
+    star = star_neighborhood(g, "c", mode="single")
+    template = AnsatzSpec(((star, (0.0, 0.0)),), alpha=100.0)
+    with pytest.raises(ValueError, match=f"alpha=100.0 puts .* at {at}"):
+        continuation_sweep(g, template, SolveConfig(lambdas=lambdas))
+    assert built == []
 
 
 def test_sweep_rejects_empty_schedule():
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
+    template = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
     with pytest.raises(ValueError):
         continuation_sweep(g, template, SolveConfig())
-
-
-def test_sweep_refuses_a_template_at_another_mu_before_any_mesh(monkeypatch):
-    # seeded at mu=2 and solved at mu=1, the tripod at lam=25 once stalled
-    # in the line search after one iteration and raised nothing
-    g = build_graph(TRIPOD)
-    star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0, 0.0)),), mu=2.0, lam=25.0, alpha=0.25)
-    built = []
-    monkeypatch.setattr(
-        graphnls.solve, "refined_mesh", lambda *a, **k: built.append(a)
-    )
-    with pytest.raises(ValueError, match="mu=2 but the solver mu=1"):
-        continuation_sweep(g, template, SolveConfig(mu=1.0, lambdas=(25.0,)))
-    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -407,7 +424,7 @@ def test_sweep_refuses_a_mesh_above_the_ceiling_before_building_any(
 ):
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
+    template = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
     built = []
     monkeypatch.setattr(
         graphnls.discrete, "build_mesh", lambda *a, **k: built.append(a)
@@ -423,14 +440,14 @@ def _check_graded_matches_fine(g, peak, lam, npw, shrink):
     all-fine one: the graded mesh has under 1/shrink of the unknowns, and
     mass and action agree to 1e-9 relative."""
     star = star_neighborhood(g, peak, mode="single")
-    spec = AnsatzSpec(((star, (0.0,) * (star.degree - 1)),), 1.0, lam, 0.25)
+    spec = AnsatzSpec(((star, (0.0,) * (star.degree - 1)),), 0.25)
     graded = refined_mesh(g, lam, [peak], nodes_per_width=npw)
     uniform = uniform_mesh(g, 1.0 / (npw * math.sqrt(lam)))
     assert not uniform.graded and graded.ndof < uniform.ndof / shrink
     found = []
     for mesh in (graded, uniform):
         op = assemble(g, mesh, lam)
-        res = newton_solve(op, 1.0, assemble_ansatz(g, spec, mesh), SolveConfig())
+        res = newton_solve(op, 1.0, assemble_ansatz(spec, mesh, lam, 1.0), SolveConfig())
         assert res.converged
         report = evaluate_functionals(op, 1.0, res.u)
         found.append((report.mass, report.action))
@@ -456,7 +473,7 @@ def test_sweep_accepts_a_last_mesh_at_the_ceiling(monkeypatch):
     # on the tripod the last shift's mesh is the largest
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
+    template = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
     cfg = SolveConfig(lambdas=(25.0, 50.0), nodes_per_width=15.0)
     ndof = [
         refined_ndof(g, lam, ["c"], 15.0 * (lam / 25.0) ** 0.25)
@@ -488,7 +505,7 @@ def test_sweep_checks_an_earlier_mesh_larger_than_the_last(monkeypatch):
         + pendants
     )
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0, 0.0)),), mu=1.0, lam=25.0, alpha=0.25)
+    template = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
     cfg = SolveConfig(
         lambdas=(25.0, 400.0), nodes_per_width=100.0, refinement_growth=0.0
     )
@@ -517,14 +534,13 @@ def test_kernel_diagnostics_require_convergence():
         min_value=0.0,
     )
     with pytest.raises(NotConverged):
-        seed = assemble_ansatz(g, spec.with_lam(4.0), mesh)
-        kernel_projection_diagnostics(op, fake, spec.with_lam(4.0), seed)
+        seed = assemble_ansatz(spec, mesh, 4.0, 1.0)
+        kernel_projection_diagnostics(op, 1.0, fake, spec, seed)
 
 
 def test_peak_offsets_catch_displaced_maxima():
     g, star, spec, mesh, op = _tripod_setup(lam=25.0, npw=20.0)
-    spec = spec.with_lam(25.0)
-    centered = assemble_ansatz(g, spec, mesh)
+    centered = assemble_ansatz(spec, mesh, 25.0, 1.0)
     assert peak_offsets(mesh, centered, spec)[0][1] == pytest.approx(0.0)
     shifted = centered.copy()
     nodes = mesh.edge_nodes["e1"]
