@@ -375,12 +375,12 @@ def criterion_8() -> CriterionResult:
     """The peaked state is not a ground state: action and mass excess."""
     _, results = _tripod_sweep()
     last = results[-1]
-    gap = ground_state_gap(last, 1.0, weight=1.5)
+    gap = ground_state_gap(last, weight=1.5)
     ratio = gap.normalized_action / gap.action_reference
     ratio_ok = 1.35 <= ratio <= 1.65 and gap.not_ground_state
 
     res2 = _mu2_result()
-    gap2 = ground_state_gap(res2, 2.0, weight=1.5)
+    gap2 = ground_state_gap(res2, weight=1.5)
     mass_ok = (
         res2.converged and gap2.mass_exceeds and gap2.not_ground_state
     )
@@ -404,7 +404,7 @@ def criterion_9(coarse: bool = False) -> CriterionResult:
         op = assemble(g, mesh, lam)
         exact = sample_star_state(mesh, star, lam, mu)
         cfg = SolveConfig(mu=mu, newton_tol=1e-11, lambdas=(lam,))
-        res = newton_solve(op, mu, DiscreteField(mesh, exact), cfg)
+        res = newton_solve(op, DiscreteField(mesh, exact), cfg)
         diff = res.u.values - exact
         diff[mesh.dirichlet_dofs] = 0.0
         errors.append(float(np.max(np.abs(diff))))

@@ -135,6 +135,8 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     """Run the sweep described by cfg and write its artifacts."""
     outdir = Path(os.environ.get("GRAPHNLS_OUTDIR", cfg.outdir))
     outdir.mkdir(parents=True, exist_ok=True)
+    # a failed earlier run's record would outlive this run's outcome
+    (outdir / "error.json").unlink(missing_ok=True)
     g, template = peak_template(
         _load_config_graph(cfg.graph),
         cfg.peaks,

@@ -110,6 +110,12 @@ def soliton_reference(mu: float) -> SolitonReference:
     )
 
 
+# how far past a reference level the normalized action, and the
+# normalized energy in units of the soliton's, must lie to count as
+# exceeding it
+_GAP_MARGIN = 0.1
+
+
 @dataclass(frozen=True)
 class GroundStateGap:
     """Normalized functionals of a state against ground-state bounds.
@@ -135,32 +141,32 @@ class GroundStateGap:
     not_ground_state: bool
 
 
-def ground_state_gap(
-    result: BoundStateResult, mu: float, weight: float, margin: float = 0.1
-) -> GroundStateGap:
+def ground_state_gap(result: BoundStateResult, weight: float) -> GroundStateGap:
     """Compare a converged state against the ground-state levels.
 
-    The state's functionals are the ones newton_solve reported with it;
-    normalization divides action and energy by lam^(1/mu + 1/2).  No
-    minimization is performed; the references are the full-line soliton
-    levels, which bound the ground state from above.
+    The state's mu and functionals are the ones newton_solve recorded
+    with it, and the references are taken at that mu; normalization
+    divides action and energy by lam^(1/mu + 1/2).  No minimization is
+    performed; the references are the full-line soliton levels, which
+    bound the ground state from above.
     """
     if not result.converged:
         raise NotConverged("ground-state comparison needs a converged result")
     if weight < 0.5:
         raise ValueError("weight must be at least 1/2")
+    mu = result.mu
     rep = result.functionals
     ref = soliton_reference(mu)
 
     scale = result.lam ** (1.0 / mu + 0.5)
     norm_action = rep.action / scale
-    action_exceeds = norm_action > (1.0 + margin) * ref.action
+    action_exceeds = norm_action > (1.0 + _GAP_MARGIN) * ref.action
 
     if mu < 2.0:
         power = (2.0 + mu) / (2.0 - mu)
         energy_ref = weight**power * ref.energy
         norm_energy = rep.energy / scale
-        energy_exceeds = norm_energy > energy_ref + margin * abs(ref.energy)
+        energy_exceeds = norm_energy > energy_ref + _GAP_MARGIN * abs(ref.energy)
     else:
         energy_ref = None
         norm_energy = None

@@ -116,6 +116,22 @@ def _parse_length(raw, edge_id: str, truncation: float | None) -> tuple[float, b
     return val, False
 
 
+def _check_id(kind: str, ident: str) -> None:
+    # edge ids name state files and peak vertex ids name CSV columns: an
+    # id must stay one file name inside the output directory and one
+    # CSV field
+    if (
+        ident in ("", ".", "..")
+        or any(ch in ident for ch in "/\\,")
+        or not ident.isprintable()
+    ):
+        raise ValueError(
+            f"{kind} id {ident!r} is not allowed: an id must not be empty, "
+            "'.' or '..', nor contain '/', '\\', ',' or a non-printable "
+            "character"
+        )
+
+
 def _parse_yaml(text: str):
     # imported here: only a graph read as text needs PyYAML, and
     # importing it would cost every run 15-40 ms of start-up
@@ -143,9 +159,12 @@ def build_graph(description: str | dict) -> MetricGraph:
         truncation: 20.0
 
     Text and mappings pass the same checks.  Unknown fields are rejected
-    at every level.  `truncation` is required exactly when some edge has
-    length "inf"; each unbounded edge is replaced by an interval of that
-    length whose far endpoint gets a homogeneous Dirichlet condition.
+    at every level.  Vertex and edge ids name output files and CSV
+    columns, so an id must not be empty, `.` or `..`, nor contain `/`,
+    `\\`, `,` or a non-printable character.  `truncation` is required
+    exactly when some edge has length "inf"; each unbounded edge is
+    replaced by an interval of that length whose far endpoint gets a
+    homogeneous Dirichlet condition.
     """
     doc = _parse_yaml(description) if isinstance(description, str) else description
     if not isinstance(doc, dict):
@@ -160,6 +179,8 @@ def build_graph(description: str | dict) -> MetricGraph:
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise ValueError("'vertices' must be a non-empty list")
     vertices = tuple(str(v) for v in raw_vertices)
+    for v in vertices:
+        _check_id("vertex", v)
     if len(set(vertices)) != len(vertices):
         raise ValueError("duplicate vertex ids")
 
@@ -191,6 +212,7 @@ def build_graph(description: str | dict) -> MetricGraph:
         if missing:
             raise ValueError(f"edge missing fields: {sorted(missing)}")
         eid = str(entry["id"])
+        _check_id("edge", eid)
         if eid in seen_ids:
             raise ValueError(f"duplicate edge id {eid!r}")
         seen_ids.add(eid)

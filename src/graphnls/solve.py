@@ -128,11 +128,13 @@ class SolveConfig:
 class BoundStateResult:
     """One converged (or not) state plus its measured diagnostics.
 
-    residual_norm is the natural-norm residual relative to the state's
-    own size, the quantity the Newton tolerance is applied to.
-    termination says why Newton stopped: "converged", "max_iters" (the
-    iteration cap) or "line_search_stall" (no trial step down to 2**-24
-    decreased the residual).
+    lam and mu are the shift and exponent of the problem u solves, so
+    whatever reads the state reads them here.  residual_norm is the
+    natural-norm residual relative to the state's own size, the
+    quantity the Newton tolerance is applied to.  termination says why
+    Newton stopped: "converged", "max_iters" (the iteration cap) or
+    "line_search_stall" (no trial step down to 2**-24 decreased the
+    residual); `converged` is read off it.
     backtracks counts the line-search trial steps beyond the first of
     each Newton iteration.  functionals are those of u under the
     operator and mu Newton ran with.  correction_norm,
@@ -142,17 +144,20 @@ class BoundStateResult:
 
     u: DiscreteField
     lam: float
-    converged: bool
+    mu: float
     termination: str
     iterations: int
     residual_norm: float
     residual_norm_absolute: float
-    min_value: float
     backtracks: int = 0
     correction_norm: float | None = None
     kernel_component_norm: float | None = None
     peak_locations: list[tuple[str, float]] = field(default_factory=list)
     functionals: FunctionalReport | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "converged"
 
 
 def _nodal_nonlinearity(mu: float, v: np.ndarray) -> np.ndarray:
@@ -217,17 +222,19 @@ def _residual_and_norms(op: KirchhoffOperator, mu: float, u: DiscreteField):
 
 
 def newton_solve(
-    op: KirchhoffOperator, mu: float, u0: DiscreteField, cfg: SolveConfig
+    op: KirchhoffOperator, u0: DiscreteField, cfg: SolveConfig
 ) -> BoundStateResult:
     """Damped Newton with the exact discrete Jacobian S + lam M - M f'(u).
 
-    Each step factors the Jacobian in edge-condensed form; pivoting in
-    the interior factorization copes with the near-zero soliton
-    derivative mode on the peak edges.  Backtracking halves the step
-    until the natural-norm residual decreases (Armijo on the residual
-    norm); non-convergence within max_iters is reported in the result,
-    not raised.
+    The problem is the one at op.lam and cfg.mu; the result records
+    both.  Each step factors the Jacobian in edge-condensed form;
+    pivoting in the interior factorization copes with the near-zero
+    soliton derivative mode on the peak edges.  Backtracking halves the
+    step until the natural-norm residual decreases (Armijo on the
+    residual norm); non-convergence within max_iters is reported in the
+    result, not raised.
     """
+    mu = cfg.mu
     v = u0.values.copy()
     v[op.mesh.dirichlet_dofs] = 0.0
     u = DiscreteField(op.mesh, v)
@@ -274,20 +281,18 @@ def newton_solve(
     return BoundStateResult(
         u=u,
         lam=op.lam,
-        converged=bool(converged),
+        mu=mu,
         termination=termination,
         iterations=iters,
         backtracks=trials - iters,
         residual_norm=rel,
         residual_norm_absolute=absolute,
-        min_value=float(np.min(u.values)),
         functionals=functionals.evaluate_functionals(op, mu, u),
     )
 
 
 def kernel_projection_diagnostics(
     op: KirchhoffOperator,
-    mu: float,
     result: BoundStateResult,
     ansatz: AnsatzSpec,
     seed: DiscreteField,
@@ -295,8 +300,8 @@ def kernel_projection_diagnostics(
     """Norm of the component of u - W along the tapered kernel modes.
 
     seed is W, the ansatz state assembled on op's mesh at op.lam and
-    mu; the norm is the natural one.  The modes are nearly orthogonal
-    already; the small Gram system is solved exactly anyway.
+    result.mu; the norm is the natural one.  The modes are nearly
+    orthogonal already; the small Gram system is solved exactly anyway.
     """
     if not result.converged:
         raise NotConverged("kernel diagnostics need a converged result")
@@ -304,7 +309,9 @@ def kernel_projection_diagnostics(
     phi = result.u.values - seed.values
     modes = []
     for star, _ in ansatz.peaks:
-        modes += sample_kernel_modes(mesh, star, op.lam, mu, ansatz.cutoff_kind)
+        modes += sample_kernel_modes(
+            mesh, star, op.lam, result.mu, ansatz.cutoff_kind
+        )
     # one band product per mode, dropped once its Gram column is filled,
     # and one for phi; the dot products are those of
     # lambda_inner(op, a, b) = a @ (shifted @ b)
@@ -320,14 +327,12 @@ def kernel_projection_diagnostics(
     return math.sqrt(max(kernel_sq, 0.0))
 
 
-def peak_offsets(
-    mesh: Mesh, u: DiscreteField, ansatz: AnsatzSpec
-) -> list[tuple[str, float]]:
+def peak_offsets(u: DiscreteField, ansatz: AnsatzSpec) -> list[tuple[str, float]]:
     """Distance from each peak vertex to the argmax inside its ball."""
     out = []
     for star, _ in ansatz.peaks:
         best_t, best_val = 0.0, -math.inf
-        for _, dofs, t in _rays(mesh, star, 2.0 * star.radius):
+        for _, dofs, t in _rays(u.mesh, star, 2.0 * star.radius):
             vals = u.values[dofs]
             k = int(np.argmax(vals))
             if vals[k] > best_val:
@@ -397,7 +402,7 @@ def continuation_sweep(
     a peak set.
     """
     if not cfg.lambdas:
-        raise ValueError("empty lambda schedule")
+        raise ValueError("lambda schedule is empty")
     # lam**alpha is monotone in lam: in range at both ends, in range at
     # every shift
     template.damping(cfg.lambdas[0])
@@ -442,16 +447,16 @@ def continuation_sweep(
             u0 = DiscreteField(mesh, scale * _resample(prev.u, mesh))
         else:
             u0 = seed
-        res = newton_solve(op, cfg.mu, u0, cfg)
+        res = newton_solve(op, u0, cfg)
         res.correction_norm = lambda_norm(
             op, DiscreteField(mesh, res.u.values - seed.values)
         )
         if res.converged:
             res.kernel_component_norm = kernel_projection_diagnostics(
-                op, cfg.mu, res, template, seed
+                op, res, template, seed
             )
             prev = res
-        res.peak_locations = peak_offsets(mesh, res.u, template)
+        res.peak_locations = peak_offsets(res.u, template)
         results.append(res)
     return results
 

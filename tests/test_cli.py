@@ -319,6 +319,52 @@ def test_malformed_json_graph_file_writes_error_record(tmp_path, capsys):
     assert "error: ValueError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "peak, edge, hostile",
+    [
+        # as a state file name this edge id is out/escaped.txt
+        ("c", "../../escaped", "../../escaped"),
+        # as a column name this peak id splits the diagnostics.csv header
+        ("c,x", "e1", "c,x"),
+    ],
+)
+def test_graph_ids_cannot_escape_the_outdir_or_split_a_csv_field(
+    tmp_path, capsys, peak, edge, hostile
+):
+    graph_file = tmp_path / "hostile.json"
+    graph_file.write_text(
+        json.dumps(
+            {
+                "vertices": [peak, "a1", "a2", "a3"],
+                "edges": [
+                    {"id": edge, "from": peak, "to": "a1", "length": 1.0},
+                    {"id": "e2", "from": peak, "to": "a2", "length": 1.0},
+                    {"id": "e3", "from": peak, "to": "a3", "length": 1.0},
+                ],
+            }
+        )
+    )
+    out = tmp_path / "out" / "run"
+    argv = ["solve", "--graph", str(graph_file), "--peak", peak, "--lambdas", "25"]
+    assert main(argv + ["--outdir", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert repr(hostile) in record["message"]
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+    assert written == ["hostile.json", "out", "out/run", "out/run/error.json"]
+    assert "error: ValueError" in capsys.readouterr().err
+
+
+def test_a_successful_rerun_removes_the_stale_error_record(tmp_path):
+    out = tmp_path / "run"
+    argv = ["solve", "--graph", "tripod", "--peak", "c", "--lambdas", "25"]
+    argv += ["--outdir", str(out)]
+    assert main(argv + ["--max-iters", "0"]) == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "NotConverged"
+    assert main(argv) == 0
+    assert not (out / "error.json").exists()
+
+
 @pytest.mark.parametrize("graph, peak", [("tripod", "a1"), ("double_tripod", "s1")])
 def test_solve_refuses_a_degree_one_peak_before_any_work(
     tmp_path, capsys, monkeypatch, graph, peak

@@ -248,8 +248,8 @@ def test_non_finite_jacobian_raises_singular_jacobian():
     op, seed = _seeded_operator("tripod")
     bad = DiscreteField(op.mesh, np.full(op.mesh.ndof, np.nan))
     with pytest.raises(SingularJacobian):
-        newton_solve(op, 1.0, bad, SolveConfig())
-    assert newton_solve(op, 1.0, seed, SolveConfig()).converged
+        newton_solve(op, bad, SolveConfig())
+    assert newton_solve(op, seed, SolveConfig()).converged
 
 
 def _coarse_star_linearization(N):

@@ -23,7 +23,7 @@ from graphnls import (
     star_neighborhood,
     uniform_mesh,
 )
-from graphnls.acceptance import _tripod_sweep
+from graphnls.acceptance import _mu2_result, _tripod_sweep
 from graphnls.discrete import DiscreteField
 from graphnls.errors import NotConverged
 from graphnls.solve import BoundStateResult
@@ -52,7 +52,7 @@ def _solve_tripod(lam=25.0, mu=1.0, npw=20.0):
     mesh = refined_mesh(g, lam, ["c"], nodes_per_width=npw)
     op = assemble(g, mesh, lam)
     seed = assemble_ansatz(spec, mesh, lam, mu)
-    res = newton_solve(op, mu, seed, SolveConfig(mu=mu))
+    res = newton_solve(op, seed, SolveConfig(mu=mu))
     assert res.converged
     return op, res
 
@@ -101,7 +101,7 @@ def test_line_surrogate_matches_soliton_integrals():
     mesh = uniform_mesh(g, 0.01)
     op = assemble(g, mesh, 1.0)
     spec = AnsatzSpec(((star, (0.0,)),), alpha=0.25)
-    res = newton_solve(op, 1.0, assemble_ansatz(spec, mesh, 1.0, 1.0), SolveConfig())
+    res = newton_solve(op, assemble_ansatz(spec, mesh, 1.0, 1.0), SolveConfig())
     assert res.converged
     rep = evaluate_functionals(op, 1.0, res.u)
     assert rep.mass == pytest.approx(4.0, rel=2e-4)
@@ -193,7 +193,7 @@ def test_tripod_mass_slope_matches_the_scaling_law():
 
 def test_ground_state_gap_flags_the_tripod_state():
     _, res = _solve_tripod(lam=25.0)
-    gap = ground_state_gap(res, 1.0, weight=1.5)
+    gap = ground_state_gap(res, weight=1.5)
     assert gap.normalized_action == pytest.approx(2.0, rel=5e-3)
     assert gap.action_reference == pytest.approx(4.0 / 3.0, rel=1e-10)
     assert gap.action_exceeds
@@ -202,9 +202,18 @@ def test_ground_state_gap_flags_the_tripod_state():
     assert gap.not_ground_state
 
 
+def test_ground_state_gap_reads_mu_off_the_state():
+    # verify's mu=1 and mu=2 tripod states at lam=400: normalized at
+    # mu=2.0, the mu=1 state's action would read 39.9997
+    gap = ground_state_gap(_tripod_sweep()[1][-1], weight=1.5)
+    assert gap.mu == 1.0
+    assert gap.normalized_action == pytest.approx(2.0, rel=1e-3)
+    assert ground_state_gap(_mu2_result(), weight=1.5).mu == 2.0
+
+
 def test_ground_state_gap_quintic_uses_mass_only():
     _, res = _solve_tripod(lam=25.0, mu=2.0)
-    gap = ground_state_gap(res, 2.0, weight=1.5)
+    gap = ground_state_gap(res, weight=1.5)
     assert gap.normalized_energy is None and gap.energy_reference is None
     assert gap.mass == pytest.approx(1.5 * gap.mass_reference, rel=5e-3)
     assert gap.mass_exceeds
@@ -213,23 +222,22 @@ def test_ground_state_gap_quintic_uses_mass_only():
 
 def test_ground_state_gap_supercritical_is_unconditional():
     _, res = _solve_tripod(lam=25.0, mu=3.0)
-    gap = ground_state_gap(res, 3.0, weight=0.5)
+    gap = ground_state_gap(res, weight=0.5)
     assert gap.not_ground_state
 
 
 def test_ground_state_gap_input_guards():
     op, res = _solve_tripod(lam=25.0)
     with pytest.raises(ValueError):
-        ground_state_gap(res, 1.0, weight=0.4)
+        ground_state_gap(res, weight=0.4)
     fake = BoundStateResult(
         u=res.u,
         lam=res.lam,
-        converged=False,
+        mu=1.0,
         termination="max_iters",
         iterations=0,
         residual_norm=1.0,
         residual_norm_absolute=1.0,
-        min_value=0.0,
     )
     with pytest.raises(NotConverged):
-        ground_state_gap(fake, 1.0, weight=1.5)
+        ground_state_gap(fake, weight=1.5)

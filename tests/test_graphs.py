@@ -1,6 +1,7 @@
 """Metric graph construction, distances, peak balls and star neighborhoods."""
 
 import json
+import re
 from importlib.resources import files
 
 import numpy as np
@@ -161,6 +162,32 @@ truncation: 12.5
 def test_malformed_graphs_are_rejected(description, exc):
     with pytest.raises(exc):
         build_graph(description)
+
+
+_UNSAFE_IDS = [
+    "", ".", "..", "../../escaped", "a/b", "a\\b", "c,x", "a\nb", "a\tb", "a\x00"
+]
+
+
+def _two_vertex_graph(vertex: str, edge: str) -> dict:
+    return {
+        "vertices": [vertex, "w"],
+        "edges": [{"id": edge, "from": vertex, "to": "w", "length": 1.0}],
+    }
+
+
+@pytest.mark.parametrize("ident", _UNSAFE_IDS)
+def test_ids_that_cannot_name_a_file_or_a_csv_field_are_rejected(ident):
+    # edge ids name state files and peak ids name diagnostics.csv columns
+    with pytest.raises(ValueError, match=f"vertex id {re.escape(repr(ident))}"):
+        build_graph(_two_vertex_graph(ident, "e"))
+    with pytest.raises(ValueError, match=f"edge id {re.escape(repr(ident))}"):
+        build_graph(_two_vertex_graph("v", ident))
+
+
+def test_ids_with_spaces_dots_and_punctuation_stay_valid():
+    g = build_graph(_two_vertex_graph("peak v.1", "e-1_a.b"))
+    assert g.vertices == ("peak v.1", "w") and g.edges[0].id == "e-1_a.b"
 
 
 def test_distance_on_path_is_additive():

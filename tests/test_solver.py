@@ -100,15 +100,40 @@ def test_newton_converges_from_the_peaked_seed():
     g, star, spec, mesh, op = _tripod_setup()
     seed = assemble_ansatz(spec, mesh, op.lam, 1.0)
     cfg = SolveConfig(mu=1.0, newton_tol=1e-10)
-    res = newton_solve(op, 1.0, seed, cfg)
+    res = newton_solve(op, seed, cfg)
     assert res.converged and res.termination == "converged"
     assert res.iterations <= 8
     assert res.residual_norm <= 1e-10
-    assert res.min_value > 0.0
+    assert np.min(res.u.values) > 0.0
     # the reported residual is reproducible from the state itself
     r = nonlinear_residual(op, 1.0, res.u)
     rel = dual_residual_norm(op, r.values) / max(1.0, lambda_norm(op, res.u))
     assert rel == pytest.approx(res.residual_norm, rel=1e-6, abs=1e-14)
+
+
+def test_newton_records_the_mu_of_its_config():
+    g, star, spec, mesh, op = _tripod_setup()
+    seed = assemble_ansatz(spec, mesh, op.lam, 2.0)
+    res = newton_solve(op, seed, SolveConfig(mu=2.0))
+    assert res.converged and res.mu == 2.0
+    assert res.functionals == evaluate_functionals(op, 2.0, res.u)
+
+
+@pytest.mark.parametrize("termination", ["converged", "max_iters", "line_search_stall"])
+def test_converged_is_read_off_the_termination(termination):
+    mesh = uniform_mesh(build_graph(TRIPOD), 0.25)
+    res = BoundStateResult(
+        u=DiscreteField(mesh, np.zeros(mesh.ndof)),
+        lam=4.0,
+        mu=1.0,
+        termination=termination,
+        iterations=0,
+        residual_norm=1.0,
+        residual_norm_absolute=1.0,
+    )
+    assert res.converged is (termination == "converged")
+    with pytest.raises(AttributeError):
+        res.converged = True
 
 
 def test_newton_reuses_the_accepted_trial_residual(monkeypatch):
@@ -124,7 +149,7 @@ def test_newton_reuses_the_accepted_trial_residual(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(graphnls.solve, "nonlinear_residual", counted)
-    res = newton_solve(op, 1.0, seed, SolveConfig(mu=1.0, newton_tol=1e-10))
+    res = newton_solve(op, seed, SolveConfig(mu=1.0, newton_tol=1e-10))
     assert res.converged and res.iterations > 0
     assert len(calls) == 1 + res.iterations + res.backtracks
 
@@ -141,7 +166,7 @@ def test_newton_builds_each_jacobian_through_the_module_name(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(graphnls.solve, "jacobian", counted)
-    res = newton_solve(op, 1.0, seed, SolveConfig(mu=1.0, newton_tol=1e-10))
+    res = newton_solve(op, seed, SolveConfig(mu=1.0, newton_tol=1e-10))
     assert res.converged and res.iterations > 0
     assert len(calls) == res.iterations
 
@@ -150,7 +175,7 @@ def test_newton_flags_nonconvergence_within_budget():
     g, star, spec, mesh, op = _tripod_setup()
     seed = assemble_ansatz(spec, mesh, op.lam, 1.0)
     cfg = SolveConfig(mu=1.0, newton_tol=1e-10, max_iters=1)
-    res = newton_solve(op, 1.0, seed, cfg)
+    res = newton_solve(op, seed, cfg)
     assert not res.converged
     assert res.iterations == 1
     assert res.termination == "max_iters"
@@ -447,7 +472,7 @@ def _check_graded_matches_fine(g, peak, lam, npw, shrink):
     found = []
     for mesh in (graded, uniform):
         op = assemble(g, mesh, lam)
-        res = newton_solve(op, 1.0, assemble_ansatz(spec, mesh, lam, 1.0), SolveConfig())
+        res = newton_solve(op, assemble_ansatz(spec, mesh, lam, 1.0), SolveConfig())
         assert res.converged
         report = evaluate_functionals(op, 1.0, res.u)
         found.append((report.mass, report.action))
@@ -526,27 +551,26 @@ def test_kernel_diagnostics_require_convergence():
     fake = BoundStateResult(
         u=DiscreteField(mesh, np.zeros(mesh.ndof)),
         lam=4.0,
-        converged=False,
+        mu=1.0,
         termination="max_iters",
         iterations=0,
         residual_norm=1.0,
         residual_norm_absolute=1.0,
-        min_value=0.0,
     )
     with pytest.raises(NotConverged):
         seed = assemble_ansatz(spec, mesh, 4.0, 1.0)
-        kernel_projection_diagnostics(op, 1.0, fake, spec, seed)
+        kernel_projection_diagnostics(op, fake, spec, seed)
 
 
 def test_peak_offsets_catch_displaced_maxima():
     g, star, spec, mesh, op = _tripod_setup(lam=25.0, npw=20.0)
     centered = assemble_ansatz(spec, mesh, 25.0, 1.0)
-    assert peak_offsets(mesh, centered, spec)[0][1] == pytest.approx(0.0)
+    assert peak_offsets(centered, spec)[0][1] == pytest.approx(0.0)
     shifted = centered.copy()
     nodes = mesh.edge_nodes["e1"]
     bump = np.exp(-80.0 * (nodes - 0.3) ** 2)
     shifted.values[mesh.edge_dofs["e1"]] += 2.0 * centered.values.max() * bump
-    off = peak_offsets(mesh, shifted, spec)[0][1]
+    off = peak_offsets(shifted, spec)[0][1]
     assert off == pytest.approx(0.3, abs=2.0 * mesh.edge_spacing("e1"))
 
 
