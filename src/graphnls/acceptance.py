@@ -269,9 +269,9 @@ _TRIPOD_SCHEDULE = (25.0, 50.0, 100.0, 200.0, 400.0)
 
 def _sweep(graph: str, peaks: tuple[str, ...], **knobs):
     """The zero-coefficient sweep of the built-in graph with peaks at
-    peaks: the swept graph (split between adjacent peaks) and the results."""
-    g, template = peak_template(reference_graph(graph), peaks)
-    return g, continuation_sweep(g, template, SolveConfig(**knobs))
+    peaks: its template (of the split graph) and its results."""
+    template = peak_template(reference_graph(graph), peaks)
+    return template, continuation_sweep(template, SolveConfig(**knobs))
 
 
 @lru_cache(maxsize=None)
@@ -281,8 +281,8 @@ def _tripod_sweep():
 
 def criterion_4() -> CriterionResult:
     """Ansatz-seeded Newton converges to a positive single-peak state."""
-    g, results = _tripod_sweep()
-    eid, away = star_neighborhood(g, "c", mode="single").incident_edges[0]
+    template, results = _tripod_sweep()
+    eid, away = template.peaks[0][0].incident_edges[0]
     details = []
     passed = True
     for res in results:
@@ -300,11 +300,12 @@ def criterion_4() -> CriterionResult:
 
 
 def _tripod_mass_errors() -> tuple[list[float], list[float]]:
-    _, results = _tripod_sweep()
+    template, results = _tripod_sweep()
     ref = soliton_reference(1.0)
-    ratios = []
-    for res in results:
-        ratios.append(res.functionals.mass / (math.sqrt(res.lam) * 1.5 * ref.mass))
+    ratios = [
+        res.functionals.mass / (math.sqrt(res.lam) * template.weight * ref.mass)
+        for res in results
+    ]
     return ratios, [abs(r - 1.0) for r in ratios]
 
 
@@ -345,16 +346,16 @@ def _double_sweep():
 
 def criterion_7() -> CriterionResult:
     """Two-peak state on the double tripod carries twice the mass."""
-    g, results = _double_sweep()
+    template, results = _double_sweep()
     ref = soliton_reference(1.0)
     all_converged = all(res.converged for res in results)
     last = results[-1]
     mesh = last.u.mesh
-    ratio = last.functionals.mass / (math.sqrt(last.lam) * 3.0 * ref.mass)
+    ratio = last.functionals.mass / (math.sqrt(last.lam) * template.weight * ref.mass)
     offsets_ok = True
     offs = []
-    for center, off in last.peak_locations:
-        eid, away = star_neighborhood(g, center, mode="multi").incident_edges[0]
+    for (star, _), (center, off) in zip(template.peaks, last.peak_locations):
+        eid, away = star.incident_edges[0]
         h = mesh.edge_spacing(eid, at_start=away)
         offsets_ok = offsets_ok and off <= h + 1e-12
         offs.append(f"{center}:{off:.2g}")
@@ -367,20 +368,19 @@ def criterion_7() -> CriterionResult:
 
 
 @lru_cache(maxsize=None)
-def _mu2_result():
-    return _sweep("tripod", ("c",), mu=2.0, lambdas=(400.0,), seed="ansatz")[1][-1]
+def _mu2_sweep():
+    return _sweep("tripod", ("c",), mu=2.0, lambdas=(400.0,), seed="ansatz")
 
 
 def criterion_8() -> CriterionResult:
     """The peaked state is not a ground state: action and mass excess."""
-    _, results = _tripod_sweep()
-    last = results[-1]
-    gap = ground_state_gap(last, weight=1.5)
+    template, results = _tripod_sweep()
+    gap = ground_state_gap(results[-1], weight=template.weight)
     ratio = gap.normalized_action / gap.action_reference
     ratio_ok = 1.35 <= ratio <= 1.65 and gap.not_ground_state
 
-    res2 = _mu2_result()
-    gap2 = ground_state_gap(res2, weight=1.5)
+    template2, (res2,) = _mu2_sweep()
+    gap2 = ground_state_gap(res2, weight=template2.weight)
     mass_ok = (
         res2.converged and gap2.mass_exceeds and gap2.not_ground_state
     )

@@ -18,6 +18,7 @@ benchmark pins 1 thread.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -131,13 +132,30 @@ def _write_state_files(state_dir: Path, u: DiscreteField) -> None:
         (state_dir / f"{eid}.txt").write_text(texts[key], encoding="utf-8")
 
 
+def _outdir(configured: str) -> Path:
+    return Path(os.environ.get("GRAPHNLS_OUTDIR", configured))
+
+
+def _clear_outdir(outdir: Path) -> None:
+    """Remove what an earlier solve run may have left in outdir: its CSV,
+    manifest, error record and state_lam*/*.txt files.  A state directory
+    goes once it is empty; no other file is touched."""
+    for name in ("diagnostics.csv", "manifest.json", "error.json"):
+        (outdir / name).unlink(missing_ok=True)
+    for state_dir in outdir.glob("state_lam*"):
+        if state_dir.is_dir():
+            for path in state_dir.glob("*.txt"):
+                path.unlink()
+            if not any(state_dir.iterdir()):
+                state_dir.rmdir()
+
+
 def cmd_solve(cfg: ExperimentConfig) -> int:
     """Run the sweep described by cfg and write its artifacts."""
-    outdir = Path(os.environ.get("GRAPHNLS_OUTDIR", cfg.outdir))
+    outdir = _outdir(cfg.outdir)
+    _clear_outdir(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    # a failed earlier run's record would outlive this run's outcome
-    (outdir / "error.json").unlink(missing_ok=True)
-    g, template = peak_template(
+    template = peak_template(
         _load_config_graph(cfg.graph),
         cfg.peaks,
         alpha=cfg.alpha,
@@ -148,56 +166,41 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     # the ratio columns need the reference constants, which exist only
     # for mu >= 0.5: fail before the sweep rather than after it
     ref = soliton_reference(cfg.mu)
-    results = continuation_sweep(g, template, cfg)
+    results = continuation_sweep(template, cfg)
 
-    weight = sum(s.degree for s in stars) / 2.0
+    weight = template.weight
     mass_pow = 1.0 / cfg.mu - 0.5
     action_pow = 1.0 / cfg.mu + 0.5
     rate_pow = -0.25 - 1.0 / (2.0 * cfg.mu)
 
-    header = [
-        "lam",
-        "converged",
-        "iterations",
-        "residual",
-        "mass",
-        "action",
-        "energy",
-        "correction_norm",
-        "kernel_component_norm",
-        "mass_ratio",
-        "action_ratio",
-        "correction_rate",
-    ] + [f"peak_offset_{p}" for p in cfg.peaks]
+    # one column name -> value mapping per shift; the header is its keys
     rows = []
     for res in results:
         rep = res.functionals
-        row = [
-            _fmt(res.lam),
-            "1" if res.converged else "0",
-            str(res.iterations),
-            _fmt(res.residual_norm),
-            _fmt(rep.mass),
-            _fmt(rep.action),
-            _fmt(rep.energy),
-            _fmt(res.correction_norm),
-            _fmt(res.kernel_component_norm),
-            _fmt(rep.mass / (res.lam**mass_pow * weight * ref.mass)),
-            _fmt(rep.action / (res.lam**action_pow * weight * ref.action)),
-            _fmt(
-                None
-                if res.correction_norm is None
-                else res.correction_norm * res.lam**rate_pow
+        corr = res.correction_norm
+        rows.append({
+            "lam": _fmt(res.lam),
+            "converged": "1" if res.converged else "0",
+            "iterations": str(res.iterations),
+            "residual": _fmt(res.residual_norm),
+            "mass": _fmt(rep.mass),
+            "action": _fmt(rep.action),
+            "energy": _fmt(rep.energy),
+            "correction_norm": _fmt(corr),
+            "kernel_component_norm": _fmt(res.kernel_component_norm),
+            "mass_ratio": _fmt(rep.mass / (res.lam**mass_pow * weight * ref.mass)),
+            "action_ratio": _fmt(
+                rep.action / (res.lam**action_pow * weight * ref.action)
             ),
-        ] + [_fmt(off) for _, off in res.peak_locations]
-        rows.append(row)
-
+            "correction_rate": _fmt(None if corr is None else corr * res.lam**rate_pow),
+            **{f"peak_offset_{p}": _fmt(off) for p, off in res.peak_locations},
+        })
         state_dir = outdir / _state_dir_name(res.lam)
         state_dir.mkdir(exist_ok=True)
         _write_state_files(state_dir, res.u)
 
-    csv_lines = [f"# config {cfg.config_hash()}", ",".join(header)]
-    csv_lines += [",".join(row) for row in rows]
+    csv_lines = [f"# config {cfg.config_hash()}", ",".join(rows[0])]
+    csv_lines += [",".join(row.values()) for row in rows]
     (outdir / "diagnostics.csv").write_text(
         "\n".join(csv_lines) + "\n", encoding="utf-8"
     )
@@ -207,9 +210,9 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         "config": cfg.resolved(),
         "config_hash": cfg.config_hash(),
         "graph_summary": {
-            "vertices": len(g.vertices),
-            "edges": len(g.edges),
-            "compact": g.is_compact,
+            "vertices": len(template.graph.vertices),
+            "edges": len(template.graph.edges),
+            "compact": template.graph.is_compact,
             "peak_degrees": [s.degree for s in stars],
             "within_hypotheses": all(admissible_peak_degree(s.degree) for s in stars),
         },
@@ -371,8 +374,10 @@ def main(argv=None) -> int:
         try:
             return cmd_solve(ExperimentConfig(**knobs))
         except (GraphNLSError, ValueError, OSError) as exc:
-            default = knobs.get("outdir", ExperimentConfig.outdir)
-            outdir = Path(os.environ.get("GRAPHNLS_OUTDIR", default))
+            # a run refused on input leaves no earlier run's artifacts either
+            outdir = _outdir(knobs.get("outdir", ExperimentConfig.outdir))
+            with contextlib.suppress(OSError):
+                _clear_outdir(outdir)
             _write_error_record(outdir, type(exc).__name__, str(exc))
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1

@@ -19,7 +19,7 @@ import numpy as np
 
 from .discrete import DiscreteField, Mesh
 from .errors import DimensionMismatch, IndexOutOfRange
-from .graphs import StarNeighborhood, check_disjoint_peak_balls
+from .graphs import MetricGraph, StarNeighborhood, check_disjoint_peak_balls
 
 
 @dataclass(frozen=True)
@@ -98,13 +98,14 @@ def eval_cutoff(kind: str, ell: float, x):
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    """The peaked seed state's shape, fixed across a sweep.
+    """The peaked seed state's shape on one graph, fixed across a sweep.
 
-    Each peak pairs a star neighborhood with a coefficient vector of
-    length degree-1 weighting the kernel modes; the coefficients are
-    divided by damping(lam) when the state is assembled at a shift.
+    Each peak pairs a star of graph with a coefficient vector of length
+    degree-1 weighting the kernel modes, divided by damping(lam) at a
+    shift.  Foreign stars and overlapping peak balls are refused.
     """
 
+    graph: MetricGraph
     peaks: tuple[tuple[StarNeighborhood, tuple[float, ...]], ...]
     alpha: float = 0.25
     cutoff_kind: str = CUTOFF_KINDS[0]
@@ -117,6 +118,9 @@ class AnsatzSpec:
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         for star, coeffs in self.peaks:
+            ends = tuple((e.id, away) for e, away in self.graph.incident(star.center))
+            if star.incident_edges != ends:
+                raise ValueError(f"peak {star.center!r}: its star is not the graph's")
             # the seed's kernel modes need two rays: a degree-1 vertex
             # has none, and the state could not be assembled
             if star.degree < 2:
@@ -134,6 +138,12 @@ class AnsatzSpec:
                     f"peak {star.center!r}: kernel coefficients must be "
                     f"finite, got {tuple(coeffs)}"
                 )
+        check_disjoint_peak_balls(self.graph, [star for star, _ in self.peaks])
+
+    @property
+    def weight(self) -> float:
+        """Sum of peak degrees / 2: the soliton levels mass and action tend to."""
+        return sum(star.degree for star, _ in self.peaks) / 2.0
 
     def damping(self, lam: float) -> float:
         """lam**alpha, the divisor of the kernel coefficients at shift lam.
@@ -179,7 +189,8 @@ def assemble_ansatz(
     peak vertex its value is lam^(1/(2*mu)) * (mu+1)^(1/(2*mu)) since
     the kernel modes vanish there and the taper equals one.
     """
-    check_disjoint_peak_balls(mesh.graph, [star for star, _ in spec.peaks])
+    if mesh.graph is not spec.graph:
+        raise ValueError("the mesh is not of the template's graph")
     damping = spec.damping(lam)
     scale = lam ** (1.0 / (2.0 * mu))
     root = math.sqrt(lam)

@@ -358,13 +358,13 @@ def peak_template(
     alpha: float = AnsatzSpec.alpha,
     coeffs: tuple[tuple[float, ...], ...] | None = None,
     cutoff_kind: str = AnsatzSpec.cutoff_kind,
-) -> tuple[MetricGraph, AnsatzSpec]:
-    """The graph to sweep and its seed template, peaks at `peaks`; no mesh.
+) -> AnsatzSpec:
+    """The seed template with peaks at `peaks`, on the graph to sweep; no mesh.
 
     Several peaks need disjoint support balls: each edge joining two is
-    split at its midpoint (a new graph) and every star is taken in
-    multi-peak mode, whose radii keep the balls apart.  coeffs, one
-    kernel-coefficient vector per peak, are zeros by default.
+    split at its midpoint (a new graph, the template's) and every star
+    is taken in multi-peak mode, whose radii keep the balls apart.
+    coeffs, one kernel-coefficient vector per peak, are zeros by default.
     """
     missing = [p for p in peaks if p not in g.vertices]
     if missing:
@@ -381,25 +381,24 @@ def peak_template(
         raise ValueError(
             f"got {len(coeffs)} coefficient vectors for {len(stars)} peaks"
         )
-    return g, AnsatzSpec(tuple(zip(stars, coeffs)), alpha, cutoff_kind)
+    return AnsatzSpec(g, tuple(zip(stars, coeffs)), alpha, cutoff_kind)
 
 
 def continuation_sweep(
-    g: MetricGraph, template: AnsatzSpec, cfg: SolveConfig
+    template: AnsatzSpec, cfg: SolveConfig
 ) -> list[BoundStateResult]:
     """Solve along the schedule, reseeding from the previous solution.
 
-    Each shift gets a fresh peak-refined mesh and seed state, the
-    template assembled at that shift and cfg.mu; failures are recorded
-    and the sweep continues.  Before any mesh, the template's alpha is
-    checked at both ends of the schedule and every shift's mesh against
-    MAX_NDOF.  Each result's functionals come from newton_solve; the
-    sweep adds correction_norm, kernel_component_norm and
-    peak_locations.  Peaks at even-degree vertices are permitted but
-    flagged as exploratory, since the existence theory covers odd
-    degree >= 3 only; a degree-1 peak has no kernel modes, and
-    `AnsatzSpec` refuses it.  `peak_template` builds g and template for
-    a peak set.
+    Each shift gets a fresh peak-refined mesh of template.graph and a
+    seed state, the template assembled at that shift and cfg.mu;
+    failures are recorded and the sweep continues.  Before any mesh,
+    the template's alpha is checked at both ends of the schedule and
+    every shift's mesh against MAX_NDOF.  Each result's functionals come
+    from newton_solve; the sweep adds correction_norm,
+    kernel_component_norm and peak_locations.  Peaks at even-degree
+    vertices are permitted but flagged as exploratory, since the
+    existence theory covers odd degree >= 3 only.  `peak_template`
+    builds the template for a peak set.
     """
     if not cfg.lambdas:
         raise ValueError("lambda schedule is empty")
@@ -414,6 +413,7 @@ def continuation_sweep(
                 "the odd-degree hypotheses, exploratory run",
                 stacklevel=2,
             )
+    g = template.graph
     peaks = [star.center for star, _ in template.peaks]
     lam0 = cfg.lambdas[0]
 

@@ -365,6 +365,55 @@ def test_a_successful_rerun_removes_the_stale_error_record(tmp_path):
     assert not (out / "error.json").exists()
 
 
+def _tree(out):
+    return sorted(p.relative_to(out).as_posix() for p in out.rglob("*"))
+
+
+def test_a_shorter_rerun_leaves_no_stale_shift(tmp_path):
+    out = tmp_path / "run"
+    assert main(FAST_SOLVE + ["--outdir", str(out)]) == 0
+    assert (out / "state_lam50").is_dir()
+    assert main(FAST_SOLVE + ["--lambdas", "25", "--outdir", str(out)]) == 0
+    states = ["state_lam25"] + [f"state_lam25/e{i}.txt" for i in (1, 2, 3)]
+    assert _tree(out) == ["diagnostics.csv", "manifest.json"] + states
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # refused in cmd_solve, by peak_template
+        ["solve", "--graph", "tripod", "--peak", "nope"],
+        # refused in main, by ExperimentConfig, before cmd_solve runs
+        FAST_SOLVE + ["--max-iters", "-1"],
+    ],
+)
+def test_a_rerun_refused_on_input_leaves_only_its_error_record(tmp_path, argv):
+    out = tmp_path / "run"
+    assert main(FAST_SOLVE + ["--outdir", str(out)]) == 0
+    assert main(argv + ["--outdir", str(out)]) == 1
+    assert _tree(out) == ["error.json"]
+
+
+def test_a_rerun_keeps_the_files_it_did_not_write(tmp_path):
+    out = tmp_path / "run"
+    assert main(FAST_SOLVE + ["--outdir", str(out)]) == 0
+    (out / "notes.md").write_text("mine")
+    (out / "state_lam50" / "plot.png").write_bytes(b"png")
+    (out / "state_lam50.txt").write_text("not a state directory")
+    assert main(FAST_SOLVE + ["--lambdas", "25", "--outdir", str(out)]) == 0
+    refused = ["solve", "--graph", "tripod", "--peak", "nope", "--outdir", str(out)]
+    assert main(refused) == 1
+    assert (out / "notes.md").read_text() == "mine"
+    assert (out / "state_lam50.txt").read_text() == "not a state directory"
+    assert _tree(out) == [
+        "error.json",
+        "notes.md",
+        "state_lam50",
+        "state_lam50.txt",
+        "state_lam50/plot.png",
+    ]
+
+
 @pytest.mark.parametrize("graph, peak", [("tripod", "a1"), ("double_tripod", "s1")])
 def test_solve_refuses_a_degree_one_peak_before_any_work(
     tmp_path, capsys, monkeypatch, graph, peak

@@ -11,18 +11,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from graphnls import (
-    AnsatzSpec,
     SolveConfig,
     acceptance,
     assemble,
     assemble_ansatz,
     build_graph,
-    insert_midpoints,
     jacobian,
     newton_solve,
+    peak_template,
     reference_graph,
     refined_mesh,
-    star_neighborhood,
     uniform_mesh,
 )
 from graphnls import discrete
@@ -50,15 +48,9 @@ PEAKS = {
 
 def _seeded_operator(name, lam=25.0, nodes_per_width=10.0):
     peaks = PEAKS[name]
-    g = reference_graph(name)
-    mode = "multi" if len(peaks) > 1 else "single"
-    if mode == "multi":
-        g = insert_midpoints(g, peaks)
-    stars = [star_neighborhood(g, p, mode=mode) for p in peaks]
-    coeffs = tuple((s, (0.0,) * (s.degree - 1)) for s in stars)
-    spec = AnsatzSpec(coeffs, alpha=0.25)
-    mesh = refined_mesh(g, lam, peaks, nodes_per_width)
-    op = assemble(g, mesh, lam)
+    spec = peak_template(reference_graph(name), peaks)
+    mesh = refined_mesh(spec.graph, lam, peaks, nodes_per_width)
+    op = assemble(spec.graph, mesh, lam)
     return op, assemble_ansatz(spec, mesh, lam, 1.0)
 
 

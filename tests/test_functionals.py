@@ -23,7 +23,7 @@ from graphnls import (
     star_neighborhood,
     uniform_mesh,
 )
-from graphnls.acceptance import _mu2_result, _tripod_sweep
+from graphnls.acceptance import _mu2_sweep, _tripod_sweep
 from graphnls.discrete import DiscreteField
 from graphnls.errors import NotConverged
 from graphnls.solve import BoundStateResult
@@ -48,7 +48,7 @@ truncation: 20.0
 def _solve_tripod(lam=25.0, mu=1.0, npw=20.0):
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    spec = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
+    spec = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
     mesh = refined_mesh(g, lam, ["c"], nodes_per_width=npw)
     op = assemble(g, mesh, lam)
     seed = assemble_ansatz(spec, mesh, lam, mu)
@@ -100,7 +100,7 @@ def test_line_surrogate_matches_soliton_integrals():
     star = star_neighborhood(g, "v", mode="single")
     mesh = uniform_mesh(g, 0.01)
     op = assemble(g, mesh, 1.0)
-    spec = AnsatzSpec(((star, (0.0,)),), alpha=0.25)
+    spec = AnsatzSpec(g, ((star, (0.0,)),), alpha=0.25)
     res = newton_solve(op, assemble_ansatz(spec, mesh, 1.0, 1.0), SolveConfig())
     assert res.converged
     rep = evaluate_functionals(op, 1.0, res.u)
@@ -208,7 +208,7 @@ def test_ground_state_gap_reads_mu_off_the_state():
     gap = ground_state_gap(_tripod_sweep()[1][-1], weight=1.5)
     assert gap.mu == 1.0
     assert gap.normalized_action == pytest.approx(2.0, rel=1e-3)
-    assert ground_state_gap(_mu2_result(), weight=1.5).mu == 2.0
+    assert ground_state_gap(_mu2_sweep()[1][-1], weight=1.5).mu == 2.0
 
 
 def test_ground_state_gap_quintic_uses_mass_only():

@@ -142,42 +142,50 @@ def _tripod_star(edge_lengths=(1.0, 1.0, 1.0)):
 
 
 def test_ansatz_spec_validation():
-    _, star = _tripod_star()
+    g, star = _tripod_star()
     with pytest.raises(DimensionMismatch):
-        AnsatzSpec(((star, (0.1,)),), alpha=0.25)
+        AnsatzSpec(g, ((star, (0.1,)),), alpha=0.25)
     with pytest.raises(ValueError):
-        AnsatzSpec(((star, (0.1, 0.2)),), alpha=0.25).damping(0.0)
+        AnsatzSpec(g, ((star, (0.1, 0.2)),), alpha=0.25).damping(0.0)
     for bad in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
-            AnsatzSpec(((star, (0.1, 0.2)),), alpha=bad)
+            AnsatzSpec(g, ((star, (0.1, 0.2)),), alpha=bad)
     # the damping lam**alpha must stay a positive finite float: it
     # overflows above lam = 1 and underflows to zero below it
-    spec = AnsatzSpec(((star, (0.1, 0.2)),), alpha=1e308)
+    spec = AnsatzSpec(g, ((star, (0.1, 0.2)),), alpha=1e308)
     for lam in (25.0, 0.5):
         with pytest.raises(ValueError, match="alpha=1e[+]?308 puts the coefficient"):
             spec.damping(lam)
     assert spec.damping(1.0) == 1.0
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="peak 'c': kernel coefficients"):
-            AnsatzSpec(((star, (bad, 0.0)),), alpha=0.25)
+            AnsatzSpec(g, ((star, (bad, 0.0)),), alpha=0.25)
 
 
 def test_ansatz_peak_value():
     g, star = _tripod_star()
     mesh = uniform_mesh(g, 0.02)
     lam = 9.0
-    spec = AnsatzSpec(((star, (0.1, -0.2)),), alpha=0.25)
+    spec = AnsatzSpec(g, ((star, (0.1, -0.2)),), alpha=0.25)
     w = assemble_ansatz(spec, mesh, lam, 1.0)
     # kernel modes vanish at the vertex, taper equals one there
     expect = lam**0.5 * math.sqrt(2.0)
     assert w.values[mesh.vertex_dofs["c"]] == pytest.approx(expect, rel=1e-14)
 
 
+def test_ansatz_refuses_a_mesh_of_another_graph():
+    g, star = _tripod_star()
+    spec = AnsatzSpec(g, ((star, (0.1, -0.2)),), alpha=0.25)
+    mesh = uniform_mesh(reference_graph("star5"), 0.5)
+    with pytest.raises(ValueError, match="the mesh is not of the template's graph"):
+        assemble_ansatz(spec, mesh, 9.0, 1.0)
+
+
 def test_ansatz_supported_in_taper_ball():
     g, star = _tripod_star((1.0, 4.0, 4.0))
     assert star.radius == pytest.approx(0.5)
     mesh = uniform_mesh(g, 0.05)
-    spec = AnsatzSpec(((star, (0.3, 0.2)),), alpha=0.25)
+    spec = AnsatzSpec(g, ((star, (0.3, 0.2)),), alpha=0.25)
     w = assemble_ansatz(spec, mesh, 16.0, 1.0)
     for eid in ("e2", "e3"):
         nodes = mesh.edge_nodes[eid]
@@ -195,7 +203,7 @@ def test_ansatz_flux_balances_at_peak():
     imbalances = []
     for h in (0.004, 0.002):
         mesh = uniform_mesh(g, h)
-        spec = AnsatzSpec(((star, (0.4, -0.3)),), alpha=0.25)
+        spec = AnsatzSpec(g, ((star, (0.4, -0.3)),), alpha=0.25)
         w = assemble_ansatz(spec, mesh, 9.0, 1.0)
         imbalances.append(abs(kirchhoff_flux(mesh, w)["c"]))
     assert imbalances[1] < 5e-5

@@ -1,7 +1,7 @@
 """Newton iteration, linearizations, and the continuation sweep."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -56,7 +56,7 @@ edges:
 def _tripod_setup(lam=50.0, npw=25.0):
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    spec = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
+    spec = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
     mesh = refined_mesh(g, lam, ["c"], nodes_per_width=npw)
     op = assemble(g, mesh, lam)
     return g, star, spec, mesh, op
@@ -186,8 +186,8 @@ def test_newton_names_a_line_search_stall():
     # overshoot, and no trial step down to 2**-24 lowers the residual
     g = reference_graph("figure1")
     star = star_neighborhood(g, "v1", mode="single")
-    template = AnsatzSpec(((star, (0.0,) * 4),), alpha=0.25)
-    (res,) = continuation_sweep(g, template, SolveConfig(lambdas=(25.0,)))
+    template = AnsatzSpec(g, ((star, (0.0,) * 4),), alpha=0.25)
+    (res,) = continuation_sweep(template, SolveConfig(lambdas=(25.0,)))
     assert not res.converged
     assert res.termination == "line_search_stall"
     assert 0 < res.iterations < SolveConfig.max_iters
@@ -236,11 +236,11 @@ def test_residual_of_negative_state_is_linear():
 def test_continuation_sweep_populates_diagnostics():
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
     cfg = SolveConfig(
         mu=1.0, lambdas=(25.0, 50.0), nodes_per_width=20.0, seed="previous"
     )
-    results = continuation_sweep(g, template, cfg)
+    results = continuation_sweep(template, cfg)
     assert [r.lam for r in results] == [25.0, 50.0]
     for res in results:
         assert res.converged
@@ -272,9 +272,9 @@ def test_sweep_diagnostics_equal_fresh_recomputation():
     # a mode of 0.3 puts a visible kernel component into the correction
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.3, -0.2)),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.3, -0.2)),), alpha=0.25)
     cfg = SolveConfig(mu=1.0, lambdas=(25.0, 50.0), nodes_per_width=15.0)
-    for res in continuation_sweep(g, template, cfg):
+    for res in continuation_sweep(template, cfg):
         assert res.converged
         mesh = res.u.mesh
         fresh = evaluate_functionals(assemble(g, mesh, res.lam), 1.0, res.u)
@@ -291,8 +291,8 @@ def test_symmetric_star5_sweep_keeps_its_symmetry():
     # kernel part of the correction stays at rounding level
     g = reference_graph("star5")
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0,) * 4),), alpha=0.25)
-    results = continuation_sweep(g, template, SolveConfig(lambdas=(25, 50)))
+    template = AnsatzSpec(g, ((star, (0.0,) * 4),), alpha=0.25)
+    results = continuation_sweep(template, SolveConfig(lambdas=(25, 50)))
     for res in results:
         assert res.converged
         assert res.kernel_component_norm < 1e-10 * res.correction_norm
@@ -309,13 +309,12 @@ def test_symmetric_star5_sweep_keeps_its_symmetry():
 def test_seed_strategies_agree_on_easy_sweeps():
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
     sched = (25.0, 50.0)
     res_prev = continuation_sweep(
-        g, template, SolveConfig(lambdas=sched, nodes_per_width=15.0)
+        template, SolveConfig(lambdas=sched, nodes_per_width=15.0)
     )
     res_ansatz = continuation_sweep(
-        g,
         template,
         SolveConfig(lambdas=sched, nodes_per_width=15.0, seed="ansatz"),
     )
@@ -336,10 +335,10 @@ edges:
 """
     )
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0,) * 3),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.0,) * 3),), alpha=0.25)
     cfg = SolveConfig(lambdas=(25.0,), nodes_per_width=15.0)
     with pytest.warns(UserWarning, match="outside the odd-degree hypotheses"):
-        results = continuation_sweep(g, template, cfg)
+        results = continuation_sweep(template, cfg)
     assert results[0].converged
 
 
@@ -348,23 +347,25 @@ def test_peak_templates_equal_the_hand_built_ones():
     # the mu=1 and mu=2 tripod sweeps share one, since mu is the solver's
     g = reference_graph("tripod")
     star = star_neighborhood(g, "c", mode="single")
-    tripod = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
-    assert peak_template(g, ("c",)) == (g, tripod)
+    tripod = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
+    assert peak_template(g, ("c",)) == tripod
 
     g0 = reference_graph("double_tripod")
     split = insert_midpoints(g0, ["c1", "c2"])
     stars = [star_neighborhood(split, v, mode="multi") for v in ("c1", "c2")]
-    double = AnsatzSpec(tuple((s, (0.0, 0.0)) for s in stars), alpha=0.25)
+    double = AnsatzSpec(split, tuple((s, (0.0, 0.0)) for s in stars), alpha=0.25)
     got = peak_template(g0, ("c1", "c2"))
-    assert got == (split, double)
-    assert "bridge__mid" in got[0].vertices
+    assert got == double
+    assert "bridge__mid" in got.graph.vertices
 
 
 def test_a_template_holds_no_solver_knob():
     # mu has one definition, SolveConfig's: a template field of the same
     # name would be a second one for the sweep to keep equal
     solver = {f.name for f in fields(SolveConfig)}
-    assert [f.name for f in fields(AnsatzSpec)] == ["peaks", "alpha", "cutoff_kind"]
+    assert [f.name for f in fields(AnsatzSpec)] == [
+        "graph", "peaks", "alpha", "cutoff_kind"
+    ]
     assert not solver & {f.name for f in fields(AnsatzSpec)}
 
 
@@ -399,18 +400,52 @@ def test_an_empty_peak_set_is_refused_before_any_mesh(monkeypatch):
     with pytest.raises(ValueError, match="at least one peak vertex is required"):
         peak_template(reference_graph("tripod"), ())
     with pytest.raises(ValueError, match="at least one peak vertex is required"):
-        AnsatzSpec(())
+        AnsatzSpec(reference_graph("tripod"), ())
     assert built == []
 
 
 def test_sweep_checks_that_hand_built_peak_balls_are_disjoint():
     # peak_template splits the bridge and takes multi-peak stars; a
-    # template with neither, on the unsplit double tripod, overlaps
+    # template with neither, on the unsplit double tripod, overlaps, and
+    # is refused as it is built, before any sweep or mesh
     g = reference_graph("double_tripod")
     stars = [star_neighborhood(g, v, mode="single") for v in ("c1", "c2")]
-    template = AnsatzSpec(tuple((s, (0.0, 0.0)) for s in stars))
     with pytest.raises(OverlappingPeaks, match="support balls of peaks 'c1' and 'c2'"):
-        continuation_sweep(g, template, SolveConfig(lambdas=(50.0,)))
+        AnsatzSpec(g, tuple((s, (0.0, 0.0)) for s in stars))
+
+
+@pytest.mark.parametrize(
+    "graph, template_of, peak",
+    [
+        # the tripod's star at c on star5's graph, whose c has five ends
+        ("star5", ("tripod", ("c",)), "c"),
+        # peak_template's split template on the unsplit double tripod:
+        # its stars reach bridge__a, which that graph lacks
+        ("double_tripod", ("double_tripod", ("c1", "c2")), "c1"),
+    ],
+)
+def test_a_template_refuses_the_stars_of_another_graph(
+    monkeypatch, graph, template_of, peak
+):
+    # the pair once swept 50 iterations to max_iters, or raised a raw
+    # KeyError after building a mesh
+    built = _record_meshes(monkeypatch)
+    other = peak_template(reference_graph(template_of[0]), template_of[1])
+    with pytest.raises(ValueError, match=f"peak '{peak}': its star is not the graph's"):
+        replace(other, graph=reference_graph(graph))
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "graph, peaks, weight",
+    [
+        ("tripod", ("c",), 1.5),
+        ("double_tripod", ("c1", "c2"), 3.0),
+        ("figure1", ("v1",), 2.5),
+    ],
+)
+def test_a_template_weight_is_half_its_peak_degrees(graph, peaks, weight):
+    assert peak_template(reference_graph(graph), peaks).weight == weight
 
 
 @pytest.mark.parametrize(
@@ -422,18 +457,18 @@ def test_sweep_checks_alpha_at_both_ends_before_any_mesh(monkeypatch, lambdas, a
     built = _record_meshes(monkeypatch)
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0, 0.0)),), alpha=100.0)
+    template = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=100.0)
     with pytest.raises(ValueError, match=f"alpha=100.0 puts .* at {at}"):
-        continuation_sweep(g, template, SolveConfig(lambdas=lambdas))
+        continuation_sweep(template, SolveConfig(lambdas=lambdas))
     assert built == []
 
 
 def test_sweep_rejects_empty_schedule():
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
     with pytest.raises(ValueError):
-        continuation_sweep(g, template, SolveConfig())
+        continuation_sweep(template, SolveConfig())
 
 
 @pytest.mark.parametrize(
@@ -449,14 +484,14 @@ def test_sweep_refuses_a_mesh_above_the_ceiling_before_building_any(
 ):
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
     built = []
     monkeypatch.setattr(
         graphnls.discrete, "build_mesh", lambda *a, **k: built.append(a)
     )
     cfg = SolveConfig(lambdas=(25.0, 50.0), **knobs)
     with pytest.raises(ValueError, match="more than the ceiling"):
-        continuation_sweep(g, template, cfg)
+        continuation_sweep(template, cfg)
     assert built == []
 
 
@@ -465,7 +500,7 @@ def _check_graded_matches_fine(g, peak, lam, npw, shrink):
     all-fine one: the graded mesh has under 1/shrink of the unknowns, and
     mass and action agree to 1e-9 relative."""
     star = star_neighborhood(g, peak, mode="single")
-    spec = AnsatzSpec(((star, (0.0,) * (star.degree - 1)),), 0.25)
+    spec = AnsatzSpec(g, ((star, (0.0,) * (star.degree - 1)),), 0.25)
     graded = refined_mesh(g, lam, [peak], nodes_per_width=npw)
     uniform = uniform_mesh(g, 1.0 / (npw * math.sqrt(lam)))
     assert not uniform.graded and graded.ndof < uniform.ndof / shrink
@@ -498,7 +533,7 @@ def test_sweep_accepts_a_last_mesh_at_the_ceiling(monkeypatch):
     # on the tripod the last shift's mesh is the largest
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
     cfg = SolveConfig(lambdas=(25.0, 50.0), nodes_per_width=15.0)
     ndof = [
         refined_ndof(g, lam, ["c"], 15.0 * (lam / 25.0) ** 0.25)
@@ -507,9 +542,9 @@ def test_sweep_accepts_a_last_mesh_at_the_ceiling(monkeypatch):
     assert ndof[0] < ndof[1]
     monkeypatch.setattr(graphnls.solve, "MAX_NDOF", ndof[1] - 1)
     with pytest.raises(ValueError, match="more than the ceiling"):
-        continuation_sweep(g, template, cfg)
+        continuation_sweep(template, cfg)
     monkeypatch.setattr(graphnls.solve, "MAX_NDOF", ndof[1])
-    results = continuation_sweep(g, template, cfg)
+    results = continuation_sweep(template, cfg)
     assert [r.u.mesh.ndof for r in results] == ndof
 
 
@@ -530,7 +565,7 @@ def test_sweep_checks_an_earlier_mesh_larger_than_the_last(monkeypatch):
         + pendants
     )
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(((star, (0.0, 0.0)),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
     cfg = SolveConfig(
         lambdas=(25.0, 400.0), nodes_per_width=100.0, refinement_growth=0.0
     )
@@ -542,7 +577,7 @@ def test_sweep_checks_an_earlier_mesh_larger_than_the_last(monkeypatch):
     )
     monkeypatch.setattr(graphnls.solve, "MAX_NDOF", ndof[0] - 1)
     with pytest.raises(ValueError, match="at lam=25 would have"):
-        continuation_sweep(g, template, cfg)
+        continuation_sweep(template, cfg)
     assert built == []
 
 
