@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib.resources import files
@@ -443,14 +445,28 @@ def criterion_9(coarse: bool = False) -> CriterionResult:
 
 # criteria that rest on the odd-degree peak hypotheses
 _HYPOTHESIS_BOUND = (4, 5, 6, 7, 8)
+# criteria that run Newton; `run_all` runs them in a child process
+_NEWTON = (4, 5, 6, 7, 8, 9)
+
+
+def _requested(criteria, peak_degree: int) -> list[int]:
+    """The requested criteria in order, all nine for None.  Raises
+    ValueError on an empty request, an unknown criterion or a peak
+    degree below 1, so that a bad request runs nothing."""
+    wanted = sorted(_NAMES) if criteria is None else sorted(set(criteria))
+    if not wanted:
+        raise ValueError("no criteria requested")
+    unknown = [cid for cid in wanted if cid not in _NAMES]
+    if unknown:
+        raise ValueError(f"no criterion {', '.join(map(str, unknown))}")
+    if peak_degree < 1:
+        raise ValueError(f"peak degree must be >= 1, got {peak_degree}")
+    return wanted
 
 
 def run_criterion(cid: int, peak_degree: int = 3, coarse: bool = False) -> CriterionResult:
     """Run one criterion, honoring the hypothesis gate and error capture."""
-    if cid not in _NAMES:
-        raise ValueError(f"no criterion {cid}")
-    if peak_degree < 1:
-        raise ValueError(f"peak degree must be >= 1, got {peak_degree}")
+    _requested((cid,), peak_degree)
     if cid in _HYPOTHESIS_BOUND and not admissible_peak_degree(peak_degree):
         return CriterionResult(
             cid,
@@ -472,12 +488,81 @@ def run_criterion(cid: int, peak_degree: int = 3, coarse: bool = False) -> Crite
         )
 
 
+def _send_from_child(write_fd: int, run, cids: list[int]) -> None:
+    """In a forked child: pickle run(cids), or the exception it raised,
+    to write_fd, and leave the process.  Never returns."""
+    status = 1
+    try:
+        try:
+            payload = (True, run(cids))
+        # Ctrl-C and SystemExit too: the child never unwinds into the
+        # caller's stack, and the caller re-raises what it was sent
+        except BaseException as exc:
+            payload = (False, exc)
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # an exception that does not round-trip
+                payload = (False, RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_all(
     criteria=None, peak_degree: int = 3, coarse: bool = False
 ) -> list[CriterionResult]:
-    """Run the requested criteria (all nine by default) in order."""
-    wanted = sorted(set(criteria)) if criteria else sorted(_NAMES)
-    unknown = [cid for cid in wanted if cid not in _NAMES]
-    if unknown:
-        raise ValueError(f"no criterion {', '.join(map(str, unknown))}")
-    return [run_criterion(cid, peak_degree, coarse) for cid in wanted]
+    """Run the requested criteria (all nine by default) in order.
+
+    The request is checked before anything runs.  When it holds
+    criteria of both groups, and the platform has os.fork, the Newton
+    criteria (4-9) run in a forked child while this process runs
+    criteria 1-3; the two groups share nothing, so on two cores they
+    overlap.  A request of one group, or a fork that fails, runs here.
+    The child's cached sweeps live and die with it.  The child is reaped
+    before this returns or raises, an exception it raised is raised here
+    with its type and message, and a child that dies without a result
+    raises RuntimeError naming its exit status.
+    """
+    wanted = _requested(criteria, peak_degree)
+
+    def run(cids: list[int]) -> list[CriterionResult]:
+        return [run_criterion(cid, peak_degree, coarse) for cid in cids]
+
+    newton = [cid for cid in wanted if cid in _NEWTON]
+    here = [cid for cid in wanted if cid not in _NEWTON]
+    if not (newton and here and hasattr(os, "fork")):
+        return run(wanted)
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: run every criterion here
+        os.close(read_fd)
+        os.close(write_fd)
+        return run(wanted)
+    if pid == 0:
+        os.close(read_fd)
+        _send_from_child(write_fd, run, newton)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            results = run(here)
+            data = pipe.read()
+    except BaseException:
+        import signal  # only a failed run needs it
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(
+            f"the child running criteria {', '.join(map(str, newton))} exited "
+            f"with status {os.waitstatus_to_exitcode(status)} and no result"
+        )
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    # every criterion run here precedes every Newton criterion
+    return results + value

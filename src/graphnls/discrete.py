@@ -18,8 +18,8 @@ then a dense Schur complement on the free vertex unknowns.  The
 eigenvalue checks count eigenvalues by inertia over the same split
 (`count_below`: the interior's Sturm pivots from LAPACK's symmetric
 tridiagonal factorization `?pttrf`, resumed past each negative pivot,
-plus the Schur complement's eigenvalues) and invert through the same
-factor.
+plus the eigenvalues of the Schur complement that the same unpivoted
+factor gives) and invert through the pivoted factor.
 
 The LAPACK routines are scipy's compiled f2py wrappers, loaded from
 their extension file so that the scipy package itself is never
@@ -46,10 +46,10 @@ from .graphs import MetricGraph, vertex_distances
 def _load_lapack():
     """scipy's compiled LAPACK wrappers, loaded without the scipy package.
 
-    Importing scipy.linalg costs about 0.3 s of Python start-up, for five
-    routines (dgttrf, dgttrs, dgetrf, dgetrs, dpttrf).  find_spec locates
-    scipy without importing it, and its _flapack extension is loaded by file
-    path: the same binary and the same f2py signatures as
+    Importing scipy.linalg costs about 0.3 s of Python start-up, for six
+    routines (dgttrf, dgttrs, dgetrf, dgetrs, dpttrf, dpttrs).  find_spec
+    locates scipy without importing it, and its _flapack extension is
+    loaded by file path: the same binary and the same f2py signatures as
     scipy.linalg.lapack.  Another layout, or an extension that cannot be
     loaded on its own (a Windows DLL path), falls back to that import.
     """
@@ -394,11 +394,19 @@ def uniform_mesh(g: MetricGraph, h: float) -> Mesh:
     return build_mesh(g, _edge_plans(g, h))
 
 
-def _refined_plans(
+def refined_plans(
     g: MetricGraph, lam: float, peaks: list[str], nodes_per_width: float
-) -> Iterator[_EdgePlan]:
+) -> tuple[_EdgePlan, ...]:
+    """The edge plans of refined_mesh(g, lam, peaks, nodes_per_width),
+    in g.edges' order: its ndof by arithmetic alone (`planned_ndof`),
+    and no node array."""
     h = 1.0 / (nodes_per_width * math.sqrt(lam))
-    return _edge_plans(g, h, peaks, lam)
+    return tuple(_edge_plans(g, h, peaks, lam))
+
+
+def planned_ndof(g: MetricGraph, plans: Iterable[_EdgePlan]) -> int:
+    """The ndof of build_mesh(g, plans), without building it."""
+    return len(g.vertices) + sum(plan.elements - 1 for plan in plans)
 
 
 def refined_mesh(
@@ -406,6 +414,7 @@ def refined_mesh(
     lam: float,
     peaks: list[str],
     nodes_per_width: float,
+    plans: tuple[_EdgePlan, ...] | None = None,
 ) -> Mesh:
     """Mesh resolving the peak scale, graded by graph distance from the peaks.
 
@@ -424,17 +433,13 @@ def refined_mesh(
     - an edge no longer than its fine zones stays uniform at its target;
     - an edge with both ends at d >= W is a uniform grid at the
       far-field length.
+
+    plans, if the caller has them, are `refined_plans` of the same
+    arguments, and are not planned again.
     """
-    return build_mesh(g, _refined_plans(g, lam, peaks, nodes_per_width))
-
-
-def refined_ndof(
-    g: MetricGraph, lam: float, peaks: list[str], nodes_per_width: float
-) -> int:
-    """The ndof of refined_mesh(g, lam, peaks, nodes_per_width), by
-    arithmetic alone: the same edge plans, and no node array."""
-    plans = _refined_plans(g, lam, peaks, nodes_per_width)
-    return len(g.vertices) + sum(plan.elements - 1 for plan in plans)
+    if plans is None:
+        plans = refined_plans(g, lam, peaks, nodes_per_width)
+    return build_mesh(g, plans)
 
 
 @dataclass
@@ -607,6 +612,34 @@ def edge_bands(
     )
 
 
+def _end_units(lay: EdgeLayout) -> np.ndarray:
+    """The interior unit columns at every edge's first interior node
+    (column 0) and last one (column 1), for a LAPACK solve in place."""
+    units = np.zeros((lay.last[-1] + 1, 2), order="F")
+    units[lay.first, 0] = 1.0
+    units[lay.last, 1] = 1.0
+    return units
+
+
+def _vertex_schur(bands: EdgeBands, z: np.ndarray) -> np.ndarray:
+    """The Schur complement of bands' interior block on the free vertex
+    unknowns, given z, the interior block's inverse applied to
+    `_end_units`."""
+    lay = bands.mesh.layout
+    schur = np.diag(bands.vertex_diag)
+    src, dst, first, last = lay.src, lay.dst, lay.first, lay.last
+    zh, zt = z[:, 0], z[:, 1]
+    for rows, cols, coupling in (
+        (src, src, bands.head_row * zh[first] * bands.head_col),
+        (src, dst, bands.head_row * zt[first] * bands.tail_col),
+        (dst, src, bands.tail_row * zh[last] * bands.head_col),
+        (dst, dst, bands.tail_row * zt[last] * bands.tail_col),
+    ):
+        np.add.at(schur, (rows, cols), -coupling)
+    free = lay.free_vertices
+    return schur[np.ix_(free, free)]
+
+
 class CondensedFactor:
     """Solver for an `EdgeBands` operator on the free dofs.
 
@@ -646,23 +679,9 @@ class CondensedFactor:
         if info != 0:
             raise SolveFailure(f"zero pivot at interior dof {lay.nv + info - 1}")
         self._tri = (dl, d, du, du2, ipiv)
-        units = np.zeros((d.size, 2), order="F")
-        units[lay.first, 0] = 1.0
-        units[lay.last, 1] = 1.0
-        z, _ = lapack.dgttrs(*self._tri, units, overwrite_b=True)
+        z, _ = lapack.dgttrs(*self._tri, _end_units(lay), overwrite_b=True)
         self._from_head, self._from_tail = z[:, 0], z[:, 1]
-        schur = np.diag(bands.vertex_diag)
-        src, dst, first, last = lay.src, lay.dst, lay.first, lay.last
-        zh, zt = self._from_head, self._from_tail
-        for rows, cols, coupling in (
-            (src, src, bands.head_row * zh[first] * bands.head_col),
-            (src, dst, bands.head_row * zt[first] * bands.tail_col),
-            (dst, src, bands.tail_row * zh[last] * bands.head_col),
-            (dst, dst, bands.tail_row * zt[last] * bands.tail_col),
-        ):
-            np.add.at(schur, (rows, cols), -coupling)
-        free = lay.free_vertices
-        self.schur = schur[np.ix_(free, free)]
+        self.schur = _vertex_schur(bands, z)
         lu, piv, info = lapack.dgetrf(self.schur)
         if info != 0 or not np.all(np.isfinite(lu)):
             raise SolveFailure("singular vertex Schur complement")
@@ -804,11 +823,13 @@ def count_below(bands: EdgeBands, mass: EdgeBands, sigma: float) -> int:
     free vertex Schur complement.  The interior block is tridiagonal,
     edge after edge, and its count is the number of negative pivots of
     its unpivoted LDL^T (Sturm) recurrence, which LAPACK's pttrf runs
-    until a pivot is not positive.  That pivot is counted here, the next
-    one is updated with pttrf's own formula, and pttrf resumes after it,
-    so the whole count is one pass over the interior however many pivots
-    are negative.  The Schur complement is `CondensedFactor`'s, a few
-    vertices square, whose eigenvalues numpy computes.  Raises
+    until a pivot is not positive.  That pivot is counted here, its
+    multiplier stored, the next one updated with pttrf's own formula, and
+    pttrf resumes after it, so the whole count is one pass over the
+    interior however many pivots are negative.  The pass leaves the whole
+    LDL^T factor, and pttrs on it gives the Schur complement, a few
+    vertices square and assembled as `CondensedFactor`'s, whose
+    eigenvalues numpy computes.  Raises
     SolveFailure on a zero pivot: sigma is then an eigenvalue of a
     leading interior block.
     """
@@ -820,26 +841,36 @@ def count_below(bands: EdgeBands, mass: EdgeBands, sigma: float) -> int:
     )
     if not all(a is b or np.array_equal(a, b) for a, b in pairs):
         raise ValueError("count_below needs symmetric bands")
-    d, e = shifted.diag.copy(), shifted.upper.copy()
-    negative = 0
-    while d.size:
-        if d.size > 1:  # f2py refuses an empty e
-            d, e, info = lapack.dpttrf(d, e, overwrite_d=True, overwrite_e=True)
+    # shifted's interior bands are its own, so they are factored in
+    # place: d and e become the whole LDL^T factor, D's diagonal and L's
+    # subdiagonal.  pttrf's part of each pass is written back, and the
+    # multiplier at each negative pivot is stored here
+    d, e = shifted.diag, shifted.upper
+    negative, start = 0, 0
+    while start < d.size:
+        if d.size - start > 1:  # f2py refuses an empty e
+            d[start:], e[start:], info = lapack.dpttrf(
+                d[start:], e[start:], overwrite_d=True, overwrite_e=True
+            )
         else:
-            info = int(d[0] <= 0.0)
+            info = int(d[start] <= 0.0)
         if info == 0:
             break
-        pivot = d[info - 1]
+        k = start + info - 1
+        pivot = d[k]
         if pivot == 0.0:
             raise SolveFailure(
                 f"zero pivot: sigma={sigma!r} is an eigenvalue of a leading "
                 "block of the edge interiors"
             )
         negative += 1
-        if info < d.size:
-            d[info] -= (e[info - 1] / pivot) * e[info - 1]
-        d, e = d[info:], e[info:]
-    schur = CondensedFactor(shifted).schur
+        if k + 1 < d.size:
+            ek = e[k]
+            e[k] = ek / pivot
+            d[k + 1] -= e[k] * ek
+        start = k + 1
+    z, _ = lapack.dpttrs(d, e, _end_units(shifted.mesh.layout), overwrite_b=True)
+    schur = _vertex_schur(shifted, z)
     return negative + int(np.count_nonzero(np.linalg.eigvalsh(schur) < 0.0))
 
 

@@ -26,9 +26,10 @@ from .discrete import (
     dual_residual_norm,
     edge_bands,
     lambda_norm,
+    planned_ndof,
     positive_power,
     refined_mesh,
-    refined_ndof,
+    refined_plans,
 )
 from .errors import NotConverged, SingularJacobian, SolveFailure
 from .functionals import FunctionalReport
@@ -420,17 +421,19 @@ def continuation_sweep(
     def nodes_per_width(lam: float) -> float:
         return cfg.nodes_per_width * (lam / lam0) ** cfg.refinement_growth
 
-    def ndof_at(lam: float) -> float:
+    def plan(lam: float):
         try:
-            return refined_ndof(g, lam, peaks, nodes_per_width(lam))
+            plans = refined_plans(g, lam, peaks, nodes_per_width(lam))
         except (OverflowError, ZeroDivisionError):  # spacing beyond float range
-            return math.inf
+            return None, math.inf
+        return plans, planned_ndof(g, plans)
 
     # the largest mesh need not be the last: an edge within the graded
     # width of a peak at an early shift may lie beyond it at a later
-    # one, and shrink to the far-field length.  Count every shift's
-    # mesh, by arithmetic, before building any.
-    ndof, lam_max = max((ndof_at(lam), lam) for lam in cfg.lambdas)
+    # one, and shrink to the far-field length.  Plan every shift's mesh
+    # and count it, by arithmetic, before building any.
+    planned = [plan(lam) for lam in cfg.lambdas]
+    ndof, lam_max = max((n, lam) for (_, n), lam in zip(planned, cfg.lambdas))
     if ndof > MAX_NDOF:
         raise ValueError(
             f"the mesh at lam={lam_max:g} would have {ndof:g} unknowns, "
@@ -438,8 +441,10 @@ def continuation_sweep(
         )
     results: list[BoundStateResult] = []
     prev: BoundStateResult | None = None
-    for lam in cfg.lambdas:
-        mesh = refined_mesh(g, lam, peaks, nodes_per_width=nodes_per_width(lam))
+    for lam, (plans, _) in zip(cfg.lambdas, planned):
+        mesh = refined_mesh(
+            g, lam, peaks, nodes_per_width=nodes_per_width(lam), plans=plans
+        )
         op = assemble(g, mesh, lam)
         seed = assemble_ansatz(template, mesh, lam, cfg.mu)
         if cfg.seed == "previous" and prev is not None and prev.converged:

@@ -5,6 +5,9 @@ pass/fail line, and asserts the verdict.  Tolerances are pinned inside
 graphnls.acceptance; expensive sweeps are cached and shared across tests.
 """
 
+import os
+import time
+
 import pytest
 
 from graphnls import acceptance
@@ -120,3 +123,87 @@ def test_run_criterion_calls_the_current_binding(monkeypatch):
     stub = acceptance.CriterionResult(3, acceptance._NAMES[3], True, "stub")
     monkeypatch.setattr(acceptance, "criterion_3", lambda: stub)
     assert acceptance.run_criterion(3) is stub
+
+
+@pytest.fixture
+def no_child_left():
+    """Fails the test if run_all left a child process behind."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "criteria, peak_degree",
+    [(None, 3), ([2, 3], 3), ([7], 3), ([1, 9], 3), (None, 4)],
+)
+def test_run_all_matches_the_criteria_run_in_process(
+    no_child_left, criteria, peak_degree
+):
+    wanted = range(1, 10) if criteria is None else criteria
+    expected = [acceptance.run_criterion(cid, peak_degree) for cid in wanted]
+    assert acceptance.run_all(criteria, peak_degree=peak_degree) == expected
+
+
+def _refuse_to_fork():
+    raise OSError("no process to spare")
+
+
+@pytest.mark.parametrize("fork", [None, _refuse_to_fork])
+def test_run_all_without_a_fork_runs_every_criterion_here(
+    no_child_left, monkeypatch, fork
+):
+    # no os.fork (Windows), or one that fails
+    if fork is None:
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    expected = [acceptance.run_criterion(cid) for cid in (3, 7)]
+    assert acceptance.run_all([3, 7]) == expected
+
+
+def test_run_all_raises_what_a_newton_criterion_raised(no_child_left, monkeypatch):
+    def fail():
+        raise RuntimeError("x")
+
+    monkeypatch.setattr(acceptance, "criterion_7", fail)
+    with pytest.raises(RuntimeError, match="^x$"):
+        acceptance.run_all([3, 7])
+
+
+def test_run_all_names_the_status_of_a_child_that_died(no_child_left, monkeypatch):
+    monkeypatch.setattr(acceptance, "criterion_7", lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="criteria 7 exited with status 3"):
+        acceptance.run_all([3, 7])
+
+
+def test_run_all_stops_the_child_when_the_caller_raises(no_child_left, monkeypatch):
+    def fail():
+        raise RuntimeError("in the caller")
+
+    monkeypatch.setattr(acceptance, "criterion_3", fail)
+    monkeypatch.setattr(acceptance, "criterion_7", lambda: time.sleep(60))
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="in the caller"):
+        acceptance.run_all([3, 7])
+    # the child was killed, not waited for
+    assert time.perf_counter() - start < 30.0
+
+
+@pytest.mark.parametrize(
+    "criteria, peak_degree, message",
+    [
+        ((), 3, "no criteria requested"),
+        ([0, 2, 7], 3, "no criterion 0"),
+        ([2, 7], 0, "peak degree must be >= 1"),
+    ],
+)
+def test_run_all_refuses_a_bad_request_before_forking(
+    no_child_left, monkeypatch, criteria, peak_degree, message
+):
+    def refuse():
+        raise AssertionError("forked for a refused request")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    with pytest.raises(ValueError, match=message):
+        acceptance.run_all(criteria, peak_degree=peak_degree)

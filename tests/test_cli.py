@@ -649,6 +649,28 @@ def test_verify_prints_the_golden_lines(capsys):
     assert capsys.readouterr().out.splitlines() == GOLDEN_VERIFY
 
 
+def test_verify_forks_safely_with_threaded_blas(tmp_path):
+    # verify forks a child for criteria 4-9; with the BLAS thread pools
+    # at their default sizes a fork must neither hang nor change a line
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+    }
+    env["PYTHONPATH"] = src
+    run = subprocess.run(
+        [sys.executable, "-m", "graphnls.cli", "verify"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == GOLDEN_VERIFY
+
+
 def _modules_loaded_by(code):
     """The modules a fresh interpreter holds after running code."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -734,6 +756,11 @@ def test_verify_and_solve_run_without_scipy_or_numpy_ma(tmp_path):
     record = json.loads((tmp_path / "bad" / "error.json").read_text())
     assert "not valid YAML" in record["message"]
 
+    # verify forks its Newton criteria with os.fork and a pipe; either
+    # package would cost about 18 ms of import
+    assert "multiprocessing" not in verify
+    assert "concurrent.futures" not in verify
+
     _skip_unless_lapack_loads_directly()
     assert _scipy_modules(verify) == []
     # its test vectors are Weyl sequences; importing numpy.random costs
@@ -769,6 +796,15 @@ def test_verify_rejects_unknown_criteria_before_running_any(capsys, criteria):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "no criterion" in captured.err
+
+
+def test_verify_rejects_an_empty_criteria_list(capsys):
+    # "," parses to no criteria at all, which is not "all nine"
+    rc = main(["verify", "--criteria", ","])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: no criteria requested\n"
 
 
 @pytest.mark.parametrize("degree", ["0", "-3"])

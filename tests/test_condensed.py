@@ -391,11 +391,11 @@ def test_criterion_1_counts_and_iterates_with_the_condensed_factor(monkeypatch):
     monkeypatch.setattr(CondensedFactor, "__init__", counted_init)
     monkeypatch.setattr(CondensedFactor, "solve", counted_solve)
     assert acceptance.criterion_1().passed
-    # per N: one factor per counted shift and one for the iteration,
-    # whose steps each solve once per kernel vector
+    # per N: one factor, for the iteration, whose steps each solve once
+    # per kernel vector; the counts take their Schur blocks from their
+    # own LDL^T factors
     sizes = [acceptance._kernel_mesh(N).ndof for N in (2, 3, 4, 5)]
-    per_n = len(acceptance._KERNEL_SHIFTS) + 1
-    assert factors == [n for n in sizes for _ in range(per_n)]
+    assert factors == sizes
     assert len(solves) == acceptance._KERNEL_STEPS * sum(N - 1 for N in (2, 3, 4, 5))
 
 
@@ -448,6 +448,21 @@ def test_count_below_matches_a_dense_eigensolve(monkeypatch, name):
     # resumes after it, each call on what is left of the interior
     assert len(calls) > 10
     assert calls == sorted(calls, reverse=True)
+
+
+def test_count_below_is_exact_next_to_an_interior_eigenvalue():
+    # sigma 1e-9 from an eigenvalue of the edge interiors' block leaves
+    # a pivot near zero, and the Schur block taken from the same LDL^T
+    # factor nearly singular; the count must still be the dense one
+    op, seed = _seeded_operator("figure1", SMALL_LAM, nodes_per_width=2.0)
+    L, M = linearization_bands(op, 1.0, seed), op.mass
+    Lf, Mf = free_block(L).toarray(), free_block(M).toarray()
+    dense = scipy.linalg.eigh(Lf, Mf, eigvals_only=True)
+    nfv = len(L.mesh.layout.free_vertices)
+    interior = scipy.linalg.eigh(Lf[nfv:, nfv:], Mf[nfv:, nfv:], eigvals_only=True)
+    ev = interior[len(interior) // 2]
+    for sigma in (ev * (1.0 - 1e-9), ev * (1.0 + 1e-9)):
+        assert count_below(L, M, sigma) == int(np.sum(dense < sigma)), sigma
 
 
 def test_count_below_counts_a_one_pivot_tail():

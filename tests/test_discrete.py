@@ -28,8 +28,9 @@ from graphnls.discrete import (
     kirchhoff_flux,
     lambda_inner,
     one_sided_derivative,
+    planned_ndof,
     positive_power,
-    refined_ndof,
+    refined_plans,
 )
 from graphnls.errors import IndefiniteOperator, NegativeForm
 from graphnls.graphs import vertex_distances
@@ -291,7 +292,7 @@ def test_refined_ndof_matches_the_built_mesh(name):
     graded = set()
     for lam, npw in ((25.0, 10.0), (400.0, 40.0), (1600.0, 56.6), (3600.0, 1.0)):
         mesh = refined_mesh(g, lam, peaks, nodes_per_width=npw)
-        assert refined_ndof(g, lam, peaks, npw) == mesh.ndof
+        assert planned_ndof(g, refined_plans(g, lam, peaks, npw)) == mesh.ndof
         assert mesh.ndof == len(g.vertices) + sum(
             len(nodes) - 2 for nodes in mesh.edge_nodes.values()
         )
@@ -306,7 +307,7 @@ def test_refined_ndof_builds_no_nodes():
     npw = 40.0 * 64.0**0.25  # the default growth at the star5 sweep's last shift
     tracemalloc.start()
     try:
-        ndof = refined_ndof(g, 1600.0, ["c"], npw)
+        ndof = planned_ndof(g, refined_plans(g, 1600.0, ["c"], npw))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -440,7 +441,7 @@ edges:
     )
     mesh, seen = _check_grading(g, ["c"], 225.0, 20.0)
     assert ("near", "near") in seen
-    assert refined_ndof(g, 225.0, ["c"], 20.0) == mesh.ndof
+    assert planned_ndof(g, refined_plans(g, 225.0, ["c"], 20.0)) == mesh.ndof
 
 
 def test_spacing_and_flux_read_their_own_end():

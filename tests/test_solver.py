@@ -31,7 +31,8 @@ from graphnls.discrete import (
     DiscreteField,
     dual_residual_norm,
     lambda_inner,
-    refined_ndof,
+    planned_ndof,
+    refined_plans,
 )
 from graphnls.errors import NotConverged, OverlappingPeaks
 from graphnls.functionals import evaluate_functionals
@@ -536,7 +537,7 @@ def test_sweep_accepts_a_last_mesh_at_the_ceiling(monkeypatch):
     template = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
     cfg = SolveConfig(lambdas=(25.0, 50.0), nodes_per_width=15.0)
     ndof = [
-        refined_ndof(g, lam, ["c"], 15.0 * (lam / 25.0) ** 0.25)
+        planned_ndof(g, refined_plans(g, lam, ["c"], 15.0 * (lam / 25.0) ** 0.25))
         for lam in (25.0, 50.0)
     ]
     assert ndof[0] < ndof[1]
@@ -569,7 +570,9 @@ def test_sweep_checks_an_earlier_mesh_larger_than_the_last(monkeypatch):
     cfg = SolveConfig(
         lambdas=(25.0, 400.0), nodes_per_width=100.0, refinement_growth=0.0
     )
-    ndof = [refined_ndof(g, lam, ["c"], 100.0) for lam in (25.0, 400.0)]
+    ndof = [
+        planned_ndof(g, refined_plans(g, lam, ["c"], 100.0)) for lam in (25.0, 400.0)
+    ]
     assert ndof[0] > ndof[1]
     built = []
     monkeypatch.setattr(
