@@ -30,8 +30,10 @@ from .discrete import (
     uniform_mesh,
 )
 from .errors import GraphNLSError
-# evaluate_functionals is unused here; bench/tracer.py wraps it by this name
-from .functionals import evaluate_functionals, ground_state_gap, soliton_reference
+# evaluate_functionals and soliton_reference are unused here; bench/tracer.py
+# wraps them by these names
+from .functionals import evaluate_functionals, ground_state_gap, normalized_ratios
+from .functionals import soliton_reference
 from .graphs import (
     MetricGraph,
     admissible_peak_degree,
@@ -232,7 +234,7 @@ def criterion_2() -> CriterionResult:
     details = []
     passed = True
     for N in (3, 5, 7, 9):
-        rep = enumerate_critical_points(N, eps=0.3)
+        rep = enumerate_critical_points(N)
         count = math.comb(N - 1, (N - 1) // 2)
         degree = (-1) ** ((N - 1) // 2) * count
         ok = rep.local_degree == degree and len(rep.critical_points) == count
@@ -301,19 +303,11 @@ def criterion_4() -> CriterionResult:
     return CriterionResult(4, _NAMES[4], passed, "; ".join(details))
 
 
-def _tripod_mass_errors() -> tuple[list[float], list[float]]:
-    template, results = _tripod_sweep()
-    ref = soliton_reference(1.0)
-    ratios = [
-        res.functionals.mass / (math.sqrt(res.lam) * template.weight * ref.mass)
-        for res in results
-    ]
-    return ratios, [abs(r - 1.0) for r in ratios]
-
-
 def criterion_5() -> CriterionResult:
     """Mass follows sqrt(lam) * (3/2) * (soliton mass), approaching it."""
-    ratios, errs = _tripod_mass_errors()
+    template, results = _tripod_sweep()
+    ratios = [normalized_ratios(res, template.weight)[0] for res in results]
+    errs = [abs(r - 1.0) for r in ratios]
     in_band = 0.95 <= ratios[-1] <= 1.05
     monotone = all(b <= a * (1.0 + 1e-6) for a, b in zip(errs, errs[1:]))
     passed = in_band and monotone
@@ -325,10 +319,8 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     """Normalized correction size strictly decreases along the sweep."""
-    _, results = _tripod_sweep()
-    rates = [
-        res.correction_norm * res.lam ** (-0.25 - 0.5) for res in results
-    ]
+    template, results = _tripod_sweep()
+    rates = [normalized_ratios(res, template.weight)[2] for res in results]
     passed = all(b < a for a, b in zip(rates, rates[1:]))
     detail = "rates " + ", ".join(f"{r:.4g}" for r in rates)
     return CriterionResult(6, _NAMES[6], passed, detail)
@@ -349,11 +341,10 @@ def _double_sweep():
 def criterion_7() -> CriterionResult:
     """Two-peak state on the double tripod carries twice the mass."""
     template, results = _double_sweep()
-    ref = soliton_reference(1.0)
     all_converged = all(res.converged for res in results)
     last = results[-1]
     mesh = last.u.mesh
-    ratio = last.functionals.mass / (math.sqrt(last.lam) * template.weight * ref.mass)
+    ratio = normalized_ratios(last, template.weight)[0]
     offsets_ok = True
     offs = []
     for (star, _), (center, off) in zip(template.peaks, last.peak_locations):
@@ -394,14 +385,18 @@ def criterion_8() -> CriterionResult:
     return CriterionResult(8, _NAMES[8], passed, detail)
 
 
-def criterion_9(coarse: bool = False) -> CriterionResult:
+# criterion 9's uniform mesh spacings: each halves the last, so an h^2
+# error shrinks by a factor near 4 from one to the next
+_HYGIENE_SPACINGS = (1.0 / 40.0, 1.0 / 80.0, 1.0 / 160.0)
+
+
+def criterion_9() -> CriterionResult:
     """Discretization hygiene: h^2 rate, resolvent symmetry, Jacobian."""
-    spacings = (2.0, 1.0, 0.5) if coarse else (1.0 / 40.0, 1.0 / 80.0, 1.0 / 160.0)
     g = build_graph(_star_description(3, 10.0))
     star = star_neighborhood(g, "c")
     lam, mu = 4.0, 1.0
     errors = []
-    for h in spacings:
+    for h in _HYGIENE_SPACINGS:
         mesh = uniform_mesh(g, h)
         op = assemble(g, mesh, lam)
         exact = sample_star_state(mesh, star, lam, mu)
@@ -443,6 +438,9 @@ def criterion_9(coarse: bool = False) -> CriterionResult:
     return CriterionResult(9, _NAMES[9], passed, detail)
 
 
+# the peak degree the hypothesis gate checks when none is given: the
+# tripod's, which the Newton criteria run on
+_PEAK_DEGREE = 3
 # criteria that rest on the odd-degree peak hypotheses
 _HYPOTHESIS_BOUND = (4, 5, 6, 7, 8)
 # criteria that run Newton; `run_all` runs them in a child process
@@ -464,7 +462,7 @@ def _requested(criteria, peak_degree: int) -> list[int]:
     return wanted
 
 
-def run_criterion(cid: int, peak_degree: int = 3, coarse: bool = False) -> CriterionResult:
+def run_criterion(cid: int, peak_degree: int = _PEAK_DEGREE) -> CriterionResult:
     """Run one criterion, honoring the hypothesis gate and error capture."""
     _requested((cid,), peak_degree)
     if cid in _HYPOTHESIS_BOUND and not admissible_peak_degree(peak_degree):
@@ -481,7 +479,7 @@ def run_criterion(cid: int, peak_degree: int = 3, coarse: bool = False) -> Crite
     # looked up at call time, so a rebound criterion_k is the one run
     fn = globals()[f"criterion_{cid}"]
     try:
-        return fn(coarse=coarse) if cid == 9 else fn()
+        return fn()
     except GraphNLSError as exc:
         return CriterionResult(
             cid, _NAMES[cid], passed=False, detail=f"{type(exc).__name__}: {exc}"
@@ -510,9 +508,7 @@ def _send_from_child(write_fd: int, run, cids: list[int]) -> None:
         os._exit(status)
 
 
-def run_all(
-    criteria=None, peak_degree: int = 3, coarse: bool = False
-) -> list[CriterionResult]:
+def run_all(criteria=None, peak_degree: int = _PEAK_DEGREE) -> list[CriterionResult]:
     """Run the requested criteria (all nine by default) in order.
 
     The request is checked before anything runs.  When it holds
@@ -528,7 +524,7 @@ def run_all(
     wanted = _requested(criteria, peak_degree)
 
     def run(cids: list[int]) -> list[CriterionResult]:
-        return [run_criterion(cid, peak_degree, coarse) for cid in cids]
+        return [run_criterion(cid, peak_degree) for cid in cids]
 
     newton = [cid for cid in wanted if cid in _NEWTON]
     here = [cid for cid in wanted if cid not in _NEWTON]

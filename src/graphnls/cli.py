@@ -34,7 +34,7 @@ from .discrete import assemble  # unused; bench/tracer.py wraps it by this name
 from .errors import GraphNLSError
 
 # evaluate_functionals is unused here; bench/tracer.py wraps it by this name
-from .functionals import evaluate_functionals, soliton_reference
+from .functionals import evaluate_functionals, normalized_ratios, soliton_reference
 from .graphs import MetricGraph, admissible_peak_degree, load_graph
 from .profiles import AnsatzSpec
 from .reduced import MAX_N, enumerate_critical_points, even_case_lines
@@ -58,15 +58,10 @@ class ExperimentConfig(SolveConfig):
     peaks: tuple[str, ...]
     alpha: float = AnsatzSpec.alpha
     coeffs: tuple[tuple[float, ...], ...] | None = None
-    lambdas: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0, 400.0)
     cutoff: str = AnsatzSpec.cutoff_kind
     outdir: str = "graphnls-out"
 
     def __post_init__(self):
-        if not self.peaks:
-            raise ValueError("at least one peak vertex is required")
-        if not self.lambdas:
-            raise ValueError("lambda schedule is empty")
         super().__post_init__()  # rejects out-of-range solver knobs
         # each shift writes its states to a directory named by its shift
         names = [_state_dir_name(lam) for lam in self.lambdas]
@@ -165,19 +160,14 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     stars = [star for star, _ in template.peaks]
     # the ratio columns need the reference constants, which exist only
     # for mu >= 0.5: fail before the sweep rather than after it
-    ref = soliton_reference(cfg.mu)
+    soliton_reference(cfg.mu)
     results = continuation_sweep(template, cfg)
-
-    weight = template.weight
-    mass_pow = 1.0 / cfg.mu - 0.5
-    action_pow = 1.0 / cfg.mu + 0.5
-    rate_pow = -0.25 - 1.0 / (2.0 * cfg.mu)
 
     # one column name -> value mapping per shift; the header is its keys
     rows = []
     for res in results:
         rep = res.functionals
-        corr = res.correction_norm
+        mass_ratio, action_ratio, rate = normalized_ratios(res, template.weight)
         rows.append({
             "lam": _fmt(res.lam),
             "converged": "1" if res.converged else "0",
@@ -186,13 +176,11 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
             "mass": _fmt(rep.mass),
             "action": _fmt(rep.action),
             "energy": _fmt(rep.energy),
-            "correction_norm": _fmt(corr),
+            "correction_norm": _fmt(res.correction_norm),
             "kernel_component_norm": _fmt(res.kernel_component_norm),
-            "mass_ratio": _fmt(rep.mass / (res.lam**mass_pow * weight * ref.mass)),
-            "action_ratio": _fmt(
-                rep.action / (res.lam**action_pow * weight * ref.action)
-            ),
-            "correction_rate": _fmt(None if corr is None else corr * res.lam**rate_pow),
+            "mass_ratio": _fmt(mass_ratio),
+            "action_ratio": _fmt(action_ratio),
+            "correction_rate": _fmt(rate),
             **{f"peak_offset_{p}": _fmt(off) for p, off in res.peak_locations},
         })
         state_dir = outdir / _state_dir_name(res.lam)
@@ -247,11 +235,11 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_reduced_energy(N: int, eps: float) -> int:
-    """Print the critical-point structure of the reduced energy."""
+def cmd_reduced_energy(N: int, **knobs) -> int:
+    """Print the critical-point structure; knobs go to enumerate_critical_points."""
     if N % 2 == 1:
-        rep = enumerate_critical_points(N, eps)
-        print(f"reduced energy: N={N}, eps={eps:g}")
+        rep = enumerate_critical_points(N, **knobs)
+        print(f"reduced energy: N={N}, eps={rep.eps:g}")
         print("critical points (hessian determinant sign):")
         for point, sign in zip(rep.critical_points, rep.hessian_signs):
             coords = ", ".join(f"{c:+.6g}" for c in point)
@@ -267,10 +255,10 @@ def cmd_reduced_energy(N: int, eps: float) -> int:
     return 0
 
 
-def cmd_verify(criteria, peak_degree: int, coarse: bool) -> int:
-    """Run acceptance criteria and report pass/fail lines."""
+def cmd_verify(**knobs) -> int:
+    """Run acceptance criteria (knobs go to run_all) and report pass/fail lines."""
     try:
-        results = run_all(criteria, peak_degree=peak_degree, coarse=coarse)
+        results = run_all(**knobs)
     except ValueError as exc:  # an unknown criterion or a peak degree below 1
         print(f"error: ValueError: {exc}", file=sys.stderr)
         return 1
@@ -306,11 +294,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="peaked bound states of the NLS equation on metric graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # no option carries a default: an absent flag leaves ExperimentConfig's,
+    # enumerate_critical_points' or run_all's in effect
+    quiet = {"argument_default": argparse.SUPPRESS}
 
-    # no defaults here: an absent flag leaves ExperimentConfig's in effect
-    ps = sub.add_parser(
-        "solve", help="run a continuation sweep", argument_default=argparse.SUPPRESS
-    )
+    ps = sub.add_parser("solve", help="run a continuation sweep", **quiet)
     ps.add_argument(
         "--graph",
         required=True,
@@ -343,31 +331,26 @@ def _build_parser() -> argparse.ArgumentParser:
         if f.name not in _HAND_WRITTEN_FLAGS:
             ps.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
 
-    pr = sub.add_parser("reduced-energy", help="critical-point structure")
+    pr = sub.add_parser("reduced-energy", help="critical-point structure", **quiet)
     pr.add_argument("N", type=int, help=f"number of star edges (2 to {MAX_N})")
-    pr.add_argument("--eps", type=float, default=0.35)
+    pr.add_argument("--eps", type=float)
 
-    pv = sub.add_parser("verify", help="run acceptance criteria")
+    pv = sub.add_parser("verify", help="run acceptance criteria", **quiet)
     pv.add_argument(
         "--criteria",
         type=_parse_ints,
-        default=None,
         help="comma-separated criterion numbers (default: all)",
     )
-    pv.add_argument("--peak-degree", type=int, default=3)
-    pv.add_argument(
-        "--coarse",
-        action="store_true",
-        help="use a deliberately coarse mesh in the convergence check",
-    )
+    pv.add_argument("--peak-degree", type=int)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # each subparser's dests are the given flags only, named as its
+    # command's parameters
+    knobs = {k: v for k, v in vars(args).items() if k != "command"}
     if args.command == "solve":
-        # every dest of the solve parser is an ExperimentConfig field
-        knobs = {k: v for k, v in vars(args).items() if k != "command"}
         knobs["peaks"] = tuple(knobs["peaks"])
         if "coeffs" in knobs:
             knobs["coeffs"] = tuple(knobs["coeffs"])
@@ -383,12 +366,12 @@ def main(argv=None) -> int:
             return 1
     if args.command == "reduced-energy":
         try:
-            return cmd_reduced_energy(args.N, args.eps)
+            return cmd_reduced_energy(**knobs)
         except (GraphNLSError, ValueError) as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
     if args.command == "verify":
-        return cmd_verify(args.criteria, args.peak_degree, args.coarse)
+        return cmd_verify(**knobs)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -110,6 +110,23 @@ def soliton_reference(mu: float) -> SolitonReference:
     )
 
 
+def normalized_ratios(
+    result: BoundStateResult, weight: float
+) -> tuple[float, float, float | None]:
+    """diagnostics.csv's mass_ratio, action_ratio and correction_rate: mass
+    over lam^(1/mu - 1/2), action over lam^(1/mu + 1/2), each also over
+    weight times the soliton's, and the correction norm (None if unset)
+    times lam^(-1/4 - 1/(2 mu))."""
+    mu, lam, rep = result.mu, result.lam, result.functionals
+    ref = soliton_reference(mu)
+    corr = result.correction_norm
+    return (
+        rep.mass / (lam ** (1.0 / mu - 0.5) * weight * ref.mass),
+        rep.action / (lam ** (1.0 / mu + 0.5) * weight * ref.action),
+        None if corr is None else corr * lam ** (-0.25 - 1.0 / (2.0 * mu)),
+    )
+
+
 # how far past a reference level the normalized action, and the
 # normalized energy in units of the soliton's, must lie to count as
 # exceeding it

@@ -251,14 +251,15 @@ def build_graph(description: str | dict) -> MetricGraph:
 
 
 def load_graph(path) -> MetricGraph:
-    """Read a graph file: JSON where the name ends in .json, else YAML.
+    """Read a graph file: JSON where the name ends in .json (in any
+    case), else YAML.
 
     A .json file is parsed by the standard library, not as YAML 1.1,
     where `1e3` would be a string.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if not str(path).endswith(".json"):
+    if not str(path).lower().endswith(".json"):
         return build_graph(text)
     try:
         doc = json.loads(text)

@@ -151,7 +151,7 @@ def _positive_starts(N: int) -> np.ndarray:
     return np.stack([patterns, 0.5 * patterns], axis=1).reshape(-1, N - 1)
 
 
-def enumerate_critical_points(N: int, eps: float) -> ReducedEnergyReport:
+def enumerate_critical_points(N: int, eps: float = 0.35) -> ReducedEnergyReport:
     """All critical points of the perturbed cubic, found two ways.
 
     Closed form: sign patterns with exactly (N-1)/2 minus entries,

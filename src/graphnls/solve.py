@@ -69,7 +69,7 @@ class SolveConfig:
     newton_tol: float = 1e-10
     max_iters: int = 50
     damping: float = 0.5
-    lambdas: tuple[float, ...] = ()
+    lambdas: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0, 400.0)
     nodes_per_width: float = 40.0
     # mesh refinement grows like (lam/lam0)^growth so discretization
     # error in the normalized diagnostics keeps shrinking along a sweep
@@ -80,6 +80,8 @@ class SolveConfig:
     SEEDS = ("previous", "ansatz")  # not a field: no annotation
 
     def __post_init__(self):
+        if not self.lambdas:
+            raise ValueError("lambda schedule is empty")
         # every scalar knob takes the type of its default, the type its
         # flag parses, so one run has one config hash: mu=2 is mu=2.0
         for f in fields(self):
@@ -401,8 +403,6 @@ def continuation_sweep(
     existence theory covers odd degree >= 3 only.  `peak_template`
     builds the template for a peak set.
     """
-    if not cfg.lambdas:
-        raise ValueError("lambda schedule is empty")
     # lam**alpha is monotone in lam: in range at both ends, in range at
     # every shift
     template.damping(cfg.lambdas[0])

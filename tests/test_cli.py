@@ -1,5 +1,6 @@
 """Command line entry points, artifacts, determinism, and error records."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import graphnls.acceptance
 import graphnls.solve
 from graphnls import cli, load_graph, reference_graph
 from graphnls.cli import ExperimentConfig, _state_text, _write_state_files, main
@@ -780,9 +782,10 @@ def test_verify_subset_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_coarse_mesh_fails_by_design(capsys):
+def test_verify_coarse_mesh_fails_by_design(capsys, monkeypatch):
     # spacings far above the peak width must break the convergence factors
-    rc = main(["verify", "--criteria", "9", "--coarse"])
+    monkeypatch.setattr(graphnls.acceptance, "_HYGIENE_SPACINGS", (2.0, 1.0, 0.5))
+    rc = main(["verify", "--criteria", "9"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "criterion 9" in out and "FAIL" in out
@@ -842,9 +845,52 @@ def test_experiment_config_hash_ignores_outdir():
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
     with pytest.raises(ValueError):
-        ExperimentConfig(graph="tripod", peaks=())
-    with pytest.raises(ValueError):
         ExperimentConfig(graph="tripod", peaks=("c",), lambdas=(50.0, 25.0))
+
+
+def test_a_config_without_peaks_is_refused_before_any_mesh(tmp_path, monkeypatch):
+    # the seed template refuses it, the one place the refusal is written
+    meshes = _record_meshes(monkeypatch)
+    cfg = ExperimentConfig(graph="tripod", peaks=(), outdir=str(tmp_path))
+    with pytest.raises(ValueError, match="at least one peak vertex is required"):
+        cli.cmd_solve(cfg)
+    assert meshes == []
+
+
+def test_no_command_line_option_carries_a_default_of_its_own():
+    # an absent flag leaves the default of the library function or config
+    # the command hands its flags to
+    actions = cli._build_parser()._actions
+    sub = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == ["reduced-energy", "solve", "verify"]
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
+            assert action.default is argparse.SUPPRESS, (name, action.dest)
+
+
+def test_verify_takes_only_criteria_and_peak_degree(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0].split()
+    assert [w for w in usage if w.startswith("[-")] == [
+        "[-h]", "[--criteria", "[--peak-degree"
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--coarse"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --coarse" in capsys.readouterr().err
+
+
+def test_verify_and_reduced_energy_hand_on_only_the_flags_given(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run_all", lambda **knobs: calls.append(knobs) or [])
+    assert main(["verify"]) == 0
+    assert main(["verify", "--criteria", "2,3", "--peak-degree", "5"]) == 0
+    assert calls == [{}, {"criteria": (2, 3), "peak_degree": 5}]
+    # the library's eps is the one printed
+    assert main(["reduced-energy", "3"]) == 0
+    assert "N=3, eps=0.35\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

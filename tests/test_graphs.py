@@ -12,6 +12,7 @@ from graphnls import (
     build_graph,
     check_disjoint_peak_balls,
     insert_midpoints,
+    load_graph,
     reference_graph,
     star_neighborhood,
 )
@@ -388,3 +389,18 @@ def test_random_path_distances_match_partial_sums():
         dist = vertex_distances(g, "v0")
         for j in range(n):
             assert dist[f"v{j}"] == pytest.approx(sum(lengths[:j]))
+
+
+@pytest.mark.parametrize("suffix", [".JSON", ".Json"])
+def test_a_json_suffix_in_any_case_is_read_as_json(tmp_path, suffix):
+    # read as YAML 1.1, 1e0 would be a string and the graph refused
+    text = (
+        '{"vertices": ["c", "a1", "a2", "a3"], "edges": ['
+        '{"id": "e1", "from": "c", "to": "a1", "length": 1e0}, '
+        '{"id": "e2", "from": "c", "to": "a2", "length": 1e0}, '
+        '{"id": "e3", "from": "c", "to": "a3", "length": 1e0}]}'
+    )
+    lower, other = tmp_path / "g.json", tmp_path / f"h{suffix}"
+    lower.write_text(text)
+    other.write_text(text)
+    assert load_graph(other) == load_graph(lower) == reference_graph("tripod")

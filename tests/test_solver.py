@@ -465,11 +465,9 @@ def test_sweep_checks_alpha_at_both_ends_before_any_mesh(monkeypatch, lambdas, a
 
 
 def test_sweep_rejects_empty_schedule():
-    g = build_graph(TRIPOD)
-    star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
-    with pytest.raises(ValueError):
-        continuation_sweep(template, SolveConfig())
+    # the schedule's config refuses it, so no sweep can be handed one
+    with pytest.raises(ValueError, match="lambda schedule is empty"):
+        SolveConfig(lambdas=())
 
 
 @pytest.mark.parametrize(
