@@ -40,8 +40,6 @@ from .graphs import (
 )
 from .profiles import (
     AnsatzSpec,
-    KernelBasis,
-    SolitonParams,
     assemble_ansatz,
     eval_cutoff,
     eval_soliton,
@@ -80,12 +78,10 @@ __all__ = [
     "FunctionalReport",
     "GraphNLSError",
     "GroundStateGap",
-    "KernelBasis",
     "KirchhoffOperator",
     "Mesh",
     "MetricGraph",
     "ReducedEnergyReport",
-    "SolitonParams",
     "SolitonReference",
     "SolveConfig",
     "StarNeighborhood",

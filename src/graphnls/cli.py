@@ -246,6 +246,8 @@ def cmd_reduced_energy(N: int, **knobs) -> int:
             print(f"  ({coords})  {sign:+d}")
         print(f"local degree: {rep.local_degree:+d}")
     else:
+        if knobs:  # eps perturbs the odd case only
+            raise ValueError(f"eps applies only to odd N, got N={N}")
         lines = even_case_lines(N)
         print(f"reduced energy: N={N} (even)")
         print("critical directions (each spans a line t*sigma):")
@@ -257,11 +259,7 @@ def cmd_reduced_energy(N: int, **knobs) -> int:
 
 def cmd_verify(**knobs) -> int:
     """Run acceptance criteria (knobs go to run_all) and report pass/fail lines."""
-    try:
-        results = run_all(**knobs)
-    except ValueError as exc:  # an unknown criterion or a peak degree below 1
-        print(f"error: ValueError: {exc}", file=sys.stderr)
-        return 1
+    results = run_all(**knobs)
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.passed and not r.skipped]
@@ -364,14 +362,15 @@ def main(argv=None) -> int:
             _write_error_record(outdir, type(exc).__name__, str(exc))
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
-    if args.command == "reduced-energy":
-        try:
+    try:
+        if args.command == "reduced-energy":
             return cmd_reduced_energy(**knobs)
-        except (GraphNLSError, ValueError) as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
-    if args.command == "verify":
-        return cmd_verify(**knobs)
+        if args.command == "verify":
+            return cmd_verify(**knobs)
+    except (GraphNLSError, ValueError) as exc:
+        # a bad N, eps, criterion or peak degree
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -89,8 +89,12 @@ class StarNeighborhood:
 
     center: str
     incident_edges: tuple[tuple[str, bool], ...]
-    degree: int
     radius: float
+
+    @property
+    def degree(self) -> int:
+        # a self-loop is two of the edge-ends
+        return len(self.incident_edges)
 
 
 _TOP_KEYS = {"vertices", "edges", "truncation"}
@@ -309,9 +313,9 @@ def vertex_distances(g: MetricGraph, source: str) -> dict[str, float]:
     return dist
 
 
-def admissible_peak_degree(degree: int, min_degree: int = 3) -> bool:
-    """Odd degree >= min_degree: a peak the existence theory covers."""
-    return degree % 2 == 1 and degree >= min_degree
+def admissible_peak_degree(degree: int) -> bool:
+    """Odd degree >= 3: a peak the existence theory covers."""
+    return degree % 2 == 1 and degree >= 3
 
 
 def star_neighborhood(
@@ -337,7 +341,6 @@ def star_neighborhood(
     return StarNeighborhood(
         center=center,
         incident_edges=tuple((e.id, away) for e, away in inc),
-        degree=len(inc),
         radius=radius,
     )
 

@@ -22,56 +22,39 @@ from .errors import DimensionMismatch, IndexOutOfRange
 from .graphs import MetricGraph, StarNeighborhood, check_disjoint_peak_balls
 
 
-@dataclass(frozen=True)
-class SolitonParams:
-    """Nonlinearity exponent of the line soliton."""
-
-    mu: float
-
-    def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ValueError("nonlinearity exponent must be positive")
-
-
-def eval_soliton(p: SolitonParams, x):
-    """phi(x); strictly positive, even, decays like exp(-|x|)."""
-    z = p.mu * np.asarray(x, dtype=float)
-    amp = (p.mu + 1.0) ** (1.0 / (2.0 * p.mu))
+def eval_soliton(mu: float, x):
+    """phi(x) for exponent mu > 0; strictly positive, even, decays like exp(-|x|)."""
+    if not mu > 0.0:
+        raise ValueError("nonlinearity exponent must be positive")
+    z = mu * np.asarray(x, dtype=float)
+    amp = (mu + 1.0) ** (1.0 / (2.0 * mu))
     s = np.exp(-np.abs(z))
     sech = 2.0 * s / (1.0 + s * s)
-    out = amp * sech ** (1.0 / p.mu)
+    out = amp * sech ** (1.0 / mu)
     return out if out.ndim else float(out)
 
 
-def soliton_derivative(p: SolitonParams, x):
+def soliton_derivative(mu: float, x):
     """phi'(x) = -phi * tanh(mu*x)."""
-    z = p.mu * np.asarray(x, dtype=float)
-    out = -np.asarray(eval_soliton(p, x)) * np.tanh(z)
+    z = mu * np.asarray(x, dtype=float)
+    out = -np.asarray(eval_soliton(mu, x)) * np.tanh(z)
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class KernelBasis:
+def kernel_basis(N: int) -> np.ndarray:
     """Integer sign vectors spanning the linearization kernel on an N-star.
 
-    vector j (1-based) is (1, ..., 1, -j, 0, ..., 0) with j leading
-    ones; each sums to zero and they are pairwise orthogonal.
+    Row j-1 of the (N-1) x N matrix is (1, ..., 1, -j, 0, ..., 0) with
+    j leading ones; each row sums to zero and the rows are pairwise
+    orthogonal.
     """
-
-    N: int
-    vectors: tuple[np.ndarray, ...]
-
-
-def kernel_basis(N: int) -> KernelBasis:
     if N < 2:
         raise ValueError("kernel basis needs N >= 2")
-    vecs = []
+    basis = np.zeros((N - 1, N), dtype=int)
     for j in range(1, N):
-        v = np.zeros(N, dtype=int)
-        v[:j] = 1
-        v[j] = -j
-        vecs.append(v)
-    return KernelBasis(N, tuple(vecs))
+        basis[j - 1, :j] = 1
+        basis[j - 1, j] = -j
+    return basis
 
 
 # the registered cutoff families; eval_cutoff implements each
@@ -194,20 +177,18 @@ def assemble_ansatz(
     damping = spec.damping(lam)
     scale = lam ** (1.0 / (2.0 * mu))
     root = math.sqrt(lam)
-    p = SolitonParams(mu)
     vals = np.zeros(mesh.ndof)
     for star, coeffs in spec.peaks:
-        basis = kernel_basis(star.degree)
         b = np.asarray(coeffs, dtype=float) / damping
         # per-ray kernel weight: sum_j b_j e^j_i
         ray_sign = np.zeros(star.degree)
-        for j, vec in enumerate(basis.vectors):
+        for j, vec in enumerate(kernel_basis(star.degree)):
             ray_sign += b[j] * vec
         ell = star.radius
         for i, dofs, t in _rays(mesh, star, 2.0 * ell):
             chi = eval_cutoff(spec.cutoff_kind, ell, t)
-            body = eval_soliton(p, root * t) + ray_sign[i] * soliton_derivative(
-                p, root * t
+            body = eval_soliton(mu, root * t) + ray_sign[i] * soliton_derivative(
+                mu, root * t
             )
             vals[dofs] = chi * scale * np.asarray(body)
     return DiscreteField(mesh, vals)
@@ -219,10 +200,9 @@ def sample_star_state(
     """Untapered scaled star state on the star's full rays (zero elsewhere)."""
     scale = lam ** (1.0 / (2.0 * mu))
     root = math.sqrt(lam)
-    p = SolitonParams(mu)
     out = np.zeros(mesh.ndof)
     for _, dofs, t in _rays(mesh, star, math.inf):
-        out[dofs] = scale * np.asarray(eval_soliton(p, root * t))
+        out[dofs] = scale * np.asarray(eval_soliton(mu, root * t))
     return out
 
 
@@ -257,15 +237,14 @@ def sample_kernel_modes(
     basis = kernel_basis(star.degree)
     scale = lam ** (1.0 / (2.0 * mu))
     root = math.sqrt(lam)
-    p = SolitonParams(mu)
-    modes = [np.zeros(mesh.ndof) for _ in basis.vectors]
+    modes = [np.zeros(mesh.ndof) for _ in basis]
     reach = 2.0 * star.radius if cutoff_kind is not None else math.inf
     for i, dofs, t in _rays(mesh, star, reach):
-        slope = np.asarray(soliton_derivative(p, root * t))
+        slope = np.asarray(soliton_derivative(mu, root * t))
         taper = None
         if cutoff_kind is not None:
             taper = eval_cutoff(cutoff_kind, star.radius, t)
-        for out, signs in zip(modes, basis.vectors):
+        for out, signs in zip(modes, basis):
             body = scale * float(signs[i]) * slope
             out[dofs] = body if taper is None else body * taper
     return modes

@@ -34,16 +34,11 @@ class ReducedEnergyReport:
     critical_points: tuple[tuple[float, ...], ...]
     hessian_signs: tuple[int, ...]
     local_degree: int | None
-    even_case_lines: tuple[tuple[int, ...], ...] | None = None
 
 
 def change_of_variables_matrix(N: int) -> np.ndarray:
     """Matrix sending kernel coefficients to the first N-1 edge sums."""
-    basis = kernel_basis(N)
-    A = np.zeros((N - 1, N - 1))
-    for k, vec in enumerate(basis.vectors):
-        A[:, k] = vec[: N - 1]
-    return A
+    return kernel_basis(N)[:, : N - 1].T.astype(float)
 
 
 def reduced_energy(N: int, coeffs) -> float:
@@ -56,9 +51,8 @@ def reduced_energy(N: int, coeffs) -> float:
         raise DimensionMismatch(
             f"expected {N - 1} coefficients for N={N}, got {coeffs.shape}"
         )
-    basis = kernel_basis(N)
     edge_sums = np.zeros(N)
-    for k, vec in enumerate(basis.vectors):
+    for k, vec in enumerate(kernel_basis(N)):
         edge_sums += coeffs[k] * vec
     return float(np.sum(edge_sums**3))
 
@@ -84,10 +78,17 @@ def perturbed_gradient_hessian(
     x = np.asarray(x, dtype=float)
     if x.shape != (N - 1,):
         raise DimensionMismatch(f"expected {N - 1} entries for N={N}, got {x.shape}")
-    s = float(np.sum(x))
+    return _gradient_hessian(eps, x)
+
+
+def _gradient_hessian(eps: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """perturbed_gradient_hessian for each point along the last axis of x."""
+    d = x.shape[-1]
+    s = x.sum(axis=-1)[..., None]
     grad = 3.0 * x**2 - 3.0 * s**2 - 3.0 * eps**2
-    hess = np.full((N - 1, N - 1), -6.0 * s)
-    hess[np.diag_indices(N - 1)] += 6.0 * x
+    hess = np.empty(x.shape + (d,))
+    hess[:] = -6.0 * s[..., None]
+    hess[..., range(d), range(d)] += 6.0 * x
     return grad, hess
 
 
@@ -119,15 +120,11 @@ def _newton_zeros(N: int, starts: np.ndarray, iters: int = 60) -> np.ndarray:
     idx = np.arange(N - 1)
     for _ in range(iters):
         xr = x[run]
-        s = xr.sum(axis=1)
-        grad = 3.0 * xr**2 - 3.0 * s[:, None] ** 2 - 3.0
+        grad, hess = _gradient_hessian(1.0, xr)
         going = ~(np.linalg.norm(grad, axis=1) < 1e-12)
         if not going.any():
             break
-        run, xr, s, grad = run[going], xr[going], s[going], grad[going]
-        hess = np.zeros((xr.shape[0], N - 1, N - 1))
-        hess[:] = -6.0 * s[:, None, None]
-        hess[:, idx, idx] += 6.0 * xr
+        run, xr, grad, hess = run[going], xr[going], grad[going], hess[going]
         try:
             step = np.linalg.solve(hess, grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -137,8 +134,7 @@ def _newton_zeros(N: int, starts: np.ndarray, iters: int = 60) -> np.ndarray:
         xr = xr - step
         xr[~np.isfinite(xr).all(axis=1)] = np.inf
         x[run] = xr
-    s = x.sum(axis=1)
-    grad = 3.0 * x**2 - 3.0 * s[:, None] ** 2 - 3.0
+    grad, _ = _gradient_hessian(1.0, x)
     ok = np.isfinite(x).all(axis=1) & (np.linalg.norm(grad, axis=1) < 1e-12)
     return x[ok]
 

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -556,6 +557,36 @@ def test_reduced_energy_even_output(capsys):
     text = capsys.readouterr().out
     assert "degree undefined (degenerate lines)" in text
     assert text.count("(") >= 6
+
+
+def test_reduced_energy_even_output_is_pinned(capsys):
+    # the 20 sign patterns in {-1, 1}^5 with two or three minus entries,
+    # in product order, led by +1
+    patterns = [p for p in itertools.product((1, -1), repeat=5) if p.count(-1) in (2, 3)]
+    expect = [
+        "reduced energy: N=6 (even)",
+        "critical directions (each spans a line t*sigma):",
+        *("  (" + ", ".join(f"{s:+d}" for s in p) + ")" for p in patterns),
+        "20 directions; degree undefined (degenerate lines)",
+    ]
+    assert main(["reduced-energy", "6"]) == 0
+    assert capsys.readouterr().out == "\n".join(expect) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--criteria", "0"], "no criterion 0"),
+        # eps perturbs only the odd case, so an even N refuses it
+        (["reduced-energy", "6", "--eps", "-1"], "eps applies only to odd N, got N=6"),
+        (["reduced-energy", "6", "--eps", "0.35"], "eps applies only to odd N, got N=6"),
+    ],
+)
+def test_verify_and_reduced_energy_refuse_input_alike(capsys, argv, message):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: ValueError: {message}\n"
 
 
 def test_reduced_energy_input_validation(capsys):

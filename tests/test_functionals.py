@@ -7,7 +7,6 @@ import pytest
 
 from graphnls import (
     AnsatzSpec,
-    SolitonParams,
     SolveConfig,
     assemble,
     assemble_ansatz,
@@ -135,17 +134,15 @@ def test_soliton_reference_frozen_values():
 def test_soliton_reference_matches_quadrature(mu):
     from scipy.integrate import quad  # kept out of the package's imports
 
-    p = SolitonParams(mu)
-
     def line_integral(f):
         val, _ = quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
         return 2.0 * val
 
     ref = soliton_reference(mu)
     expect = {
-        "mass": line_integral(lambda x: eval_soliton(p, x) ** 2),
-        "kinetic": line_integral(lambda x: soliton_derivative(p, x) ** 2),
-        "potential": line_integral(lambda x: eval_soliton(p, x) ** (2.0 * mu + 2.0)),
+        "mass": line_integral(lambda x: eval_soliton(mu, x) ** 2),
+        "kinetic": line_integral(lambda x: soliton_derivative(mu, x) ** 2),
+        "potential": line_integral(lambda x: eval_soliton(mu, x) ** (2.0 * mu + 2.0)),
     }
     for name, value in expect.items():
         assert getattr(ref, name) == pytest.approx(value, rel=1e-14, abs=0.0), name

@@ -76,6 +76,21 @@ edges:
     assert g.degree("w") == 1
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_a_star_degree_is_its_count_of_edge_ends(name):
+    g = reference_graph(name)
+    for v in g.vertices:
+        star = star_neighborhood(g, v)
+        assert star.degree == g.degree(v) == len(g.incident(v))
+    if name == "figure1":
+        # a self-loop's two ends both count
+        loops = [e for e in g.edges if e.is_loop]
+        assert loops
+        for e in loops:
+            ends = [eid for eid, _ in star_neighborhood(g, e.src).incident_edges]
+            assert ends.count(e.id) == 2
+
+
 @pytest.mark.parametrize(
     "degree, admissible",
     [(1, False), (2, False), (3, True), (4, False), (5, True), (6, False)],

@@ -7,7 +7,6 @@ import pytest
 
 from graphnls import (
     AnsatzSpec,
-    SolitonParams,
     assemble_ansatz,
     build_graph,
     eval_cutoff,
@@ -30,38 +29,36 @@ MU_GRID = (0.5, 1.0, 2.0, 3.3)
 
 
 def test_soliton_params_validation():
-    with pytest.raises(ValueError):
-        SolitonParams(0.0)
-    with pytest.raises(ValueError):
-        SolitonParams(-1.0)
+    for mu in (0.0, -1.0):
+        with pytest.raises(ValueError, match="exponent must be positive"):
+            eval_soliton(mu, 1.0)
+        with pytest.raises(ValueError, match="exponent must be positive"):
+            soliton_derivative(mu, 1.0)
 
 
 def test_cubic_soliton_closed_form():
     # mu = 1: sqrt(2) * sech(x)
-    p = SolitonParams(1.0)
     xs = np.linspace(-4.0, 4.0, 41)
     expect = math.sqrt(2.0) / np.cosh(xs)
-    assert np.allclose(eval_soliton(p, xs), expect, rtol=0, atol=1e-14)
-    assert eval_soliton(p, 0.0) == pytest.approx(math.sqrt(2.0))
+    assert np.allclose(eval_soliton(1.0, xs), expect, rtol=0, atol=1e-14)
+    assert eval_soliton(1.0, 0.0) == pytest.approx(math.sqrt(2.0))
 
 
 def test_quintic_soliton_closed_form():
     # mu = 2: 3^(1/4) * sech(2x)^(1/2)
-    p = SolitonParams(2.0)
     xs = np.linspace(-2.0, 2.0, 21)
     expect = 3.0**0.25 / np.cosh(2.0 * xs) ** 0.5
-    assert np.allclose(eval_soliton(p, xs), expect, rtol=0, atol=1e-14)
+    assert np.allclose(eval_soliton(2.0, xs), expect, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("mu", MU_GRID)
 def test_soliton_shape_properties(mu):
-    p = SolitonParams(mu)
     xs = np.linspace(0.0, 8.0, 200)
-    vals = eval_soliton(p, xs)
-    assert eval_soliton(p, 0.0) == pytest.approx((mu + 1.0) ** (1.0 / (2.0 * mu)))
+    vals = eval_soliton(mu, xs)
+    assert eval_soliton(mu, 0.0) == pytest.approx((mu + 1.0) ** (1.0 / (2.0 * mu)))
     assert np.all(vals > 0.0)
     assert np.all(np.diff(vals) < 0.0)
-    assert np.allclose(vals, eval_soliton(p, -xs))
+    assert np.allclose(vals, eval_soliton(mu, -xs))
     # exponential tail: phi ~ amp * 2^(1/mu) * exp(-x), with a relative
     # correction of order exp(-2 mu x) / mu
     tail = (mu + 1.0) ** (1.0 / (2.0 * mu)) * 2.0 ** (1.0 / mu) * math.exp(-8.0)
@@ -70,21 +67,19 @@ def test_soliton_shape_properties(mu):
 
 @pytest.mark.parametrize("mu", MU_GRID)
 def test_soliton_derivative_matches_finite_differences(mu):
-    p = SolitonParams(mu)
     rng = np.random.default_rng(5)
     h = 1e-5
     for x in rng.uniform(-3.0, 3.0, size=20):
-        fd = (eval_soliton(p, x + h) - eval_soliton(p, x - h)) / (2.0 * h)
-        assert soliton_derivative(p, x) == pytest.approx(fd, abs=1e-8)
+        fd = (eval_soliton(mu, x + h) - eval_soliton(mu, x - h)) / (2.0 * h)
+        assert soliton_derivative(mu, x) == pytest.approx(fd, abs=1e-8)
 
 
 @pytest.mark.parametrize("mu", MU_GRID)
 def test_soliton_satisfies_stationary_equation(mu):
     # -phi'' + phi = phi^(2 mu + 1), checked with an O(h^2) stencil
-    p = SolitonParams(mu)
     h = 2e-3
     xs = np.arange(-3.0, 3.0 + h / 2, h)
-    vals = eval_soliton(p, xs)
+    vals = eval_soliton(mu, xs)
     second = (vals[:-2] - 2.0 * vals[1:-1] + vals[2:]) / (h * h)
     mid = vals[1:-1]
     resid = -second + mid - mid ** (2.0 * mu + 1.0)
@@ -94,14 +89,14 @@ def test_soliton_satisfies_stationary_equation(mu):
 @pytest.mark.parametrize("N", [2, 3, 5, 8])
 def test_kernel_basis_properties(N):
     basis = kernel_basis(N)
-    assert len(basis.vectors) == N - 1
-    for j, v in enumerate(basis.vectors, start=1):
+    assert basis.shape == (N - 1, N) and basis.dtype.kind == "i"
+    for j, v in enumerate(basis, start=1):
         assert v.sum() == 0
         assert v[j] == -j
         assert np.all(v[:j] == 1) and np.all(v[j + 1 :] == 0)
     for i in range(N - 1):
         for j in range(i + 1, N - 1):
-            assert basis.vectors[i] @ basis.vectors[j] == 0
+            assert basis[i] @ basis[j] == 0
     with pytest.raises(ValueError):
         kernel_basis(1)
 
@@ -228,7 +223,7 @@ def test_sampled_kernel_mode_signs_and_taper():
     raw = sample_kernel_mode(mesh, star, 1, lam, 1.0)
     nodes = mesh.edge_nodes["e1"]
     scale = lam**0.5
-    expect = scale * soliton_derivative(SolitonParams(1.0), scale * nodes)
+    expect = scale * soliton_derivative(1.0, scale * nodes)
     assert np.allclose(raw[mesh.edge_dofs["e1"]], expect, atol=1e-13)
     assert np.allclose(raw[mesh.edge_dofs["e2"]], -expect, atol=1e-13)
     assert np.all(raw[mesh.edge_dofs["e3"]][1:] == 0.0)
@@ -242,7 +237,7 @@ def test_sampled_kernel_mode_signs_and_taper():
 
 def _one_kernel_mode(mesh, star, j, lam, mu, cutoff_kind):
     """Mode j evaluated on its own, ray by ray, in the library's order."""
-    signs = kernel_basis(star.degree).vectors[j - 1]
+    signs = kernel_basis(star.degree)[j - 1]
     scale = lam ** (1.0 / (2.0 * mu))
     root = math.sqrt(lam)
     reach = 2.0 * star.radius if cutoff_kind is not None else math.inf
@@ -254,7 +249,7 @@ def _one_kernel_mode(mesh, star, j, lam, mu, cutoff_kind):
         if not np.any(sel):
             continue
         t = t[sel]
-        slope = soliton_derivative(SolitonParams(mu), root * t)
+        slope = soliton_derivative(mu, root * t)
         body = scale * float(signs[i]) * np.asarray(slope)
         if cutoff_kind is not None:
             body = body * eval_cutoff(cutoff_kind, star.radius, t)
@@ -293,10 +288,9 @@ def test_reduced_cubic_coefficient_frozen_values():
 def test_reduced_cubic_coefficient_matches_quadrature(mu):
     from scipy.integrate import quad  # kept out of the package's imports
 
-    p = SolitonParams(mu)
 
     def integrand(x):
-        return eval_soliton(p, x) ** (2.0 * mu - 1.0) * soliton_derivative(p, x) ** 3
+        return eval_soliton(mu, x) ** (2.0 * mu - 1.0) * soliton_derivative(mu, x) ** 3
 
     val, _ = quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
     expect = mu * (2.0 * mu + 1.0) / 3.0 * val

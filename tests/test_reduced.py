@@ -76,7 +76,6 @@ def test_tripod_critical_points_closed_form():
     assert pts == {(0.5, -0.5), (-0.5, 0.5)}
     assert rep.hessian_signs == (-1, -1)
     assert rep.local_degree == -2
-    assert rep.even_case_lines is None
 
 
 def _newton_zeros_every_row(N, starts, iters=60):
