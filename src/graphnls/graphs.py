@@ -12,6 +12,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DanglingEndpoint,
@@ -49,30 +50,25 @@ class MetricGraph:
     edges: tuple[Edge, ...]
     truncation_length: float | None = None
 
-    def edge(self, edge_id: str) -> Edge:
+    @cached_property
+    def _edge_ends(self) -> dict[str, tuple[tuple[Edge, bool], ...]]:
+        # one pass over the edges, so that each end lands in declaration
+        # order and a self-loop's start end precedes its end
+        ends: dict[str, list[tuple[Edge, bool]]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(edge_id)
+            ends[e.src].append((e, True))
+            ends[e.dst].append((e, False))
+        return {v: tuple(inc) for v, inc in ends.items()}
 
-    def degree(self, v: str) -> int:
-        # a self-loop contributes both of its ends
-        return sum((e.src == v) + (e.dst == v) for e in self.edges)
-
-    def incident(self, v: str) -> list[tuple[Edge, bool]]:
+    def incident(self, v: str) -> tuple[tuple[Edge, bool], ...]:
         """Edge-ends at `v` in declaration order.
 
         Returns (edge, oriented_away) pairs where oriented_away is True
         when the edge's own coordinate increases away from `v`.  A
-        self-loop at `v` appears twice, once per end.
+        self-loop at `v` appears twice, its start end first.  A name
+        that is not a vertex has no edge-ends.
         """
-        out = []
-        for e in self.edges:
-            if e.src == v:
-                out.append((e, True))
-            if e.dst == v:
-                out.append((e, False))
-        return out
+        return self._edge_ends.get(v, ())
 
     @property
     def dirichlet_vertices(self) -> frozenset[str]:
@@ -168,7 +164,8 @@ def build_graph(description: str | dict) -> MetricGraph:
     `\\`, `,` or a non-printable character.  `truncation` is required
     exactly when some edge has length "inf"; each unbounded edge is
     replaced by an interval of that length whose far endpoint gets a
-    homogeneous Dirichlet condition.
+    homogeneous Dirichlet condition.  The lengths must add up to a
+    finite float.
     """
     doc = _parse_yaml(description) if isinstance(description, str) else description
     if not isinstance(doc, dict):
@@ -234,22 +231,22 @@ def build_graph(description: str | dict) -> MetricGraph:
         else:
             edges.append(Edge(eid, src, dst, length))
 
+    # a distance is a sum of lengths: past the largest float it would
+    # read inf, and the graph would look disconnected
+    if math.isinf(sum(e.length for e in edges)):
+        raise ValueError("the edge lengths add up to more than the largest float")
+    g = MetricGraph(vertices, tuple(edges), truncation)
     # the far end of a truncated edge models a point at infinity: nothing
     # else may attach there
-    for e in edges:
+    for e in g.edges:
         if e.truncated:
-            others = [
-                f.id
-                for f in edges
-                if f is not e and e.dst in (f.src, f.dst)
-            ]
+            others = list(dict.fromkeys(f.id for f, _ in g.incident(e.dst)))
+            others.remove(e.id)
             if others:
                 raise ValueError(
                     f"truncation endpoint {e.dst!r} of edge {e.id!r} is also "
                     f"used by {others}"
                 )
-
-    g = MetricGraph(vertices, tuple(edges), truncation)
     _check_connected(g)
     return g
 
@@ -275,24 +272,10 @@ def load_graph(path) -> MetricGraph:
 def _check_connected(g: MetricGraph) -> None:
     if len(g.vertices) == 1 and not g.edges:
         raise DisconnectedGraph("a single vertex with no edges has degree 0")
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        adj[e.src].add(e.dst)
-        adj[e.dst].add(e.src)
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    missing = set(g.vertices) - seen
+    dist = vertex_distances(g, g.vertices[0])
+    missing = [v for v in g.vertices if math.isinf(dist[v])]
     if missing:
         raise DisconnectedGraph(f"unreachable vertices: {sorted(missing)}")
-    for v in g.vertices:
-        if g.degree(v) == 0:
-            raise DisconnectedGraph(f"vertex {v!r} has degree 0")
 
 
 def vertex_distances(g: MetricGraph, source: str) -> dict[str, float]:
@@ -354,6 +337,7 @@ def insert_midpoints(g: MetricGraph, peaks: list[str]) -> MetricGraph:
     """
     peak_set = set(peaks)
     new_vertices = list(g.vertices)
+    taken = set(g.vertices)
     new_edges: list[Edge] = []
     for e in g.edges:
         if (
@@ -362,8 +346,9 @@ def insert_midpoints(g: MetricGraph, peaks: list[str]) -> MetricGraph:
             and e.dst in peak_set
         ):
             mid = f"{e.id}__mid"
-            if mid in new_vertices:
+            if mid in taken:
                 raise ValueError(f"vertex id {mid!r} already taken")
+            taken.add(mid)
             new_vertices.append(mid)
             half = e.length / 2.0
             new_edges.append(Edge(f"{e.id}__a", e.src, mid, half))
@@ -377,7 +362,8 @@ def check_disjoint_peak_balls(
     g: MetricGraph, stars: list[StarNeighborhood]
 ) -> None:
     """Raise OverlappingPeaks unless all 2*radius balls are pairwise disjoint."""
-    for i in range(len(stars)):
+    # the last star has no later one to compare with
+    for i in range(len(stars) - 1):
         di = vertex_distances(g, stars[i].center)
         for j in range(i + 1, len(stars)):
             gap = 2.0 * stars[i].radius + 2.0 * stars[j].radius

@@ -64,7 +64,7 @@ def test_mesh_shares_vertex_dofs():
     for eid in ("e1", "e2", "e3"):
         dofs = mesh.edge_dofs[eid]
         assert dofs[0] == mesh.vertex_dofs["c"]
-        assert dofs[-1] == mesh.vertex_dofs[g.edge(eid).dst]
+        assert dofs[-1] == mesh.vertex_dofs[{e.id: e for e in g.edges}[eid].dst]
     interior = sum(len(mesh.edge_dofs[e.id]) - 2 for e in g.edges)
     assert mesh.ndof == len(g.vertices) + interior
     assert mesh.dirichlet_dofs.size == 0

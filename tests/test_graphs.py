@@ -1,12 +1,15 @@
 """Metric graph construction, distances, peak balls and star neighborhoods."""
 
 import json
+import math
 import re
 from importlib.resources import files
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphnls import (
     build_graph,
@@ -23,7 +26,7 @@ from graphnls.errors import (
     OverlappingPeaks,
 )
 from graphnls.acceptance import BUILTIN_GRAPHS, _star_description
-from graphnls.graphs import admissible_peak_degree, vertex_distances
+from graphnls.graphs import Edge, MetricGraph, admissible_peak_degree, vertex_distances
 
 BUILTIN_NAMES = ["tripod", "t_graph", "star5", "double_tripod", "figure1"]
 STARS = [(N, truncation) for N in range(2, 7) for truncation in (10.0, 25.0)]
@@ -45,6 +48,14 @@ edges:
   - {id: eb, from: q, to: b, length: 4.0}
 """
 
+SHARED_TRUNCATION_END = (
+    "vertices: [v, w, t]\nedges:\n"
+    "  - {id: h1, from: v, to: t, length: inf}\n"
+    "  - {id: e, from: v, to: w, length: 1.0}\n"
+    "  - {id: h2, from: w, to: t, length: inf}\n"
+    "truncation: 5.0"
+)
+
 PARALLEL = """
 vertices: [v, w]
 edges:
@@ -56,8 +67,8 @@ edges:
 def test_build_tripod_basic_shape():
     g = build_graph(TRIPOD)
     assert g.vertices == ("c", "a1", "a2", "a3")
-    assert g.degree("c") == 3
-    assert g.degree("a1") == 1
+    assert len(g.incident("c")) == 3
+    assert len(g.incident("a1")) == 1
     assert sum(e.length for e in g.edges) == pytest.approx(3.0)
     assert g.is_compact
     assert g.dirichlet_vertices == frozenset()
@@ -72,8 +83,8 @@ edges:
   - {id: e, from: v, to: w, length: 1.0}
 """
     )
-    assert g.degree("v") == 3
-    assert g.degree("w") == 1
+    assert len(g.incident("v")) == 3
+    assert len(g.incident("w")) == 1
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -81,7 +92,7 @@ def test_a_star_degree_is_its_count_of_edge_ends(name):
     g = reference_graph(name)
     for v in g.vertices:
         star = star_neighborhood(g, v)
-        assert star.degree == g.degree(v) == len(g.incident(v))
+        assert star.degree == len(g.incident(v))
     if name == "figure1":
         # a self-loop's two ends both count
         loops = [e for e in g.edges if e.is_loop]
@@ -110,7 +121,7 @@ truncation: 12.5
     )
     assert not g.is_compact
     assert g.dirichlet_vertices == frozenset({"t"})
-    e = g.edge("h")
+    e = {e.id: e for e in g.edges}["h"]
     assert e.length == pytest.approx(12.5)
     assert e.truncated
 
@@ -153,14 +164,7 @@ truncation: 12.5
             "truncation: 5.0",
             ValueError,
         ),
-        (
-            "vertices: [v, w, t]\nedges:\n"
-            "  - {id: h1, from: v, to: t, length: inf}\n"
-            "  - {id: e, from: v, to: w, length: 1.0}\n"
-            "  - {id: h2, from: w, to: t, length: inf}\n"
-            "truncation: 5.0",
-            ValueError,
-        ),
+        (SHARED_TRUNCATION_END, ValueError),
         (
             "vertices: [a, b, c, d]\nedges:\n"
             "  - {id: e1, from: a, to: b, length: 1.0}\n"
@@ -173,10 +177,38 @@ truncation: 12.5
         # a parsed description meets the same checks as text
         ({"vertices": ["v", "w"], "edges": [{"id": "e", "from": "v", "to": "w"}]}, ValueError),
         (["vertices", "edges"], ValueError),
+        # connected, but its distances would overflow to inf
+        (
+            "vertices: [a, b, c]\nedges:\n"
+            "  - {id: e1, from: a, to: b, length: 1.0e+308}\n"
+            "  - {id: e2, from: b, to: c, length: 1.0e+308}",
+            ValueError,
+        ),
     ],
 )
 def test_malformed_graphs_are_rejected(description, exc):
     with pytest.raises(exc):
+        build_graph(description)
+
+
+@pytest.mark.parametrize(
+    "description, others",
+    [
+        (SHARED_TRUNCATION_END, ["h2"]),
+        (
+            "vertices: [v, t]\nedges:\n"
+            "  - {id: h, from: v, to: t, length: inf}\n"
+            "  - {id: loop, from: t, to: t, length: 1.0}\n"
+            "truncation: 5.0",
+            ["loop"],
+        ),
+    ],
+    ids=["another-half-line", "a-self-loop"],
+)
+def test_a_shared_truncation_end_names_each_other_edge_once(description, others):
+    # a self-loop has both its ends there, and is still one other edge
+    message = f"is also used by {others}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
         build_graph(description)
 
 
@@ -238,12 +270,12 @@ def test_parallel_edge_shortcut_wins():
 
 def test_figure_one_graph_has_only_odd_degrees():
     g = reference_graph("figure1")
-    degs = {v: g.degree(v) for v in g.vertices}
+    degs = {v: len(g.incident(v)) for v in g.vertices}
     assert all(d % 2 == 1 for d in degs.values())
     assert degs["v1"] == 5
     assert degs["v3"] == 5
     assert not g.is_compact
-    sites = [v for v in g.vertices if admissible_peak_degree(g.degree(v))]
+    sites = [v for v in g.vertices if admissible_peak_degree(len(g.incident(v)))]
     assert sites == [f"v{i}" for i in range(1, 10)]
 
 
@@ -278,7 +310,7 @@ def test_insert_midpoints_splits_only_peak_joining_edges():
     h = insert_midpoints(g, ["p", "q"])
     new = set(h.vertices) - set(g.vertices)
     assert new == {"bridge__mid"}
-    assert h.degree("bridge__mid") == 2
+    assert len(h.incident("bridge__mid")) == 2
     assert sum(e.length for e in h.edges) == pytest.approx(
         sum(e.length for e in g.edges)
     )
@@ -419,3 +451,104 @@ def test_a_json_suffix_in_any_case_is_read_as_json(tmp_path, suffix):
     lower.write_text(text)
     other.write_text(text)
     assert load_graph(other) == load_graph(lower) == reference_graph("tripod")
+
+
+def _incident_by_scan(g, v):
+    """The declaration-order scan `MetricGraph.incident` replaced: the
+    reference its edge-end table keeps."""
+    out = []
+    for e in g.edges:
+        if e.src == v:
+            out.append((e, True))
+        if e.dst == v:
+            out.append((e, False))
+    return out
+
+
+def _floyd_warshall(g):
+    d = {v: {w: math.inf for w in g.vertices} for v in g.vertices}
+    for v in g.vertices:
+        d[v][v] = 0.0
+    for e in g.edges:
+        length = min(d[e.src][e.dst], e.length)
+        d[e.src][e.dst] = d[e.dst][e.src] = length
+    for k in g.vertices:
+        for i in g.vertices:
+            for j in g.vertices:
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
+
+
+@st.composite
+def _multigraphs(draw):
+    """A connected graph description with parallel edges, self-loops and
+    half-lines, its edges in a drawn order.  Lengths are multiples of
+    1/4, so every path length is exact and distances compare bitwise."""
+    n = draw(st.integers(1, 6))
+    vertices = [f"v{i}" for i in range(n)]
+    length = st.integers(1, 16).map(lambda k: k / 4)
+    # a random spanning tree keeps the graph connected
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    edges = [
+        {"id": f"e{k}", "from": vertices[a], "to": vertices[b], "length": draw(length)}
+        for k, (a, b) in enumerate(pairs)
+    ]
+    if n == 1 and not edges:
+        edges.append({"id": "loop", "from": "v0", "to": "v0", "length": 1.0})
+    # each half-line gets a far end of its own
+    for k, a in enumerate(draw(st.lists(vertex, max_size=3))):
+        vertices.append(f"t{k}")
+        edges.append({"id": f"h{k}", "from": f"v{a}", "to": f"t{k}", "length": "inf"})
+    edges = draw(st.permutations(edges))
+    return {"vertices": vertices, "edges": edges, "truncation": 2.5}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(doc=_multigraphs())
+def test_the_edge_end_table_matches_the_scan_and_distances_match_floyd_warshall(doc):
+    g = build_graph(doc)
+    for v in g.vertices:
+        assert list(g.incident(v)) == _incident_by_scan(g, v)
+    assert sum(len(g.incident(v)) for v in g.vertices) == 2 * len(g.edges)
+    reference = _floyd_warshall(g)
+    for v in g.vertices:
+        assert vertex_distances(g, v) == reference[v]
+
+
+class _CountedEdges(tuple):
+    """An edge tuple that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def _counted_ladder(n_vertices):
+    """The cubic circular ladder with unit edges, its edges counted."""
+    rungs = n_vertices // 2
+    edges = []
+    for i in range(rungs):
+        j = (i + 1) % rungs
+        edges += [
+            Edge(f"a{i}", f"a{i}", f"a{j}", 1.0),
+            Edge(f"b{i}", f"b{i}", f"b{j}", 1.0),
+            Edge(f"r{i}", f"a{i}", f"b{i}", 1.0),
+        ]
+    vertices = tuple(f"{side}{i}" for side in "ab" for i in range(rungs))
+    return MetricGraph(vertices, _CountedEdges(edges))
+
+
+def test_incidence_queries_pass_over_the_edges_a_fixed_number_of_times():
+    passes = []
+    for n_vertices in (50, 500):
+        g = _counted_ladder(n_vertices)
+        for v in g.vertices:
+            assert len(g.incident(v)) == 3
+        assert max(vertex_distances(g, "a0").values()) == n_vertices // 4 + 1
+        assert star_neighborhood(g, "a0").degree == 3
+        passes.append(g.edges.passes)
+    assert passes[0] == passes[1]

@@ -1,0 +1,93 @@
+"""The same metric graph written down differently gives the same states.
+
+Vertex names, the orientation of a finite edge and the order of the edge
+list are only how a metric graph is written down.  Each test sweeps a
+built-in graph and its rewritten description from the zero seed over
+the same shifts.
+
+Renaming keeps the vertex list's order, so every mesh and Newton iterate
+is the same array and the states must agree bit for bit.  Reversing
+edges or the edge list moves the mesh nodes and the assembly order by
+rounding, so only the terminations must agree, and the masses to a
+tolerance.  figure1 is left out of those two: either rewrite turns its
+converged states at lam = 100 and 200 into stalls, until the seed's
+symmetry is broken.  t_graph stalls at lam = 50 from the zero seed, so
+matching terminations there would pin a rounding coincidence.
+"""
+
+import json
+from importlib.resources import files
+
+import numpy as np
+import pytest
+
+from graphnls import SolveConfig, build_graph, continuation_sweep, peak_template
+from test_scaling import PEAKS
+
+LAMBDAS = (50.0, 100.0, 200.0)
+# reversing an edge or the edge list moved a converged mass by at most
+# 5.9e-14 (relative) over these graphs and shifts
+MASS_RTOL = 5e-13
+# the graphs whose terminations do not hang on rounding at these shifts
+REORDERED = ["tripod", "star5", "double_tripod"]
+
+
+def _description(name: str) -> dict:
+    text = (files("graphnls") / "data" / f"{name}.json").read_text(encoding="utf-8")
+    return json.loads(text)
+
+
+def _sweep(doc: dict, peaks):
+    template = peak_template(build_graph(doc), tuple(peaks))
+    return continuation_sweep(template, SolveConfig(lambdas=LAMBDAS))
+
+
+def _renamed(doc: dict) -> tuple[dict, dict[str, str]]:
+    """doc with every vertex renamed, in the list's own order, so that
+    the names sort in the reverse of their old order."""
+    ranks = {v: r for r, v in enumerate(sorted(doc["vertices"]))}
+    new = {v: f"w{len(ranks) - r:02d}" for v, r in ranks.items()}
+    edges = [{**e, "from": new[e["from"]], "to": new[e["to"]]} for e in doc["edges"]]
+    return {**doc, "vertices": [new[v] for v in doc["vertices"]], "edges": edges}, new
+
+
+def _finite_edges_reversed(doc: dict) -> dict:
+    # an unbounded edge keeps its direction: its far end is the one cut
+    edges = [
+        e if e["length"] == "inf" else {**e, "from": e["to"], "to": e["from"]}
+        for e in doc["edges"]
+    ]
+    return {**doc, "edges": edges}
+
+
+def _edge_list_reversed(doc: dict) -> dict:
+    return {**doc, "edges": doc["edges"][::-1]}
+
+
+@pytest.mark.parametrize("name", sorted(PEAKS))
+def test_renaming_the_vertices_leaves_every_state_unchanged(name):
+    doc = _description(name)
+    renamed, new = _renamed(doc)
+    # the new names sort in the reverse of the old order
+    old_order = sorted(doc["vertices"])
+    assert sorted(renamed["vertices"]) == [new[v] for v in reversed(old_order)]
+    base = _sweep(doc, PEAKS[name])
+    other = _sweep(renamed, (new[p] for p in PEAKS[name]))
+    for a, b in zip(base, other, strict=True):
+        assert b.termination == a.termination
+        assert b.iterations == a.iterations
+        assert np.array_equal(b.u.values, a.u.values)
+        assert b.peak_locations == [(new[v], t) for v, t in a.peak_locations]
+
+
+@pytest.mark.parametrize("rewrite", [_finite_edges_reversed, _edge_list_reversed])
+@pytest.mark.parametrize("name", REORDERED)
+def test_reversing_edges_or_their_order_keeps_terminations_and_masses(name, rewrite):
+    doc = _description(name)
+    base = _sweep(doc, PEAKS[name])
+    other = _sweep(rewrite(doc), PEAKS[name])
+    assert [r.termination for r in other] == [r.termination for r in base]
+    for a, b in zip(base, other, strict=True):
+        if a.converged:
+            mass = pytest.approx(a.functionals.mass, rel=MASS_RTOL)
+            assert b.functionals.mass == mass
