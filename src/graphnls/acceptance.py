@@ -8,7 +8,6 @@ sweep feeds 4, 5, 6 and 8) only pay for it once per process.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import pickle
@@ -36,6 +35,7 @@ from .functionals import evaluate_functionals, ground_state_gap, normalized_rati
 from .functionals import soliton_reference
 from .graphs import (
     MetricGraph,
+    _parse_json,
     admissible_peak_degree,
     build_graph,
     star_neighborhood,
@@ -91,7 +91,7 @@ def reference_graph(name: str) -> MetricGraph:
             f"{', '.join(BUILTIN_GRAPHS)}"
         )
     text = (files("graphnls") / "data" / f"{name}.json").read_text(encoding="utf-8")
-    return build_graph(json.loads(text))
+    return build_graph(_parse_json(text))
 
 
 # the only table of criterion names; criterion_k reports _NAMES[k]

@@ -35,8 +35,8 @@ from .errors import GraphNLSError
 
 # evaluate_functionals is unused here; bench/tracer.py wraps it by this name
 from .functionals import evaluate_functionals, normalized_ratios, soliton_reference
-from .graphs import MetricGraph, admissible_peak_degree, load_graph
-from .profiles import AnsatzSpec
+from .graphs import admissible_peak_degree, load_graph
+from .profiles import TAPER, AnsatzSpec
 from .reduced import MAX_N, enumerate_critical_points, even_case_lines
 from .solve import SolveConfig, continuation_sweep, peak_template
 
@@ -58,11 +58,14 @@ class ExperimentConfig(SolveConfig):
     peaks: tuple[str, ...]
     alpha: float = AnsatzSpec.alpha
     coeffs: tuple[tuple[float, ...], ...] | None = None
-    cutoff: str = AnsatzSpec.cutoff_kind
+    cutoff: str = TAPER
     outdir: str = "graphnls-out"
 
     def __post_init__(self):
         super().__post_init__()  # rejects out-of-range solver knobs
+        # the seed has one taper; the field stays for the config hash
+        if self.cutoff != TAPER:
+            raise ValueError(f"unknown cutoff kind {self.cutoff!r}")
         # each shift writes its states to a directory named by its shift
         names = [_state_dir_name(lam) for lam in self.lambdas]
         clashes = sorted({n for n in names if names.count(n) > 1})
@@ -81,12 +84,6 @@ class ExperimentConfig(SolveConfig):
         payload.pop("outdir")  # output location does not affect content
         text = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-def _load_config_graph(name: str) -> MetricGraph:
-    if name in BUILTIN_GRAPHS:
-        return reference_graph(name)
-    return load_graph(name)
 
 
 def _state_dir_name(lam: float) -> str:
@@ -150,13 +147,9 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     outdir = _outdir(cfg.outdir)
     _clear_outdir(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    template = peak_template(
-        _load_config_graph(cfg.graph),
-        cfg.peaks,
-        alpha=cfg.alpha,
-        coeffs=cfg.coeffs,
-        cutoff_kind=cfg.cutoff,
-    )
+    name = cfg.graph
+    g = reference_graph(name) if name in BUILTIN_GRAPHS else load_graph(name)
+    template = peak_template(g, cfg.peaks, alpha=cfg.alpha, coeffs=cfg.coeffs)
     stars = [star for star, _ in template.peaks]
     # the ratio columns need the reference constants, which exist only
     # for mu >= 0.5: fail before the sweep rather than after it

@@ -34,6 +34,16 @@ class FunctionalReport:
     nehari_residual: float
 
 
+def nonlinearity(mu: float, v):
+    """f(u) = (u+)^(2*mu+1) at each node."""
+    return positive_power(v, 2.0 * mu + 1.0)
+
+
+def nonlinearity_slope(mu: float, v):
+    """f'(u) = (2*mu+1) * (u+)^(2*mu) at each node."""
+    return (2.0 * mu + 1.0) * positive_power(v, 2.0 * mu)
+
+
 def evaluate_functionals(
     op: KirchhoffOperator, mu: float, u: DiscreteField
 ) -> FunctionalReport:
@@ -47,7 +57,7 @@ def evaluate_functionals(
     v = u.values
     kinetic = float(v @ (op.stiffness @ v))
     mass = float(v @ (op.mass @ v))
-    potential = float(v @ (op.mass @ positive_power(v, 2.0 * mu + 1.0)))
+    potential = float(v @ (op.mass @ nonlinearity(mu, v)))
     energy = 0.5 * kinetic - potential / (2.0 * mu + 2.0)
     action = energy + 0.5 * op.lam * mass
     nehari = kinetic + op.lam * mass - potential

@@ -98,9 +98,7 @@ _EDGE_KEYS = {"id", "from", "to", "length"}
 
 
 def _parse_length(raw, edge_id: str, truncation: float | None) -> tuple[float, bool]:
-    if isinstance(raw, str):
-        if raw.strip().lower() != "inf":
-            raise ValueError(f"edge {edge_id!r}: length must be a number or 'inf'")
+    if isinstance(raw, str) and raw.strip().lower() == "inf":
         raw = math.inf
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise ValueError(f"edge {edge_id!r}: length must be a number or 'inf'")
@@ -132,6 +130,24 @@ def _check_id(kind: str, ident: str) -> None:
         )
 
 
+def _unique_keys(pairs) -> dict:
+    """A mapping's (key, value) pairs as a dict; a repeated key is refused."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"graph description repeats the key {key!r}")
+        out[key] = value
+    return out
+
+
+def _parse_json(text: str):
+    """Parse a JSON graph description, refusing a repeated key."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"graph description is not valid JSON: {exc}") from exc
+
+
 def _parse_yaml(text: str):
     # imported here: only a graph read as text needs PyYAML, and
     # importing it would cost every run 15-40 ms of start-up
@@ -139,9 +155,15 @@ def _parse_yaml(text: str):
 
     # libyaml's parser where PyYAML was built with it: it reads the same
     # documents as the pure-Python SafeLoader about ten times faster
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        def construct_mapping(self, node, deep=False):
+            # keys compared as written: every key a graph accepts is a string
+            keys = [k.value for k, _ in node.value if isinstance(k, yaml.ScalarNode)]
+            _unique_keys(zip(keys, keys))
+            return super().construct_mapping(node, deep=deep)
+
     try:
-        return yaml.load(text, Loader=loader)
+        return yaml.load(text, Loader=Loader)
     except yaml.YAMLError as exc:
         raise ValueError(f"graph description is not valid YAML: {exc}") from exc
 
@@ -187,11 +209,10 @@ def build_graph(description: str | dict) -> MetricGraph:
 
     truncation = doc.get("truncation")
     if truncation is not None:
-        if not isinstance(truncation, (int, float)) or isinstance(truncation, bool):
+        ok = isinstance(truncation, (int, float)) and not isinstance(truncation, bool)
+        if not (ok and truncation > 0.0):
             raise ValueError("'truncation' must be a positive number")
         truncation = float(truncation)
-        if not truncation > 0.0:
-            raise ValueError("'truncation' must be a positive number")
         # an infinite truncation would give every unbounded edge an
         # infinite length, and its mesh infinitely many nodes
         if math.isinf(truncation):
@@ -224,12 +245,9 @@ def build_graph(description: str | dict) -> MetricGraph:
                     f"edge {eid!r} references undeclared vertex {endpoint!r}"
                 )
         length, truncated = _parse_length(entry["length"], eid, truncation)
-        if truncated:
-            if src == dst:
-                raise ValueError(f"edge {eid!r}: an unbounded edge cannot be a loop")
-            edges.append(Edge(eid, src, dst, length, truncated=True))
-        else:
-            edges.append(Edge(eid, src, dst, length))
+        if truncated and src == dst:
+            raise ValueError(f"edge {eid!r}: an unbounded edge cannot be a loop")
+        edges.append(Edge(eid, src, dst, length, truncated))
 
     # a distance is a sum of lengths: past the largest float it would
     # read inf, and the graph would look disconnected
@@ -256,17 +274,14 @@ def load_graph(path) -> MetricGraph:
     case), else YAML.
 
     A .json file is parsed by the standard library, not as YAML 1.1,
-    where `1e3` would be a string.
+    where `1e3` would be a string.  In either format a key repeated
+    within one mapping is refused, not overwritten.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if not str(path).lower().endswith(".json"):
         return build_graph(text)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"graph description is not valid JSON: {exc}") from exc
-    return build_graph(doc)
+    return build_graph(_parse_json(text))
 
 
 def _check_connected(g: MetricGraph) -> None:

@@ -1,4 +1,4 @@
-"""Closed-form profiles: soliton, star states, kernel modes, tapers, ansatz.
+"""Closed-form profiles: soliton, star states, kernel modes, taper, ansatz.
 
 Everything here is an explicit formula.  The building block is the
 positive even solution of -u'' + u = u^(2*mu+1) on the line,
@@ -57,18 +57,15 @@ def kernel_basis(N: int) -> np.ndarray:
     return basis
 
 
-# the registered cutoff families; eval_cutoff implements each
-CUTOFF_KINDS = ("cos2",)
+# the taper's name, the one value of ExperimentConfig.cutoff
+TAPER = "cos2"
 
 
-def eval_cutoff(kind: str, ell: float, x):
-    """Monotone C^1 taper: 1 on [0, ell], 0 from 2*ell on.
+def eval_cutoff(ell: float, x):
+    """The taper: 1 on [0, ell], cos^2 down to 0 at 2*ell, 0 beyond.
 
-    The only registered family is "cos2", the squared-cosine ramp; its
-    value at 1.5*ell is exactly one half.
+    Monotone and C^1; its value at 1.5*ell is exactly one half.
     """
-    if kind not in CUTOFF_KINDS:
-        raise ValueError(f"unknown cutoff kind {kind!r}")
     if not ell > 0.0:
         raise ValueError("cutoff radius must be positive")
     t = np.asarray(x, dtype=float)
@@ -91,13 +88,10 @@ class AnsatzSpec:
     graph: MetricGraph
     peaks: tuple[tuple[StarNeighborhood, tuple[float, ...]], ...]
     alpha: float = 0.25
-    cutoff_kind: str = CUTOFF_KINDS[0]
 
     def __post_init__(self):
         if not self.peaks:
             raise ValueError("at least one peak vertex is required")
-        if self.cutoff_kind not in CUTOFF_KINDS:
-            raise ValueError(f"unknown cutoff kind {self.cutoff_kind!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         for star, coeffs in self.peaks:
@@ -184,13 +178,10 @@ def assemble_ansatz(
         ray_sign = np.zeros(star.degree)
         for j, vec in enumerate(kernel_basis(star.degree)):
             ray_sign += b[j] * vec
-        ell = star.radius
-        for i, dofs, t in _rays(mesh, star, 2.0 * ell):
-            chi = eval_cutoff(spec.cutoff_kind, ell, t)
-            body = eval_soliton(mu, root * t) + ray_sign[i] * soliton_derivative(
-                mu, root * t
-            )
-            vals[dofs] = chi * scale * np.asarray(body)
+        for i, dofs, t in _rays(mesh, star, 2.0 * star.radius):
+            z = root * t
+            body = eval_soliton(mu, z) + ray_sign[i] * soliton_derivative(mu, z)
+            vals[dofs] = eval_cutoff(star.radius, t) * scale * np.asarray(body)
     return DiscreteField(mesh, vals)
 
 
@@ -212,12 +203,12 @@ def sample_kernel_mode(
     j: int,
     lam: float,
     mu: float,
-    cutoff_kind: str | None = None,
+    tapered: bool = False,
 ) -> np.ndarray:
     """Kernel mode j of sample_kernel_modes."""
     if not 1 <= j <= star.degree - 1:
         raise IndexOutOfRange(f"kernel index {j} not in 1..{star.degree - 1}")
-    return sample_kernel_modes(mesh, star, lam, mu, cutoff_kind)[j - 1]
+    return sample_kernel_modes(mesh, star, lam, mu, tapered)[j - 1]
 
 
 def sample_kernel_modes(
@@ -225,25 +216,23 @@ def sample_kernel_modes(
     star: StarNeighborhood,
     lam: float,
     mu: float,
-    cutoff_kind: str | None = None,
+    tapered: bool = False,
 ) -> list[np.ndarray]:
     """Scaled kernel modes j = 1, ..., degree-1 on the star's rays.
 
-    With cutoff_kind set, these are the projection-basis functions used
-    for the kernel split of the correction; without it, the raw modes.
-    The modes differ on a ray only by their sign factor, so each ray's
+    Tapered, these are the projection-basis functions used for the
+    kernel split of the correction; untapered, the raw modes.  The
+    modes differ on a ray only by their sign factor, so each ray's
     soliton derivative and taper are evaluated once for all of them.
     """
     basis = kernel_basis(star.degree)
     scale = lam ** (1.0 / (2.0 * mu))
     root = math.sqrt(lam)
     modes = [np.zeros(mesh.ndof) for _ in basis]
-    reach = 2.0 * star.radius if cutoff_kind is not None else math.inf
+    reach = 2.0 * star.radius if tapered else math.inf
     for i, dofs, t in _rays(mesh, star, reach):
         slope = np.asarray(soliton_derivative(mu, root * t))
-        taper = None
-        if cutoff_kind is not None:
-            taper = eval_cutoff(cutoff_kind, star.radius, t)
+        taper = eval_cutoff(star.radius, t) if tapered else None
         for out, signs in zip(modes, basis):
             body = scale * float(signs[i]) * slope
             out[dofs] = body if taper is None else body * taper

@@ -33,7 +33,7 @@ class ReducedEnergyReport:
     eps: float
     critical_points: tuple[tuple[float, ...], ...]
     hessian_signs: tuple[int, ...]
-    local_degree: int | None
+    local_degree: int
 
 
 def change_of_variables_matrix(N: int) -> np.ndarray:
@@ -109,16 +109,23 @@ def _check_star_size(N: int) -> None:
         )
 
 
-def _newton_zeros(N: int, starts: np.ndarray, iters: int = 60) -> np.ndarray:
+# Steps of the Newton sweep.  The cap decides the zero set: of N = 9's
+# 256 starts, 70 converge within 56 steps, 80 within 58, 92 within 59
+# and 108 within 60; of N = 13's 4096, 934 within 56 and 1535 within 60.
+# Each zero found is checked against the closed form.
+_NEWTON_STEPS = 60
+
+
+def _newton_zeros(N: int, starts: np.ndarray) -> np.ndarray:
     """Batched Newton on the perturbed gradient at eps = 1.
 
     A start stops once its gradient norm is below 1e-12; the rest keep
-    stepping.  Returns the points where it converged.
+    stepping, up to _NEWTON_STEPS.  Returns the points where it converged.
     """
     x = np.array(starts, dtype=float)
     run = np.arange(x.shape[0])
     idx = np.arange(N - 1)
-    for _ in range(iters):
+    for _ in range(_NEWTON_STEPS):
         xr = x[run]
         grad, hess = _gradient_hessian(1.0, xr)
         going = ~(np.linalg.norm(grad, axis=1) < 1e-12)

@@ -27,12 +27,11 @@ from .discrete import (
     edge_bands,
     lambda_norm,
     planned_ndof,
-    positive_power,
     refined_mesh,
     refined_plans,
 )
 from .errors import NotConverged, SingularJacobian, SolveFailure
-from .functionals import FunctionalReport
+from .functionals import FunctionalReport, nonlinearity, nonlinearity_slope
 from .graphs import (
     MetricGraph,
     admissible_peak_degree,
@@ -163,16 +162,6 @@ class BoundStateResult:
         return self.termination == "converged"
 
 
-def _nodal_nonlinearity(mu: float, v: np.ndarray) -> np.ndarray:
-    return positive_power(v, 2.0 * mu + 1.0)
-
-
-def _nodal_nonlinearity_slope(mu: float, v: np.ndarray) -> np.ndarray:
-    slope = positive_power(v, 2.0 * mu)
-    slope *= 2.0 * mu + 1.0
-    return slope
-
-
 def nonlinear_residual(
     op: KirchhoffOperator,
     mu: float,
@@ -188,14 +177,13 @@ def nonlinear_residual(
     """
     v = u.values
     r = op.shifted @ v if shifted_u is None else shifted_u
-    r -= op.mass @ _nodal_nonlinearity(mu, v)
+    r -= op.mass @ nonlinearity(mu, v)
     return DiscreteField(op.mesh, r)
 
 
 def jacobian(op: KirchhoffOperator, mu: float, u: DiscreteField) -> EdgeBands:
     """Exact derivative of the discrete residual: S + lam M - M f'(u)."""
-    slope = _nodal_nonlinearity_slope(mu, u.values)
-    return op.shifted.minus_scaled_columns(op.mass, slope)
+    return op.shifted.minus_scaled_columns(op.mass, nonlinearity_slope(mu, u.values))
 
 
 def linearization_bands(
@@ -207,7 +195,7 @@ def linearization_bands(
     weighted mass matrix, so the result is symmetric and suited to
     eigenvalue diagnostics of the linearization.
     """
-    W = edge_bands(op.mesh, weight=_nodal_nonlinearity_slope(mu, u.values))
+    W = edge_bands(op.mesh, weight=nonlinearity_slope(mu, u.values))
     return op.shifted.plus(W, -1.0)
 
 
@@ -312,9 +300,7 @@ def kernel_projection_diagnostics(
     phi = result.u.values - seed.values
     modes = []
     for star, _ in ansatz.peaks:
-        modes += sample_kernel_modes(
-            mesh, star, op.lam, result.mu, ansatz.cutoff_kind
-        )
+        modes += sample_kernel_modes(mesh, star, op.lam, result.mu, tapered=True)
     # one band product per mode, dropped once its Gram column is filled,
     # and one for phi; the dot products are those of
     # lambda_inner(op, a, b) = a @ (shifted @ b)
@@ -360,7 +346,6 @@ def peak_template(
     *,
     alpha: float = AnsatzSpec.alpha,
     coeffs: tuple[tuple[float, ...], ...] | None = None,
-    cutoff_kind: str = AnsatzSpec.cutoff_kind,
 ) -> AnsatzSpec:
     """The seed template with peaks at `peaks`, on the graph to sweep; no mesh.
 
@@ -384,7 +369,7 @@ def peak_template(
         raise ValueError(
             f"got {len(coeffs)} coefficient vectors for {len(stars)} peaks"
         )
-    return AnsatzSpec(g, tuple(zip(stars, coeffs)), alpha, cutoff_kind)
+    return AnsatzSpec(g, tuple(zip(stars, coeffs)), alpha)
 
 
 def continuation_sweep(

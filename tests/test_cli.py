@@ -323,6 +323,44 @@ def test_malformed_json_graph_file_writes_error_record(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "suffix, text",
+    [
+        (
+            ".json",
+            '{"vertices": ["c", "a1", "a2", "a3"], "edges": ['
+            '{"id": "e1", "from": "c", "to": "a1", "length": 1.0, "length": 3.0}, '
+            '{"id": "e2", "from": "c", "to": "a2", "length": 1.0}, '
+            '{"id": "e3", "from": "c", "to": "a3", "length": 1.0}]}',
+        ),
+        (
+            ".yaml",
+            "vertices: [c, a1, a2, a3]\nedges:\n"
+            "  - {id: e1, from: c, to: a1, length: 1.0, length: 3.0}\n"
+            "  - {id: e2, from: c, to: a2, length: 1.0}\n"
+            "  - {id: e3, from: c, to: a3, length: 1.0}\n",
+        ),
+    ],
+    ids=["json", "yaml"],
+)
+def test_a_graph_file_that_repeats_a_key_writes_error_record(
+    tmp_path, capsys, suffix, text
+):
+    # kept the last length, this tripod would solve
+    graph_file = tmp_path / f"repeats{suffix}"
+    graph_file.write_text(text)
+    out = tmp_path / "bad"
+    argv = ["solve", "--graph", str(graph_file), "--peak", "c", "--lambdas", "25"]
+    assert main(argv + ["--outdir", str(out)]) == 1
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+    record = json.loads((out / "error.json").read_text())
+    assert record == {
+        "error": "ValueError",
+        "message": "graph description repeats the key 'length'",
+    }
+    assert "error: ValueError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "peak, edge, hostile",
     [
         # as a state file name this edge id is out/escaped.txt
@@ -964,10 +1002,17 @@ def test_every_scalar_config_field_reaches_the_config_through_its_flag(
         flag = "--" + f.name.replace("_", "-")
         argv = ["solve", "--graph", "tripod", "--peak", "c", flag, str(value)]
         try:
-            assert main(argv) == 0, f.name
+            rc = main(argv)
         except SystemExit:
             pytest.fail(f"solve has no flag {flag} for the field {f.name}")
-        assert getattr(handed[-1], f.name) == value, f.name
         checked.append(f.name)
-    assert len(handed) == len(checked)
+        if f.name == "cutoff":
+            # its one legal value is the default: any other reaches the
+            # config, which refuses it before cmd_solve
+            error = json.loads(Path("graphnls-out/error.json").read_text())
+            assert rc == 1 and "unknown cutoff kind 'other'" in error["message"]
+            continue
+        assert rc == 0, f.name
+        assert getattr(handed[-1], f.name) == value, f.name
+    assert len(handed) == len(checked) - 1  # all but cutoff reach cmd_solve
     assert {"mu", "max_iters", "seed", "cutoff", "outdir"} <= set(checked)

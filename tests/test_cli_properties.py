@@ -4,8 +4,8 @@ main returns 0, 1 or 2, or argparse raises SystemExit(2) for a flag it
 cannot parse; nothing else escapes.  Whenever main returns 1 or 2 an
 error.json record exists.  A --nodes-per-width of 1e12 asks for a mesh
 far above the sweep's ndof ceiling, which must be refused before any
-mesh is built.  An unknown --seed or --cutoff is refused by the config
-and the seed state's own checks, with exit 1, not by the parser.
+mesh is built.  An unknown --seed or --cutoff is refused by the config,
+with exit 1, not by the parser.
 """
 
 import tempfile

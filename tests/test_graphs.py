@@ -453,6 +453,63 @@ def test_a_json_suffix_in_any_case_is_read_as_json(tmp_path, suffix):
     assert load_graph(other) == load_graph(lower) == reference_graph("tripod")
 
 
+# a tripod description whose mapping at the top level or in edge e1
+# repeats a key; read keeping the last value, each would build a graph
+_TRIPOD_EDGES_JSON = (
+    '{"id": "e2", "from": "c", "to": "a2", "length": 1.0}, '
+    '{"id": "e3", "from": "c", "to": "a3", "length": 1.0}]'
+)
+_TRIPOD_EDGES_YAML = (
+    "  - {id: e2, from: c, to: a2, length: 1.0}\n"
+    "  - {id: e3, from: c, to: a3, length: 1.0}\n"
+)
+REPEATED_KEYS = [
+    (
+        ".json",
+        '{"vertices": ["c"], "vertices": ["c", "a1", "a2", "a3"], "edges": ['
+        '{"id": "e1", "from": "c", "to": "a1", "length": 1.0}, '
+        + _TRIPOD_EDGES_JSON + "}",
+        "vertices",
+    ),
+    (
+        ".json",
+        '{"vertices": ["c", "a1", "a2", "a3"], "edges": ['
+        '{"id": "e1", "from": "c", "to": "a1", "length": 1.0, "length": 3.0}, '
+        + _TRIPOD_EDGES_JSON + "}",
+        "length",
+    ),
+    (
+        ".yaml",
+        "vertices: [c, a1, a2, a3]\n"
+        "edges:\n  - {id: e1, from: c, to: a1, length: 1.0}\n"
+        "edges:\n  - {id: e1, from: c, to: a1, length: 1.0}\n" + _TRIPOD_EDGES_YAML,
+        "edges",
+    ),
+    (
+        ".yaml",
+        "vertices: [c, a1, a2, a3]\nedges:\n"
+        "  - {id: e1, from: c, to: a1, length: 1.0, length: 3.0}\n"
+        + _TRIPOD_EDGES_YAML,
+        "length",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suffix, text, key",
+    REPEATED_KEYS,
+    ids=["json-top", "json-edge", "yaml-top", "yaml-edge"],
+)
+def test_a_repeated_key_is_refused(tmp_path, monkeypatch, suffix, text, key):
+    path = tmp_path / f"g{suffix}"
+    path.write_text(text)
+    for loader in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        # load_graph parses YAML with yaml.CSafeLoader where PyYAML has it
+        monkeypatch.setattr(yaml, "CSafeLoader", loader, raising=False)
+        with pytest.raises(ValueError, match=f"repeats the key '{key}'"):
+            load_graph(path)
+
+
 def _incident_by_scan(g, v):
     """The declaration-order scan `MetricGraph.incident` replaced: the
     reference its edge-end table keeps."""

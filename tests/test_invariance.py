@@ -9,10 +9,11 @@ Renaming keeps the vertex list's order, so every mesh and Newton iterate
 is the same array and the states must agree bit for bit.  Reversing
 edges or the edge list moves the mesh nodes and the assembly order by
 rounding, so only the terminations must agree, and the masses to a
-tolerance.  figure1 is left out of those two: either rewrite turns its
-converged states at lam = 100 and 200 into stalls, until the seed's
-symmetry is broken.  t_graph stalls at lam = 50 from the zero seed, so
-matching terminations there would pin a rounding coincidence.
+tolerance.  figure1 is left out of those two from the zero seed: either
+rewrite turns its converged states at lam = 100 and 200 into stalls.
+t_graph stalls at lam = 50 from the zero seed, so matching terminations
+there would pin a rounding coincidence.  Both are swept from a seed with
+nonzero kernel coefficients instead, which breaks the symmetry.
 """
 
 import json
@@ -21,15 +22,25 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from graphnls import SolveConfig, build_graph, continuation_sweep, peak_template
+from graphnls import (
+    SolveConfig,
+    build_graph,
+    continuation_sweep,
+    kernel_basis,
+    peak_template,
+    star_neighborhood,
+)
 from test_scaling import PEAKS
 
 LAMBDAS = (50.0, 100.0, 200.0)
 # reversing an edge or the edge list moved a converged mass by at most
-# 5.9e-14 (relative) over these graphs and shifts
+# 5.9e-14 (relative) over these graphs and shifts, and by at most 4.4e-14
+# on the seeded sweeps
 MASS_RTOL = 5e-13
 # the graphs whose terminations do not hang on rounding at these shifts
 REORDERED = ["tripod", "star5", "double_tripod"]
+# a fixed seed with no zero kernel coefficient, per graph swept from one
+SEEDED = {"t_graph": (0.2, -0.2), "figure1": (0.2, -0.2, 0.2, -0.2)}
 
 
 def _description(name: str) -> dict:
@@ -37,9 +48,28 @@ def _description(name: str) -> dict:
     return json.loads(text)
 
 
-def _sweep(doc: dict, peaks):
-    template = peak_template(build_graph(doc), tuple(peaks))
+def _sweep(doc: dict, peaks, coeffs=None):
+    template = peak_template(build_graph(doc), tuple(peaks), coeffs=coeffs)
     return continuation_sweep(template, SolveConfig(lambdas=LAMBDAS))
+
+
+def _same_seed(doc: dict, other: dict, peak: str, coeffs) -> tuple[float, ...]:
+    """The coefficients that give other's star at peak the seed that
+    coeffs give doc's.
+
+    The seed weights the star's i-th edge-end by (B^T c)_i, B =
+    kernel_basis(N), so a new edge-end order needs new coefficients.  No
+    edge at the peaks swept here is a self-loop, so an edge id names an
+    edge-end.
+    """
+    old, new = (star_neighborhood(build_graph(d), peak) for d in (doc, other))
+    basis = kernel_basis(old.degree).astype(float)
+    weight = dict(zip((e for e, _ in old.incident_edges), basis.T @ coeffs))
+    assert len(weight) == old.degree
+    wanted = np.array([weight[e] for e, _ in new.incident_edges])
+    mapped = np.linalg.solve(basis @ basis.T, basis @ wanted)
+    assert np.allclose(basis.T @ mapped, wanted, rtol=0.0, atol=1e-15)
+    return tuple(mapped.tolist())
 
 
 def _renamed(doc: dict) -> tuple[dict, dict[str, str]]:
@@ -88,6 +118,23 @@ def test_reversing_edges_or_their_order_keeps_terminations_and_masses(name, rewr
     other = _sweep(rewrite(doc), PEAKS[name])
     assert [r.termination for r in other] == [r.termination for r in base]
     for a, b in zip(base, other, strict=True):
+        if a.converged:
+            mass = pytest.approx(a.functionals.mass, rel=MASS_RTOL)
+            assert b.functionals.mass == mass
+
+
+@pytest.mark.parametrize("rewrite", [_finite_edges_reversed, _edge_list_reversed])
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_rewriting_keeps_the_seeded_terminations_and_masses(name, rewrite):
+    doc = _description(name)
+    other = rewrite(doc)
+    [peak] = PEAKS[name]
+    coeffs = SEEDED[name]
+    base = _sweep(doc, PEAKS[name], (coeffs,))
+    same = _same_seed(doc, other, peak, coeffs)
+    rewritten = _sweep(other, PEAKS[name], (same,))
+    assert [r.termination for r in rewritten] == [r.termination for r in base]
+    for a, b in zip(base, rewritten, strict=True):
         if a.converged:
             mass = pytest.approx(a.functionals.mass, rel=MASS_RTOL)
             assert b.functionals.mass == mass

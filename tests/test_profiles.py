@@ -103,29 +103,27 @@ def test_kernel_basis_properties(N):
 
 def test_cutoff_pinned_values():
     ell = 0.8
-    assert eval_cutoff("cos2", ell, 0.0) == 1.0
-    assert eval_cutoff("cos2", ell, 0.5 * ell) == 1.0
-    assert eval_cutoff("cos2", ell, ell) == 1.0
-    assert eval_cutoff("cos2", ell, 1.5 * ell) == pytest.approx(0.5)
-    assert eval_cutoff("cos2", ell, 2.0 * ell) == 0.0
-    assert eval_cutoff("cos2", ell, 3.0 * ell) == 0.0
+    assert eval_cutoff(ell, 0.0) == 1.0
+    assert eval_cutoff(ell, 0.5 * ell) == 1.0
+    assert eval_cutoff(ell, ell) == 1.0
+    assert eval_cutoff(ell, 1.5 * ell) == pytest.approx(0.5)
+    assert eval_cutoff(ell, 2.0 * ell) == 0.0
+    assert eval_cutoff(ell, 3.0 * ell) == 0.0
 
 
 def test_cutoff_is_monotone_and_c1():
     ell = 1.2
     xs = np.linspace(0.0, 3.0 * ell, 400)
-    vals = eval_cutoff("cos2", ell, xs)
+    vals = eval_cutoff(ell, xs)
     assert np.all(np.diff(vals) <= 1e-15)
     h = 1e-6
     for joint in (ell, 2.0 * ell):
         slope = (
-            eval_cutoff("cos2", ell, joint + h) - eval_cutoff("cos2", ell, joint - h)
+            eval_cutoff(ell, joint + h) - eval_cutoff(ell, joint - h)
         ) / (2.0 * h)
         assert abs(slope) < 1e-5
     with pytest.raises(ValueError):
-        eval_cutoff("boxcar", ell, 0.0)
-    with pytest.raises(ValueError):
-        eval_cutoff("cos2", 0.0, 0.0)
+        eval_cutoff(0.0, 0.0)
 
 
 def _tripod_star(edge_lengths=(1.0, 1.0, 1.0)):
@@ -227,7 +225,7 @@ def test_sampled_kernel_mode_signs_and_taper():
     assert np.allclose(raw[mesh.edge_dofs["e1"]], expect, atol=1e-13)
     assert np.allclose(raw[mesh.edge_dofs["e2"]], -expect, atol=1e-13)
     assert np.all(raw[mesh.edge_dofs["e3"]][1:] == 0.0)
-    tapered = sample_kernel_mode(mesh, star, 1, lam, 1.0, cutoff_kind="cos2")
+    tapered = sample_kernel_mode(mesh, star, 1, lam, 1.0, tapered=True)
     sel = nodes <= star.radius
     assert np.allclose(tapered[mesh.edge_dofs["e1"]][sel], expect[sel], atol=1e-13)
     assert tapered[mesh.edge_dofs["e1"]][-1] == 0.0
@@ -235,12 +233,12 @@ def test_sampled_kernel_mode_signs_and_taper():
         sample_kernel_mode(mesh, star, 3, lam, 1.0)
 
 
-def _one_kernel_mode(mesh, star, j, lam, mu, cutoff_kind):
+def _one_kernel_mode(mesh, star, j, lam, mu, tapered):
     """Mode j evaluated on its own, ray by ray, in the library's order."""
     signs = kernel_basis(star.degree)[j - 1]
     scale = lam ** (1.0 / (2.0 * mu))
     root = math.sqrt(lam)
-    reach = 2.0 * star.radius if cutoff_kind is not None else math.inf
+    reach = 2.0 * star.radius if tapered else math.inf
     out = np.zeros(mesh.ndof)
     for i, (eid, away) in enumerate(star.incident_edges):
         nodes = mesh.edge_nodes[eid]
@@ -251,26 +249,27 @@ def _one_kernel_mode(mesh, star, j, lam, mu, cutoff_kind):
         t = t[sel]
         slope = soliton_derivative(mu, root * t)
         body = scale * float(signs[i]) * np.asarray(slope)
-        if cutoff_kind is not None:
-            body = body * eval_cutoff(cutoff_kind, star.radius, t)
+        if tapered:
+            body = body * eval_cutoff(star.radius, t)
         out[mesh.edge_dofs[eid][sel]] = body
     return out
 
 
 @pytest.mark.parametrize("name, peak", [("star5", "c"), ("figure1", "v1")])
-@pytest.mark.parametrize("cutoff", [None, "cos2"])
-def test_shared_profile_modes_equal_one_mode_at_a_time(name, peak, cutoff):
+# the ids name the taper: none, or the cos^2 ramp
+@pytest.mark.parametrize("tapered", [False, True], ids=["None", "cos2"])
+def test_shared_profile_modes_equal_one_mode_at_a_time(name, peak, tapered):
     # bitwise, including the sign of the zero each ray writes at the center
     g = reference_graph(name)
     star = star_neighborhood(g, peak, mode="single")
     lam = 100.0
     mesh = refined_mesh(g, lam, [peak], nodes_per_width=10.0)
-    modes = sample_kernel_modes(mesh, star, lam, 1.0, cutoff)
+    modes = sample_kernel_modes(mesh, star, lam, 1.0, tapered)
     assert len(modes) == star.degree - 1
     for j, mode in enumerate(modes, start=1):
-        one = _one_kernel_mode(mesh, star, j, lam, 1.0, cutoff)
+        one = _one_kernel_mode(mesh, star, j, lam, 1.0, tapered)
         assert mode.tobytes() == one.tobytes(), j
-        picked = sample_kernel_mode(mesh, star, j, lam, 1.0, cutoff)
+        picked = sample_kernel_mode(mesh, star, j, lam, 1.0, tapered)
         assert picked.tobytes() == one.tobytes(), j
 
 

@@ -1,4 +1,5 @@
-"""Reduced cubic energy: identities, critical points, degenerate lines."""
+"""Reduced cubic energy: identities, critical points, degenerate lines,
+and its link to the discrete action of the PDE."""
 
 import math
 
@@ -6,15 +7,25 @@ import numpy as np
 import pytest
 
 from graphnls import (
+    DiscreteField,
+    assemble,
+    build_graph,
     change_of_variables_matrix,
     enumerate_critical_points,
+    evaluate_functionals,
     even_case_lines,
     perturbed_gradient_hessian,
+    reduced_cubic_coefficient,
     reduced_energy,
     reduced_energy_diagonal,
+    sample_star_state,
+    star_neighborhood,
+    uniform_mesh,
 )
 from graphnls import reduced
+from graphnls.acceptance import _star_description
 from graphnls.errors import DimensionMismatch, EvenN, OddN
+from graphnls.profiles import sample_kernel_modes
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 7])
@@ -78,7 +89,7 @@ def test_tripod_critical_points_closed_form():
     assert rep.local_degree == -2
 
 
-def _newton_zeros_every_row(N, starts, iters=60):
+def _newton_zeros_every_row(N, starts, iters=reduced._NEWTON_STEPS):
     """Reference sweep: batched Newton stepping every start all `iters`
     times, converged or not."""
     x = np.array(starts, dtype=float)
@@ -217,3 +228,72 @@ def test_generic_directions_are_not_critical():
         n_minus = int(np.sum(sigma < 0))
         if (3 - 2 * n_minus) ** 2 != 1 or not np.allclose(np.abs(x), np.abs(x)[0]):
             assert np.max(np.abs(grad)) > 1e-10
+
+
+def _action_polynomial(op, mu, w, z):
+    """Coefficients in s of the discrete action of w + s*z, s^0 first.
+
+    For integer mu the potential term v.M.v^p, p = 2*mu+1, is a
+    polynomial in s wherever v = w + s*z is positive: its s^m
+    coefficient is w.M.(C(p,m) w^(p-m) z^m) + z.M.(C(p,k) w^(p-k) z^k),
+    k = m-1.
+    """
+    p = int(2 * mu + 1)
+    K, M, lam = op.stiffness, op.mass, op.lam
+    out = np.zeros(p + 2)
+    out[:3] = [
+        0.5 * (w @ (K @ w)) + 0.5 * lam * (w @ (M @ w)),
+        z @ (K @ w) + lam * (z @ (M @ w)),
+        0.5 * (z @ (K @ z)) + 0.5 * lam * (z @ (M @ z)),
+    ]
+    for m in range(p + 2):
+        potential = 0.0
+        if m <= p:
+            potential += w @ (M @ (math.comb(p, m) * w ** (p - m) * z**m))
+        if m >= 1:
+            k = m - 1
+            potential += z @ (M @ (math.comb(p, k) * w ** (p - k) * z**k))
+        out[m] -= potential / (p + 1)
+    return out
+
+
+# kernel coefficients c per star size, each with reduced_energy(N, c) != 0
+KERNEL_COEFFS = {
+    3: [(0.0, 1.0), (0.5, -0.25), (-0.3, 0.8)],
+    5: [(0.0, 1.0, 0.0, 0.0), (0.5, -0.25, 0.1, 0.1), (-0.3, 0.8, -0.6, -0.6)],
+}
+# With h*sqrt(lam) = 1/400 the s^3 coefficient differed from the reduced
+# energy's by 1.56e-6 (mu = 1) and 2.98e-6 (mu = 2), relative, for every
+# N, c and lam here; it fell 4-fold with each halving of h (6.25e-6 and
+# 1.19e-5 at 1/200; 3.9e-7 and 7.4e-7 at 1/800)
+REDUCTION_RTOL = 4e-6
+
+
+@pytest.mark.parametrize("lam", [4.0, 16.0])
+@pytest.mark.parametrize("N", sorted(KERNEL_COEFFS))
+@pytest.mark.parametrize("mu", [1.0, 2.0])
+def test_the_cubic_term_of_the_action_is_the_reduced_energy(mu, N, lam):
+    # along the kernel directions Z(c) at the star state W0, the s^3
+    # coefficient of the action of W0 + s*Z(c) is the reduced cubic
+    root = math.sqrt(lam)
+    g = build_graph(_star_description(N, 30.0 / root))
+    mesh = uniform_mesh(g, 1.0 / (400.0 * root))
+    op = assemble(g, mesh, lam)
+    star = star_neighborhood(g, "c")
+    w = sample_star_state(mesh, star, lam, mu)
+    modes = sample_kernel_modes(mesh, star, lam, mu)
+    for c in KERNEL_COEFFS[N]:
+        z = sum(ck * mode for ck, mode in zip(c, modes))
+        coeffs = _action_polynomial(op, mu, w, z)
+        # the polynomial is the library's action where w + s*z > 0
+        for s in (-0.05, 0.05):
+            v = w + s * z
+            assert v.min() > 0.0
+            action = evaluate_functionals(op, mu, DiscreteField(mesh, v)).action
+            assert np.polynomial.polynomial.polyval(s, coeffs) == pytest.approx(
+                action, rel=1e-12
+            )
+        energy = reduced_energy(N, c)
+        assert abs(energy) > 0.1
+        expect = -reduced_cubic_coefficient(mu) * energy * lam ** (1.0 / mu + 0.5)
+        assert coeffs[3] == pytest.approx(expect, rel=REDUCTION_RTOL), c

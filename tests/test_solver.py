@@ -259,7 +259,7 @@ def _reference_kernel_component_norm(res, template):
     op = assemble(mesh.graph, mesh, res.lam)
     phi = res.u.values - assemble_ansatz(template, mesh, res.lam, 1.0).values
     modes = [
-        sample_kernel_mode(mesh, star, j, res.lam, 1.0, template.cutoff_kind)
+        sample_kernel_mode(mesh, star, j, res.lam, 1.0, tapered=True)
         for star, _ in template.peaks
         for j in range(1, star.degree)
     ]
@@ -364,9 +364,7 @@ def test_a_template_holds_no_solver_knob():
     # mu has one definition, SolveConfig's: a template field of the same
     # name would be a second one for the sweep to keep equal
     solver = {f.name for f in fields(SolveConfig)}
-    assert [f.name for f in fields(AnsatzSpec)] == [
-        "graph", "peaks", "alpha", "cutoff_kind"
-    ]
+    assert [f.name for f in fields(AnsatzSpec)] == ["graph", "peaks", "alpha"]
     assert not solver & {f.name for f in fields(AnsatzSpec)}
 
 
