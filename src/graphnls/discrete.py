@@ -464,11 +464,12 @@ def positive_power(v: np.ndarray, p: float) -> np.ndarray:
     """np.maximum(v, 0.0) ** p for p > 0, bit for bit, avoiding slow pow calls.
 
     A bound state decays like exp(-sqrt(lam) * t) away from its peaks,
-    so most nodal values of a sharp state are tiny or rounding-negative:
-    at lam = 1600 on star5, 60% lie below 1e-100 of the peak.  pow
-    computes an underflowing power, and a power of zero, on a slow
-    special-case path: on that lam = 1600 state, numpy's AVX-512 pow
-    took 19 ms for the plain expression and 4.5 ms here.  Every entry whose
+    so many nodal values of a sharp state are tiny or rounding-negative:
+    on star5's 11,796-unknown mesh at lam = 1600, 16% lie below 1e-100 of
+    the peak.  pow computes an underflowing power, and a power of zero, on
+    a slow special-case path: on that state at p = 3, numpy 2.4's pow took
+    291 us for the plain expression and 82 us here (best of 7x200 calls on
+    one core of a 2-vCPU x86-64 host).  Every entry whose
     power is known to be +0.0 therefore takes the power of 1.0 instead,
     and is set to +0.0 afterwards:
 
@@ -649,32 +650,22 @@ class CondensedFactor:
     complement on the free vertex unknowns, kept as `schur` and factored
     with getrf.  A solve costs O(ndof) and returns zero at the Dirichlet
     dofs.  Raises SolveFailure on a zero pivot or a singular vertex block.
-
-    With overwrite_interior, gttrf factors bands.lower, .diag and .upper
-    in place instead of copying them first; they must be three distinct
-    arrays that nothing reads afterwards, as with a fresh Jacobian.
-    Bands that share memory between them, such as a symmetric operator's
-    single off-diagonal, raise ValueError: gttrf would overwrite one
-    array twice.
+    Neither the factorization nor a solve writes into the bands or the
+    right-hand side.  A factor keeps the bands' vertex couplings but not
+    their interior arrays, which it has copied.
     """
 
-    def __init__(self, bands: EdgeBands, overwrite_interior: bool = False):
+    def __init__(self, bands: EdgeBands):
         lay = bands.mesh.layout
-        interior = (bands.lower, bands.diag, bands.upper)
-        if overwrite_interior and any(
-            np.shares_memory(a, b)
-            for i, a in enumerate(interior)
-            for b in interior[i + 1 :]
-        ):
-            raise ValueError("bands factored in place must not share memory")
-        self._bands = bands
+        self._layout = lay
+        self._couplings = (
+            bands.head_row,
+            bands.tail_row,
+            bands.head_col,
+            bands.tail_col,
+        )
         dl, d, du, du2, ipiv, info = lapack.dgttrf(
-            bands.lower,
-            bands.diag,
-            bands.upper,
-            overwrite_dl=overwrite_interior,
-            overwrite_d=overwrite_interior,
-            overwrite_du=overwrite_interior,
+            bands.lower, bands.diag, bands.upper
         )
         if info != 0:
             raise SolveFailure(f"zero pivot at interior dof {lay.nv + info - 1}")
@@ -687,16 +678,12 @@ class CondensedFactor:
             raise SolveFailure("singular vertex Schur complement")
         self._schur = (lu, piv)
 
-    def solve(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
-        """The solution of bands @ x = b on the free dofs.
-
-        With overwrite_b, a float array b is solved in place and
-        returned as x, so the caller must not read b afterwards.
-        """
-        bands = self._bands
-        lay = bands.mesh.layout
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The solution of bands @ x = b on the free dofs."""
+        lay = self._layout
+        head_row, tail_row, head_col, tail_col = self._couplings
         nv = lay.nv
-        x = np.asarray(b, dtype=float) if overwrite_b else np.array(b, dtype=float)
+        x = np.array(b, dtype=float)
         # the interior solve runs in place on x's interior slice; y must be
         # that slice, since the corrections below go into y and x returns
         y, _ = lapack.dgttrs(*self._tri, x[nv:], overwrite_b=True)
@@ -705,16 +692,16 @@ class CondensedFactor:
             y = x[nv:]
         rhs = (
             b[:nv]
-            - np.bincount(lay.src, bands.head_row * y[lay.first], minlength=nv)
-            - np.bincount(lay.dst, bands.tail_row * y[lay.last], minlength=nv)
+            - np.bincount(lay.src, head_row * y[lay.first], minlength=nv)
+            - np.bincount(lay.dst, tail_row * y[lay.last], minlength=nv)
         )
         xv = x[:nv]
         xv[:] = 0.0
         xv[lay.free_vertices] = lapack.dgetrs(*self._schur, rhs[lay.free_vertices])[0]
-        correction = np.repeat(bands.head_col * xv[lay.src], lay.sizes)
+        correction = np.repeat(head_col * xv[lay.src], lay.sizes)
         y -= np.multiply(self._from_head, correction, out=correction)
         del correction  # before the second one allocates
-        correction = np.repeat(bands.tail_col * xv[lay.dst], lay.sizes)
+        correction = np.repeat(tail_col * xv[lay.dst], lay.sizes)
         y -= np.multiply(self._from_tail, correction, out=correction)
         return x
 

@@ -102,7 +102,10 @@ def _parse_length(raw, edge_id: str, truncation: float | None) -> tuple[float, b
         raw = math.inf
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise ValueError(f"edge {edge_id!r}: length must be a number or 'inf'")
-    val = float(raw)
+    try:
+        val = float(raw)
+    except OverflowError:
+        raise ValueError(f"edge {edge_id!r}: length is too large for a float") from None
     if math.isinf(val):
         if truncation is None:
             raise ValueError(
@@ -212,7 +215,10 @@ def build_graph(description: str | dict) -> MetricGraph:
         ok = isinstance(truncation, (int, float)) and not isinstance(truncation, bool)
         if not (ok and truncation > 0.0):
             raise ValueError("'truncation' must be a positive number")
-        truncation = float(truncation)
+        try:
+            truncation = float(truncation)
+        except OverflowError:
+            raise ValueError("'truncation' is too large for a float") from None
         # an infinite truncation would give every unbounded edge an
         # infinite length, and its mesh infinitely many nodes
         if math.isinf(truncation):

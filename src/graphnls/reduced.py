@@ -73,23 +73,27 @@ def perturbed_gradient_hessian(
 
     The perturbation is -3*eps^2 * sum(x), normalized so the critical
     points sit exactly at the sign patterns scaled by eps and the
-    Hessian there is diag(6*sign*eps).
+    Hessian there is diag(6*sign*eps).  Points may be stacked: x holds
+    one point per entry of its leading axes, its N-1 coordinates on the
+    last axis, and the results stack the same way.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (N - 1,):
-        raise DimensionMismatch(f"expected {N - 1} entries for N={N}, got {x.shape}")
-    return _gradient_hessian(eps, x)
-
-
-def _gradient_hessian(eps: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """perturbed_gradient_hessian for each point along the last axis of x."""
-    d = x.shape[-1]
+    d = N - 1
+    if x.ndim == 0 or x.shape[-1] != d:
+        raise DimensionMismatch(f"expected {d} entries for N={N}, got {x.shape}")
     s = x.sum(axis=-1)[..., None]
     grad = 3.0 * x**2 - 3.0 * s**2 - 3.0 * eps**2
     hess = np.empty(x.shape + (d,))
     hess[:] = -6.0 * s[..., None]
-    hess[..., range(d), range(d)] += 6.0 * x
+    _diagonal(hess)[:] += 6.0 * x
     return grad, hess
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonals of a's stacked square matrices
+    (a contiguous)."""
+    d = a.shape[-1]
+    return a.reshape(a.shape[:-2] + (d * d,))[..., :: d + 1]
 
 
 # Both critical-set searches walk all 2^(N-1) sign patterns, and the
@@ -123,25 +127,27 @@ def _newton_zeros(N: int, starts: np.ndarray) -> np.ndarray:
     stepping, up to _NEWTON_STEPS.  Returns the points where it converged.
     """
     x = np.array(starts, dtype=float)
-    run = np.arange(x.shape[0])
-    idx = np.arange(N - 1)
+    # the rows still stepping: their indices into x and their iterates,
+    # written back to x as they stop
+    run, xr = np.arange(x.shape[0]), x
     for _ in range(_NEWTON_STEPS):
-        xr = x[run]
-        grad, hess = _gradient_hessian(1.0, xr)
+        grad, hess = perturbed_gradient_hessian(N, 1.0, xr)
         going = ~(np.linalg.norm(grad, axis=1) < 1e-12)
         if not going.any():
             break
-        run, xr, grad, hess = run[going], xr[going], grad[going], hess[going]
+        if not going.all():
+            x[run[~going]] = xr[~going]
+            run, xr, grad, hess = run[going], xr[going], grad[going], hess[going]
         try:
             step = np.linalg.solve(hess, grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
             # regularize the singular batch entries and keep going
-            hess[:, idx, idx] += 1e-12
+            _diagonal(hess)[:] += 1e-12
             step = np.linalg.solve(hess, grad[..., None])[..., 0]
         xr = xr - step
         xr[~np.isfinite(xr).all(axis=1)] = np.inf
-        x[run] = xr
-    grad, _ = _gradient_hessian(1.0, x)
+    x[run] = xr
+    grad, _ = perturbed_gradient_hessian(N, 1.0, x)
     ok = np.isfinite(x).all(axis=1) & (np.linalg.norm(grad, axis=1) < 1e-12)
     return x[ok]
 
@@ -174,17 +180,19 @@ def enumerate_critical_points(N: int, eps: float = 0.35) -> ReducedEnergyReport:
         raise ValueError(f"eps must be positive and finite, got {eps}")
 
     d = N - 1
-    points = []
-    signs = []
-    for pattern in itertools.product((1, -1), repeat=d):
-        if sum(1 for s in pattern if s < 0) != d // 2:
-            continue
-        x = np.asarray(pattern, dtype=float)
-        grad, hess = perturbed_gradient_hessian(N, 1.0, x)
-        if np.linalg.norm(grad) >= 1e-10:
-            raise AssertionError(f"closed-form point {x} is not critical")
-        points.append(x)
-        signs.append(int(math.copysign(1.0, np.linalg.det(hess))))
+    points = np.array(
+        [
+            pattern
+            for pattern in itertools.product((1.0, -1.0), repeat=d)
+            if sum(1 for s in pattern if s < 0) == d // 2
+        ]
+    )
+    grad, hess = perturbed_gradient_hessian(N, 1.0, points)
+    off = np.linalg.norm(grad, axis=1) >= 1e-10
+    if off.any():
+        x = points[np.argmax(off)]
+        raise AssertionError(f"closed-form point {x} is not critical")
+    signs = [int(math.copysign(1.0, det)) for det in np.linalg.det(hess)]
 
     # independent sweep: Newton from every sign pattern at two scales.  The
     # gradient is even in x and the Hessian odd, and pivoting and rounding

@@ -49,14 +49,15 @@ from .profiles import (
 )
 
 
-# Largest mesh a sweep may build.  A star5 sweep to lam=1600 on an
-# ungraded peak mesh (339,416 unknowns) peaked at about 300 bytes of
-# resident memory per unknown of its last, largest mesh, earlier
-# shifts' results included, so this ceiling keeps a sweep under about
-# 3 GB; far beyond it a run would swap or be killed instead of
-# finishing.  The graded mesh (fine spacing within 15 peak widths of
-# the peak) has 11,796 unknowns at that shift, so only nodes_per_width
-# or refinement_growth far above their defaults come near the ceiling.
+# Largest mesh a sweep may build.  A star5 sweep to lam=1600 with
+# nodes_per_width raised to 1450 (311,271 unknowns on its last mesh)
+# peaked at 322 bytes of traced memory (tracemalloc) per unknown of that
+# last, largest mesh, earlier shifts' results included, so this ceiling
+# keeps a sweep's arrays under about 3.2 GB; far beyond it a run would
+# swap or be killed instead of finishing.  The graded mesh (fine spacing
+# within 15 peak widths of the peak) has 11,796 unknowns at that shift
+# by default, so only nodes_per_width or refinement_growth far above
+# their defaults come near the ceiling.
 MAX_NDOF = 10_000_000
 
 
@@ -237,12 +238,7 @@ def newton_solve(
     while not converged and iters < cfg.max_iters:
         iters += 1
         try:
-            # the fresh Jacobian is factored in place, and the step is
-            # solved over r, which nothing reads again: an accepted trial
-            # brings its own residual
-            step = CondensedFactor(
-                jacobian(op, mu, u), overwrite_interior=True
-            ).solve(np.negative(r, out=r), overwrite_b=True)
+            step = CondensedFactor(jacobian(op, mu, u)).solve(-r)
         except SolveFailure as exc:
             raise SingularJacobian(str(exc)) from exc
         if not np.all(np.isfinite(step)):

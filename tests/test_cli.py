@@ -322,6 +322,43 @@ def test_malformed_json_graph_file_writes_error_record(tmp_path, capsys):
     assert "error: ValueError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suffix", [".yaml", ".json"])
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        (
+            {
+                "vertices": ["v", "w"],
+                "edges": [{"id": "e", "from": "v", "to": "w", "length": 10**400}],
+            },
+            "edge 'e': length is too large for a float",
+        ),
+        (
+            {
+                "vertices": ["v", "w"],
+                "edges": [{"id": "h", "from": "v", "to": "w", "length": "inf"}],
+                "truncation": 10**400,
+            },
+            "'truncation' is too large for a float",
+        ),
+    ],
+    ids=["length", "truncation"],
+)
+def test_graph_number_beyond_float_range_writes_error_record(
+    tmp_path, capsys, graph, message, suffix
+):
+    # 1 followed by 400 zeros parses as an int that no float holds
+    graph_file = tmp_path / f"huge{suffix}"
+    graph_file.write_text(json.dumps(graph))
+    out = tmp_path / "bad"
+    argv = ["solve", "--graph", str(graph_file), "--peak", "v"]
+    assert main(argv + ["--outdir", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert record["message"] == message
+    assert "error: ValueError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "suffix, text",
     [

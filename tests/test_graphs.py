@@ -56,6 +56,19 @@ SHARED_TRUNCATION_END = (
     "truncation: 5.0"
 )
 
+# an edge length and a truncation that are integers too large for a float
+BEYOND_FLOAT_GRAPHS = {
+    "length": {
+        "vertices": ["v", "w"],
+        "edges": [{"id": "e", "from": "v", "to": "w", "length": 10**400}],
+    },
+    "truncation": {
+        "vertices": ["v", "w"],
+        "edges": [{"id": "h", "from": "v", "to": "w", "length": "inf"}],
+        "truncation": 10**400,
+    },
+}
+
 PARALLEL = """
 vertices: [v, w]
 edges:
@@ -183,6 +196,15 @@ truncation: 12.5
             "  - {id: e1, from: a, to: b, length: 1.0e+308}\n"
             "  - {id: e2, from: b, to: c, length: 1.0e+308}",
             ValueError,
+        ),
+        # integers beyond float range, as YAML text and as parsed JSON
+        *(
+            pytest.param(description, ValueError, id=f"{name}-beyond-float-{kind}")
+            for name, graph in BEYOND_FLOAT_GRAPHS.items()
+            for kind, description in (
+                ("yaml", yaml.safe_dump(graph)),
+                ("json", json.loads(json.dumps(graph))),
+            )
         ),
     ],
 )

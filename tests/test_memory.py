@@ -16,8 +16,9 @@ from graphnls import (
     star_neighborhood,
 )
 
-# measured on this sweep: a peak of 247 bytes per dof and 47 bytes per
-# dof held by the results.  Holding per-element index arrays in every
+# measured on this sweep: a peak of 283 bytes per dof, reached while the
+# Jacobian is factored from a copy of its bands, and 64 bytes per dof
+# held by the results.  Holding per-element index arrays in every
 # mesh's layout, a second off-diagonal in the shifted form and all
 # kernel-mode products at once measured 357 and 125.
 PEAK_BYTES_PER_DOF = 300

@@ -1,6 +1,7 @@
 """Reduced cubic energy: identities, critical points, degenerate lines,
 and its link to the discrete action of the PDE."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -80,6 +81,18 @@ def test_gradient_and_hessian_match_finite_differences(N, eps):
             assert np.allclose(hess[:, k], (gp - gm) / (2.0 * h), atol=5e-8)
 
 
+def test_stacked_points_give_each_point_s_gradient_and_hessian():
+    x = np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, 2, 4))
+    grad, hess = perturbed_gradient_hessian(5, 0.3, x)
+    assert grad.shape == (3, 2, 4) and hess.shape == (3, 2, 4, 4)
+    for i, j in np.ndindex(3, 2):
+        g, h = perturbed_gradient_hessian(5, 0.3, x[i, j])
+        assert g.tobytes() == grad[i, j].tobytes()
+        assert h.tobytes() == hess[i, j].tobytes()
+    with pytest.raises(DimensionMismatch):
+        perturbed_gradient_hessian(5, 0.3, x[..., :3])
+
+
 def test_tripod_critical_points_closed_form():
     rep = enumerate_critical_points(3, 0.5)
     assert rep.N == 3 and rep.eps == 0.5
@@ -144,6 +157,24 @@ def test_odd_star_counts_and_degrees(monkeypatch, N, count, degree):
     zeros, reference = sweeps
     assert zeros.shape == reference.shape
     assert np.abs(zeros - reference).max() <= 1e-12
+
+
+# SHA-256 of the sweep's zeros from the positive starts: the steps
+# regroup the running rows, and the zeros must not move by a bit
+NEWTON_ZEROS_SHA256 = {
+    3: "33c2d139a4ec80d8a8af4f98c95be747887d3c8ccc4e72ab763717b527d8c5d8",
+    5: "bb0895ad9c880f08ed24a8198a17548d82e3a6c6f7efc7b7e04c3ad8ece1cdcd",
+    7: "cf5e0d4eaa0934c7f6b044cabda1f5cac22c6637462bddd12d947696457dc171",
+    9: "d722aa66320385bbf4e787cf1c09d9dadd11a785f16867328039dc2d0b30619c",
+    11: "c445d7f5293369d496d206a67ab327705c2704d849deb8c739524522106a73b3",
+}
+
+
+@pytest.mark.parametrize("N", sorted(NEWTON_ZEROS_SHA256))
+def test_newton_zeros_are_bit_for_bit(N):
+    zeros = reduced._newton_zeros(N, reduced._positive_starts(N))
+    digest = hashlib.sha256(zeros.tobytes()).hexdigest()
+    assert digest == NEWTON_ZEROS_SHA256[N]
 
 
 @pytest.mark.parametrize("N", [3, 5, 7, 9, 11])
