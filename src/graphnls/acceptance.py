@@ -36,7 +36,6 @@ from .functionals import soliton_reference
 from .graphs import (
     MetricGraph,
     _parse_json,
-    admissible_peak_degree,
     build_graph,
     star_neighborhood,
 )
@@ -66,13 +65,9 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-    skipped: bool = False
 
     def line(self) -> str:
-        if self.skipped:
-            status = "SKIP"
-        else:
-            status = "PASS" if self.passed else "FAIL"
+        status = "PASS" if self.passed else "FAIL"
         return f"criterion {self.cid} ({self.name}): {status} - {self.detail}"
 
 
@@ -436,44 +431,26 @@ def criterion_9() -> CriterionResult:
     return CriterionResult(9, _NAMES[9], passed, detail)
 
 
-# the peak degree the hypothesis gate checks when none is given: the
-# tripod's, which the Newton criteria run on
-_PEAK_DEGREE = 3
-# criteria that rest on the odd-degree peak hypotheses
-_HYPOTHESIS_BOUND = (4, 5, 6, 7, 8)
 # criteria that run Newton; `run_all` runs them in a child process
 _NEWTON = (4, 5, 6, 7, 8, 9)
 
 
-def _requested(criteria, peak_degree: int) -> list[int]:
+def _requested(criteria) -> list[int]:
     """The requested criteria in order, all nine for None.  Raises
-    ValueError on an empty request, an unknown criterion or a peak
-    degree below 1, so that a bad request runs nothing."""
+    ValueError on an empty request or an unknown criterion, so that a
+    bad request runs nothing."""
     wanted = sorted(_NAMES) if criteria is None else sorted(set(criteria))
     if not wanted:
         raise ValueError("no criteria requested")
     unknown = [cid for cid in wanted if cid not in _NAMES]
     if unknown:
         raise ValueError(f"no criterion {', '.join(map(str, unknown))}")
-    if peak_degree < 1:
-        raise ValueError(f"peak degree must be >= 1, got {peak_degree}")
     return wanted
 
 
-def run_criterion(cid: int, peak_degree: int = _PEAK_DEGREE) -> CriterionResult:
-    """Run one criterion, honoring the hypothesis gate and error capture."""
-    _requested((cid,), peak_degree)
-    if cid in _HYPOTHESIS_BOUND and not admissible_peak_degree(peak_degree):
-        return CriterionResult(
-            cid,
-            _NAMES[cid],
-            passed=True,
-            detail=(
-                f"peak degree {peak_degree} is outside the odd-degree "
-                "hypotheses; criterion skipped"
-            ),
-            skipped=True,
-        )
+def run_criterion(cid: int) -> CriterionResult:
+    """Run one criterion; a GraphNLSError it raises is a failed result."""
+    _requested((cid,))
     # looked up at call time, so a rebound criterion_k is the one run
     fn = globals()[f"criterion_{cid}"]
     try:
@@ -506,7 +483,7 @@ def _send_from_child(write_fd: int, run, cids: list[int]) -> None:
         os._exit(status)
 
 
-def run_all(criteria=None, peak_degree: int = _PEAK_DEGREE) -> list[CriterionResult]:
+def run_all(criteria=None) -> list[CriterionResult]:
     """Run the requested criteria (all nine by default) in order.
 
     The request is checked before anything runs.  When it holds
@@ -519,10 +496,10 @@ def run_all(criteria=None, peak_degree: int = _PEAK_DEGREE) -> list[CriterionRes
     with its type and message, and a child that dies without a result
     raises RuntimeError naming its exit status.
     """
-    wanted = _requested(criteria, peak_degree)
+    wanted = _requested(criteria)
 
     def run(cids: list[int]) -> list[CriterionResult]:
-        return [run_criterion(cid, peak_degree) for cid in cids]
+        return [run_criterion(cid) for cid in cids]
 
     newton = [cid for cid in wanted if cid in _NEWTON]
     here = [cid for cid in wanted if cid not in _NEWTON]

@@ -21,7 +21,6 @@ import argparse
 import contextlib
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -124,10 +123,6 @@ def _write_state_files(state_dir: Path, u: DiscreteField) -> None:
         (state_dir / f"{eid}.txt").write_text(texts[key], encoding="utf-8")
 
 
-def _outdir(configured: str) -> Path:
-    return Path(os.environ.get("GRAPHNLS_OUTDIR", configured))
-
-
 def _clear_outdir(outdir: Path) -> None:
     """Remove what an earlier solve run may have left in outdir: its CSV,
     manifest, error record and state_lam*/*.txt files.  A state directory
@@ -144,7 +139,7 @@ def _clear_outdir(outdir: Path) -> None:
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
     """Run the sweep described by cfg and write its artifacts."""
-    outdir = _outdir(cfg.outdir)
+    outdir = Path(cfg.outdir)
     _clear_outdir(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     name = cfg.graph
@@ -255,8 +250,7 @@ def cmd_verify(**knobs) -> int:
     results = run_all(**knobs)
     for res in results:
         print(res.line())
-    failed = [r for r in results if not r.passed and not r.skipped]
-    return 1 if failed else 0
+    return 0 if all(r.passed for r in results) else 1
 
 
 def _write_error_record(outdir: Path, kind: str, message: str) -> None:
@@ -315,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_parse_floats,
         help="comma-separated increasing frequency shifts",
     )
-    ps.add_argument("--outdir", help="output directory (env GRAPHNLS_OUTDIR overrides)")
+    ps.add_argument("--outdir", help="output directory")
     # every other field is a scalar knob: its flag is --<field-name>,
     # parsed as the type of its default
     for f in fields(ExperimentConfig):
@@ -332,7 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_parse_ints,
         help="comma-separated criterion numbers (default: all)",
     )
-    pv.add_argument("--peak-degree", type=int)
     return parser
 
 
@@ -349,7 +342,7 @@ def main(argv=None) -> int:
             return cmd_solve(ExperimentConfig(**knobs))
         except (GraphNLSError, ValueError, OSError) as exc:
             # a run refused on input leaves no earlier run's artifacts either
-            outdir = _outdir(knobs.get("outdir", ExperimentConfig.outdir))
+            outdir = Path(knobs.get("outdir", ExperimentConfig.outdir))
             with contextlib.suppress(OSError):
                 _clear_outdir(outdir)
             _write_error_record(outdir, type(exc).__name__, str(exc))
@@ -361,7 +354,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(**knobs)
     except (GraphNLSError, ValueError) as exc:
-        # a bad N, eps, criterion or peak degree
+        # a bad N, eps or criterion list
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command!r}")

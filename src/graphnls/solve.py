@@ -205,12 +205,13 @@ def _residual_and_norms(op: KirchhoffOperator, mu: float, u: DiscreteField):
 
     One shifted band product serves both the lambda-norm of u, which the
     relative norm divides by, and the residual, which is written over it.
+    The relative norm of the zero state is inf, so it never converges.
     """
     shifted_u = op.shifted @ u.values
-    size = max(1.0, lambda_norm(op, u, shifted_u))
+    size = lambda_norm(op, u, shifted_u)
     r = nonlinear_residual(op, mu, u, shifted_u).values
     absolute = dual_residual_norm(op, r)
-    return r, absolute / size, absolute
+    return r, absolute / size if size > 0.0 else math.inf, absolute
 
 
 def newton_solve(

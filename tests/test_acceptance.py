@@ -16,7 +16,6 @@ from graphnls import acceptance
 def _run(cid: int) -> None:
     res = acceptance.run_criterion(cid)
     print(res.line())
-    assert not res.skipped, res.detail
     assert res.passed, res.line()
 
 
@@ -88,17 +87,6 @@ def test_run_all_reports_every_criterion():
         assert res.passed
 
 
-def test_even_peak_degree_skips_hypothesis_bound_criteria():
-    results = acceptance.run_all(peak_degree=4)
-    skipped = {r.cid for r in results if r.skipped}
-    assert skipped == {4, 5, 6, 7, 8}
-    for res in results:
-        if res.skipped:
-            assert "odd-degree" in res.detail
-        else:
-            assert res.passed
-
-
 def test_unknown_criteria_are_rejected_before_any_runs(monkeypatch):
     ran = []
     monkeypatch.setattr(acceptance, "criterion_2", lambda: ran.append(2))
@@ -106,15 +94,6 @@ def test_unknown_criteria_are_rejected_before_any_runs(monkeypatch):
         acceptance.run_all([0, 2])
     with pytest.raises(ValueError, match="no criterion 12"):
         acceptance.run_all([2, 12])
-    assert ran == []
-
-
-@pytest.mark.parametrize("degree", [0, -3])
-def test_a_peak_degree_below_one_is_rejected_before_any_runs(monkeypatch, degree):
-    ran = []
-    monkeypatch.setattr(acceptance, "criterion_2", lambda: ran.append(2))
-    with pytest.raises(ValueError, match="peak degree must be >= 1"):
-        acceptance.run_all([2, 4], peak_degree=degree)
     assert ran == []
 
 
@@ -133,16 +112,11 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize(
-    "criteria, peak_degree",
-    [(None, 3), ([2, 3], 3), ([7], 3), ([1, 9], 3), (None, 4)],
-)
-def test_run_all_matches_the_criteria_run_in_process(
-    no_child_left, criteria, peak_degree
-):
+@pytest.mark.parametrize("criteria", [None, [2, 3], [7], [1, 9]])
+def test_run_all_matches_the_criteria_run_in_process(no_child_left, criteria):
     wanted = range(1, 10) if criteria is None else criteria
-    expected = [acceptance.run_criterion(cid, peak_degree) for cid in wanted]
-    assert acceptance.run_all(criteria, peak_degree=peak_degree) == expected
+    expected = [acceptance.run_criterion(cid) for cid in wanted]
+    assert acceptance.run_all(criteria) == expected
 
 
 def _refuse_to_fork():
@@ -191,19 +165,15 @@ def test_run_all_stops_the_child_when_the_caller_raises(no_child_left, monkeypat
 
 
 @pytest.mark.parametrize(
-    "criteria, peak_degree, message",
-    [
-        ((), 3, "no criteria requested"),
-        ([0, 2, 7], 3, "no criterion 0"),
-        ([2, 7], 0, "peak degree must be >= 1"),
-    ],
+    "criteria, message",
+    [((), "no criteria requested"), ([0, 2, 7], "no criterion 0")],
 )
 def test_run_all_refuses_a_bad_request_before_forking(
-    no_child_left, monkeypatch, criteria, peak_degree, message
+    no_child_left, monkeypatch, criteria, message
 ):
     def refuse():
         raise AssertionError("forked for a refused request")
 
     monkeypatch.setattr(os, "fork", refuse)
     with pytest.raises(ValueError, match=message):
-        acceptance.run_all(criteria, peak_degree=peak_degree)
+        acceptance.run_all(criteria)

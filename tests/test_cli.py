@@ -34,11 +34,6 @@ FAST_SOLVE = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("GRAPHNLS_OUTDIR", raising=False)
-
-
 def test_solve_writes_the_expected_artifacts(tmp_path):
     out = tmp_path / "run"
     rc = main(FAST_SOLVE + ["--outdir", str(out)])
@@ -228,14 +223,17 @@ def test_state_files_share_text_only_between_bitwise_equal_edges(tmp_path):
     assert text["d"] == "0 1\n1 0.5\n2 0\n"
 
 
-def test_environment_variable_overrides_outdir(tmp_path, monkeypatch):
+def test_solve_writes_to_its_outdir_whatever_the_environment(tmp_path, monkeypatch):
+    # bench/run.py sets GRAPHNLS_OUTDIR beside --outdir; only the flag counts
+    out = tmp_path / "flag"
     env_dir = tmp_path / "from-env"
-    ignored = tmp_path / "ignored"
     monkeypatch.setenv("GRAPHNLS_OUTDIR", str(env_dir))
-    rc = main(FAST_SOLVE + ["--outdir", str(ignored)])
-    assert rc == 0
-    assert (env_dir / "diagnostics.csv").exists()
-    assert not ignored.exists()
+    assert main(FAST_SOLVE + ["--outdir", str(out)]) == 0
+    assert (out / "diagnostics.csv").exists()
+    # a refused run writes its error record there too
+    assert main(FAST_SOLVE + ["--outdir", str(out), "--mu", "0"]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    assert not env_dir.exists()
 
 
 def test_solve_with_unknown_peak_writes_error_record(tmp_path, capsys):
@@ -757,6 +755,13 @@ def test_verify_prints_the_golden_lines(capsys):
     assert capsys.readouterr().out.splitlines() == GOLDEN_VERIFY
 
 
+def test_verify_prints_the_golden_lines_of_the_criteria_requested(capsys):
+    # the criteria that do not rest on the odd-degree peak hypotheses
+    assert main(["verify", "--criteria", "1,2,3,9"]) == 0
+    wanted = [GOLDEN_VERIFY[cid - 1] for cid in (1, 2, 3, 9)]
+    assert capsys.readouterr().out.splitlines() == wanted
+
+
 def test_verify_forks_safely_with_threaded_blas(tmp_path):
     # verify forks a child for criteria 4-9; with the BLAS thread pools
     # at their default sizes a fork must neither hang nor change a line
@@ -916,23 +921,6 @@ def test_verify_rejects_an_empty_criteria_list(capsys):
     assert captured.err == "error: ValueError: no criteria requested\n"
 
 
-@pytest.mark.parametrize("degree", ["0", "-3"])
-def test_verify_rejects_a_peak_degree_below_one_before_running_any(capsys, degree):
-    rc = main(["verify", "--criteria", "2,4", "--peak-degree", degree])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err == f"error: ValueError: peak degree must be >= 1, got {degree}\n"
-
-
-def test_verify_skips_outside_hypotheses(capsys):
-    rc = main(["verify", "--criteria", "2,4", "--peak-degree", "4"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "SKIP" in out
-    assert "outside the odd-degree hypotheses" in out
-
-
 # ExperimentConfig(graph="tripod", peaks=("c",)).config_hash() as the
 # defaults stood when each was written out in three places; it changes
 # if any default value does
@@ -974,26 +962,25 @@ def test_no_command_line_option_carries_a_default_of_its_own():
             assert action.default is argparse.SUPPRESS, (name, action.dest)
 
 
-def test_verify_takes_only_criteria_and_peak_degree(capsys):
+def test_verify_takes_only_criteria(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
     assert exc.value.code == 0
     usage = capsys.readouterr().out.split("\n\n")[0].split()
-    assert [w for w in usage if w.startswith("[-")] == [
-        "[-h]", "[--criteria", "[--peak-degree"
-    ]
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--coarse"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --coarse" in capsys.readouterr().err
+    assert [w for w in usage if w.startswith("[-")] == ["[-h]", "[--criteria"]
+    for flag in (["--coarse"], ["--peak-degree", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_verify_and_reduced_energy_hand_on_only_the_flags_given(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli, "run_all", lambda **knobs: calls.append(knobs) or [])
     assert main(["verify"]) == 0
-    assert main(["verify", "--criteria", "2,3", "--peak-degree", "5"]) == 0
-    assert calls == [{}, {"criteria": (2, 3), "peak_degree": 5}]
+    assert main(["verify", "--criteria", "2,3"]) == 0
+    assert calls == [{}, {"criteria": (2, 3)}]
     # the library's eps is the one printed
     assert main(["reduced-energy", "3"]) == 0
     assert "N=3, eps=0.35\n" in capsys.readouterr().out

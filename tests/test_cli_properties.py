@@ -11,7 +11,6 @@ with exit 1, not by the parser.
 import tempfile
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,11 +31,6 @@ NODES_PER_WIDTH = ("5", "15", "0", "1e-9", "-1", "nan", "inf", "1e12")
 MAX_ITERS = ("0", "3", "-1")
 SEEDS = ("previous", "ansatz", "bogus")
 CUTOFFS = ("cos2", "foo")
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("GRAPHNLS_OUTDIR", raising=False)
 
 
 def _optional(flag, values):

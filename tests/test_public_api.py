@@ -1,10 +1,15 @@
 """The package's public names, its unused imports, and the README's
-library example."""
+library example and command lines."""
 
 import ast
+import json
+import shlex
 from pathlib import Path
 
 import graphnls
+from graphnls.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # every name the pipeline uses, and the references its tests build on
 PUBLIC_API = [
@@ -69,16 +74,52 @@ def test_public_names_are_pinned_and_resolve():
         assert getattr(graphnls, name) is not None
 
 
+def _readme_block(heading: str, language: str) -> str:
+    """The first `language` code block after README's `heading`."""
+    section = README.read_text(encoding="utf-8").split(heading, 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_library_example_runs(capsys):
     # the example is run as written, so it cannot drift from the API
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text(encoding="utf-8").split("## Library example", 1)[1]
-    code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(code, str(readme), "exec"), {})
+    code = _readme_block("## Library example", "python")
+    exec(compile(code, str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in lines] == [
         [lam, "True"] for lam in ("25.0", "50.0", "100.0")
     ]
+
+
+def _readme_commands() -> list[list[str]]:
+    """The command lines of README's command line block, as argv lists."""
+    text = _readme_block("## Command line", "sh").replace("\\\n", " ")
+    lines = [line for line in text.splitlines() if line.strip()]
+    return [shlex.split(line) for line in lines if not line.startswith("#")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # each converges, or fails with Newton's diagnosed reason; a removed
+    # flag would be a usage error
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert commands and all(argv[0] == "graphnls" for argv in commands)
+    for argv in commands:
+        rc = main(argv[1:])
+        capsys.readouterr()
+        if argv[1] != "solve" or rc == 0:
+            assert rc == 0, argv
+            continue
+        assert rc == 2, argv
+        outdir = Path(argv[argv.index("--outdir") + 1])
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        failed = [
+            f"{r['lam']:g}"
+            for r in manifest["results"]
+            if r["termination"] in ("max_iters", "line_search_stall")
+        ]
+        error = json.loads((outdir / "error.json").read_text())
+        assert error["error"] == "NotConverged", argv
+        assert failed and error["message"].split(": ", 1)[1] == ", ".join(failed)
 
 
 # module.name of every import that the module never reads: names the

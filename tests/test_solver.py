@@ -108,8 +108,29 @@ def test_newton_converges_from_the_peaked_seed():
     assert np.min(res.u.values) > 0.0
     # the reported residual is reproducible from the state itself
     r = nonlinear_residual(op, 1.0, res.u)
-    rel = dual_residual_norm(op, r.values) / max(1.0, lambda_norm(op, res.u))
+    rel = dual_residual_norm(op, r.values) / lambda_norm(op, res.u)
     assert rel == pytest.approx(res.residual_norm, rel=1e-6, abs=1e-14)
+
+
+@pytest.mark.parametrize("lam", [1e-20, 1e-6])
+def test_a_converged_residual_is_relative_to_a_small_state(lam):
+    # a state far below lambda-norm 1 is held to its own size, not to 1
+    template = peak_template(reference_graph("tripod"), ["c"])
+    cfg = SolveConfig(lambdas=(lam,))
+    (res,) = continuation_sweep(template, cfg)
+    if res.converged:
+        size = lambda_norm(assemble(template.graph, res.u.mesh, lam), res.u)
+        assert size > 0.0
+        assert res.residual_norm_absolute <= cfg.newton_tol * size
+
+
+def test_the_zero_state_never_converges():
+    # its relative residual is inf: Newton ends on its iteration cap
+    g, star, spec, mesh, op = _tripod_setup()
+    zero = DiscreteField(mesh, np.zeros(mesh.ndof))
+    res = newton_solve(op, zero, SolveConfig(mu=1.0, max_iters=3))
+    assert res.termination == "max_iters"
+    assert res.residual_norm == math.inf and res.residual_norm_absolute == 0.0
 
 
 def test_newton_records_the_mu_of_its_config():
