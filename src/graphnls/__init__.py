@@ -56,7 +56,6 @@ from .reduced import (
     even_case_lines,
     perturbed_gradient_hessian,
     reduced_energy,
-    reduced_energy_diagonal,
 )
 from .solve import (
     BoundStateResult,
@@ -110,7 +109,6 @@ __all__ = [
     "perturbed_gradient_hessian",
     "reduced_cubic_coefficient",
     "reduced_energy",
-    "reduced_energy_diagonal",
     "reference_graph",
     "refined_mesh",
     "resolvent_apply",

@@ -151,8 +151,9 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     soliton_reference(cfg.mu)
     results = continuation_sweep(template, cfg)
 
-    # one column name -> value mapping per shift; the header is its keys
-    rows = []
+    # one pass per shift: its CSV row (column name -> value; the header
+    # is the keys), its manifest entry, its state files and its line
+    rows, entries = [], []
     for res in results:
         rep = res.functionals
         mass_ratio, action_ratio, rate = normalized_ratios(res, template.weight)
@@ -171,9 +172,20 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
             "correction_rate": _fmt(rate),
             **{f"peak_offset_{p}": _fmt(off) for p, off in res.peak_locations},
         })
+        entries.append({
+            "lam": res.lam,
+            "converged": res.converged,
+            "termination": res.termination,
+            "iterations": res.iterations,
+            "backtracks": res.backtracks,
+        })
         state_dir = outdir / _state_dir_name(res.lam)
         state_dir.mkdir(exist_ok=True)
         _write_state_files(state_dir, res.u)
+        print(
+            f"lam={res.lam:g} converged={res.converged} "
+            f"iterations={res.iterations} residual={res.residual_norm:.3g}"
+        )
 
     csv_lines = [f"# config {cfg.config_hash()}", ",".join(rows[0])]
     csv_lines += [",".join(row.values()) for row in rows]
@@ -192,32 +204,16 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
             "peak_degrees": [s.degree for s in stars],
             "within_hypotheses": all(admissible_peak_degree(s.degree) for s in stars),
         },
-        "results": [
-            {
-                "lam": res.lam,
-                "converged": res.converged,
-                "termination": res.termination,
-                "iterations": res.iterations,
-                "backtracks": res.backtracks,
-            }
-            for res in results
-        ],
+        "results": entries,
     }
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
-    for res in results:
-        print(
-            f"lam={res.lam:g} converged={res.converged} "
-            f"iterations={res.iterations} residual={res.residual_norm:.3g}"
-        )
-    if not all(res.converged for res in results):
+    failed = [f"{e['lam']:g}" for e in entries if not e["converged"]]
+    if failed:
         _write_error_record(
-            outdir,
-            "NotConverged",
-            "some shifts did not converge: "
-            + ", ".join(f"{r.lam:g}" for r in results if not r.converged),
+            outdir, "NotConverged", "some shifts did not converge: " + ", ".join(failed)
         )
         return 2
     return 0

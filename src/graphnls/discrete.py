@@ -317,19 +317,10 @@ def _edge_plan(
 
 
 def _edge_plans(
-    g: MetricGraph,
-    h: float,
-    peaks: Collection[str] = (),
-    lam: float | None = None,
+    g: MetricGraph, h: float, peaks: Collection[str], lam: float
 ) -> Iterator[_EdgePlan]:
-    """The plan of every edge of g: np.linspace's grid at spacing h, or,
-    given peaks and the shift lam, graded toward the peaks with spacing
-    h as `refined_mesh` states."""
-    if not peaks:
-        for e in g.edges:
-            n = edge_elements(e.length, h)
-            yield _EdgePlan(n, e.length / n)
-        return
+    """The plan of every edge of g, graded toward the peaks at the shift
+    lam with spacing h, as `refined_mesh` states."""
     peaks = set(peaks)
     width = GRADED_WIDTHS / math.sqrt(lam)
     h_far = max(1.0 / math.sqrt(lam), 5.0 * h)
@@ -390,8 +381,9 @@ def build_mesh(g: MetricGraph, plans: Iterable[_EdgePlan]) -> Mesh:
 
 def uniform_mesh(g: MetricGraph, h: float) -> Mesh:
     """np.linspace's grid on every edge, at the largest step not above h
-    (and at least four elements)."""
-    return build_mesh(g, _edge_plans(g, h))
+    (and at least four elements): `_edge_plan`'s ungraded case, with no
+    fine zone at either end."""
+    return build_mesh(g, (_edge_plan(e.length, h, (0.0, 0.0), h) for e in g.edges))
 
 
 def refined_plans(
@@ -455,9 +447,6 @@ class DiscreteField:
             raise ValueError(
                 f"expected {self.mesh.ndof} values, got {self.values.shape}"
             )
-
-    def copy(self) -> "DiscreteField":
-        return DiscreteField(self.mesh, self.values.copy())
 
 
 def positive_power(v: np.ndarray, p: float) -> np.ndarray:
@@ -580,22 +569,21 @@ def edge_bands(
 ) -> EdgeBands:
     """Bands of the form stiffness * (u', v') + (w u, v), element by element.
 
-    The weight w is a constant or a nodal array interpolated linearly;
-    the element integrals are exact for piecewise linear w, u and v.
+    The weight w is a nodal array interpolated linearly, or a constant,
+    broadcast to every node.  One formula serves both: the element
+    integrals of w * phi_i * phi_j with w linear on the element, exact
+    for piecewise linear w, u and v.  At w = 1 it gives the mass matrix
+    (h/6)[[2,1],[1,2]] bit for bit, since 4h and 2h are exact.
     """
     lay = mesh.layout
     elem = _element_arrays(mesh)
     h = elem.h
-    if np.ndim(weight) == 0:
-        # element matrices (1/h)[[1,-1],[-1,1]] and (h/6)[[2,1],[1,2]]
-        start = end = stiffness / h + weight * h / 3.0
-        off = -stiffness / h + weight * h / 6.0
-    else:
-        # element integrals of w*phi_i*phi_j with w linear on the element
-        wl, wr = weight[elem.left], weight[elem.right]
-        start = stiffness / h + h * (3.0 * wl + wr) / 12.0
-        end = stiffness / h + h * (wl + 3.0 * wr) / 12.0
-        off = -stiffness / h + h * (wl + wr) / 12.0
+    weight = np.broadcast_to(np.asarray(weight, dtype=float), (mesh.ndof,))
+    wl, wr = weight[elem.left], weight[elem.right]
+    k = stiffness / h
+    start = k + h * (3.0 * wl + wr) / 12.0
+    end = k + h * (wl + 3.0 * wr) / 12.0
+    off = -k + h * (wl + wr) / 12.0
     nv = lay.nv
     band = np.zeros(mesh.ndof - nv - 1)
     band[elem.inner_pos] = off[elem.inner]

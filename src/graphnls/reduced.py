@@ -57,15 +57,6 @@ def reduced_energy(N: int, coeffs) -> float:
     return float(np.sum(edge_sums**3))
 
 
-def reduced_energy_diagonal(N: int, x) -> float:
-    """The cubic after the change of variables: sum x^3 - (sum x)^3."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (N - 1,):
-        raise DimensionMismatch(f"expected {N - 1} entries for N={N}, got {x.shape}")
-    s = float(np.sum(x))
-    return float(np.sum(x**3)) - s**3
-
-
 def perturbed_gradient_hessian(
     N: int, eps: float, x
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -53,7 +53,6 @@ PUBLIC_API = [
     "perturbed_gradient_hessian",
     "reduced_cubic_coefficient",
     "reduced_energy",
-    "reduced_energy_diagonal",
     "reference_graph",
     "refined_mesh",
     "resolvent_apply",
@@ -151,3 +150,28 @@ def test_no_module_imports_a_name_it_never_reads():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unread += [f"{path.stem}.{name}" for name in sorted(bound - read)]
     assert unread == TRACER_ONLY_IMPORTS
+
+
+# exports that no module in src/ reads yet, each with the ROADMAP item
+# that gives it a reader; the list only shrinks
+UNREAD_EXPORTS = [
+    "change_of_variables_matrix",  # item 13
+    "kirchhoff_flux",  # item 6
+    "reduced_cubic_coefficient",  # item 12
+    "reduced_energy",  # item 12
+    "sample_kernel_mode",  # item 7
+]
+
+
+def test_every_export_is_read_in_src():
+    # a read is a loaded name or an attribute; an import alone is not one
+    read = set()
+    for path in Path(graphnls.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                node.ctx, ast.Load
+            ):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    assert [name for name in graphnls.__all__ if name not in read] == UNREAD_EXPORTS

@@ -621,7 +621,7 @@ def test_peak_offsets_catch_displaced_maxima():
     g, star, spec, mesh, op = _tripod_setup(lam=25.0, npw=20.0)
     centered = assemble_ansatz(spec, mesh, 25.0, 1.0)
     assert peak_offsets(centered, spec)[0][1] == pytest.approx(0.0)
-    shifted = centered.copy()
+    shifted = DiscreteField(mesh, centered.values.copy())
     nodes = mesh.edge_nodes["e1"]
     bump = np.exp(-80.0 * (nodes - 0.3) ** 2)
     shifted.values[mesh.edge_dofs["e1"]] += 2.0 * centered.values.max() * bump
