@@ -35,7 +35,6 @@ from .errors import GraphNLSError
 # evaluate_functionals is unused here; bench/tracer.py wraps it by this name
 from .functionals import evaluate_functionals, normalized_ratios, soliton_reference
 from .graphs import admissible_peak_degree, load_graph
-from .profiles import TAPER, AnsatzSpec
 from .reduced import MAX_N, enumerate_critical_points, even_case_lines
 from .solve import SolveConfig, continuation_sweep, peak_template
 
@@ -55,16 +54,11 @@ class ExperimentConfig(SolveConfig):
 
     graph: str
     peaks: tuple[str, ...]
-    alpha: float = AnsatzSpec.alpha
     coeffs: tuple[tuple[float, ...], ...] | None = None
-    cutoff: str = TAPER
     outdir: str = "graphnls-out"
 
     def __post_init__(self):
         super().__post_init__()  # rejects out-of-range solver knobs
-        # the seed has one taper; the field stays for the config hash
-        if self.cutoff != TAPER:
-            raise ValueError(f"unknown cutoff kind {self.cutoff!r}")
         # each shift writes its states to a directory named by its shift
         names = [_state_dir_name(lam) for lam in self.lambdas]
         clashes = sorted({n for n in names if names.count(n) > 1})
@@ -144,7 +138,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     name = cfg.graph
     g = reference_graph(name) if name in BUILTIN_GRAPHS else load_graph(name)
-    template = peak_template(g, cfg.peaks, alpha=cfg.alpha, coeffs=cfg.coeffs)
+    template = peak_template(g, cfg.peaks, coeffs=cfg.coeffs)
     stars = [star for star, _ in template.peaks]
     # the ratio columns need the reference constants, which exist only
     # for mu >= 0.5: fail before the sweep rather than after it

@@ -190,6 +190,8 @@ def _element_arrays(mesh: Mesh) -> _ElementArrays:
     dofs = list(mesh.edge_dofs.values())
     left = np.concatenate([d[:-1] for d in dofs])
     right = np.concatenate([d[1:] for d in dofs])
+    # an ungraded edge keeps its one spacing: np.diff of its nodes moves
+    # the last bits, which breaks the reduced-energy identity to 1e-12
     h = np.concatenate(
         [
             np.diff(mesh.edge_nodes[eid])
@@ -391,7 +393,13 @@ def refined_plans(
 ) -> tuple[_EdgePlan, ...]:
     """The edge plans of refined_mesh(g, lam, peaks, nodes_per_width),
     in g.edges' order: its ndof by arithmetic alone (`planned_ndof`),
-    and no node array."""
+    and no node array.  An empty peak list, or a peak that is not a
+    vertex of g, is refused."""
+    if not peaks:
+        raise ValueError("at least one peak vertex is required")
+    missing = [p for p in peaks if p not in g.vertices]
+    if missing:
+        raise ValueError(f"peak vertices not in graph: {missing}")
     h = 1.0 / (nodes_per_width * math.sqrt(lam))
     return tuple(_edge_plans(g, h, peaks, lam))
 

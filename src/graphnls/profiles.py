@@ -57,10 +57,6 @@ def kernel_basis(N: int) -> np.ndarray:
     return basis
 
 
-# the taper's name, the one value of ExperimentConfig.cutoff
-TAPER = "cos2"
-
-
 def eval_cutoff(ell: float, x):
     """The taper: 1 on [0, ell], cos^2 down to 0 at 2*ell, 0 beyond.
 
@@ -87,13 +83,10 @@ class AnsatzSpec:
 
     graph: MetricGraph
     peaks: tuple[tuple[StarNeighborhood, tuple[float, ...]], ...]
-    alpha: float = 0.25
 
     def __post_init__(self):
         if not self.peaks:
             raise ValueError("at least one peak vertex is required")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         for star, coeffs in self.peaks:
             ends = tuple((e.id, away) for e, away in self.graph.incident(star.center))
             if star.incident_edges != ends:
@@ -123,23 +116,14 @@ class AnsatzSpec:
         return sum(star.degree for star, _ in self.peaks) / 2.0
 
     def damping(self, lam: float) -> float:
-        """lam**alpha, the divisor of the kernel coefficients at shift lam.
+        """lam**0.25, the divisor of the kernel coefficients at shift lam.
 
-        A shift that is not positive and finite, or an alpha that puts
-        the power out of floating-point range at it, is refused.
+        A shift that is not positive and finite is refused; at any other
+        the power is positive and finite.
         """
         if not (math.isfinite(lam) and lam > 0.0):
             raise ValueError("lam must be positive")
-        try:
-            damping = lam**self.alpha
-        except OverflowError:
-            damping = math.inf
-        if not 0.0 < damping < math.inf:
-            raise ValueError(
-                f"alpha={self.alpha} puts the coefficient damping "
-                f"lam**alpha out of floating-point range at lam={lam:g}"
-            )
-        return damping
+        return lam**0.25
 
 
 def _rays(mesh: Mesh, star: StarNeighborhood, reach: float):

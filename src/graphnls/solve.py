@@ -56,9 +56,14 @@ from .profiles import (
 # keeps a sweep's arrays under about 3.2 GB; far beyond it a run would
 # swap or be killed instead of finishing.  The graded mesh (fine spacing
 # within 15 peak widths of the peak) has 11,796 unknowns at that shift
-# by default, so only nodes_per_width or refinement_growth far above
-# their defaults come near the ceiling.
+# by default, so only a nodes_per_width far above its default comes
+# near the ceiling.
 MAX_NDOF = 10_000_000
+
+# mesh refinement grows like (lam/lam0)**REFINEMENT_GROWTH so
+# discretization error in the normalized diagnostics keeps shrinking
+# along a sweep
+REFINEMENT_GROWTH = 0.25
 
 
 @dataclass(frozen=True)
@@ -68,12 +73,8 @@ class SolveConfig:
     mu: float = 1.0
     newton_tol: float = 1e-10
     max_iters: int = 50
-    damping: float = 0.5
     lambdas: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0, 400.0)
     nodes_per_width: float = 40.0
-    # mesh refinement grows like (lam/lam0)^growth so discretization
-    # error in the normalized diagnostics keeps shrinking along a sweep
-    refinement_growth: float = 0.25
     # "previous": rescale the last converged state; "ansatz": start every
     # shift from the peaked seed state itself
     seed: str = "previous"
@@ -100,21 +101,12 @@ class SolveConfig:
                 "nodes_per_width must be positive and finite, at least 1 node "
                 f"per peak width, got {self.nodes_per_width}"
             )
-        # a negative growth would coarsen the mesh as the peak narrows
-        growth = self.refinement_growth
-        if not (math.isfinite(growth) and growth >= 0.0):
-            raise ValueError(
-                "refinement_growth must be finite and >= 0, "
-                f"got {self.refinement_growth}"
-            )
         # the tolerance bounds a relative residual: at 1 or above, the
         # unsolved seed state would already count as converged
         if not 0.0 < self.newton_tol < 1.0:
             raise ValueError(f"newton_tol must be in (0, 1), got {self.newton_tol}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping must be in (0, 1)")
         if self.seed not in self.SEEDS:
             raise ValueError(f"unknown seed strategy {self.seed!r}")
         sched = tuple(float(x) for x in self.lambdas)
@@ -256,7 +248,7 @@ def newton_solve(
                 u, r, rel, absolute = trial, trial_r, trial_rel, trial_abs
                 accepted = True
                 break
-            t *= cfg.damping
+            t *= 0.5
         if not accepted:
             stalled = True
             break
@@ -341,7 +333,6 @@ def peak_template(
     g: MetricGraph,
     peaks: tuple[str, ...],
     *,
-    alpha: float = AnsatzSpec.alpha,
     coeffs: tuple[tuple[float, ...], ...] | None = None,
 ) -> AnsatzSpec:
     """The seed template with peaks at `peaks`, on the graph to sweep; no mesh.
@@ -366,7 +357,7 @@ def peak_template(
         raise ValueError(
             f"got {len(coeffs)} coefficient vectors for {len(stars)} peaks"
         )
-    return AnsatzSpec(g, tuple(zip(stars, coeffs)), alpha)
+    return AnsatzSpec(g, tuple(zip(stars, coeffs)))
 
 
 def continuation_sweep(
@@ -377,18 +368,13 @@ def continuation_sweep(
     Each shift gets a fresh peak-refined mesh of template.graph and a
     seed state, the template assembled at that shift and cfg.mu;
     failures are recorded and the sweep continues.  Before any mesh,
-    the template's alpha is checked at both ends of the schedule and
-    every shift's mesh against MAX_NDOF.  Each result's functionals come
-    from newton_solve; the sweep adds correction_norm,
+    every shift's mesh is checked against MAX_NDOF.  Each result's
+    functionals come from newton_solve; the sweep adds correction_norm,
     kernel_component_norm and peak_locations.  Peaks at even-degree
     vertices are permitted but flagged as exploratory, since the
     existence theory covers odd degree >= 3 only.  `peak_template`
     builds the template for a peak set.
     """
-    # lam**alpha is monotone in lam: in range at both ends, in range at
-    # every shift
-    template.damping(cfg.lambdas[0])
-    template.damping(cfg.lambdas[-1])
     for star, _ in template.peaks:
         if not admissible_peak_degree(star.degree):
             warnings.warn(
@@ -401,7 +387,7 @@ def continuation_sweep(
     lam0 = cfg.lambdas[0]
 
     def nodes_per_width(lam: float) -> float:
-        return cfg.nodes_per_width * (lam / lam0) ** cfg.refinement_growth
+        return cfg.nodes_per_width * (lam / lam0) ** REFINEMENT_GROWTH
 
     def plan(lam: float):
         try:

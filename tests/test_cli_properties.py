@@ -4,8 +4,8 @@ main returns 0, 1 or 2, or argparse raises SystemExit(2) for a flag it
 cannot parse; nothing else escapes.  Whenever main returns 1 or 2 an
 error.json record exists.  A --nodes-per-width of 1e12 asks for a mesh
 far above the sweep's ndof ceiling, which must be refused before any
-mesh is built.  An unknown --seed or --cutoff is refused by the config,
-with exit 1, not by the parser.
+mesh is built.  An unknown --seed is refused by the config, with exit 1,
+not by the parser.
 """
 
 import tempfile
@@ -30,7 +30,6 @@ SHIFTS = st.one_of(
 NODES_PER_WIDTH = ("5", "15", "0", "1e-9", "-1", "nan", "inf", "1e12")
 MAX_ITERS = ("0", "3", "-1")
 SEEDS = ("previous", "ansatz", "bogus")
-CUTOFFS = ("cos2", "foo")
 
 
 def _optional(flag, values):
@@ -44,15 +43,12 @@ def _optional(flag, values):
     nodes_per_width=_optional("--nodes-per-width", NODES_PER_WIDTH),
     max_iters=_optional("--max-iters", MAX_ITERS),
     seed=_optional("--seed", SEEDS),
-    cutoff=_optional("--cutoff", CUTOFFS),
 )
-def test_solve_flags_always_exit_cleanly(
-    shifts, nodes_per_width, max_iters, seed, cutoff
-):
+def test_solve_flags_always_exit_cleanly(shifts, nodes_per_width, max_iters, seed):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
         argv = ["solve", "--graph", "tripod", "--peak", "c", f"--lambdas={shifts}"]
-        argv += [*nodes_per_width, *max_iters, *seed, *cutoff]
+        argv += [*nodes_per_width, *max_iters, *seed]
         argv += ["--outdir", str(out)]
         try:
             rc = main(argv)
@@ -60,6 +56,6 @@ def test_solve_flags_always_exit_cleanly(
             assert exc.code == 2, argv
             return
         assert rc in (0, 1, 2), argv
-        if "bogus" in seed or "foo" in cutoff:
+        if "bogus" in seed:
             assert rc == 1, argv
         assert (out / "error.json").exists() == (rc != 0), argv

@@ -317,6 +317,24 @@ def test_refined_ndof_builds_no_nodes():
     assert ndof <= 25_000
 
 
+def test_refined_mesh_refuses_an_empty_peak_list():
+    # the grading table has no peak to measure from; this once raised
+    # "min() arg is an empty sequence"
+    g = reference_graph("tripod")
+    for plan in (refined_plans, refined_mesh):
+        with pytest.raises(ValueError, match="at least one peak vertex is required"):
+            plan(g, 25.0, [], 10.0)
+
+
+def test_refined_mesh_refuses_a_peak_that_is_not_a_vertex():
+    # an unknown source is at distance 0 from itself and inf from every
+    # vertex, so this once built an ungraded far-field mesh
+    g = reference_graph("tripod")
+    for plan in (refined_plans, refined_mesh):
+        with pytest.raises(ValueError, match=r"peak vertices not in graph: \['zz'\]"):
+            plan(g, 25.0, ["c", "zz"], 10.0)
+
+
 def _check_grading(g, peaks, lam, npw):
     """Check refined_mesh's grading edge by edge against the graph distance
     d to the nearest peak; returns the mesh and the kinds of edge seen:

@@ -47,7 +47,7 @@ truncation: 20.0
 def _solve_tripod(lam=25.0, mu=1.0, npw=20.0):
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    spec = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
+    spec = AnsatzSpec(g, ((star, (0.0, 0.0)),))
     mesh = refined_mesh(g, lam, ["c"], nodes_per_width=npw)
     op = assemble(g, mesh, lam)
     seed = assemble_ansatz(spec, mesh, lam, mu)
@@ -99,7 +99,7 @@ def test_line_surrogate_matches_soliton_integrals():
     star = star_neighborhood(g, "v", mode="single")
     mesh = uniform_mesh(g, 0.01)
     op = assemble(g, mesh, 1.0)
-    spec = AnsatzSpec(g, ((star, (0.0,)),), alpha=0.25)
+    spec = AnsatzSpec(g, ((star, (0.0,)),))
     res = newton_solve(op, assemble_ansatz(spec, mesh, 1.0, 1.0), SolveConfig())
     assert res.converged
     rep = evaluate_functionals(op, 1.0, res.u)

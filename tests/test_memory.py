@@ -28,7 +28,7 @@ HELD_BYTES_PER_DOF = 80
 def test_sweep_peak_and_held_memory_per_dof():
     g = reference_graph("star5")
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0,) * 4),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.0,) * 4),))
     cfg = SolveConfig(lambdas=(25.0, 50.0, 100.0))
     continuation_sweep(template, cfg)  # first-call caches stay out of it
     tracemalloc.start()

@@ -137,29 +137,24 @@ def _tripod_star(edge_lengths=(1.0, 1.0, 1.0)):
 def test_ansatz_spec_validation():
     g, star = _tripod_star()
     with pytest.raises(DimensionMismatch):
-        AnsatzSpec(g, ((star, (0.1,)),), alpha=0.25)
-    with pytest.raises(ValueError):
-        AnsatzSpec(g, ((star, (0.1, 0.2)),), alpha=0.25).damping(0.0)
-    for bad in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="alpha must be positive and finite"):
-            AnsatzSpec(g, ((star, (0.1, 0.2)),), alpha=bad)
-    # the damping lam**alpha must stay a positive finite float: it
-    # overflows above lam = 1 and underflows to zero below it
-    spec = AnsatzSpec(g, ((star, (0.1, 0.2)),), alpha=1e308)
-    for lam in (25.0, 0.5):
-        with pytest.raises(ValueError, match="alpha=1e[+]?308 puts the coefficient"):
+        AnsatzSpec(g, ((star, (0.1,)),))
+    spec = AnsatzSpec(g, ((star, (0.1, 0.2)),))
+    for lam in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lam must be positive"):
             spec.damping(lam)
-    assert spec.damping(1.0) == 1.0
+    # the damping is lam**0.25, positive and finite at any valid shift
+    assert spec.damping(1.0) == 1.0 and spec.damping(16.0) == 2.0
+    assert 0.0 < spec.damping(5e-324) and spec.damping(1.7e308) < math.inf
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="peak 'c': kernel coefficients"):
-            AnsatzSpec(g, ((star, (bad, 0.0)),), alpha=0.25)
+            AnsatzSpec(g, ((star, (bad, 0.0)),))
 
 
 def test_ansatz_peak_value():
     g, star = _tripod_star()
     mesh = uniform_mesh(g, 0.02)
     lam = 9.0
-    spec = AnsatzSpec(g, ((star, (0.1, -0.2)),), alpha=0.25)
+    spec = AnsatzSpec(g, ((star, (0.1, -0.2)),))
     w = assemble_ansatz(spec, mesh, lam, 1.0)
     # kernel modes vanish at the vertex, taper equals one there
     expect = lam**0.5 * math.sqrt(2.0)
@@ -168,7 +163,7 @@ def test_ansatz_peak_value():
 
 def test_ansatz_refuses_a_mesh_of_another_graph():
     g, star = _tripod_star()
-    spec = AnsatzSpec(g, ((star, (0.1, -0.2)),), alpha=0.25)
+    spec = AnsatzSpec(g, ((star, (0.1, -0.2)),))
     mesh = uniform_mesh(reference_graph("star5"), 0.5)
     with pytest.raises(ValueError, match="the mesh is not of the template's graph"):
         assemble_ansatz(spec, mesh, 9.0, 1.0)
@@ -178,7 +173,7 @@ def test_ansatz_supported_in_taper_ball():
     g, star = _tripod_star((1.0, 4.0, 4.0))
     assert star.radius == pytest.approx(0.5)
     mesh = uniform_mesh(g, 0.05)
-    spec = AnsatzSpec(g, ((star, (0.3, 0.2)),), alpha=0.25)
+    spec = AnsatzSpec(g, ((star, (0.3, 0.2)),))
     w = assemble_ansatz(spec, mesh, 16.0, 1.0)
     for eid in ("e2", "e3"):
         nodes = mesh.edge_nodes[eid]
@@ -196,7 +191,7 @@ def test_ansatz_flux_balances_at_peak():
     imbalances = []
     for h in (0.004, 0.002):
         mesh = uniform_mesh(g, h)
-        spec = AnsatzSpec(g, ((star, (0.4, -0.3)),), alpha=0.25)
+        spec = AnsatzSpec(g, ((star, (0.4, -0.3)),))
         w = assemble_ansatz(spec, mesh, 9.0, 1.0)
         imbalances.append(abs(kirchhoff_flux(mesh, w)["c"]))
     assert imbalances[1] < 5e-5

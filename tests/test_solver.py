@@ -57,7 +57,7 @@ edges:
 def _tripod_setup(lam=50.0, npw=25.0):
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    spec = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
+    spec = AnsatzSpec(g, ((star, (0.0, 0.0)),))
     mesh = refined_mesh(g, lam, ["c"], nodes_per_width=npw)
     op = assemble(g, mesh, lam)
     return g, star, spec, mesh, op
@@ -70,8 +70,6 @@ def test_solver_config_validation():
     for tol in (1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match=r"newton_tol must be in \(0, 1\)"):
             SolveConfig(newton_tol=tol)
-    with pytest.raises(ValueError):
-        SolveConfig(damping=1.0)
     with pytest.raises(ValueError):
         SolveConfig(seed="warmstart")
     with pytest.raises(ValueError):
@@ -87,8 +85,6 @@ def test_solver_config_validation():
         {"nodes_per_width": 0.5},
         {"max_iters": -1},
         {"lambdas": (math.inf,)},
-        {"refinement_growth": math.nan},
-        {"refinement_growth": -1.0},
     ):
         with pytest.raises(ValueError):
             SolveConfig(**knobs)
@@ -208,7 +204,7 @@ def test_newton_names_a_line_search_stall():
     # overshoot, and no trial step down to 2**-24 lowers the residual
     g = reference_graph("figure1")
     star = star_neighborhood(g, "v1", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0,) * 4),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.0,) * 4),))
     (res,) = continuation_sweep(template, SolveConfig(lambdas=(25.0,)))
     assert not res.converged
     assert res.termination == "line_search_stall"
@@ -258,7 +254,7 @@ def test_residual_of_negative_state_is_linear():
 def test_continuation_sweep_populates_diagnostics():
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.0, 0.0)),))
     cfg = SolveConfig(
         mu=1.0, lambdas=(25.0, 50.0), nodes_per_width=20.0, seed="previous"
     )
@@ -294,7 +290,7 @@ def test_sweep_diagnostics_equal_fresh_recomputation():
     # a mode of 0.3 puts a visible kernel component into the correction
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.3, -0.2)),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.3, -0.2)),))
     cfg = SolveConfig(mu=1.0, lambdas=(25.0, 50.0), nodes_per_width=15.0)
     for res in continuation_sweep(template, cfg):
         assert res.converged
@@ -313,7 +309,7 @@ def test_symmetric_star5_sweep_keeps_its_symmetry():
     # kernel part of the correction stays at rounding level
     g = reference_graph("star5")
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0,) * 4),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.0,) * 4),))
     results = continuation_sweep(template, SolveConfig(lambdas=(25, 50)))
     for res in results:
         assert res.converged
@@ -331,7 +327,7 @@ def test_symmetric_star5_sweep_keeps_its_symmetry():
 def test_seed_strategies_agree_on_easy_sweeps():
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.0, 0.0)),))
     sched = (25.0, 50.0)
     res_prev = continuation_sweep(
         template, SolveConfig(lambdas=sched, nodes_per_width=15.0)
@@ -357,7 +353,7 @@ edges:
 """
     )
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0,) * 3),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.0,) * 3),))
     cfg = SolveConfig(lambdas=(25.0,), nodes_per_width=15.0)
     with pytest.warns(UserWarning, match="outside the odd-degree hypotheses"):
         results = continuation_sweep(template, cfg)
@@ -369,13 +365,13 @@ def test_peak_templates_equal_the_hand_built_ones():
     # the mu=1 and mu=2 tripod sweeps share one, since mu is the solver's
     g = reference_graph("tripod")
     star = star_neighborhood(g, "c", mode="single")
-    tripod = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
+    tripod = AnsatzSpec(g, ((star, (0.0, 0.0)),))
     assert peak_template(g, ("c",)) == tripod
 
     g0 = reference_graph("double_tripod")
     split = insert_midpoints(g0, ["c1", "c2"])
     stars = [star_neighborhood(split, v, mode="multi") for v in ("c1", "c2")]
-    double = AnsatzSpec(split, tuple((s, (0.0, 0.0)) for s in stars), alpha=0.25)
+    double = AnsatzSpec(split, tuple((s, (0.0, 0.0)) for s in stars))
     got = peak_template(g0, ("c1", "c2"))
     assert got == double
     assert "bridge__mid" in got.graph.vertices
@@ -385,7 +381,7 @@ def test_a_template_holds_no_solver_knob():
     # mu has one definition, SolveConfig's: a template field of the same
     # name would be a second one for the sweep to keep equal
     solver = {f.name for f in fields(SolveConfig)}
-    assert [f.name for f in fields(AnsatzSpec)] == ["graph", "peaks", "alpha"]
+    assert [f.name for f in fields(AnsatzSpec)] == ["graph", "peaks"]
     assert not solver & {f.name for f in fields(AnsatzSpec)}
 
 
@@ -468,21 +464,6 @@ def test_a_template_weight_is_half_its_peak_degrees(graph, peaks, weight):
     assert peak_template(reference_graph(graph), peaks).weight == weight
 
 
-@pytest.mark.parametrize(
-    "lambdas, at", [((1e-300, 25.0), "lam=1e-300"), ((25.0, 1e300), "lam=1e[+]300")]
-)
-def test_sweep_checks_alpha_at_both_ends_before_any_mesh(monkeypatch, lambdas, at):
-    # lam**100 is in range at 25 only: it underflows to zero at 1e-300
-    # and overflows at 1e300
-    built = _record_meshes(monkeypatch)
-    g = build_graph(TRIPOD)
-    star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=100.0)
-    with pytest.raises(ValueError, match=f"alpha=100.0 puts .* at {at}"):
-        continuation_sweep(template, SolveConfig(lambdas=lambdas))
-    assert built == []
-
-
 def test_sweep_rejects_empty_schedule():
     # the schedule's config refuses it, so no sweep can be handed one
     with pytest.raises(ValueError, match="lambda schedule is empty"):
@@ -493,8 +474,8 @@ def test_sweep_rejects_empty_schedule():
     "knobs",
     [
         {"nodes_per_width": 1e12},
-        # the growth factor overflows a float before any spacing exists
-        {"nodes_per_width": 15.0, "refinement_growth": 1e6},
+        # the spacing underflows to zero, and planning divides by it
+        {"nodes_per_width": 1e308},
     ],
 )
 def test_sweep_refuses_a_mesh_above_the_ceiling_before_building_any(
@@ -502,7 +483,7 @@ def test_sweep_refuses_a_mesh_above_the_ceiling_before_building_any(
 ):
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.0, 0.0)),))
     built = []
     monkeypatch.setattr(
         graphnls.discrete, "build_mesh", lambda *a, **k: built.append(a)
@@ -518,7 +499,7 @@ def _check_graded_matches_fine(g, peak, lam, npw, shrink):
     all-fine one: the graded mesh has under 1/shrink of the unknowns, and
     mass and action agree to 1e-9 relative."""
     star = star_neighborhood(g, peak, mode="single")
-    spec = AnsatzSpec(g, ((star, (0.0,) * (star.degree - 1)),), 0.25)
+    spec = AnsatzSpec(g, ((star, (0.0,) * (star.degree - 1)),))
     graded = refined_mesh(g, lam, [peak], nodes_per_width=npw)
     uniform = uniform_mesh(g, 1.0 / (npw * math.sqrt(lam)))
     assert not uniform.graded and graded.ndof < uniform.ndof / shrink
@@ -551,7 +532,7 @@ def test_sweep_accepts_a_last_mesh_at_the_ceiling(monkeypatch):
     # on the tripod the last shift's mesh is the largest
     g = build_graph(TRIPOD)
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
+    template = AnsatzSpec(g, ((star, (0.0, 0.0)),))
     cfg = SolveConfig(lambdas=(25.0, 50.0), nodes_per_width=15.0)
     ndof = [
         planned_ndof(g, refined_plans(g, lam, ["c"], 15.0 * (lam / 25.0) ** 0.25))
@@ -583,12 +564,11 @@ def test_sweep_checks_an_earlier_mesh_larger_than_the_last(monkeypatch):
         + pendants
     )
     star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0, 0.0)),), alpha=0.25)
-    cfg = SolveConfig(
-        lambdas=(25.0, 400.0), nodes_per_width=100.0, refinement_growth=0.0
-    )
+    template = AnsatzSpec(g, ((star, (0.0, 0.0)),))
+    cfg = SolveConfig(lambdas=(25.0, 400.0), nodes_per_width=100.0)
     ndof = [
-        planned_ndof(g, refined_plans(g, lam, ["c"], 100.0)) for lam in (25.0, 400.0)
+        planned_ndof(g, refined_plans(g, lam, ["c"], 100.0 * (lam / 25.0) ** 0.25))
+        for lam in (25.0, 400.0)
     ]
     assert ndof[0] > ndof[1]
     built = []
