@@ -791,10 +791,6 @@ def dual_residual_norm(op: KirchhoffOperator, r: np.ndarray) -> float:
     return math.sqrt(max(float(r @ y), 0.0))
 
 
-def lambda_inner(op: KirchhoffOperator, u: np.ndarray, v: np.ndarray) -> float:
-    return float(u @ (op.shifted @ v))
-
-
 def count_below(bands: EdgeBands, mass: EdgeBands, sigma: float) -> int:
     """The number of eigenvalues of the pencil (bands, mass) below sigma,
     on the free dofs.  bands and mass must be symmetric; nonsymmetric

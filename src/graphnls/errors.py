@@ -49,9 +49,5 @@ class NegativeForm(GraphNLSError):
     """The shifted quadratic form returned a negative square norm."""
 
 
-class SingularJacobian(GraphNLSError):
-    """Newton hit a singular or non-finite Jacobian solve."""
-
-
 class NotConverged(GraphNLSError):
     """A diagnostic was requested for a result that did not converge."""

@@ -48,7 +48,6 @@ class MetricGraph:
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
-    truncation_length: float | None = None
 
     @cached_property
     def _edge_ends(self) -> dict[str, tuple[tuple[Edge, bool], ...]]:
@@ -259,7 +258,7 @@ def build_graph(description: str | dict) -> MetricGraph:
     # read inf, and the graph would look disconnected
     if math.isinf(sum(e.length for e in edges)):
         raise ValueError("the edge lengths add up to more than the largest float")
-    g = MetricGraph(vertices, tuple(edges), truncation)
+    g = MetricGraph(vertices, tuple(edges))
     # the far end of a truncated edge models a point at infinity: nothing
     # else may attach there
     for e in g.edges:
@@ -376,7 +375,7 @@ def insert_midpoints(g: MetricGraph, peaks: list[str]) -> MetricGraph:
             new_edges.append(Edge(f"{e.id}__b", mid, e.dst, half))
         else:
             new_edges.append(e)
-    return MetricGraph(tuple(new_vertices), tuple(new_edges), g.truncation_length)
+    return MetricGraph(tuple(new_vertices), tuple(new_edges))
 
 
 def check_disjoint_peak_balls(

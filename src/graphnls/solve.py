@@ -30,7 +30,7 @@ from .discrete import (
     refined_mesh,
     refined_plans,
 )
-from .errors import NotConverged, SingularJacobian, SolveFailure
+from .errors import NotConverged, SolveFailure
 from .functionals import FunctionalReport, nonlinearity, nonlinearity_slope
 from .graphs import (
     MetricGraph,
@@ -127,14 +127,16 @@ class BoundStateResult:
     whatever reads the state reads them here.  residual_norm is the
     natural-norm residual relative to the state's own size, the
     quantity the Newton tolerance is applied to.  termination says why
-    Newton stopped: "converged", "max_iters" (the iteration cap) or
-    "line_search_stall" (no trial step down to 2**-24 decreased the
-    residual); `converged` is read off it.
-    backtracks counts the line-search trial steps beyond the first of
-    each Newton iteration.  functionals are those of u under the
-    operator and mu Newton ran with.  correction_norm,
-    kernel_component_norm and peak_locations are filled by the sweep,
-    which knows the seed state.
+    Newton stopped: "converged", "zero_state" (u has lambda-norm 0, so
+    no relative residual and a zero step), "max_iters" (the iteration
+    cap), "singular" (the Jacobian failed to factor or gave a
+    non-finite step) or "line_search_stall" (no trial step down to
+    2**-24 decreased the residual); `converged` is read off it.
+    iterations counts the Newton steps taken and backtracks the
+    line-search trial steps beyond the first of each.  functionals are
+    those of u under the operator and mu Newton ran with.
+    correction_norm, kernel_component_norm and peak_locations are
+    filled by the sweep, which knows the seed state.
     """
 
     u: DiscreteField
@@ -206,6 +208,16 @@ def _residual_and_norms(op: KirchhoffOperator, mu: float, u: DiscreteField):
     return r, absolute / size if size > 0.0 else math.inf, absolute
 
 
+def _newton_step(op: KirchhoffOperator, mu: float, u: DiscreteField, r):
+    """The Newton step -J(u)^-1 r, or None where the Jacobian fails to
+    factor or the step is not finite."""
+    try:
+        step = CondensedFactor(jacobian(op, mu, u)).solve(-r)
+    except SolveFailure:
+        return None
+    return step if np.all(np.isfinite(step)) else None
+
+
 def newton_solve(
     op: KirchhoffOperator, u0: DiscreteField, cfg: SolveConfig
 ) -> BoundStateResult:
@@ -216,48 +228,44 @@ def newton_solve(
     pivoting in the interior factorization copes with the near-zero
     soliton derivative mode on the peak edges.  Backtracking halves the
     step until the natural-norm residual decreases (Armijo on the
-    residual norm); non-convergence within max_iters is reported in the
-    result, not raised.
+    residual norm).  However Newton stops, the result's termination
+    says why, and nothing is raised; a seed with a non-finite value is
+    refused with ValueError before any factorization.
     """
+    if not np.all(np.isfinite(u0.values)):
+        raise ValueError("the seed state has non-finite values")
     mu = cfg.mu
     v = u0.values.copy()
     v[op.mesh.dirichlet_dofs] = 0.0
     u = DiscreteField(op.mesh, v)
     # the residual of the current state; an accepted trial hands on its own
     r, rel, absolute = _residual_and_norms(op, mu, u)
-    converged = rel <= cfg.newton_tol
-    stalled = False
     iters = trials = 0
-    while not converged and iters < cfg.max_iters:
-        iters += 1
-        try:
-            step = CondensedFactor(jacobian(op, mu, u)).solve(-r)
-        except SolveFailure as exc:
-            raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian("non-finite Newton step")
-
-        t, accepted = 1.0, False
-        while t >= 2.0**-24:
-            trials += 1
-            trial_v = t * step  # u + t * step, in one buffer
-            trial_v += u.values
-            trial = DiscreteField(op.mesh, trial_v)
-            trial_r, trial_rel, trial_abs = _residual_and_norms(op, mu, trial)
-            if trial_rel <= (1.0 - 1e-4 * t) * rel or trial_rel <= cfg.newton_tol:
-                u, r, rel, absolute = trial, trial_r, trial_rel, trial_abs
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            stalled = True
-            break
-        converged = rel <= cfg.newton_tol
-
-    if converged:
-        termination = "converged"
-    else:
-        termination = "line_search_stall" if stalled else "max_iters"
+    termination = None
+    while termination is None:
+        if rel <= cfg.newton_tol:
+            termination = "converged"
+        elif absolute == 0.0:  # not converged, so u has lambda-norm 0
+            termination = "zero_state"
+        elif iters == cfg.max_iters:
+            termination = "max_iters"
+        elif (step := _newton_step(op, mu, u, r)) is None:
+            termination = "singular"
+        else:
+            iters += 1
+            t = 1.0
+            while t >= 2.0**-24:
+                trials += 1
+                trial_v = t * step  # u + t * step, in one buffer
+                trial_v += u.values
+                trial = DiscreteField(op.mesh, trial_v)
+                trial_r, trial_rel, trial_abs = _residual_and_norms(op, mu, trial)
+                if trial_rel <= (1.0 - 1e-4 * t) * rel or trial_rel <= cfg.newton_tol:
+                    u, r, rel, absolute = trial, trial_r, trial_rel, trial_abs
+                    break
+                t *= 0.5
+            else:
+                termination = "line_search_stall"
     return BoundStateResult(
         u=u,
         lam=op.lam,
@@ -291,8 +299,8 @@ def kernel_projection_diagnostics(
     for star, _ in ansatz.peaks:
         modes += sample_kernel_modes(mesh, star, op.lam, result.mu, tapered=True)
     # one band product per mode, dropped once its Gram column is filled,
-    # and one for phi; the dot products are those of
-    # lambda_inner(op, a, b) = a @ (shifted @ b)
+    # and one for phi; each Gram entry is the lambda inner product
+    # a @ (shifted @ b)
     gram = np.empty((len(modes), len(modes)))
     for j, b in enumerate(modes):
         shifted_b = op.shifted @ b

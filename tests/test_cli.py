@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import graphnls.acceptance
+import graphnls.errors
 import graphnls.solve
 from graphnls import cli, load_graph, reference_graph
 from graphnls.cli import ExperimentConfig, _state_text, _write_state_files, main
@@ -153,6 +154,53 @@ def test_figure1_stall_and_backtracks_are_bit_for_bit(figure1_run):
     for name, digest in FIGURE1_GOLDEN_SHA256.items():
         data = (figure1_run / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("failure", ["raise", "nan_step"])
+def test_a_singular_shift_is_recorded_and_the_sweep_goes_on(
+    tmp_path, monkeypatch, failure
+):
+    # every Jacobian at lam=100 fails to factor, or solves to a NaN step
+    shifts = []
+    real_newton = graphnls.solve.newton_solve
+    real_factor = graphnls.solve.CondensedFactor
+
+    def newton(op, u0, cfg):
+        shifts.append(op.lam)
+        return real_newton(op, u0, cfg)
+
+    def factor(bands):
+        out = real_factor(bands)
+        if shifts[-1] == 100.0:
+            if failure == "raise":
+                raise graphnls.errors.SolveFailure("planted zero pivot")
+            out.solve = lambda b: np.full_like(b, np.nan)
+        return out
+
+    monkeypatch.setattr(graphnls.solve, "newton_solve", newton)
+    monkeypatch.setattr(graphnls.solve, "CondensedFactor", factor)
+    out = tmp_path / "out"
+    argv = ["solve", "--graph", "tripod", "--peak", "c", "--lambdas", "25,50,100,200"]
+    assert main([*argv, "--outdir", str(out)]) == 2
+    for lam in ("25", "50", "100", "200"):
+        assert sorted(p.name for p in (out / f"state_lam{lam}").iterdir()) == [
+            "e1.txt",
+            "e2.txt",
+            "e3.txt",
+        ]
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    assert [r["termination"] for r in results[:3]] == [
+        "converged",
+        "converged",
+        "singular",
+    ]
+    assert results[2]["iterations"] == 0 and results[2]["backtracks"] == 0
+    assert all(r["backtracks"] >= 0 for r in results)
+    failed = [f"{r['lam']:g}" for r in results if not r["converged"]]
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "NotConverged"
+    assert "100" in failed
+    assert error["message"] == "some shifts did not converge: " + ", ".join(failed)
 
 
 def test_solve_rejects_shifts_sharing_a_state_directory(tmp_path, capsys):

@@ -7,6 +7,7 @@ import shlex
 from pathlib import Path
 
 import graphnls
+import graphnls.errors
 from graphnls.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -97,8 +98,8 @@ def _readme_commands() -> list[list[str]]:
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
-    # each converges, or fails with Newton's diagnosed reason; a removed
-    # flag would be a usage error
+    # each converges, or ends some shift short of convergence, named in
+    # error.json; a removed flag would be a usage error
     monkeypatch.chdir(tmp_path)
     commands = _readme_commands()
     assert commands and all(argv[0] == "graphnls" for argv in commands)
@@ -114,7 +115,7 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
         failed = [
             f"{r['lam']:g}"
             for r in manifest["results"]
-            if r["termination"] in ("max_iters", "line_search_stall")
+            if r["termination"] != "converged"
         ]
         error = json.loads((outdir / "error.json").read_text())
         assert error["error"] == "NotConverged", argv
@@ -175,3 +176,22 @@ def test_every_export_is_read_in_src():
             ):
                 read.add(node.id if isinstance(node, ast.Name) else node.attr)
     assert [name for name in graphnls.__all__ if name not in read] == UNREAD_EXPORTS
+
+
+def test_every_error_class_is_raised_in_src():
+    # an error class that no `raise` names is dead: nothing can catch it
+    raised = set()
+    for path in Path(graphnls.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    classes = [
+        name
+        for name, obj in vars(graphnls.errors).items()
+        if isinstance(obj, type)
+        and issubclass(obj, graphnls.GraphNLSError)
+        and obj is not graphnls.GraphNLSError
+    ]
+    assert classes and [name for name in classes if name not in raised] == []

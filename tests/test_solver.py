@@ -30,11 +30,10 @@ import graphnls.solve
 from graphnls.discrete import (
     DiscreteField,
     dual_residual_norm,
-    lambda_inner,
     planned_ndof,
     refined_plans,
 )
-from graphnls.errors import NotConverged, OverlappingPeaks
+from graphnls.errors import NotConverged, OverlappingPeaks, SolveFailure
 from graphnls.functionals import evaluate_functionals
 from graphnls.profiles import sample_kernel_mode
 from graphnls.solve import (
@@ -120,13 +119,76 @@ def test_a_converged_residual_is_relative_to_a_small_state(lam):
         assert res.residual_norm_absolute <= cfg.newton_tol * size
 
 
-def test_the_zero_state_never_converges():
-    # its relative residual is inf: Newton ends on its iteration cap
+def _count_factors(monkeypatch):
+    """The Jacobians newton_solve factors from here on, one entry each."""
+    factored = []
+    real = graphnls.solve.CondensedFactor
+
+    def counted(bands):
+        factored.append(bands)
+        return real(bands)
+
+    monkeypatch.setattr(graphnls.solve, "CondensedFactor", counted)
+    return factored
+
+
+def test_the_zero_state_never_converges(monkeypatch):
+    # its relative residual is inf and its step 0: Newton ends at once,
+    # where it once factored max_iters Jacobians to take zero steps
     g, star, spec, mesh, op = _tripod_setup()
+    factored = _count_factors(monkeypatch)
     zero = DiscreteField(mesh, np.zeros(mesh.ndof))
     res = newton_solve(op, zero, SolveConfig(mu=1.0, max_iters=3))
-    assert res.termination == "max_iters"
+    assert res.termination == "zero_state" and not res.converged
+    assert res.iterations == 0 and res.backtracks == 0
     assert res.residual_norm == math.inf and res.residual_norm_absolute == 0.0
+    assert factored == []
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_seed_is_refused_before_any_factorization(monkeypatch, value):
+    g, star, spec, mesh, op = _tripod_setup()
+    factored = _count_factors(monkeypatch)
+    seed = assemble_ansatz(spec, mesh, op.lam, 1.0)
+    bad = seed.values.copy()
+    bad[len(bad) // 2] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        newton_solve(op, DiscreteField(mesh, bad), SolveConfig())
+    assert factored == []
+    assert newton_solve(op, seed, SolveConfig()).converged
+
+
+def _failing_factor(monkeypatch, failure, at):
+    """Make the factor of the Jacobian number `at` (from 1) fail: raise
+    SolveFailure, or solve to a non-finite step."""
+    real = graphnls.solve.CondensedFactor
+    count = []
+
+    def planted(bands):
+        count.append(1)
+        factor = real(bands)
+        if len(count) == at:
+            if failure == "raise":
+                raise SolveFailure("planted zero pivot")
+            factor.solve = lambda b: np.full_like(b, np.nan)
+        return factor
+
+    monkeypatch.setattr(graphnls.solve, "CondensedFactor", planted)
+
+
+@pytest.mark.parametrize("failure", ["raise", "nan_step"])
+@pytest.mark.parametrize("at", [1, 2])
+def test_a_failed_factorization_ends_the_solve_as_singular(monkeypatch, failure, at):
+    # the failed step is not taken: neither an iteration nor a backtrack
+    g, star, spec, mesh, op = _tripod_setup()
+    seed = assemble_ansatz(spec, mesh, op.lam, 1.0)
+    first = newton_solve(op, seed, SolveConfig(max_iters=at - 1))
+    _failing_factor(monkeypatch, failure, at)
+    res = newton_solve(op, seed, SolveConfig())
+    assert res.termination == "singular" and not res.converged
+    assert res.iterations == at - 1
+    assert res.backtracks == first.backtracks >= 0
+    assert res.u.values.tobytes() == first.u.values.tobytes()
 
 
 def test_newton_records_the_mu_of_its_config():
@@ -137,7 +199,10 @@ def test_newton_records_the_mu_of_its_config():
     assert res.functionals == evaluate_functionals(op, 2.0, res.u)
 
 
-@pytest.mark.parametrize("termination", ["converged", "max_iters", "line_search_stall"])
+@pytest.mark.parametrize(
+    "termination",
+    ["converged", "max_iters", "line_search_stall", "zero_state", "singular"],
+)
 def test_converged_is_read_off_the_termination(termination):
     mesh = uniform_mesh(build_graph(TRIPOD), 0.25)
     res = BoundStateResult(
@@ -271,7 +336,7 @@ def test_continuation_sweep_populates_diagnostics():
 
 
 def _reference_kernel_component_norm(res, template):
-    """The kernel split with one lambda_inner call per Gram entry."""
+    """The kernel split with one lambda inner product per Gram entry."""
     mesh = res.u.mesh
     op = assemble(mesh.graph, mesh, res.lam)
     phi = res.u.values - assemble_ansatz(template, mesh, res.lam, 1.0).values
@@ -280,8 +345,8 @@ def _reference_kernel_component_norm(res, template):
         for star, _ in template.peaks
         for j in range(1, star.degree)
     ]
-    gram = np.array([[lambda_inner(op, a, b) for b in modes] for a in modes])
-    rhs = np.array([lambda_inner(op, a, phi) for a in modes])
+    gram = np.array([[a @ (op.shifted @ b) for b in modes] for a in modes])
+    rhs = np.array([a @ (op.shifted @ phi) for a in modes])
     coef = np.linalg.solve(gram, rhs)
     return math.sqrt(max(float(coef @ gram @ coef), 0.0))
 
