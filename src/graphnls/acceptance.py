@@ -303,7 +303,7 @@ def criterion_5() -> CriterionResult:
     errs = [abs(r - 1.0) for r in ratios]
     in_band = 0.95 <= ratios[-1] <= 1.05
     monotone = all(b <= a * (1.0 + 1e-6) for a, b in zip(errs, errs[1:]))
-    passed = in_band and monotone
+    passed = in_band and monotone and all(res.converged for res in results)
     detail = (
         "ratios " + ", ".join(f"{r:.4f}" for r in ratios) + f"; final in band={in_band}, monotone={monotone}"
     )
@@ -314,7 +314,8 @@ def criterion_6() -> CriterionResult:
     """Normalized correction size strictly decreases along the sweep."""
     template, results = _tripod_sweep()
     rates = [normalized_ratios(res, template.weight)[2] for res in results]
-    passed = all(b < a for a, b in zip(rates, rates[1:]))
+    converged = all(res.converged for res in results)
+    passed = converged and all(b < a for a, b in zip(rates, rates[1:]))
     detail = "rates " + ", ".join(f"{r:.4g}" for r in rates)
     return CriterionResult(6, _NAMES[6], passed, detail)
 

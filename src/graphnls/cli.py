@@ -343,7 +343,7 @@ def main(argv=None) -> int:
             return cmd_reduced_energy(**knobs)
         if args.command == "verify":
             return cmd_verify(**knobs)
-    except (GraphNLSError, ValueError) as exc:
+    except ValueError as exc:
         # a bad N, eps or criterion list
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IndefiniteOperator, NegativeForm, SolveFailure
+from .errors import NegativeForm, SolveFailure
 from .graphs import MetricGraph, vertex_distances
 
 
@@ -731,13 +731,14 @@ class KirchhoffOperator:
 def assemble(g: MetricGraph, mesh: Mesh, lam: float) -> KirchhoffOperator:
     """Assemble the stiffness/mass pair on the mesh at the given shift.
 
-    The shift must be positive and finite: then the shifted form is
-    positive definite on every graph, compact or truncated.
+    The shift must be positive and finite (`ValueError` otherwise): then
+    the shifted form is positive definite on every graph, compact or
+    truncated.
     """
     if mesh.graph is not g:
         raise ValueError("mesh was built for a different graph")
     if not (math.isfinite(lam) and lam > 0.0):
-        raise IndefiniteOperator(f"shift must be positive and finite, got {lam}")
+        raise ValueError(f"shift must be positive and finite, got {lam}")
     return KirchhoffOperator(
         mesh,
         float(lam),

@@ -1,48 +1,17 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Invalid input (a malformed graph, a wrong coefficient count, an even N
+where odd is needed, a shift that is not positive) raises `ValueError`.
+A `GraphNLSError` is a numerical failure on valid input.
+"""
 
 
 class GraphNLSError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class DisconnectedGraph(GraphNLSError):
-    """The described graph is not connected (or has an isolated vertex)."""
-
-
-class NonpositiveEdgeLength(GraphNLSError):
-    """An edge was declared with length <= 0."""
-
-
-class DanglingEndpoint(GraphNLSError):
-    """An edge endpoint references a vertex that was never declared."""
-
-
-class IndexOutOfRange(GraphNLSError):
-    """A kernel-mode index lies outside 1..N-1."""
-
-
-class OverlappingPeaks(GraphNLSError):
-    """Two peak neighborhoods have intersecting support balls."""
-
-
-class DimensionMismatch(GraphNLSError):
-    """A coefficient vector has the wrong length for the requested star."""
-
-
-class EvenN(GraphNLSError):
-    """Operation requires an odd number of edges."""
-
-
-class OddN(GraphNLSError):
-    """Operation requires an even number of edges."""
-
-
-class IndefiniteOperator(GraphNLSError):
-    """The shifted quadratic form is not positive definite at this shift."""
+    """Base class for the numerical failures."""
 
 
 class SolveFailure(GraphNLSError):
-    """A sparse linear solve did not meet its residual tolerance."""
+    """A linear solve hit a zero pivot, a singular Schur block or a high residual."""
 
 
 class NegativeForm(GraphNLSError):

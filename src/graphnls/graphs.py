@@ -14,13 +14,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    DanglingEndpoint,
-    DisconnectedGraph,
-    NonpositiveEdgeLength,
-    OverlappingPeaks,
-)
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -112,7 +105,7 @@ def _parse_length(raw, edge_id: str, truncation: float | None) -> tuple[float, b
             )
         return truncation, True
     if not val > 0.0 or math.isnan(val):
-        raise NonpositiveEdgeLength(f"edge {edge_id!r} has length {val}")
+        raise ValueError(f"edge {edge_id!r} has length {val}")
     return val, False
 
 
@@ -189,7 +182,8 @@ def build_graph(description: str | dict) -> MetricGraph:
     exactly when some edge has length "inf"; each unbounded edge is
     replaced by an interval of that length whose far endpoint gets a
     homogeneous Dirichlet condition.  The lengths must add up to a
-    finite float.
+    finite float.  A description that breaks any of these is refused
+    with `ValueError`.
     """
     doc = _parse_yaml(description) if isinstance(description, str) else description
     if not isinstance(doc, dict):
@@ -246,7 +240,7 @@ def build_graph(description: str | dict) -> MetricGraph:
         src, dst = str(entry["from"]), str(entry["to"])
         for endpoint in (src, dst):
             if endpoint not in vset:
-                raise DanglingEndpoint(
+                raise ValueError(
                     f"edge {eid!r} references undeclared vertex {endpoint!r}"
                 )
         length, truncated = _parse_length(entry["length"], eid, truncation)
@@ -291,11 +285,11 @@ def load_graph(path) -> MetricGraph:
 
 def _check_connected(g: MetricGraph) -> None:
     if len(g.vertices) == 1 and not g.edges:
-        raise DisconnectedGraph("a single vertex with no edges has degree 0")
+        raise ValueError("a single vertex with no edges has degree 0")
     dist = vertex_distances(g, g.vertices[0])
     missing = [v for v in g.vertices if math.isinf(dist[v])]
     if missing:
-        raise DisconnectedGraph(f"unreachable vertices: {sorted(missing)}")
+        raise ValueError(f"unreachable vertices: {sorted(missing)}")
 
 
 def vertex_distances(g: MetricGraph, source: str) -> dict[str, float]:
@@ -381,14 +375,14 @@ def insert_midpoints(g: MetricGraph, peaks: list[str]) -> MetricGraph:
 def check_disjoint_peak_balls(
     g: MetricGraph, stars: list[StarNeighborhood]
 ) -> None:
-    """Raise OverlappingPeaks unless all 2*radius balls are pairwise disjoint."""
+    """Raise ValueError unless all 2*radius balls are pairwise disjoint."""
     # the last star has no later one to compare with
     for i in range(len(stars) - 1):
         di = vertex_distances(g, stars[i].center)
         for j in range(i + 1, len(stars)):
             gap = 2.0 * stars[i].radius + 2.0 * stars[j].radius
             if di[stars[j].center] < gap - 1e-12:
-                raise OverlappingPeaks(
+                raise ValueError(
                     f"support balls of peaks {stars[i].center!r} and "
                     f"{stars[j].center!r} overlap "
                     f"(distance {di[stars[j].center]:.6g} < {gap:.6g})"

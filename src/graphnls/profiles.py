@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import DiscreteField, Mesh
-from .errors import DimensionMismatch, IndexOutOfRange
 from .graphs import MetricGraph, StarNeighborhood, check_disjoint_peak_balls
 
 
@@ -78,7 +77,8 @@ class AnsatzSpec:
 
     Each peak pairs a star of graph with a coefficient vector of length
     degree-1 weighting the kernel modes, divided by damping(lam) at a
-    shift.  Foreign stars and overlapping peak balls are refused.
+    shift.  Foreign stars, a wrong coefficient count and overlapping peak
+    balls are refused with `ValueError`.
     """
 
     graph: MetricGraph
@@ -99,7 +99,7 @@ class AnsatzSpec:
                     "needs at least 2 incident edge-ends"
                 )
             if len(coeffs) != star.degree - 1:
-                raise DimensionMismatch(
+                raise ValueError(
                     f"peak {star.center!r}: expected {star.degree - 1} "
                     f"coefficients, got {len(coeffs)}"
                 )
@@ -191,7 +191,7 @@ def sample_kernel_mode(
 ) -> np.ndarray:
     """Kernel mode j of sample_kernel_modes."""
     if not 1 <= j <= star.degree - 1:
-        raise IndexOutOfRange(f"kernel index {j} not in 1..{star.degree - 1}")
+        raise ValueError(f"kernel index {j} not in 1..{star.degree - 1}")
     return sample_kernel_modes(mesh, star, lam, mu, tapered)[j - 1]
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EvenN, OddN
 from .profiles import kernel_basis
 
 
@@ -48,7 +47,7 @@ def reduced_energy(N: int, coeffs) -> float:
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (N - 1,):
-        raise DimensionMismatch(
+        raise ValueError(
             f"expected {N - 1} coefficients for N={N}, got {coeffs.shape}"
         )
     edge_sums = np.zeros(N)
@@ -71,7 +70,7 @@ def perturbed_gradient_hessian(
     x = np.asarray(x, dtype=float)
     d = N - 1
     if x.ndim == 0 or x.shape[-1] != d:
-        raise DimensionMismatch(f"expected {d} entries for N={N}, got {x.shape}")
+        raise ValueError(f"expected {d} entries for N={N}, got {x.shape}")
     s = x.sum(axis=-1)[..., None]
     grad = 3.0 * x**2 - 3.0 * s**2 - 3.0 * eps**2
     hess = np.empty(x.shape + (d,))
@@ -165,7 +164,7 @@ def enumerate_critical_points(N: int, eps: float = 0.35) -> ReducedEnergyReport:
     therefore run at eps = 1, and eps only scales the points found.
     """
     if N % 2 == 0:
-        raise EvenN("critical points degenerate into lines for even N")
+        raise ValueError("critical points degenerate into lines for even N")
     _check_star_size(N)  # for odd N, N >= 2 is N >= 3
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -220,7 +219,7 @@ def even_case_lines(N: int) -> list[tuple[int, ...]]:
     span the same line; both members are returned.
     """
     if N % 2 == 1:
-        raise OddN("the line structure exists only for even N")
+        raise ValueError("the line structure exists only for even N")
     _check_star_size(N)
     out = []
     for pattern in itertools.product((1, -1), repeat=N - 1):

@@ -10,7 +10,9 @@ import time
 
 import pytest
 
+import graphnls.solve
 from graphnls import acceptance
+from graphnls.errors import SolveFailure
 
 
 def _run(cid: int) -> None:
@@ -77,6 +79,36 @@ def test_criterion_9_discretization_oracles():
     # resolvent adjointness to 1e-10, Jacobian matches central differences to
     # 1e-5 relative.
     _run(9)
+
+
+def test_criteria_5_and_6_fail_on_a_sweep_with_an_unconverged_shift(monkeypatch):
+    # every Jacobian at lam=50 fails to factor: that shift ends singular,
+    # and its seed state's ratio and rate must not pass for a solution
+    shifts = []
+    real_newton = graphnls.solve.newton_solve
+    real_factor = graphnls.solve.CondensedFactor
+
+    def newton(op, u0, cfg):
+        shifts.append(op.lam)
+        return real_newton(op, u0, cfg)
+
+    def factor(bands):
+        if shifts[-1] == 50.0:
+            raise SolveFailure("planted zero pivot")
+        return real_factor(bands)
+
+    monkeypatch.setattr(graphnls.solve, "newton_solve", newton)
+    monkeypatch.setattr(graphnls.solve, "CondensedFactor", factor)
+    acceptance._tripod_sweep.cache_clear()
+    try:
+        _, results = acceptance._tripod_sweep()
+        assert [res.termination for res in results][:2] == ["converged", "singular"]
+        for cid in (5, 6):
+            res = acceptance.run_criterion(cid)
+            assert not res.passed, res.line()
+    finally:
+        # the planted sweep must not be the one the other criteria read
+        acceptance._tripod_sweep.cache_clear()
 
 
 def test_run_all_reports_every_criterion():

@@ -315,6 +315,7 @@ def _record_meshes(monkeypatch):
         ("--newton-tol", "inf", "newton_tol must be in (0, 1)"),
         ("--newton-tol", "1", "newton_tol must be in (0, 1)"),
         ("--coeffs", "nan,0", "peak 'c': kernel coefficients must be finite"),
+        ("--coeffs", "0", "expected 2 coefficients, got 1"),
         ("--seed", "bogus", "unknown seed strategy"),
     ],
 )
@@ -335,15 +336,37 @@ def test_solve_rejects_invalid_knobs_before_any_work(
     assert "error: ValueError" in capsys.readouterr().err
 
 
-def test_malformed_graph_file_writes_error_record(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vertices: [a\nedges: {\n", "not valid YAML"),
+        (
+            "vertices: [a]\nedges:\n  - {id: e, from: a, to: ghost, length: 1.0}",
+            "edge 'e' references undeclared vertex 'ghost'",
+        ),
+        (
+            "vertices: [a, b]\nedges:\n  - {id: e, from: a, to: b, length: 0.0}",
+            "edge 'e' has length 0.0",
+        ),
+        (
+            "vertices: [a, b, c, d]\nedges:\n"
+            "  - {id: e1, from: a, to: b, length: 1.0}\n"
+            "  - {id: e2, from: c, to: d, length: 1.0}",
+            "unreachable vertices: ['c', 'd']",
+        ),
+    ],
+    ids=["not-yaml", "dangling-endpoint", "zero-length", "disconnected"],
+)
+def test_malformed_graph_file_writes_error_record(tmp_path, capsys, text, message):
+    # every refused graph file is a ValueError, however it is broken
     graph_file = tmp_path / "broken.yaml"
-    graph_file.write_text("vertices: [a\nedges: {\n")
+    graph_file.write_text(text)
     out = tmp_path / "bad"
     argv = ["solve", "--graph", str(graph_file), "--peak", "a"]
     assert main(argv + ["--outdir", str(out)]) == 1
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "ValueError"
-    assert "not valid YAML" in record["message"]
+    assert message in record["message"]
     assert "error: ValueError" in capsys.readouterr().err
 
 

@@ -19,12 +19,6 @@ from graphnls import (
     reference_graph,
     star_neighborhood,
 )
-from graphnls.errors import (
-    DanglingEndpoint,
-    DisconnectedGraph,
-    NonpositiveEdgeLength,
-    OverlappingPeaks,
-)
 from graphnls.acceptance import BUILTIN_GRAPHS, _star_description
 from graphnls.graphs import Edge, MetricGraph, admissible_peak_degree, vertex_distances
 
@@ -140,7 +134,7 @@ truncation: 12.5
 
 
 @pytest.mark.parametrize(
-    "description, exc",
+    "description, expected",
     [
         ("vertices: [v]\nedges: []\nbogus: 1", ValueError),
         ("vertices: [v, v]\nedges: []", ValueError),
@@ -158,15 +152,15 @@ truncation: 12.5
         ),
         (
             "vertices: [v]\nedges:\n  - {id: e, from: v, to: ghost, length: 1.0}",
-            DanglingEndpoint,
+            "references undeclared vertex 'ghost'",
         ),
         (
             "vertices: [v, w]\nedges:\n  - {id: e, from: v, to: w, length: 0.0}",
-            NonpositiveEdgeLength,
+            "'e' has length 0.0",
         ),
         (
             "vertices: [v, w]\nedges:\n  - {id: e, from: v, to: w, length: -2.0}",
-            NonpositiveEdgeLength,
+            "'e' has length -2.0",
         ),
         (
             "vertices: [v, w]\nedges:\n  - {id: e, from: v, to: w, length: inf}",
@@ -182,9 +176,9 @@ truncation: 12.5
             "vertices: [a, b, c, d]\nedges:\n"
             "  - {id: e1, from: a, to: b, length: 1.0}\n"
             "  - {id: e2, from: c, to: d, length: 1.0}",
-            DisconnectedGraph,
+            r"unreachable vertices: \['c', 'd'\]",
         ),
-        ("vertices: [a]\nedges: []", DisconnectedGraph),
+        ("vertices: [a]\nedges: []", "degree 0"),
         # not YAML at all: a ValueError, like every other rejected description
         ("vertices: [a\nedges: {", ValueError),
         # a parsed description meets the same checks as text
@@ -208,8 +202,10 @@ truncation: 12.5
         ),
     ],
 )
-def test_malformed_graphs_are_rejected(description, exc):
-    with pytest.raises(exc):
+def test_malformed_graphs_are_rejected(description, expected):
+    # a row expects any ValueError, or one whose message matches a pattern
+    match = expected if isinstance(expected, str) else None
+    with pytest.raises(ValueError, match=match):
         build_graph(description)
 
 
@@ -360,7 +356,7 @@ def test_overlapping_single_mode_balls_are_rejected():
     g = build_graph(TWO_PEAK_BRIDGE)
     # single-peak radius is min-edge/2, so the 2l-balls meet on the bridge
     stars = [star_neighborhood(g, v, mode="single") for v in ("p", "q")]
-    with pytest.raises(OverlappingPeaks) as err:
+    with pytest.raises(ValueError, match="support balls of peaks") as err:
         check_disjoint_peak_balls(g, stars)
     assert "p" in str(err.value) and "q" in str(err.value)
 
