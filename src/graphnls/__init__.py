@@ -33,7 +33,6 @@ from .graphs import (
     MetricGraph,
     StarNeighborhood,
     build_graph,
-    check_disjoint_peak_balls,
     insert_midpoints,
     load_graph,
     star_neighborhood,
@@ -88,7 +87,6 @@ __all__ = [
     "assemble_ansatz",
     "build_graph",
     "change_of_variables_matrix",
-    "check_disjoint_peak_balls",
     "continuation_sweep",
     "enumerate_critical_points",
     "eval_cutoff",

@@ -279,7 +279,7 @@ def _tripod_sweep():
 def criterion_4() -> CriterionResult:
     """Ansatz-seeded Newton converges to a positive single-peak state."""
     template, results = _tripod_sweep()
-    eid, away = template.peaks[0][0].incident_edges[0]
+    eid, away = template.stars[0].incident_edges[0]
     details = []
     passed = True
     for res in results:
@@ -341,7 +341,7 @@ def criterion_7() -> CriterionResult:
     ratio = normalized_ratios(last, template.weight)[0]
     offsets_ok = True
     offs = []
-    for (star, _), (center, off) in zip(template.peaks, last.peak_locations):
+    for star, (center, off) in zip(template.stars, last.peak_locations):
         eid, away = star.incident_edges[0]
         h = mesh.edge_spacing(eid, at_start=away)
         offsets_ok = offsets_ok and off <= h + 1e-12

@@ -59,6 +59,14 @@ class ExperimentConfig(SolveConfig):
 
     def __post_init__(self):
         super().__post_init__()  # rejects out-of-range solver knobs
+        # the action ratio column divides by lam**(1/mu + 1/2), of the powers
+        # of lam a run takes the first to leave float range (below lam = 1)
+        for lam in self.lambdas:
+            if lam < 1.0 and lam ** (1.0 / self.mu + 0.5) < sys.float_info.min:
+                raise ValueError(
+                    f"shift {lam:g} is too small for mu={self.mu:g}: "
+                    "lam**(1/mu + 1/2) underflows"
+                )
         # each shift writes its states to a directory named by its shift
         names = [_state_dir_name(lam) for lam in self.lambdas]
         clashes = sorted({n for n in names if names.count(n) > 1})
@@ -139,7 +147,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     name = cfg.graph
     g = reference_graph(name) if name in BUILTIN_GRAPHS else load_graph(name)
     template = peak_template(g, cfg.peaks, coeffs=cfg.coeffs)
-    stars = [star for star, _ in template.peaks]
+    stars = template.stars
     # the ratio columns need the reference constants, which exist only
     # for mu >= 0.5: fail before the sweep rather than after it
     soliton_reference(cfg.mu)

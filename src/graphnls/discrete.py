@@ -384,7 +384,9 @@ def build_mesh(g: MetricGraph, plans: Iterable[_EdgePlan]) -> Mesh:
 def uniform_mesh(g: MetricGraph, h: float) -> Mesh:
     """np.linspace's grid on every edge, at the largest step not above h
     (and at least four elements): `_edge_plan`'s ungraded case, with no
-    fine zone at either end."""
+    fine zone at either end.  h must be positive and finite."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be positive and finite, got {h}")
     return build_mesh(g, (_edge_plan(e.length, h, (0.0, 0.0), h) for e in g.edges))
 
 
@@ -393,8 +395,11 @@ def refined_plans(
 ) -> tuple[_EdgePlan, ...]:
     """The edge plans of refined_mesh(g, lam, peaks, nodes_per_width),
     in g.edges' order: its ndof by arithmetic alone (`planned_ndof`),
-    and no node array.  An empty peak list, or a peak that is not a
-    vertex of g, is refused."""
+    and no node array.  Refused: an empty peak list, a peak not in g,
+    and a lam or nodes_per_width that is not positive and finite."""
+    for name, x in (("lam", lam), ("nodes_per_width", nodes_per_width)):
+        if not (math.isfinite(x) and x > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {x}")
     if not peaks:
         raise ValueError("at least one peak vertex is required")
     missing = [p for p in peaks if p not in g.vertices]

@@ -346,8 +346,8 @@ def insert_midpoints(g: MetricGraph, peaks: list[str]) -> MetricGraph:
     """Split every edge joining two distinct peak vertices at its midpoint.
 
     Returns a new graph where each such edge `e` becomes `e__a`,
-    `e__b` glued at a fresh degree-2 vertex `e__mid`.  Needed so that
-    two peaks sharing an edge get disjoint support balls.
+    `e__b` glued at a fresh degree-2 vertex `e__mid`, so that two peaks
+    sharing an edge each keep one half of it.
     """
     peak_set = set(peaks)
     new_vertices = list(g.vertices)
@@ -370,20 +370,3 @@ def insert_midpoints(g: MetricGraph, peaks: list[str]) -> MetricGraph:
         else:
             new_edges.append(e)
     return MetricGraph(tuple(new_vertices), tuple(new_edges))
-
-
-def check_disjoint_peak_balls(
-    g: MetricGraph, stars: list[StarNeighborhood]
-) -> None:
-    """Raise ValueError unless all 2*radius balls are pairwise disjoint."""
-    # the last star has no later one to compare with
-    for i in range(len(stars) - 1):
-        di = vertex_distances(g, stars[i].center)
-        for j in range(i + 1, len(stars)):
-            gap = 2.0 * stars[i].radius + 2.0 * stars[j].radius
-            if di[stars[j].center] < gap - 1e-12:
-                raise ValueError(
-                    f"support balls of peaks {stars[i].center!r} and "
-                    f"{stars[j].center!r} overlap "
-                    f"(distance {di[stars[j].center]:.6g} < {gap:.6g})"
-                )

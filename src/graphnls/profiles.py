@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .discrete import DiscreteField, Mesh
-from .graphs import MetricGraph, StarNeighborhood, check_disjoint_peak_balls
+from .graphs import MetricGraph, StarNeighborhood, star_neighborhood
 
 
 def eval_soliton(mu: float, x):
@@ -75,22 +76,30 @@ def eval_cutoff(ell: float, x):
 class AnsatzSpec:
     """The peaked seed state's shape on one graph, fixed across a sweep.
 
-    Each peak pairs a star of graph with a coefficient vector of length
-    degree-1 weighting the kernel modes, divided by damping(lam) at a
-    shift.  Foreign stars, a wrong coefficient count and overlapping peak
-    balls are refused with `ValueError`.
+    peaks are vertices of graph, and coeffs holds one vector per peak,
+    of length degree-1, weighting its kernel modes; they are divided by
+    damping(lam) at a shift.  An empty, unknown or repeated peak, a
+    wrong number of vectors or of coefficients, and a non-finite
+    coefficient are refused with `ValueError`.
     """
 
     graph: MetricGraph
-    peaks: tuple[tuple[StarNeighborhood, tuple[float, ...]], ...]
+    peaks: tuple[str, ...]
+    coeffs: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
         if not self.peaks:
             raise ValueError("at least one peak vertex is required")
-        for star, coeffs in self.peaks:
-            ends = tuple((e.id, away) for e, away in self.graph.incident(star.center))
-            if star.incident_edges != ends:
-                raise ValueError(f"peak {star.center!r}: its star is not the graph's")
+        missing = [p for p in self.peaks if p not in self.graph.vertices]
+        if missing:
+            raise ValueError(f"peak vertices not in graph: {missing}")
+        if len(set(self.peaks)) != len(self.peaks):
+            raise ValueError("duplicate peak vertices")
+        if len(self.coeffs) != len(self.peaks):
+            raise ValueError(
+                f"got {len(self.coeffs)} coefficient vectors for {len(self.peaks)} peaks"
+            )
+        for star, coeffs in zip(self.stars, self.coeffs):
             # the seed's kernel modes need two rays: a degree-1 vertex
             # has none, and the state could not be assembled
             if star.degree < 2:
@@ -108,12 +117,23 @@ class AnsatzSpec:
                     f"peak {star.center!r}: kernel coefficients must be "
                     f"finite, got {tuple(coeffs)}"
                 )
-        check_disjoint_peak_balls(self.graph, [star for star, _ in self.peaks])
+
+    @cached_property
+    def stars(self) -> tuple[StarNeighborhood, ...]:
+        """The peaks' stars, in multi-peak mode when there are several.
+
+        A multi-peak radius is at most |e|/4 of every incident edge
+        (|e|/8 of a self-loop), so two peaks at distance d, joined by one
+        edge or by a longer path, have d >= 2*r_p + 2*r_q: their 2*radius
+        balls are disjoint.
+        """
+        mode = "multi" if len(self.peaks) > 1 else "single"
+        return tuple(star_neighborhood(self.graph, p, mode=mode) for p in self.peaks)
 
     @property
     def weight(self) -> float:
         """Sum of peak degrees / 2: the soliton levels mass and action tend to."""
-        return sum(star.degree for star, _ in self.peaks) / 2.0
+        return sum(star.degree for star in self.stars) / 2.0
 
     def damping(self, lam: float) -> float:
         """lam**0.25, the divisor of the kernel coefficients at shift lam.
@@ -156,7 +176,7 @@ def assemble_ansatz(
     scale = lam ** (1.0 / (2.0 * mu))
     root = math.sqrt(lam)
     vals = np.zeros(mesh.ndof)
-    for star, coeffs in spec.peaks:
+    for star, coeffs in zip(spec.stars, spec.coeffs):
         b = np.asarray(coeffs, dtype=float) / damping
         # per-ray kernel weight: sum_j b_j e^j_i
         ray_sign = np.zeros(star.degree)

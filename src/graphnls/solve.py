@@ -32,12 +32,7 @@ from .discrete import (
 )
 from .errors import NotConverged, SolveFailure
 from .functionals import FunctionalReport, nonlinearity, nonlinearity_slope
-from .graphs import (
-    MetricGraph,
-    admissible_peak_degree,
-    insert_midpoints,
-    star_neighborhood,
-)
+from .graphs import MetricGraph, admissible_peak_degree, insert_midpoints
 
 # sample_kernel_mode is unused here; bench/tracer.py wraps it by this name
 from .profiles import (
@@ -296,7 +291,7 @@ def kernel_projection_diagnostics(
     mesh = op.mesh
     phi = result.u.values - seed.values
     modes = []
-    for star, _ in ansatz.peaks:
+    for star in ansatz.stars:
         modes += sample_kernel_modes(mesh, star, op.lam, result.mu, tapered=True)
     # one band product per mode, dropped once its Gram column is filled,
     # and one for phi; each Gram entry is the lambda inner product
@@ -316,7 +311,7 @@ def kernel_projection_diagnostics(
 def peak_offsets(u: DiscreteField, ansatz: AnsatzSpec) -> list[tuple[str, float]]:
     """Distance from each peak vertex to the argmax inside its ball."""
     out = []
-    for star, _ in ansatz.peaks:
+    for star in ansatz.stars:
         best_t, best_val = 0.0, -math.inf
         for _, dofs, t in _rays(u.mesh, star, 2.0 * star.radius):
             vals = u.values[dofs]
@@ -345,27 +340,16 @@ def peak_template(
 ) -> AnsatzSpec:
     """The seed template with peaks at `peaks`, on the graph to sweep; no mesh.
 
-    Several peaks need disjoint support balls: each edge joining two is
-    split at its midpoint (a new graph, the template's) and every star
-    is taken in multi-peak mode, whose radii keep the balls apart.
-    coeffs, one kernel-coefficient vector per peak, are zeros by default.
+    With several peaks, each edge joining two is split at its midpoint
+    (a new graph, the template's); `AnsatzSpec` checks the peaks and
+    takes their stars.  coeffs, one kernel-coefficient vector per peak,
+    are zeros by default.
     """
-    missing = [p for p in peaks if p not in g.vertices]
-    if missing:
-        raise ValueError(f"peak vertices not in graph: {missing}")
-    if len(set(peaks)) != len(peaks):
-        raise ValueError("duplicate peak vertices")
-    mode = "multi" if len(peaks) > 1 else "single"
-    if mode == "multi":
+    if len(peaks) > 1:
         g = insert_midpoints(g, list(peaks))
-    stars = [star_neighborhood(g, p, mode=mode) for p in peaks]
     if coeffs is None:
-        coeffs = tuple((0.0,) * (s.degree - 1) for s in stars)
-    if len(coeffs) != len(stars):
-        raise ValueError(
-            f"got {len(coeffs)} coefficient vectors for {len(stars)} peaks"
-        )
-    return AnsatzSpec(g, tuple(zip(stars, coeffs)))
+        coeffs = tuple((0.0,) * (len(g.incident(p)) - 1) for p in peaks)
+    return AnsatzSpec(g, tuple(peaks), coeffs)
 
 
 def continuation_sweep(
@@ -383,15 +367,14 @@ def continuation_sweep(
     existence theory covers odd degree >= 3 only.  `peak_template`
     builds the template for a peak set.
     """
-    for star, _ in template.peaks:
+    for star in template.stars:
         if not admissible_peak_degree(star.degree):
             warnings.warn(
                 f"peak at {star.center!r} has degree {star.degree}: outside "
                 "the odd-degree hypotheses, exploratory run",
                 stacklevel=2,
             )
-    g = template.graph
-    peaks = [star.center for star, _ in template.peaks]
+    g, peaks = template.graph, template.peaks
     lam0 = cfg.lambdas[0]
 
     def nodes_per_width(lam: float) -> float:
@@ -399,10 +382,11 @@ def continuation_sweep(
 
     def plan(lam: float):
         try:
-            plans = refined_plans(g, lam, peaks, nodes_per_width(lam))
-        except (OverflowError, ZeroDivisionError):  # spacing beyond float range
-            return None, math.inf
-        return plans, planned_ndof(g, plans)
+            npw = nodes_per_width(lam)
+            plans = refined_plans(g, lam, peaks, npw) if npw < math.inf else None
+        except (OverflowError, ZeroDivisionError):
+            plans = None  # a density or spacing beyond float range
+        return plans, math.inf if plans is None else planned_ndof(g, plans)
 
     # the largest mesh need not be the last: an edge within the graded
     # width of a peak at an early shift may lie beyond it at a later

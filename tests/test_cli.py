@@ -317,6 +317,12 @@ def _record_meshes(monkeypatch):
         ("--coeffs", "nan,0", "peak 'c': kernel coefficients must be finite"),
         ("--coeffs", "0", "expected 2 coefficients, got 1"),
         ("--seed", "bogus", "unknown seed strategy"),
+        # lam**(1/mu + 1/2), the action ratio's divisor, underflows: each
+        # once ended in a ZeroDivisionError traceback after the sweep
+        ("--lambdas", "1e-300", "shift 1e-300 is too small for mu=1"),
+        ("--lambdas", "1e-290", "shift 1e-290 is too small for mu=1"),
+        ("--lambdas", "1e-310", "shift 1e-310 is too small for mu=1"),
+        ("--lambdas=1e-250", "--mu=0.5", "shift 1e-250 is too small for mu=0.5"),
     ],
 )
 def test_solve_rejects_invalid_knobs_before_any_work(

@@ -334,6 +334,25 @@ def test_refined_mesh_refuses_a_peak_that_is_not_a_vertex():
             plan(g, 25.0, ["c", "zz"], 10.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["lam", "nodes_per_width"])
+def test_refined_mesh_refuses_a_shift_or_density_not_positive_and_finite(name, bad):
+    # a negative one once built a mesh, 0 or an infinite shift divided by
+    # zero, and nan failed to convert to an element count
+    g = reference_graph("tripod")
+    knobs = {"lam": 25.0, "nodes_per_width": 10.0, name: bad}
+    for plan in (refined_plans, refined_mesh):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            plan(g, knobs["lam"], ["c"], knobs["nodes_per_width"])
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+def test_uniform_mesh_refuses_a_spacing_not_positive_and_finite(h):
+    # -1 and inf once built a 13-dof mesh of the tripod, 0 divided by zero
+    with pytest.raises(ValueError, match=f"h must be positive and finite, got {h}"):
+        uniform_mesh(reference_graph("tripod"), h)
+
+
 def _check_grading(g, peaks, lam, npw):
     """Check refined_mesh's grading edge by edge against the graph distance
     d to the nearest peak; returns the mesh and the kinds of edge seen:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from graphnls import (
-    AnsatzSpec,
     SolveConfig,
     assemble,
     assemble_ansatz,
@@ -16,10 +15,10 @@ from graphnls import (
     ground_state_gap,
     lambda_norm,
     newton_solve,
+    peak_template,
     refined_mesh,
     soliton_derivative,
     soliton_reference,
-    star_neighborhood,
     uniform_mesh,
 )
 from graphnls.acceptance import _mu2_sweep, _tripod_sweep
@@ -46,8 +45,7 @@ truncation: 20.0
 
 def _solve_tripod(lam=25.0, mu=1.0, npw=20.0):
     g = build_graph(TRIPOD)
-    star = star_neighborhood(g, "c", mode="single")
-    spec = AnsatzSpec(g, ((star, (0.0, 0.0)),))
+    spec = peak_template(g, ("c",))
     mesh = refined_mesh(g, lam, ["c"], nodes_per_width=npw)
     op = assemble(g, mesh, lam)
     seed = assemble_ansatz(spec, mesh, lam, mu)
@@ -96,10 +94,9 @@ def test_line_surrogate_matches_soliton_integrals():
     # two truncated half lines form a line; the lam = 1 state carries the
     # full-line soliton levels up to O(h^2) and exponentially small tails
     g = build_graph(TWO_STAR)
-    star = star_neighborhood(g, "v", mode="single")
     mesh = uniform_mesh(g, 0.01)
     op = assemble(g, mesh, 1.0)
-    spec = AnsatzSpec(g, ((star, (0.0,)),))
+    spec = peak_template(g, ("v",))
     res = newton_solve(op, assemble_ansatz(spec, mesh, 1.0, 1.0), SolveConfig())
     assert res.converged
     rep = evaluate_functionals(op, 1.0, res.u)

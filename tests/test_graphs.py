@@ -1,8 +1,10 @@
 """Metric graph construction, distances, peak balls and star neighborhoods."""
 
+import itertools
 import json
 import math
 import re
+from dataclasses import replace
 from importlib.resources import files
 
 import numpy as np
@@ -13,9 +15,9 @@ from hypothesis import strategies as st
 
 from graphnls import (
     build_graph,
-    check_disjoint_peak_balls,
     insert_midpoints,
     load_graph,
+    peak_template,
     reference_graph,
     star_neighborhood,
 )
@@ -352,20 +354,23 @@ edges:
     assert {e.id for e in h.edges} == {e.id for e in g.edges}
 
 
-def test_overlapping_single_mode_balls_are_rejected():
-    g = build_graph(TWO_PEAK_BRIDGE)
-    # single-peak radius is min-edge/2, so the 2l-balls meet on the bridge
-    stars = [star_neighborhood(g, v, mode="single") for v in ("p", "q")]
-    with pytest.raises(ValueError, match="support balls of peaks") as err:
-        check_disjoint_peak_balls(g, stars)
-    assert "p" in str(err.value) and "q" in str(err.value)
+def _assert_balls_disjoint(g, stars):
+    """Every two stars' 2*radius balls are apart: their centers lie at
+    least the sum of the ball radii from each other."""
+    for a, b in itertools.combinations(stars, 2):
+        gap = 2.0 * a.radius + 2.0 * b.radius
+        assert vertex_distances(g, a.center)[b.center] >= gap, (a, b)
 
 
 def test_multi_mode_balls_after_midpoint_split_are_disjoint():
     g = build_graph(TWO_PEAK_BRIDGE)
     h = insert_midpoints(g, ["p", "q"])
     stars = [star_neighborhood(h, v, mode="multi") for v in ("p", "q")]
-    check_disjoint_peak_balls(h, stars)
+    _assert_balls_disjoint(h, stars)
+    # single-peak radii, half the shortest edge, would meet on the bridge
+    single = [star_neighborhood(g, v, mode="single") for v in ("p", "q")]
+    with pytest.raises(AssertionError):
+        _assert_balls_disjoint(g, single)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -589,6 +594,32 @@ def test_the_edge_end_table_matches_the_scan_and_distances_match_floyd_warshall(
     reference = _floyd_warshall(g)
     for v in g.vertices:
         assert vertex_distances(g, v) == reference[v]
+
+
+def _check_multi_peak_balls(g):
+    """Every 2- and 3-set of g's vertices of degree >= 2, as peak_template
+    splits it and moved back onto g unsplit: the peaks' balls are apart."""
+    eligible = [v for v in g.vertices if len(g.incident(v)) >= 2]
+    for k in (2, 3):
+        for peaks in itertools.combinations(eligible, k):
+            split = peak_template(g, peaks)
+            for template in (split, replace(split, graph=g)):
+                _assert_balls_disjoint(template.graph, template.stars)
+
+
+# the invariant that lets a template hold no disjointness check: a
+# multi-peak radius is at most a quarter of each incident edge (an eighth
+# of a self-loop), so two peaks' 2*radius balls never meet, whether the
+# edges joining peaks are split or not
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_multi_peak_templates_of_the_built_ins_have_disjoint_balls(name):
+    _check_multi_peak_balls(reference_graph(name))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(doc=_multigraphs())
+def test_multi_peak_templates_have_disjoint_balls_split_or_not(doc):
+    _check_multi_peak_balls(build_graph(doc))
 
 
 class _CountedEdges(tuple):

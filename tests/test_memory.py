@@ -9,11 +9,10 @@ with a margin, not timings.
 import tracemalloc
 
 from graphnls import (
-    AnsatzSpec,
     SolveConfig,
     continuation_sweep,
+    peak_template,
     reference_graph,
-    star_neighborhood,
 )
 
 # measured on this sweep: a peak of 283 bytes per dof, reached while the
@@ -26,9 +25,7 @@ HELD_BYTES_PER_DOF = 80
 
 
 def test_sweep_peak_and_held_memory_per_dof():
-    g = reference_graph("star5")
-    star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0,) * 4),))
+    template = peak_template(reference_graph("star5"), ("c",))
     cfg = SolveConfig(lambdas=(25.0, 50.0, 100.0))
     continuation_sweep(template, cfg)  # first-call caches stay out of it
     tracemalloc.start()

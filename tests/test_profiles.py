@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from graphnls import (
-    AnsatzSpec,
     assemble_ansatz,
     build_graph,
     eval_cutoff,
     eval_soliton,
     kernel_basis,
+    peak_template,
     reduced_cubic_coefficient,
     reference_graph,
     refined_mesh,
@@ -134,10 +134,10 @@ def _tripod_star(edge_lengths=(1.0, 1.0, 1.0)):
 
 
 def test_ansatz_spec_validation():
-    g, star = _tripod_star()
+    g, _ = _tripod_star()
     with pytest.raises(ValueError, match="peak 'c': expected 2 coefficients, got 1"):
-        AnsatzSpec(g, ((star, (0.1,)),))
-    spec = AnsatzSpec(g, ((star, (0.1, 0.2)),))
+        peak_template(g, ("c",), coeffs=((0.1,),))
+    spec = peak_template(g, ("c",), coeffs=((0.1, 0.2),))
     for lam in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="lam must be positive"):
             spec.damping(lam)
@@ -146,14 +146,14 @@ def test_ansatz_spec_validation():
     assert 0.0 < spec.damping(5e-324) and spec.damping(1.7e308) < math.inf
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="peak 'c': kernel coefficients"):
-            AnsatzSpec(g, ((star, (bad, 0.0)),))
+            peak_template(g, ("c",), coeffs=((bad, 0.0),))
 
 
 def test_ansatz_peak_value():
-    g, star = _tripod_star()
+    g, _ = _tripod_star()
     mesh = uniform_mesh(g, 0.02)
     lam = 9.0
-    spec = AnsatzSpec(g, ((star, (0.1, -0.2)),))
+    spec = peak_template(g, ("c",), coeffs=((0.1, -0.2),))
     w = assemble_ansatz(spec, mesh, lam, 1.0)
     # kernel modes vanish at the vertex, taper equals one there
     expect = lam**0.5 * math.sqrt(2.0)
@@ -161,8 +161,8 @@ def test_ansatz_peak_value():
 
 
 def test_ansatz_refuses_a_mesh_of_another_graph():
-    g, star = _tripod_star()
-    spec = AnsatzSpec(g, ((star, (0.1, -0.2)),))
+    g, _ = _tripod_star()
+    spec = peak_template(g, ("c",), coeffs=((0.1, -0.2),))
     mesh = uniform_mesh(reference_graph("star5"), 0.5)
     with pytest.raises(ValueError, match="the mesh is not of the template's graph"):
         assemble_ansatz(spec, mesh, 9.0, 1.0)
@@ -172,7 +172,7 @@ def test_ansatz_supported_in_taper_ball():
     g, star = _tripod_star((1.0, 4.0, 4.0))
     assert star.radius == pytest.approx(0.5)
     mesh = uniform_mesh(g, 0.05)
-    spec = AnsatzSpec(g, ((star, (0.3, 0.2)),))
+    spec = peak_template(g, ("c",), coeffs=((0.3, 0.2),))
     w = assemble_ansatz(spec, mesh, 16.0, 1.0)
     for eid in ("e2", "e3"):
         nodes = mesh.edge_nodes[eid]
@@ -186,11 +186,11 @@ def test_ansatz_supported_in_taper_ball():
 def test_ansatz_flux_balances_at_peak():
     # sign weights sum to zero over the rays, so the O(h^2) stencil errors
     # cancel at the peak vertex and the imbalance shrinks like h^3
-    g, star = _tripod_star()
+    g, _ = _tripod_star()
     imbalances = []
     for h in (0.004, 0.002):
         mesh = uniform_mesh(g, h)
-        spec = AnsatzSpec(g, ((star, (0.4, -0.3)),))
+        spec = peak_template(g, ("c",), coeffs=((0.4, -0.3),))
         w = assemble_ansatz(spec, mesh, 9.0, 1.0)
         imbalances.append(abs(kirchhoff_flux(mesh, w)["c"]))
     assert imbalances[1] < 5e-5

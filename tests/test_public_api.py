@@ -33,7 +33,6 @@ PUBLIC_API = [
     "assemble_ansatz",
     "build_graph",
     "change_of_variables_matrix",
-    "check_disjoint_peak_balls",
     "continuation_sweep",
     "enumerate_critical_points",
     "eval_cutoff",

@@ -55,8 +55,8 @@ edges:
 
 def _tripod_setup(lam=50.0, npw=25.0):
     g = build_graph(TRIPOD)
-    star = star_neighborhood(g, "c", mode="single")
-    spec = AnsatzSpec(g, ((star, (0.0, 0.0)),))
+    spec = peak_template(g, ("c",))
+    (star,) = spec.stars
     mesh = refined_mesh(g, lam, ["c"], nodes_per_width=npw)
     op = assemble(g, mesh, lam)
     return g, star, spec, mesh, op
@@ -268,8 +268,7 @@ def test_newton_names_a_line_search_stall():
     # figure1's degree-5 peak at lam=25: the steps along the near-kernel
     # overshoot, and no trial step down to 2**-24 lowers the residual
     g = reference_graph("figure1")
-    star = star_neighborhood(g, "v1", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0,) * 4),))
+    template = peak_template(g, ("v1",))
     (res,) = continuation_sweep(template, SolveConfig(lambdas=(25.0,)))
     assert not res.converged
     assert res.termination == "line_search_stall"
@@ -318,8 +317,7 @@ def test_residual_of_negative_state_is_linear():
 
 def test_continuation_sweep_populates_diagnostics():
     g = build_graph(TRIPOD)
-    star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0, 0.0)),))
+    template = peak_template(g, ("c",))
     cfg = SolveConfig(
         mu=1.0, lambdas=(25.0, 50.0), nodes_per_width=20.0, seed="previous"
     )
@@ -342,7 +340,7 @@ def _reference_kernel_component_norm(res, template):
     phi = res.u.values - assemble_ansatz(template, mesh, res.lam, 1.0).values
     modes = [
         sample_kernel_mode(mesh, star, j, res.lam, 1.0, tapered=True)
-        for star, _ in template.peaks
+        for star in template.stars
         for j in range(1, star.degree)
     ]
     gram = np.array([[a @ (op.shifted @ b) for b in modes] for a in modes])
@@ -354,8 +352,7 @@ def _reference_kernel_component_norm(res, template):
 def test_sweep_diagnostics_equal_fresh_recomputation():
     # a mode of 0.3 puts a visible kernel component into the correction
     g = build_graph(TRIPOD)
-    star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.3, -0.2)),))
+    template = peak_template(g, ("c",), coeffs=((0.3, -0.2),))
     cfg = SolveConfig(mu=1.0, lambdas=(25.0, 50.0), nodes_per_width=15.0)
     for res in continuation_sweep(template, cfg):
         assert res.converged
@@ -373,8 +370,7 @@ def test_symmetric_star5_sweep_keeps_its_symmetry():
     # zero-coefficient seed's 5-fold symmetry survives Newton and the
     # kernel part of the correction stays at rounding level
     g = reference_graph("star5")
-    star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0,) * 4),))
+    template = peak_template(g, ("c",))
     results = continuation_sweep(template, SolveConfig(lambdas=(25, 50)))
     for res in results:
         assert res.converged
@@ -391,8 +387,7 @@ def test_symmetric_star5_sweep_keeps_its_symmetry():
 
 def test_seed_strategies_agree_on_easy_sweeps():
     g = build_graph(TRIPOD)
-    star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0, 0.0)),))
+    template = peak_template(g, ("c",))
     sched = (25.0, 50.0)
     res_prev = continuation_sweep(
         template, SolveConfig(lambdas=sched, nodes_per_width=15.0)
@@ -417,8 +412,7 @@ edges:
   - {id: e4, from: c, to: a4, length: 1.0}
 """
     )
-    star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0,) * 3),))
+    template = peak_template(g, ("c",))
     cfg = SolveConfig(lambdas=(25.0,), nodes_per_width=15.0)
     with pytest.warns(UserWarning, match="outside the odd-degree hypotheses"):
         results = continuation_sweep(template, cfg)
@@ -429,16 +423,17 @@ def test_peak_templates_equal_the_hand_built_ones():
     # the templates verify's sweeps built by hand before peak_template;
     # the mu=1 and mu=2 tripod sweeps share one, since mu is the solver's
     g = reference_graph("tripod")
-    star = star_neighborhood(g, "c", mode="single")
-    tripod = AnsatzSpec(g, ((star, (0.0, 0.0)),))
+    tripod = AnsatzSpec(g, ("c",), ((0.0, 0.0),))
     assert peak_template(g, ("c",)) == tripod
+    assert tripod.stars == (star_neighborhood(g, "c", mode="single"),)
 
     g0 = reference_graph("double_tripod")
     split = insert_midpoints(g0, ["c1", "c2"])
-    stars = [star_neighborhood(split, v, mode="multi") for v in ("c1", "c2")]
-    double = AnsatzSpec(split, tuple((s, (0.0, 0.0)) for s in stars))
+    double = AnsatzSpec(split, ("c1", "c2"), ((0.0, 0.0), (0.0, 0.0)))
     got = peak_template(g0, ("c1", "c2"))
-    assert got == double
+    assert got == double and hash(got) == hash(double)
+    stars = tuple(star_neighborhood(split, v, mode="multi") for v in ("c1", "c2"))
+    assert got.stars == stars
     assert "bridge__mid" in got.graph.vertices
 
 
@@ -446,7 +441,7 @@ def test_a_template_holds_no_solver_knob():
     # mu has one definition, SolveConfig's: a template field of the same
     # name would be a second one for the sweep to keep equal
     solver = {f.name for f in fields(SolveConfig)}
-    assert [f.name for f in fields(AnsatzSpec)] == ["graph", "peaks"]
+    assert [f.name for f in fields(AnsatzSpec)] == ["graph", "peaks", "coeffs"]
     assert not solver & {f.name for f in fields(AnsatzSpec)}
 
 
@@ -481,39 +476,29 @@ def test_an_empty_peak_set_is_refused_before_any_mesh(monkeypatch):
     with pytest.raises(ValueError, match="at least one peak vertex is required"):
         peak_template(reference_graph("tripod"), ())
     with pytest.raises(ValueError, match="at least one peak vertex is required"):
-        AnsatzSpec(reference_graph("tripod"), ())
+        AnsatzSpec(reference_graph("tripod"), (), ())
     assert built == []
 
 
-def test_sweep_checks_that_hand_built_peak_balls_are_disjoint():
-    # peak_template splits the bridge and takes multi-peak stars; a
-    # template with neither, on the unsplit double tripod, overlaps, and
-    # is refused as it is built, before any sweep or mesh
-    g = reference_graph("double_tripod")
-    stars = [star_neighborhood(g, v, mode="single") for v in ("c1", "c2")]
-    with pytest.raises(ValueError, match="support balls of peaks 'c1' and 'c2'"):
-        AnsatzSpec(g, tuple((s, (0.0, 0.0)) for s in stars))
-
-
-@pytest.mark.parametrize(
-    "graph, template_of, peak",
-    [
-        # the tripod's star at c on star5's graph, whose c has five ends
-        ("star5", ("tripod", ("c",)), "c"),
-        # peak_template's split template on the unsplit double tripod:
-        # its stars reach bridge__a, which that graph lacks
-        ("double_tripod", ("double_tripod", ("c1", "c2")), "c1"),
-    ],
-)
-def test_a_template_refuses_the_stars_of_another_graph(
-    monkeypatch, graph, template_of, peak
-):
-    # the pair once swept 50 iterations to max_iters, or raised a raw
+def test_a_template_moved_to_another_graph_is_rechecked_there(monkeypatch):
+    # a template holds no star: replace() takes the stars of the new
+    # graph and checks the coefficients against them.  Holding stars, the
+    # pairs below once swept 50 iterations to max_iters, or raised a raw
     # KeyError after building a mesh
     built = _record_meshes(monkeypatch)
-    other = peak_template(reference_graph(template_of[0]), template_of[1])
-    with pytest.raises(ValueError, match=f"peak '{peak}': its star is not the graph's"):
-        replace(other, graph=reference_graph(graph))
+    # the tripod's coefficients at c on star5's graph, whose c has five ends
+    tripod = peak_template(reference_graph("tripod"), ("c",))
+    with pytest.raises(ValueError, match="peak 'c': expected 4 coefficients, got 2"):
+        replace(tripod, graph=reference_graph("star5"))
+    # peak_template's split template on the unsplit double tripod: its
+    # stars are that graph's own, and the seed assembles on its mesh
+    g = reference_graph("double_tripod")
+    unsplit = replace(peak_template(g, ("c1", "c2")), graph=g)
+    for star in unsplit.stars:
+        ends = tuple((e.id, away) for e, away in g.incident(star.center))
+        assert star.incident_edges == ends
+    seed = assemble_ansatz(unsplit, uniform_mesh(g, 0.25), 50.0, 1.0)
+    assert np.all(np.isfinite(seed.values)) and seed.values.max() > 0.0
     assert built == []
 
 
@@ -547,8 +532,7 @@ def test_sweep_refuses_a_mesh_above_the_ceiling_before_building_any(
     monkeypatch, knobs
 ):
     g = build_graph(TRIPOD)
-    star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0, 0.0)),))
+    template = peak_template(g, ("c",))
     built = []
     monkeypatch.setattr(
         graphnls.discrete, "build_mesh", lambda *a, **k: built.append(a)
@@ -559,12 +543,20 @@ def test_sweep_refuses_a_mesh_above_the_ceiling_before_building_any(
     assert built == []
 
 
+def test_sweep_refuses_a_density_beyond_float_range_as_above_the_ceiling():
+    # 1e308 nodes per width grows past float range by lam=400: a mesh
+    # above the ceiling, not a density refinement planning refuses
+    template = peak_template(build_graph(TRIPOD), ("c",))
+    cfg = SolveConfig(lambdas=(25.0, 400.0), nodes_per_width=1e308)
+    with pytest.raises(ValueError, match="at lam=400 would have inf unknowns"):
+        continuation_sweep(template, cfg)
+
+
 def _check_graded_matches_fine(g, peak, lam, npw, shrink):
     """Newton from the ansatz at one peak, on the graded mesh and on the
     all-fine one: the graded mesh has under 1/shrink of the unknowns, and
     mass and action agree to 1e-9 relative."""
-    star = star_neighborhood(g, peak, mode="single")
-    spec = AnsatzSpec(g, ((star, (0.0,) * (star.degree - 1)),))
+    spec = peak_template(g, (peak,))
     graded = refined_mesh(g, lam, [peak], nodes_per_width=npw)
     uniform = uniform_mesh(g, 1.0 / (npw * math.sqrt(lam)))
     assert not uniform.graded and graded.ndof < uniform.ndof / shrink
@@ -596,8 +588,7 @@ def test_graded_and_uniform_figure1_solves_agree():
 def test_sweep_accepts_a_last_mesh_at_the_ceiling(monkeypatch):
     # on the tripod the last shift's mesh is the largest
     g = build_graph(TRIPOD)
-    star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0, 0.0)),))
+    template = peak_template(g, ("c",))
     cfg = SolveConfig(lambdas=(25.0, 50.0), nodes_per_width=15.0)
     ndof = [
         planned_ndof(g, refined_plans(g, lam, ["c"], 15.0 * (lam / 25.0) ** 0.25))
@@ -628,8 +619,7 @@ def test_sweep_checks_an_earlier_mesh_larger_than_the_last(monkeypatch):
         + "  - {id: ca, from: c, to: a, length: 2.0}\n"
         + pendants
     )
-    star = star_neighborhood(g, "c", mode="single")
-    template = AnsatzSpec(g, ((star, (0.0, 0.0)),))
+    template = peak_template(g, ("c",))
     cfg = SolveConfig(lambdas=(25.0, 400.0), nodes_per_width=100.0)
     ndof = [
         planned_ndof(g, refined_plans(g, lam, ["c"], 100.0 * (lam / 25.0) ** 0.25))
