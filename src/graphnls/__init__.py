@@ -23,7 +23,6 @@ from .errors import GraphNLSError
 from .functionals import (
     FunctionalReport,
     GroundStateGap,
-    SolitonReference,
     evaluate_functionals,
     ground_state_gap,
     soliton_reference,
@@ -80,7 +79,6 @@ __all__ = [
     "Mesh",
     "MetricGraph",
     "ReducedEnergyReport",
-    "SolitonReference",
     "SolveConfig",
     "StarNeighborhood",
     "assemble",

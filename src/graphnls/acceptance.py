@@ -356,7 +356,7 @@ def criterion_7() -> CriterionResult:
 
 @lru_cache(maxsize=None)
 def _mu2_sweep():
-    return _sweep("tripod", ("c",), mu=2.0, lambdas=(400.0,), seed="ansatz")
+    return _sweep("tripod", ("c",), mu=2.0, lambdas=(400.0,))
 
 
 def criterion_8() -> CriterionResult:
@@ -368,10 +368,9 @@ def criterion_8() -> CriterionResult:
 
     template2, (res2,) = _mu2_sweep()
     gap2 = ground_state_gap(res2, weight=template2.weight)
-    mass_ok = (
-        res2.converged and gap2.mass_exceeds and gap2.not_ground_state
-    )
-    passed = ratio_ok and mass_ok
+    # at mu = 2 not_ground_state is mass_exceeds, and the gap refuses an
+    # unconverged result
+    passed = ratio_ok and gap2.mass_exceeds
     detail = (
         f"action ratio {ratio:.4f} (band [1.35, 1.65]); mu=2 mass "
         f"{gap2.mass:.4f} vs {gap2.mass_reference:.4f}"

@@ -54,39 +54,36 @@ def evaluate_functionals(
     this is the usual (2*mu+2)-norm.  action = energy + (lam/2)*mass
     and nehari_residual = kinetic + lam*mass - potential hold exactly.
     """
+    if u.mesh is not op.mesh:
+        raise ValueError("the state is not on the operator's mesh")
     v = u.values
     kinetic = float(v @ (op.stiffness @ v))
     mass = float(v @ (op.mass @ v))
     potential = float(v @ (op.mass @ nonlinearity(mu, v)))
+    return _report(op.lam, mu, mass, kinetic, potential)
+
+
+def _report(
+    lam: float, mu: float, mass: float, kinetic: float, potential: float
+) -> FunctionalReport:
+    """The report with these terms: energy = kinetic/2 - potential/(2*mu+2),
+    action = energy + (lam/2)*mass, nehari_residual = kinetic + lam*mass
+    - potential."""
     energy = 0.5 * kinetic - potential / (2.0 * mu + 2.0)
-    action = energy + 0.5 * op.lam * mass
-    nehari = kinetic + op.lam * mass - potential
     return FunctionalReport(
-        lam=op.lam,
+        lam=lam,
         mass=mass,
         kinetic=kinetic,
         potential=potential,
-        action=action,
+        action=energy + 0.5 * lam * mass,
         energy=energy,
-        nehari_residual=nehari,
+        nehari_residual=kinetic + lam * mass - potential,
     )
 
 
-@dataclass(frozen=True)
-class SolitonReference:
-    """Full-line soliton constants at unit frequency shift."""
-
-    mu: float
-    mass: float
-    kinetic: float
-    potential: float
-    action: float
-    energy: float
-
-
 @lru_cache(maxsize=None)
-def soliton_reference(mu: float) -> SolitonReference:
-    """Full-line soliton functionals in closed form, cached.
+def soliton_reference(mu: float) -> FunctionalReport:
+    """Full-line soliton functionals at lam = 1 in closed form, cached.
 
     With q = 1/mu, the substitution y = mu*x turns each integral of a
     power of phi (and of phi' = -phi*tanh(mu*x)) into a Beta function:
@@ -104,20 +101,12 @@ def soliton_reference(mu: float) -> SolitonReference:
     mass = (mu + 1.0) ** q / mu * beta(0.5, q)
     kinetic = (mu + 1.0) ** q / mu * beta(1.5, q)
     potential = (mu + 1.0) ** (1.0 + q) / mu * beta(0.5, 1.0 + q)
-    energy = 0.5 * kinetic - potential / (2.0 * mu + 2.0)
-    action = energy + 0.5 * mass
-    if not action > 0.0:
-        raise AssertionError(f"soliton action must be positive, got {action}")
-    if mu < 2.0 and not energy < 0.0:
-        raise AssertionError(f"soliton energy must be negative for mu < 2, got {energy}")
-    return SolitonReference(
-        mu=mu,
-        mass=mass,
-        kinetic=kinetic,
-        potential=potential,
-        action=action,
-        energy=energy,
-    )
+    ref = _report(1.0, mu, mass, kinetic, potential)
+    if not ref.action > 0.0:
+        raise AssertionError(f"soliton action must be positive, got {ref.action}")
+    if mu < 2.0 and not ref.energy < 0.0:
+        raise AssertionError(f"soliton energy must be negative for mu < 2, got {ref.energy}")
+    return ref
 
 
 def normalized_ratios(

@@ -77,10 +77,9 @@ class AnsatzSpec:
     """The peaked seed state's shape on one graph, fixed across a sweep.
 
     peaks are vertices of graph, and coeffs holds one vector per peak,
-    of length degree-1, weighting its kernel modes; they are divided by
-    damping(lam) at a shift.  An empty, unknown or repeated peak, a
-    wrong number of vectors or of coefficients, and a non-finite
-    coefficient are refused with `ValueError`.
+    of length degree-1, weighting its kernel modes.  An empty, unknown
+    or repeated peak, a wrong number of vectors or of coefficients, and
+    a non-finite coefficient are refused with `ValueError`.
     """
 
     graph: MetricGraph
@@ -135,16 +134,6 @@ class AnsatzSpec:
         """Sum of peak degrees / 2: the soliton levels mass and action tend to."""
         return sum(star.degree for star in self.stars) / 2.0
 
-    def damping(self, lam: float) -> float:
-        """lam**0.25, the divisor of the kernel coefficients at shift lam.
-
-        A shift that is not positive and finite is refused; at any other
-        the power is positive and finite.
-        """
-        if not (math.isfinite(lam) and lam > 0.0):
-            raise ValueError("lam must be positive")
-        return lam**0.25
-
 
 def _rays(mesh: Mesh, star: StarNeighborhood, reach: float):
     """Yield (ray index, dofs, distances) of the nodes within reach of the center.
@@ -166,38 +155,37 @@ def assemble_ansatz(
 ) -> DiscreteField:
     """Sample the peaked seed state W at shift lam on the mesh.
 
-    W is supported in the union of the peaks' 2*radius balls; at each
-    peak vertex its value is lam^(1/(2*mu)) * (mu+1)^(1/(2*mu)) since
-    the kernel modes vanish there and the taper equals one.
+    W sums, over the peaks, the tapered star state and each tapered
+    kernel mode times c_j / lam**0.25; a shift that is not positive and
+    finite is refused.  At each peak vertex W is lam^(1/(2*mu)) *
+    (mu+1)^(1/(2*mu)): the modes vanish there and the taper is one.
     """
     if mesh.graph is not spec.graph:
         raise ValueError("the mesh is not of the template's graph")
-    damping = spec.damping(lam)
-    scale = lam ** (1.0 / (2.0 * mu))
-    root = math.sqrt(lam)
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError("lam must be positive")
     vals = np.zeros(mesh.ndof)
     for star, coeffs in zip(spec.stars, spec.coeffs):
-        b = np.asarray(coeffs, dtype=float) / damping
-        # per-ray kernel weight: sum_j b_j e^j_i
-        ray_sign = np.zeros(star.degree)
-        for j, vec in enumerate(kernel_basis(star.degree)):
-            ray_sign += b[j] * vec
-        for i, dofs, t in _rays(mesh, star, 2.0 * star.radius):
-            z = root * t
-            body = eval_soliton(mu, z) + ray_sign[i] * soliton_derivative(mu, z)
-            vals[dofs] = eval_cutoff(star.radius, t) * scale * np.asarray(body)
+        vals += sample_star_state(mesh, star, lam, mu, tapered=True)
+        if any(coeffs):  # zero terms add nothing: skip sampling the modes
+            modes = sample_kernel_modes(mesh, star, lam, mu, tapered=True)
+            for c, mode in zip(coeffs, modes):
+                vals += (c / lam**0.25) * mode
     return DiscreteField(mesh, vals)
 
 
 def sample_star_state(
-    mesh: Mesh, star: StarNeighborhood, lam: float, mu: float
+    mesh: Mesh, star: StarNeighborhood, lam: float, mu: float, tapered: bool = False
 ) -> np.ndarray:
-    """Untapered scaled star state on the star's full rays (zero elsewhere)."""
+    """Scaled star state on the star's full rays, or tapered to its
+    2*radius ball as in the seed; zero elsewhere."""
     scale = lam ** (1.0 / (2.0 * mu))
     root = math.sqrt(lam)
     out = np.zeros(mesh.ndof)
-    for _, dofs, t in _rays(mesh, star, math.inf):
-        out[dofs] = scale * np.asarray(eval_soliton(mu, root * t))
+    reach = 2.0 * star.radius if tapered else math.inf
+    for _, dofs, t in _rays(mesh, star, reach):
+        phi = np.asarray(eval_soliton(mu, root * t))
+        out[dofs] = eval_cutoff(star.radius, t) * scale * phi if tapered else scale * phi
     return out
 
 

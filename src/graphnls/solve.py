@@ -224,9 +224,12 @@ def newton_solve(
     soliton derivative mode on the peak edges.  Backtracking halves the
     step until the natural-norm residual decreases (Armijo on the
     residual norm).  However Newton stops, the result's termination
-    says why, and nothing is raised; a seed with a non-finite value is
-    refused with ValueError before any factorization.
+    says why, and nothing is raised; a seed on another mesh than op's,
+    or with a non-finite value, is refused with ValueError before any
+    factorization.
     """
+    if u0.mesh is not op.mesh:
+        raise ValueError("the seed state is not on the operator's mesh")
     if not np.all(np.isfinite(u0.values)):
         raise ValueError("the seed state has non-finite values")
     mu = cfg.mu

@@ -160,6 +160,10 @@ def test_soliton_reference_internal_identities(mu):
         m * (mu - 2.0) / (2.0 * (mu + 2.0)), rel=1e-9, abs=1e-10
     )
     assert ref.kinetic + m - ref.potential == pytest.approx(0.0, abs=1e-9)
+    # it is the soliton's report at lam = 1, with a discrete state's identities
+    assert ref.lam == 1.0
+    assert ref.action == ref.energy + 0.5 * ref.mass
+    assert ref.nehari_residual == pytest.approx(0.0, abs=1e-9)
     assert ref.action > 0.0
     if mu < 2.0:
         assert ref.energy < 0.0

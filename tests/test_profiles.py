@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphnls import (
+    assemble,
     assemble_ansatz,
     build_graph,
     eval_cutoff,
@@ -138,12 +139,22 @@ def test_ansatz_spec_validation():
     with pytest.raises(ValueError, match="peak 'c': expected 2 coefficients, got 1"):
         peak_template(g, ("c",), coeffs=((0.1,),))
     spec = peak_template(g, ("c",), coeffs=((0.1, 0.2),))
+    zero = peak_template(g, ("c",))
+    mesh = uniform_mesh(g, 0.02)
     for lam in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="lam must be positive"):
-            spec.damping(lam)
-    # the damping is lam**0.25, positive and finite at any valid shift
-    assert spec.damping(1.0) == 1.0 and spec.damping(16.0) == 2.0
-    assert 0.0 < spec.damping(5e-324) and spec.damping(1.7e308) < math.inf
+            assemble_ansatz(spec, mesh, lam, 1.0)
+    # the kernel part is lam**-0.25 times the coefficients' modes, to
+    # the rounding of the seed
+    for lam, damping in ((1.0, 1.0), (16.0, 2.0)):
+        seed = assemble_ansatz(spec, mesh, lam, 1.0).values
+        kernel = seed - assemble_ansatz(zero, mesh, lam, 1.0).values
+        modes = sample_kernel_modes(mesh, zero.stars[0], lam, 1.0, tapered=True)
+        expect = (0.1 * modes[0] + 0.2 * modes[1]) / damping
+        assert np.max(np.abs(kernel - expect)) <= 1e-15 * np.max(np.abs(seed))
+    # and the seed is finite at any valid shift
+    for lam in (5e-324, 1.7e308):
+        assert np.all(np.isfinite(assemble_ansatz(spec, mesh, lam, 1.0).values))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="peak 'c': kernel coefficients"):
             peak_template(g, ("c",), coeffs=((bad, 0.0),))
@@ -197,15 +208,66 @@ def test_ansatz_flux_balances_at_peak():
     assert imbalances[0] / imbalances[1] > 6.0
 
 
+def _one_formula_ansatz(spec, mesh, lam, mu):
+    """The seed written as one formula per ray, chi * scale * (phi + r_i
+    phi'), with r_i = sum_j (c_j / lam**0.25) e^j_i: the reference that
+    its star-state-plus-kernel-modes form is held to."""
+    scale = lam ** (1.0 / (2.0 * mu))
+    root = math.sqrt(lam)
+    vals = np.zeros(mesh.ndof)
+    for star, coeffs in zip(spec.stars, spec.coeffs):
+        b = np.asarray(coeffs, dtype=float) / lam**0.25
+        ray_sign = np.zeros(star.degree)
+        for j, vec in enumerate(kernel_basis(star.degree)):
+            ray_sign += b[j] * vec
+        for i, (eid, away) in enumerate(star.incident_edges):
+            nodes = mesh.edge_nodes[eid]
+            t = nodes if away else nodes[-1] - nodes
+            sel = t <= 2.0 * star.radius
+            z = root * t[sel]
+            body = eval_soliton(mu, z) + ray_sign[i] * soliton_derivative(mu, z)
+            cutoff = eval_cutoff(star.radius, t[sel])
+            vals[mesh.edge_dofs[eid][sel]] = cutoff * scale * np.asarray(body)
+    return vals
+
+
+@pytest.mark.parametrize("name, peak", [("tripod", "c"), ("star5", "c"), ("figure1", "v1")])
+@pytest.mark.parametrize("lam", [25.0, 100.0, 400.0])
+def test_seed_is_star_state_plus_kernel_modes(name, peak, lam):
+    g = reference_graph(name)
+    mesh = refined_mesh(g, lam, [peak], nodes_per_width=40.0)
+    zero = peak_template(g, (peak,))
+    c = (0.1, -0.2, 0.3, -0.4)[: len(zero.coeffs[0])]
+    spec = peak_template(g, (peak,), coeffs=(c,))
+    w0 = assemble_ansatz(zero, mesh, lam, 1.0).values
+    wc = assemble_ansatz(spec, mesh, lam, 1.0).values
+    # zero coefficients keep the one-formula seed's bits; others round apart
+    assert w0.tobytes() == _one_formula_ansatz(zero, mesh, lam, 1.0).tobytes()
+    size = np.max(np.abs(wc))
+    assert np.max(np.abs(wc - _one_formula_ansatz(spec, mesh, lam, 1.0))) <= 1e-15 * size
+    # W(c) - W(0) is the coefficients' kernel part, to the seed's rounding
+    modes = sample_kernel_modes(mesh, spec.stars[0], lam, 1.0, tapered=True)
+    b = np.asarray(c) / lam**0.25
+    assert np.max(np.abs(wc - w0 - b @ np.stack(modes))) <= 1e-15 * size
+    # and its lambda-Gram projection onto the modes returns b
+    shifted = assemble(g, mesh, lam).shifted
+    gram = np.array([[a @ (shifted @ m) for m in modes] for a in modes])
+    rhs = np.array([a @ (shifted @ (wc - w0)) for a in modes])
+    assert np.max(np.abs(np.linalg.solve(gram, rhs) - b)) <= 1e-13 * np.max(np.abs(b))
+
+
 def test_sampled_star_state_matches_closed_form():
     g, star = _tripod_star()
     mesh = uniform_mesh(g, 0.02)
     lam = 4.0
     out = sample_star_state(mesh, star, lam, 1.0)
+    tapered = sample_star_state(mesh, star, lam, 1.0, tapered=True)
     for eid in ("e1", "e2", "e3"):
         nodes = mesh.edge_nodes[eid]
         expect = 2.0 * math.sqrt(2.0) / np.cosh(2.0 * nodes)
         assert np.allclose(out[mesh.edge_dofs[eid]], expect, atol=1e-13)
+        chi = eval_cutoff(star.radius, nodes)
+        assert np.allclose(tapered[mesh.edge_dofs[eid]], chi * expect, atol=1e-13)
 
 
 def test_sampled_kernel_mode_signs_and_taper():

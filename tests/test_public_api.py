@@ -26,7 +26,6 @@ PUBLIC_API = [
     "Mesh",
     "MetricGraph",
     "ReducedEnergyReport",
-    "SolitonReference",
     "SolveConfig",
     "StarNeighborhood",
     "assemble",

@@ -158,6 +158,25 @@ def test_a_non_finite_seed_is_refused_before_any_factorization(monkeypatch, valu
     assert newton_solve(op, seed, SolveConfig()).converged
 
 
+def test_a_state_on_another_mesh_of_the_same_size_is_refused(monkeypatch):
+    # the two meshes have 301 unknowns each, so nothing else would tell
+    g = reference_graph("tripod")
+    refined = refined_mesh(g, 25.0, ["c"], 20.0)
+    uniform = uniform_mesh(g, 0.01)
+    assert refined.ndof == uniform.ndof == 301
+    op = assemble(g, refined, 25.0)
+    template = peak_template(g, ("c",))
+    seed = assemble_ansatz(template, uniform, 25.0, 1.0)
+    factored = _count_factors(monkeypatch)
+    with pytest.raises(ValueError, match="the seed state is not on the operator's mesh"):
+        newton_solve(op, seed, SolveConfig())
+    assert factored == []
+    with pytest.raises(ValueError, match="the state is not on the operator's mesh"):
+        evaluate_functionals(op, 1.0, seed)
+    on_refined = assemble_ansatz(template, refined, 25.0, 1.0)
+    assert newton_solve(op, on_refined, SolveConfig()).converged
+
+
 def _failing_factor(monkeypatch, failure, at):
     """Make the factor of the Jacobian number `at` (from 1) fail: raise
     SolveFailure, or solve to a non-finite step."""
