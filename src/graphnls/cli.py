@@ -180,6 +180,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
             "termination": res.termination,
             "iterations": res.iterations,
             "backtracks": res.backtracks,
+            "step_lengths": res.step_lengths,
         })
         state_dir = outdir / _state_dir_name(res.lam)
         state_dir.mkdir(exist_ok=True)

@@ -60,6 +60,13 @@ MAX_NDOF = 10_000_000
 # along a sweep
 REFINEMENT_GROWTH = 0.25
 
+# once Newton's full step is rejected, the line search halves from
+# min(1/2, LINE_SEARCH_RESUME * t) instead of from 1/2, t the step the
+# previous iteration accepted: near the N-1 near-kernel of a degree-N
+# peak the full step overshoots by about the same factor at every
+# iteration, and halving from 1/2 retries the lengths just rejected
+LINE_SEARCH_RESUME = 8.0
+
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -128,8 +135,10 @@ class BoundStateResult:
     non-finite step) or "line_search_stall" (no trial step down to
     2**-24 decreased the residual); `converged` is read off it.
     iterations counts the Newton steps taken and backtracks the
-    line-search trial steps beyond the first of each.  functionals are
-    those of u under the operator and mu Newton ran with.
+    line-search trial steps beyond the first of each.  step_lengths
+    holds the step length each iteration accepted, so a stall's last
+    iteration has none.  functionals are those of u under the operator
+    and mu Newton ran with.
     correction_norm, kernel_component_norm and peak_locations are
     filled by the sweep, which knows the seed state.
     """
@@ -142,6 +151,7 @@ class BoundStateResult:
     residual_norm: float
     residual_norm_absolute: float
     backtracks: int = 0
+    step_lengths: list[float] = field(default_factory=list)
     correction_norm: float | None = None
     kernel_component_norm: float | None = None
     peak_locations: list[tuple[str, float]] = field(default_factory=list)
@@ -213,6 +223,19 @@ def _newton_step(op: KirchhoffOperator, mu: float, u: DiscreteField, r):
     return step if np.all(np.isfinite(step)) else None
 
 
+def _step_lengths(t_prev: float):
+    """The line search's trial step lengths: the full step, then halving
+    from min(1/2, LINE_SEARCH_RESUME * t_prev) down to 2**-24.
+
+    Every length is a power of 2 that plain halving from 1 also tries.
+    """
+    yield 1.0
+    t = min(0.5, LINE_SEARCH_RESUME * t_prev)
+    while t >= 2.0**-24:
+        yield t
+        t *= 0.5
+
+
 def newton_solve(
     op: KirchhoffOperator, u0: DiscreteField, cfg: SolveConfig
 ) -> BoundStateResult:
@@ -221,12 +244,15 @@ def newton_solve(
     The problem is the one at op.lam and cfg.mu; the result records
     both.  Each step factors the Jacobian in edge-condensed form;
     pivoting in the interior factorization copes with the near-zero
-    soliton derivative mode on the peak edges.  Backtracking halves the
-    step until the natural-norm residual decreases (Armijo on the
-    residual norm).  However Newton stops, the result's termination
-    says why, and nothing is raised; a seed on another mesh than op's,
-    or with a non-finite value, is refused with ValueError before any
-    factorization.
+    soliton derivative mode on the peak edges.  The line search tries
+    the full step first; once that is rejected it halves the step,
+    starting from min(1/2, LINE_SEARCH_RESUME * the step length the
+    previous iteration accepted), until the natural-norm residual
+    decreases (Armijo on the residual norm).  Each accepted length goes
+    into the result's step_lengths.  However Newton stops, the
+    result's termination says why, and nothing is raised; a seed on
+    another mesh than op's, or with a non-finite value, is refused with
+    ValueError before any factorization.
     """
     if u0.mesh is not op.mesh:
         raise ValueError("the seed state is not on the operator's mesh")
@@ -239,6 +265,7 @@ def newton_solve(
     # the residual of the current state; an accepted trial hands on its own
     r, rel, absolute = _residual_and_norms(op, mu, u)
     iters = trials = 0
+    accepted: list[float] = []
     termination = None
     while termination is None:
         if rel <= cfg.newton_tol:
@@ -251,8 +278,7 @@ def newton_solve(
             termination = "singular"
         else:
             iters += 1
-            t = 1.0
-            while t >= 2.0**-24:
+            for t in _step_lengths(accepted[-1] if accepted else 1.0):
                 trials += 1
                 trial_v = t * step  # u + t * step, in one buffer
                 trial_v += u.values
@@ -260,8 +286,8 @@ def newton_solve(
                 trial_r, trial_rel, trial_abs = _residual_and_norms(op, mu, trial)
                 if trial_rel <= (1.0 - 1e-4 * t) * rel or trial_rel <= cfg.newton_tol:
                     u, r, rel, absolute = trial, trial_r, trial_rel, trial_abs
+                    accepted.append(t)
                     break
-                t *= 0.5
             else:
                 termination = "line_search_stall"
     return BoundStateResult(
@@ -271,6 +297,7 @@ def newton_solve(
         termination=termination,
         iterations=iters,
         backtracks=trials - iters,
+        step_lengths=accepted,
         residual_norm=rel,
         residual_norm_absolute=absolute,
         functionals=functionals.evaluate_functionals(op, mu, u),

@@ -256,6 +256,83 @@ def test_newton_reuses_the_accepted_trial_residual(monkeypatch):
     assert len(calls) == 1 + res.iterations + res.backtracks
 
 
+@pytest.mark.parametrize(
+    "graph, peak, lambdas, termination",
+    [
+        ("figure1", "v1", (25.0, 50.0, 100.0), "converged"),
+        ("t_graph", "v", (25.0,), "line_search_stall"),
+    ],
+)
+def test_damped_newton_reuses_the_accepted_trial_residual(
+    monkeypatch, graph, peak, lambdas, termination
+):
+    # damped steps whose halving resumes below 1/2, converging or
+    # stalling: still one residual before each solve's loop and one per
+    # line-search trial
+    calls, per_solve = [], []
+    real_residual = graphnls.solve.nonlinear_residual
+    real_newton = graphnls.solve.newton_solve
+
+    def counted(*args):
+        calls.append(1)
+        return real_residual(*args)
+
+    def newton(op, u0, cfg):
+        before = len(calls)
+        res = real_newton(op, u0, cfg)
+        per_solve.append(len(calls) - before)
+        return res
+
+    monkeypatch.setattr(graphnls.solve, "nonlinear_residual", counted)
+    monkeypatch.setattr(graphnls.solve, "newton_solve", newton)
+    template = peak_template(reference_graph(graph), (peak,))
+    results = continuation_sweep(template, SolveConfig(lambdas=lambdas))
+    assert per_solve == [1 + r.iterations + r.backtracks for r in results]
+    res = results[-1]
+    assert res.termination == termination
+    # a stall's last iteration accepted no step
+    stalled = termination == "line_search_stall"
+    assert len(res.step_lengths) == res.iterations - stalled
+    # the rule acted: a full step was rejected after a step so short
+    # that the halving resumed below 1/2
+    steps = res.step_lengths
+    resume = graphnls.solve.LINE_SEARCH_RESUME
+    assert any(resume * a < 0.5 and b < 1.0 for a, b in zip(steps, steps[1:]))
+
+
+# (graph, peaks, shifts, whether resuming the halving saves trials)
+RESUME_RUNS = [
+    ("figure1", ("v1",), (25.0, 50.0, 100.0), True),
+    ("t_graph", ("v",), (25.0, 50.0, 100.0), True),
+    ("double_tripod", ("c1", "c2"), (25.0, 50.0, 100.0), True),
+    ("tripod", ("c",), (25.0, 100.0), False),
+]
+
+
+@pytest.mark.parametrize("graph, peaks, lambdas, saves", RESUME_RUNS)
+def test_resumed_halving_lands_on_the_states_of_plain_halving(
+    monkeypatch, graph, peaks, lambdas, saves
+):
+    # with LINE_SEARCH_RESUME = inf every halving starts at 1/2; on these
+    # runs the resumed halving skips only trials that plain halving
+    # rejects, so every accepted step and state is the same
+    template = peak_template(reference_graph(graph), peaks)
+    cfg = SolveConfig(lambdas=lambdas)
+    resumed = continuation_sweep(template, cfg)
+    monkeypatch.setattr(graphnls.solve, "LINE_SEARCH_RESUME", math.inf)
+    halved = continuation_sweep(template, cfg)
+    for a, b in zip(resumed, halved, strict=True):
+        assert a.termination == b.termination
+        assert a.iterations == b.iterations
+        assert a.step_lengths == b.step_lengths
+        assert a.u.values.tobytes() == b.u.values.tobytes()
+    trials = [sum(r.iterations + r.backtracks for r in rs) for rs in (resumed, halved)]
+    if saves:
+        assert trials[0] < trials[1]
+    else:
+        assert trials[0] <= trials[1]
+
+
 def test_newton_builds_each_jacobian_through_the_module_name(monkeypatch):
     # bench/tracer.py times Newton's Jacobian by rebinding solve.jacobian
     g, star, spec, mesh, op = _tripod_setup()
