@@ -9,8 +9,6 @@ sweep feeds 4, 5, 6 and 8) only pay for it once per process.
 from __future__ import annotations
 
 import math
-import os
-import pickle
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib.resources import files
@@ -431,10 +429,6 @@ def criterion_9() -> CriterionResult:
     return CriterionResult(9, _NAMES[9], passed, detail)
 
 
-# criteria that run Newton; `run_all` runs them in a child process
-_NEWTON = (4, 5, 6, 7, 8, 9)
-
-
 def _requested(criteria) -> list[int]:
     """The requested criteria in order, all nine for None.  Raises
     ValueError on an empty request or an unknown criterion, so that a
@@ -461,79 +455,12 @@ def run_criterion(cid: int) -> CriterionResult:
         )
 
 
-def _send_from_child(write_fd: int, run, cids: list[int]) -> None:
-    """In a forked child: pickle run(cids), or the exception it raised,
-    to write_fd, and leave the process.  Never returns."""
-    status = 1
-    try:
-        try:
-            payload = (True, run(cids))
-        # Ctrl-C and SystemExit too: the child never unwinds into the
-        # caller's stack, and the caller re-raises what it was sent
-        except BaseException as exc:
-            payload = (False, exc)
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:  # an exception that does not round-trip
-                payload = (False, RuntimeError(f"{type(exc).__name__}: {exc}"))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(payload))
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def run_all(criteria=None) -> list[CriterionResult]:
-    """Run the requested criteria (all nine by default) in order.
+    """Run the requested criteria (all nine by default) in order, in
+    this process.
 
-    The request is checked before anything runs.  When it holds
-    criteria of both groups, and the platform has os.fork, the Newton
-    criteria (4-9) run in a forked child while this process runs
-    criteria 1-3; the two groups share nothing, so on two cores they
-    overlap.  A request of one group, or a fork that fails, runs here.
-    The child's cached sweeps live and die with it.  The child is reaped
-    before this returns or raises, an exception it raised is raised here
-    with its type and message, and a child that dies without a result
-    raises RuntimeError naming its exit status.
+    The request is checked before anything runs.  The cached sweeps of
+    criteria 4-8 stay cached after this returns, so a caller that reads
+    them (`_tripod_sweep` and the like) gets the states that were checked.
     """
-    wanted = _requested(criteria)
-
-    def run(cids: list[int]) -> list[CriterionResult]:
-        return [run_criterion(cid) for cid in cids]
-
-    newton = [cid for cid in wanted if cid in _NEWTON]
-    here = [cid for cid in wanted if cid not in _NEWTON]
-    if not (newton and here and hasattr(os, "fork")):
-        return run(wanted)
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: run every criterion here
-        os.close(read_fd)
-        os.close(write_fd)
-        return run(wanted)
-    if pid == 0:
-        os.close(read_fd)
-        _send_from_child(write_fd, run, newton)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            results = run(here)
-            data = pipe.read()
-    except BaseException:
-        import signal  # only a failed run needs it
-
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if not data:
-        raise RuntimeError(
-            f"the child running criteria {', '.join(map(str, newton))} exited "
-            f"with status {os.waitstatus_to_exitcode(status)} and no result"
-        )
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    # every criterion run here precedes every Newton criterion
-    return results + value
+    return [run_criterion(cid) for cid in _requested(criteria)]

@@ -6,7 +6,6 @@ graphnls.acceptance; expensive sweeps are cached and shared across tests.
 """
 
 import os
-import time
 
 import pytest
 
@@ -136,39 +135,38 @@ def test_run_criterion_calls_the_current_binding(monkeypatch):
     assert acceptance.run_criterion(3) is stub
 
 
-@pytest.fixture
-def no_child_left():
-    """Fails the test if run_all left a child process behind."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("criteria", [None, [2, 3], [7], [1, 9]])
-def test_run_all_matches_the_criteria_run_in_process(no_child_left, criteria):
+def test_run_all_matches_the_criteria_run_in_process(criteria):
     wanted = range(1, 10) if criteria is None else criteria
     expected = [acceptance.run_criterion(cid) for cid in wanted]
     assert acceptance.run_all(criteria) == expected
 
 
-def _refuse_to_fork():
-    raise OSError("no process to spare")
+def _clear_sweeps():
+    for sweep in (
+        acceptance._tripod_sweep,
+        acceptance._double_sweep,
+        acceptance._mu2_sweep,
+    ):
+        sweep.cache_clear()
 
 
-@pytest.mark.parametrize("fork", [None, _refuse_to_fork])
-def test_run_all_without_a_fork_runs_every_criterion_here(
-    no_child_left, monkeypatch, fork
-):
-    # no os.fork (Windows), or one that fails
-    if fork is None:
-        monkeypatch.delattr(os, "fork")
-    else:
-        monkeypatch.setattr(os, "fork", fork)
-    expected = [acceptance.run_criterion(cid) for cid in (3, 7)]
-    assert acceptance.run_all([3, 7]) == expected
+def test_run_all_runs_every_criterion_in_this_process(monkeypatch):
+    def refuse():
+        raise AssertionError("run_all forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    _clear_sweeps()
+    try:
+        results = acceptance.run_all()
+        # the sweep criteria 4-6 and 8 checked is the one a caller reads
+        assert acceptance._tripod_sweep.cache_info().currsize == 1
+        assert results == [acceptance.run_criterion(cid) for cid in range(1, 10)]
+    finally:
+        _clear_sweeps()
 
 
-def test_run_all_raises_what_a_newton_criterion_raised(no_child_left, monkeypatch):
+def test_run_all_raises_what_a_newton_criterion_raised(monkeypatch):
     def fail():
         raise RuntimeError("x")
 
@@ -177,35 +175,17 @@ def test_run_all_raises_what_a_newton_criterion_raised(no_child_left, monkeypatc
         acceptance.run_all([3, 7])
 
 
-def test_run_all_names_the_status_of_a_child_that_died(no_child_left, monkeypatch):
-    monkeypatch.setattr(acceptance, "criterion_7", lambda: os._exit(3))
-    with pytest.raises(RuntimeError, match="criteria 7 exited with status 3"):
-        acceptance.run_all([3, 7])
-
-
-def test_run_all_stops_the_child_when_the_caller_raises(no_child_left, monkeypatch):
-    def fail():
-        raise RuntimeError("in the caller")
-
-    monkeypatch.setattr(acceptance, "criterion_3", fail)
-    monkeypatch.setattr(acceptance, "criterion_7", lambda: time.sleep(60))
-    start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="in the caller"):
-        acceptance.run_all([3, 7])
-    # the child was killed, not waited for
-    assert time.perf_counter() - start < 30.0
-
-
 @pytest.mark.parametrize(
     "criteria, message",
     [((), "no criteria requested"), ([0, 2, 7], "no criterion 0")],
 )
-def test_run_all_refuses_a_bad_request_before_forking(
-    no_child_left, monkeypatch, criteria, message
+def test_run_all_refuses_a_bad_request_before_running_any(
+    monkeypatch, criteria, message
 ):
     def refuse():
-        raise AssertionError("forked for a refused request")
+        raise AssertionError("ran a criterion of a refused request")
 
-    monkeypatch.setattr(os, "fork", refuse)
+    for cid in acceptance._NAMES:
+        monkeypatch.setattr(acceptance, f"criterion_{cid}", refuse)
     with pytest.raises(ValueError, match=message):
         acceptance.run_all(criteria)

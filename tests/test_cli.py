@@ -812,9 +812,9 @@ def test_verify_prints_the_golden_lines_of_the_criteria_requested(capsys):
     assert capsys.readouterr().out.splitlines() == wanted
 
 
-def test_verify_forks_safely_with_threaded_blas(tmp_path):
-    # verify forks a child for criteria 4-9; with the BLAS thread pools
-    # at their default sizes a fork must neither hang nor change a line
+def test_verify_prints_the_golden_lines_with_threaded_blas(tmp_path):
+    # with the BLAS thread pools at their default sizes, as a user's
+    # shell leaves them, verify must still print the golden lines
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {
         k: v
@@ -919,8 +919,8 @@ def test_verify_and_solve_run_without_scipy_or_numpy_ma(tmp_path):
     record = json.loads((tmp_path / "bad" / "error.json").read_text())
     assert "not valid YAML" in record["message"]
 
-    # verify forks its Newton criteria with os.fork and a pipe; either
-    # package would cost about 18 ms of import
+    # verify runs every criterion in its own process; either package
+    # would cost about 18 ms of import
     assert "multiprocessing" not in verify
     assert "concurrent.futures" not in verify
 
