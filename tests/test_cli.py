@@ -719,6 +719,21 @@ def test_reduced_energy_even_output_is_pinned(capsys):
     assert capsys.readouterr().out == "\n".join(expect) + "\n"
 
 
+def test_reduced_energy_odd_output_is_pinned(capsys):
+    # the 6 sign patterns in {-1, 1}^4 with two minus entries, scaled by
+    # eps = 0.35, in product order, led by +1; each Hessian sign is +1
+    patterns = [p for p in itertools.product((1, -1), repeat=4) if p.count(-1) == 2]
+    expect = [
+        "reduced energy: N=5, eps=0.35",
+        "critical points (hessian determinant sign):",
+        *("  (" + ", ".join(f"{0.35 * s:+.6g}" for s in p) + ")  +1" for p in patterns),
+        "local degree: +6",
+    ]
+    assert len(patterns) == 6
+    assert main(["reduced-energy", "5"]) == 0
+    assert capsys.readouterr().out == "\n".join(expect) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
