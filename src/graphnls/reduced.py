@@ -10,7 +10,10 @@ whose gradient vanishes only at the origin when N is odd.  A small
 symmetric perturbation splits the origin into finitely many
 nondegenerate critical points whose Hessian signs sum to the local
 topological degree; for even N the critical set degenerates into
-straight lines and no degree is defined.
+straight lines and no degree is defined.  Both sets are sign patterns
+with a fixed number of minus entries, built from the combinations of
+their minus positions; for odd N the algebra in
+enumerate_critical_points shows that nothing else is critical.
 """
 
 from __future__ import annotations
@@ -86,9 +89,9 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[:-2] + (d * d,))[..., :: d + 1]
 
 
-# Both critical-set searches walk all 2^(N-1) sign patterns, and the
-# odd one runs Newton from two starts per pattern led by +1: about 1 s
-# at N=13 and 5 s at N=15 on one core, about five times more for each
+# The report lists every critical point (odd N) or direction (even N):
+# C(N-1, (N-1)/2) points, or 2*C(N-1, N/2) directions.  That is 924 at
+# N = 12 and 13 and 3432 at 14 and 15, about four times more for each
 # step of 2 in N
 MAX_N = 13
 
@@ -98,70 +101,39 @@ def _check_star_size(N: int) -> None:
         raise ValueError("N must be >= 2")
     if N > MAX_N:
         raise ValueError(
-            f"N must be <= {MAX_N}, got {N}: the search walks all "
-            "2^(N-1) sign patterns"
+            f"N must be <= {MAX_N}, got {N}: the report would list "
+            "thousands of critical points or directions"
         )
 
 
-# Steps of the Newton sweep.  The cap decides the zero set: of N = 9's
-# 256 starts, 70 converge within 56 steps, 80 within 58, 92 within 59
-# and 108 within 60; of N = 13's 4096, 934 within 56 and 1535 within 60.
-# Each zero found is checked against the closed form.
-_NEWTON_STEPS = 60
-
-
-def _newton_zeros(N: int, starts: np.ndarray) -> np.ndarray:
-    """Batched Newton on the perturbed gradient at eps = 1.
-
-    A start stops once its gradient norm is below 1e-12; the rest keep
-    stepping, up to _NEWTON_STEPS.  Returns the points where it converged.
-    """
-    x = np.array(starts, dtype=float)
-    # the rows still stepping: their indices into x and their iterates,
-    # written back to x as they stop
-    run, xr = np.arange(x.shape[0]), x
-    for _ in range(_NEWTON_STEPS):
-        grad, hess = perturbed_gradient_hessian(N, 1.0, xr)
-        going = ~(np.linalg.norm(grad, axis=1) < 1e-12)
-        if not going.any():
-            break
-        if not going.all():
-            x[run[~going]] = xr[~going]
-            run, xr, grad, hess = run[going], xr[going], grad[going], hess[going]
-        try:
-            step = np.linalg.solve(hess, grad[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # regularize the singular batch entries and keep going
-            _diagonal(hess)[:] += 1e-12
-            step = np.linalg.solve(hess, grad[..., None])[..., 0]
-        xr = xr - step
-        xr[~np.isfinite(xr).all(axis=1)] = np.inf
-    x[run] = xr
-    grad, _ = perturbed_gradient_hessian(N, 1.0, x)
-    ok = np.isfinite(x).all(axis=1) & (np.linalg.norm(grad, axis=1) < 1e-12)
-    return x[ok]
-
-
-def _positive_starts(N: int) -> np.ndarray:
-    """Newton starts for the sweep: every sign pattern in {-1, 1}^(N-1)
-    whose first entry is +1, each at scale 1 then 1/2."""
-    tails = np.array(list(itertools.product((1.0, -1.0), repeat=N - 2)))
-    patterns = np.hstack([np.ones((len(tails), 1)), tails])
-    return np.stack([patterns, 0.5 * patterns], axis=1).reshape(-1, N - 1)
+def _sign_patterns(d: int, minus: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The sign patterns in {-1, 1}^d whose number of minus entries is in
+    `minus`, in itertools.product((1, -1), repeat=d) order: descending
+    lexicographic."""
+    out = [
+        tuple(-1 if j in cols else 1 for j in range(d))
+        for n in minus
+        for cols in itertools.combinations(range(d), n)
+    ]
+    return sorted(out, reverse=True)
 
 
 def enumerate_critical_points(N: int, eps: float = 0.35) -> ReducedEnergyReport:
-    """All critical points of the perturbed cubic, found two ways.
+    """All critical points of the perturbed cubic, in closed form.
 
-    Closed form: sign patterns with exactly (N-1)/2 minus entries,
-    scaled by eps.  Verification: the gradient vanishes there, and a
-    Newton sweep started from every sign pattern finds nothing else.
-    The local degree is the sum of Hessian determinant signs.
+    They are the sign patterns with exactly (N-1)/2 minus entries,
+    scaled by eps, and nothing else is critical.  The gradient
+    3*x_j^2 - 3*s^2 - 3*eps^2, s = sum(x), vanishes only where every
+    |x_j| = a = sqrt(s^2 + eps^2) > 0.  With n minus signs s = a*(N-1-2n),
+    so a^2 * (1 - (N-1-2n)^2) = eps^2.  N-1-2n is even, so that has a
+    root only at n = (N-1)/2, where s = 0 and a = eps.  Each point is
+    checked to be critical; the local degree is the sum of Hessian
+    determinant signs.
 
     The perturbed cubic is homogeneous: its critical points at eps are
     eps times those at eps = 1, and the Hessian there is eps times the
-    one at eps = 1, with the same determinant signs.  Both searches
-    therefore run at eps = 1, and eps only scales the points found.
+    one at eps = 1, with the same determinant signs.  The points are
+    therefore built and checked at eps = 1, and eps only scales them.
     """
     if N % 2 == 0:
         raise ValueError("critical points degenerate into lines for even N")
@@ -169,37 +141,13 @@ def enumerate_critical_points(N: int, eps: float = 0.35) -> ReducedEnergyReport:
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")
 
-    d = N - 1
-    points = np.array(
-        [
-            pattern
-            for pattern in itertools.product((1.0, -1.0), repeat=d)
-            if sum(1 for s in pattern if s < 0) == d // 2
-        ]
-    )
+    points = np.array(_sign_patterns(N - 1, ((N - 1) // 2,)), dtype=float)
     grad, hess = perturbed_gradient_hessian(N, 1.0, points)
     off = np.linalg.norm(grad, axis=1) >= 1e-10
     if off.any():
         x = points[np.argmax(off)]
         raise AssertionError(f"closed-form point {x} is not critical")
     signs = [int(math.copysign(1.0, det)) for det in np.linalg.det(hess)]
-
-    # independent sweep: Newton from every sign pattern at two scales.  The
-    # gradient is even in x and the Hessian odd, and pivoting and rounding
-    # are symmetric in sign, so Newton from -x0 steps through exactly the
-    # negated iterates: the patterns led by -1 are the mirror images
-    zeros = _newton_zeros(N, _positive_starts(N))
-    zeros = np.concatenate([zeros, -zeros])
-    # each zero must round to a closed-form point and lie next to it
-    keys = np.round(zeros)
-    expected = (
-        (np.abs(keys) == 1.0).all(axis=1)
-        & ((keys < 0.0).sum(axis=1) == d // 2)
-        & np.isclose(zeros, keys, atol=1e-9).all(axis=1)
-    )
-    if not expected.all():
-        unexpected = zeros[np.argmin(expected)]
-        raise AssertionError(f"Newton sweep found an unexpected zero {unexpected}")
 
     return ReducedEnergyReport(
         N=N,
@@ -216,14 +164,10 @@ def even_case_lines(N: int) -> list[tuple[int, ...]]:
     A direction sigma in {-1, 1}^(N-1) is critical when its number of
     minus entries n satisfies (N-1-2n)^2 = 1, i.e. n = N/2 - 1 or
     n = N/2.  Directions come in opposite pairs (sigma, -sigma) that
-    span the same line; both members are returned.
+    span the same line; both members are returned, in
+    itertools.product((1, -1), repeat=N-1) order.
     """
     if N % 2 == 1:
         raise ValueError("the line structure exists only for even N")
     _check_star_size(N)
-    out = []
-    for pattern in itertools.product((1, -1), repeat=N - 1):
-        n = sum(1 for s in pattern if s < 0)
-        if (N - 1 - 2 * n) ** 2 == 1:
-            out.append(pattern)
-    return out
+    return _sign_patterns(N - 1, (N // 2 - 1, N // 2))

@@ -786,13 +786,13 @@ def test_reduced_energy_scales_with_eps(capsys, eps):
 @pytest.mark.parametrize("N", [41, 14])
 def test_reduced_energy_refuses_n_above_the_ceiling(capsys, N):
     # 41 takes the odd path and 14 the even one; both refuse before any
-    # sign pattern is walked
+    # sign pattern is built
     assert main(["reduced-energy", str(N)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        f"error: ValueError: N must be <= 13, got {N}: the search walks all "
-        "2^(N-1) sign patterns\n"
+        f"error: ValueError: N must be <= 13, got {N}: the report would list "
+        "thousands of critical points or directions\n"
     )
 
 

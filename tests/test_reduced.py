@@ -1,7 +1,7 @@
 """Reduced cubic energy: identities, critical points, degenerate lines,
 and its link to the discrete action of the PDE."""
 
-import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +22,6 @@ from graphnls import (
     star_neighborhood,
     uniform_mesh,
 )
-from graphnls import reduced
 from graphnls.acceptance import _star_description
 from graphnls.profiles import sample_kernel_modes
 
@@ -100,12 +99,12 @@ def test_tripod_critical_points_closed_form():
     assert rep.local_degree == -2
 
 
-def _newton_zeros_every_row(N, starts, iters=reduced._NEWTON_STEPS):
-    """Reference sweep: batched Newton stepping every start all `iters`
-    times, converged or not."""
+def _newton_zeros_every_row(N, starts):
+    """Reference sweep: batched Newton on the perturbed gradient at
+    eps = 1, stepping every start 60 times, converged or not."""
     x = np.array(starts, dtype=float)
     idx = np.arange(N - 1)
-    for _ in range(iters):
+    for _ in range(60):
         s = x.sum(axis=1)
         grad = 3.0 * x**2 - 3.0 * s[:, None] ** 2 - 3.0
         hess = np.zeros((x.shape[0], N - 1, N - 1))
@@ -126,85 +125,42 @@ def _newton_zeros_every_row(N, starts, iters=reduced._NEWTON_STEPS):
 
 @pytest.mark.parametrize(
     "N, count, degree",
-    [(3, 2, -2), (5, 6, 6), (7, 20, -20), (9, 70, 70), (11, 252, -252)],
+    [
+        (3, 2, -2),
+        (5, 6, 6),
+        (7, 20, -20),
+        (9, 70, 70),
+        (11, 252, -252),
+        (13, 924, 924),
+    ],
 )
-def test_odd_star_counts_and_degrees(monkeypatch, N, count, degree):
-    sweeps, reports = [], []
-
-    def recording(newton):
-        def run(N, starts):
-            sweeps.append(newton(N, starts))
-            return sweeps[-1]
-
-        return run
-
-    for newton in (reduced._newton_zeros, _newton_zeros_every_row):
-        monkeypatch.setattr(reduced, "_newton_zeros", recording(newton))
-        reports.append(enumerate_critical_points(N, 0.3))
-    rep = reports[0]
+def test_odd_star_counts_and_degrees(N, count, degree):
+    rep = enumerate_critical_points(N, 0.3)
     assert len(rep.critical_points) == count
     assert count == math.comb(N - 1, (N - 1) // 2)
     assert rep.local_degree == degree
-    for p in rep.critical_points:
-        # every point is a sign pattern scaled by eps with (N-1)/2 minuses
-        assert sorted(abs(c) for c in p) == pytest.approx([0.3] * (N - 1))
-        assert sum(1 for c in p if c < 0) == (N - 1) // 2
-    # starts stop once converged: the same report, and the same zeros to
-    # 1e-12, as stepping every start to the end
-    assert reports[1] == rep
-    zeros, reference = sweeps
-    assert zeros.shape == reference.shape
-    assert np.abs(zeros - reference).max() <= 1e-12
+    # the points are the sign patterns with (N-1)/2 minus entries, scaled
+    # by eps, in product order: the filter over every pattern, led by +1
+    patterns = [
+        p
+        for p in itertools.product((1, -1), repeat=N - 1)
+        if p.count(-1) == (N - 1) // 2
+    ]
+    assert rep.critical_points == tuple(tuple(0.3 * s for s in p) for p in patterns)
 
 
-# SHA-256 of the sweep's zeros from the positive starts: the steps
-# regroup the running rows, and the zeros must not move by a bit
-NEWTON_ZEROS_SHA256 = {
-    3: "33c2d139a4ec80d8a8af4f98c95be747887d3c8ccc4e72ab763717b527d8c5d8",
-    5: "bb0895ad9c880f08ed24a8198a17548d82e3a6c6f7efc7b7e04c3ad8ece1cdcd",
-    7: "cf5e0d4eaa0934c7f6b044cabda1f5cac22c6637462bddd12d947696457dc171",
-    9: "d722aa66320385bbf4e787cf1c09d9dadd11a785f16867328039dc2d0b30619c",
-    11: "c445d7f5293369d496d206a67ab327705c2704d849deb8c739524522106a73b3",
-}
-
-
-@pytest.mark.parametrize("N", sorted(NEWTON_ZEROS_SHA256))
-def test_newton_zeros_are_bit_for_bit(N):
-    zeros = reduced._newton_zeros(N, reduced._positive_starts(N))
-    digest = hashlib.sha256(zeros.tobytes()).hexdigest()
-    assert digest == NEWTON_ZEROS_SHA256[N]
-
-
-@pytest.mark.parametrize("N", [3, 5, 7, 9, 11])
-def test_the_half_sweep_and_its_mirror_are_the_full_sweep(N):
-    half = reduced._positive_starts(N)
-    everything = np.concatenate([half, -half])
-    # every sign pattern, each at scales 1 and 1/2
-    patterns = {tuple(row) for row in np.sign(everything)}
-    assert len(patterns) == 2 ** (N - 1) and len(everything) == 2**N
-    assert set(np.abs(everything).ravel()) == {0.5, 1.0}
-    for newton in (reduced._newton_zeros, _newton_zeros_every_row):
-        full = newton(N, everything)
-        zeros = newton(N, half)
-        mirrored = np.concatenate([zeros, -zeros])
-        assert full.shape == mirrored.shape and len(full) > 0
-        assert full.tobytes() == mirrored.tobytes()
-
-
-@pytest.mark.parametrize(
-    "planted",
-    [
-        [1.0, 1.0, 1.0, 1.0],  # a sign pattern with no minus entry
-        [1.0, -1.0, 1.0, 0.0],  # an entry that rounds to zero
-        [1.0, -1.0, 1.0, -1.001],  # rounds to a pattern but lies off it
-    ],
-)
-def test_newton_sweep_rejects_a_zero_off_the_closed_form(monkeypatch, planted):
-    # beside the closed-form points, as a real sweep returns them
-    zeros = np.array([[1.0, -1.0, 1.0, -1.0], planted, [-1.0, 1.0, -1.0, 1.0]])
-    monkeypatch.setattr(reduced, "_newton_zeros", lambda N, starts: zeros)
-    with pytest.raises(AssertionError, match="unexpected zero"):
-        enumerate_critical_points(5, 0.3)
+@pytest.mark.parametrize("N", [3, 5, 7, 9])
+def test_newton_from_random_starts_finds_only_the_closed_form_points(N):
+    # a numeric cross-check of the algebra that leaves nothing else
+    # critical: every zero Newton reaches is one of the report's points
+    points = set(enumerate_critical_points(N, 1.0).critical_points)
+    starts = np.random.default_rng(41).uniform(-2.0, 2.0, size=(64, N - 1))
+    zeros = _newton_zeros_every_row(N, starts)
+    assert len(zeros) > 0
+    for z in zeros:
+        key = tuple(float(c) for c in np.round(z))
+        assert key in points
+        assert np.allclose(z, key, rtol=0.0, atol=1e-9)
 
 
 def test_critical_points_scale_linearly_with_eps():
@@ -225,11 +181,14 @@ def test_enumerate_rejects_bad_input():
             enumerate_critical_points(5, eps)
 
 
-@pytest.mark.parametrize("N, count", [(2, 2), (4, 6), (6, 20)])
+@pytest.mark.parametrize("N, count", [(2, 2), (4, 6), (6, 20), (12, 924)])
 def test_even_case_line_counts(N, count):
     lines = even_case_lines(N)
     assert len(lines) == count
     assert count == 2 * math.comb(N - 1, N // 2)
+    # in product order: the filter over every sign pattern, led by +1
+    patterns = itertools.product((1, -1), repeat=N - 1)
+    assert lines == [p for p in patterns if (N - 1 - 2 * p.count(-1)) ** 2 == 1]
     dir_set = {tuple(s) for s in lines}
     for sigma in lines:
         assert set(sigma) <= {-1, 1}
