@@ -266,7 +266,7 @@ def _sweep(graph: str, peaks: tuple[str, ...], **knobs):
     """The zero-coefficient sweep of the built-in graph with peaks at
     peaks: its template (of the split graph) and its results."""
     template = peak_template(reference_graph(graph), peaks)
-    return template, continuation_sweep(template, SolveConfig(**knobs))
+    return template, list(continuation_sweep(template, SolveConfig(**knobs)))
 
 
 @lru_cache(maxsize=None)

@@ -153,13 +153,32 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     soliton_reference(cfg.mu)
     results = continuation_sweep(template, cfg)
 
-    # one pass per shift: its CSV row (column name -> value; the header
-    # is the keys), its manifest entry, its state files and its line
-    rows, entries = [], []
+    config_hash = cfg.config_hash()
+    manifest = {
+        "command": "solve",
+        "config": cfg.resolved(),
+        "config_hash": config_hash,
+        "graph_summary": {
+            "vertices": len(template.graph.vertices),
+            "edges": len(template.graph.edges),
+            "compact": template.graph.is_compact,
+            "peak_degrees": [s.degree for s in stars],
+            "within_hypotheses": all(admissible_peak_degree(s.degree) for s in stars),
+        },
+        "results": [],
+    }
+    # each shift as it completes: its state files, then its CSV row
+    # (column name -> value; the header is the keys of the first), then
+    # the manifest with its entry, so a run stopped mid-sweep leaves
+    # every completed shift on disk
+    entries = manifest["results"]
     for res in results:
+        state_dir = outdir / _state_dir_name(res.lam)
+        state_dir.mkdir(exist_ok=True)
+        _write_state_files(state_dir, res.u)
         rep = res.functionals
         mass_ratio, action_ratio, rate = normalized_ratios(res, template.weight)
-        rows.append({
+        row = {
             "lam": _fmt(res.lam),
             "converged": "1" if res.converged else "0",
             "iterations": str(res.iterations),
@@ -173,7 +192,11 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
             "action_ratio": _fmt(action_ratio),
             "correction_rate": _fmt(rate),
             **{f"peak_offset_{p}": _fmt(off) for p, off in res.peak_locations},
-        })
+        }
+        csv_lines = [] if entries else [f"# config {config_hash}", ",".join(row)]
+        csv_lines.append(",".join(row.values()))
+        with (outdir / "diagnostics.csv").open("a", encoding="utf-8") as csv_file:
+            csv_file.write("\n".join(csv_lines) + "\n")
         entries.append({
             "lam": res.lam,
             "converged": res.converged,
@@ -182,36 +205,13 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
             "backtracks": res.backtracks,
             "step_lengths": res.step_lengths,
         })
-        state_dir = outdir / _state_dir_name(res.lam)
-        state_dir.mkdir(exist_ok=True)
-        _write_state_files(state_dir, res.u)
+        (outdir / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
         print(
             f"lam={res.lam:g} converged={res.converged} "
             f"iterations={res.iterations} residual={res.residual_norm:.3g}"
         )
-
-    csv_lines = [f"# config {cfg.config_hash()}", ",".join(rows[0])]
-    csv_lines += [",".join(row.values()) for row in rows]
-    (outdir / "diagnostics.csv").write_text(
-        "\n".join(csv_lines) + "\n", encoding="utf-8"
-    )
-
-    manifest = {
-        "command": "solve",
-        "config": cfg.resolved(),
-        "config_hash": cfg.config_hash(),
-        "graph_summary": {
-            "vertices": len(template.graph.vertices),
-            "edges": len(template.graph.edges),
-            "compact": template.graph.is_compact,
-            "peak_degrees": [s.degree for s in stars],
-            "within_hypotheses": all(admissible_peak_degree(s.degree) for s in stars),
-        },
-        "results": entries,
-    }
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
 
     failed = [f"{e['lam']:g}" for e in entries if not e["converged"]]
     if failed:

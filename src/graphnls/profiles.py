@@ -151,7 +151,11 @@ def _rays(mesh: Mesh, star: StarNeighborhood, reach: float):
 
 
 def assemble_ansatz(
-    spec: AnsatzSpec, mesh: Mesh, lam: float, mu: float
+    spec: AnsatzSpec,
+    mesh: Mesh,
+    lam: float,
+    mu: float,
+    modes: list[list[np.ndarray] | None] | None = None,
 ) -> DiscreteField:
     """Sample the peaked seed state W at shift lam on the mesh.
 
@@ -159,17 +163,24 @@ def assemble_ansatz(
     kernel mode times c_j / lam**0.25; a shift that is not positive and
     finite is refused.  At each peak vertex W is lam^(1/(2*mu)) *
     (mu+1)^(1/(2*mu)): the modes vanish there and the taper is one.
+    modes, if the caller has them, holds each star's
+    sample_kernel_modes(mesh, star, lam, mu, tapered=True), read only
+    for a star with a nonzero coefficient (None will do elsewhere);
+    they are sampled here otherwise.
     """
     if mesh.graph is not spec.graph:
         raise ValueError("the mesh is not of the template's graph")
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be positive")
     vals = np.zeros(mesh.ndof)
-    for star, coeffs in zip(spec.stars, spec.coeffs):
+    for i, (star, coeffs) in enumerate(zip(spec.stars, spec.coeffs)):
         vals += sample_star_state(mesh, star, lam, mu, tapered=True)
         if any(coeffs):  # zero terms add nothing: skip sampling the modes
-            modes = sample_kernel_modes(mesh, star, lam, mu, tapered=True)
-            for c, mode in zip(coeffs, modes):
+            if modes is None:
+                star_modes = sample_kernel_modes(mesh, star, lam, mu, tapered=True)
+            else:
+                star_modes = modes[i]
+            for c, mode in zip(coeffs, star_modes):
                 vals += (c / lam**0.25) * mode
     return DiscreteField(mesh, vals)
 

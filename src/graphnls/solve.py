@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -46,10 +47,12 @@ from .profiles import (
 
 # Largest mesh a sweep may build.  A star5 sweep to lam=1600 with
 # nodes_per_width raised to 1450 (311,271 unknowns on its last mesh)
-# peaked at 322 bytes of traced memory (tracemalloc) per unknown of that
-# last, largest mesh, earlier shifts' results included, so this ceiling
-# keeps a sweep's arrays under about 3.2 GB; far beyond it a run would
-# swap or be killed instead of finishing.  The graded mesh (fine spacing
+# peaked at 260 bytes of traced memory (tracemalloc) per unknown of that
+# last, largest mesh when drawn one shift at a time, and at 324 when
+# every shift's result was kept to the end, so this ceiling keeps a
+# sweep's arrays under about 2.6 GB (3.2 GB for a caller that lists
+# them); far beyond it a run would swap or be killed instead of
+# finishing.  The graded mesh (fine spacing
 # within 15 peak widths of the peak) has 11,796 unknowns at that shift
 # by default, so only a nodes_per_width far above its default comes
 # near the ceiling.
@@ -309,30 +312,36 @@ def kernel_projection_diagnostics(
     result: BoundStateResult,
     ansatz: AnsatzSpec,
     seed: DiscreteField,
+    modes: list[list[np.ndarray]] | None = None,
 ) -> float:
     """Norm of the component of u - W along the tapered kernel modes.
 
     seed is W, the ansatz state assembled on op's mesh at op.lam and
-    result.mu; the norm is the natural one.  The modes are nearly
-    orthogonal already; the small Gram system is solved exactly anyway.
+    result.mu; the norm is the natural one.  modes, if the caller has
+    them, holds each star's sample_kernel_modes(op.mesh, star, op.lam,
+    result.mu, tapered=True); they are sampled here otherwise.  The
+    modes are nearly orthogonal already; the small Gram system is
+    solved exactly anyway.
     """
     if not result.converged:
         raise NotConverged("kernel diagnostics need a converged result")
-    mesh = op.mesh
     phi = result.u.values - seed.values
-    modes = []
-    for star in ansatz.stars:
-        modes += sample_kernel_modes(mesh, star, op.lam, result.mu, tapered=True)
+    if modes is None:
+        modes = [
+            sample_kernel_modes(op.mesh, star, op.lam, result.mu, tapered=True)
+            for star in ansatz.stars
+        ]
+    basis = [mode for star_modes in modes for mode in star_modes]
     # one band product per mode, dropped once its Gram column is filled,
     # and one for phi; each Gram entry is the lambda inner product
     # a @ (shifted @ b)
-    gram = np.empty((len(modes), len(modes)))
-    for j, b in enumerate(modes):
+    gram = np.empty((len(basis), len(basis)))
+    for j, b in enumerate(basis):
         shifted_b = op.shifted @ b
-        gram[:, j] = [float(a @ shifted_b) for a in modes]
+        gram[:, j] = [float(a @ shifted_b) for a in basis]
         del shifted_b  # before the next product allocates
     shifted_phi = op.shifted @ phi
-    rhs = np.array([float(a @ shifted_phi) for a in modes])
+    rhs = np.array([float(a @ shifted_phi) for a in basis])
     coef = np.linalg.solve(gram, rhs)
     kernel_sq = float(coef @ gram @ coef)
     return math.sqrt(max(kernel_sq, 0.0))
@@ -384,18 +393,25 @@ def peak_template(
 
 def continuation_sweep(
     template: AnsatzSpec, cfg: SolveConfig
-) -> list[BoundStateResult]:
+) -> Iterator[BoundStateResult]:
     """Solve along the schedule, reseeding from the previous solution.
 
     Each shift gets a fresh peak-refined mesh of template.graph and a
     seed state, the template assembled at that shift and cfg.mu;
-    failures are recorded and the sweep continues.  Before any mesh,
-    every shift's mesh is checked against MAX_NDOF.  Each result's
+    failures are recorded and the sweep continues.  Each result's
     functionals come from newton_solve; the sweep adds correction_norm,
     kernel_component_norm and peak_locations.  Peaks at even-degree
     vertices are permitted but flagged as exploratory, since the
     existence theory covers odd degree >= 3 only.  `peak_template`
     builds the template for a peak set.
+
+    The warning, the refusals and the planning of every shift's mesh
+    against MAX_NDOF happen at the call, before any mesh is built.  The
+    shifts are then solved one at a time as the returned iterator is
+    drawn: each result is yielded once its diagnostics are filled, and
+    the sweep keeps nothing of a shift but the last converged result,
+    which seeds the next.  A caller that needs every result takes
+    list(...) of it.
     """
     for star in template.stars:
         if not admissible_peak_degree(star.degree):
@@ -407,53 +423,83 @@ def continuation_sweep(
     g, peaks = template.graph, template.peaks
     lam0 = cfg.lambdas[0]
 
-    def nodes_per_width(lam: float) -> float:
-        return cfg.nodes_per_width * (lam / lam0) ** REFINEMENT_GROWTH
-
     def plan(lam: float):
         try:
-            npw = nodes_per_width(lam)
+            npw = cfg.nodes_per_width * (lam / lam0) ** REFINEMENT_GROWTH
             plans = refined_plans(g, lam, peaks, npw) if npw < math.inf else None
         except (OverflowError, ZeroDivisionError):
-            plans = None  # a density or spacing beyond float range
-        return plans, math.inf if plans is None else planned_ndof(g, plans)
+            npw, plans = math.inf, None  # a density or spacing beyond float range
+        return lam, npw, plans, math.inf if plans is None else planned_ndof(g, plans)
 
     # the largest mesh need not be the last: an edge within the graded
     # width of a peak at an early shift may lie beyond it at a later
     # one, and shrink to the far-field length.  Plan every shift's mesh
     # and count it, by arithmetic, before building any.
     planned = [plan(lam) for lam in cfg.lambdas]
-    ndof, lam_max = max((n, lam) for (_, n), lam in zip(planned, cfg.lambdas))
+    ndof, lam_max = max((n, lam) for lam, _, _, n in planned)
     if ndof > MAX_NDOF:
         raise ValueError(
             f"the mesh at lam={lam_max:g} would have {ndof:g} unknowns, "
             f"more than the ceiling of {MAX_NDOF}"
         )
-    results: list[BoundStateResult] = []
+    return _sweep_shifts(template, cfg, planned)
+
+
+def _sweep_shifts(template: AnsatzSpec, cfg: SolveConfig, planned):
+    """continuation_sweep's results, one shift at a time."""
     prev: BoundStateResult | None = None
-    for lam, (plans, _) in zip(cfg.lambdas, planned):
-        mesh = refined_mesh(
-            g, lam, peaks, nodes_per_width=nodes_per_width(lam), plans=plans
-        )
-        op = assemble(g, mesh, lam)
-        seed = assemble_ansatz(template, mesh, lam, cfg.mu)
-        if cfg.seed == "previous" and prev is not None and prev.converged:
-            scale = (lam / prev.lam) ** (1.0 / (2.0 * cfg.mu))
-            u0 = DiscreteField(mesh, scale * _resample(prev.u, mesh))
-        else:
-            u0 = seed
-        res = newton_solve(op, u0, cfg)
-        res.correction_norm = lambda_norm(
-            op, DiscreteField(mesh, res.u.values - seed.values)
-        )
-        if res.converged:
-            res.kernel_component_norm = kernel_projection_diagnostics(
-                op, res, template, seed
-            )
+    for lam, npw, plans, _ in planned:
+        res = _solve_shift(template, cfg, lam, npw, plans, prev)
+        if cfg.seed == "previous" and res.converged:
             prev = res
-        res.peak_locations = peak_offsets(res.u, template)
-        results.append(res)
-    return results
+        yield res
+
+
+def _solve_shift(
+    template: AnsatzSpec,
+    cfg: SolveConfig,
+    lam: float,
+    nodes_per_width: float,
+    plans,
+    prev: BoundStateResult | None,
+) -> BoundStateResult:
+    """One shift of continuation_sweep, seeded from prev where it is given.
+
+    The shift's operator, its cached factor, the seed and the kernel
+    modes live in this frame only, so they go when the result is returned.
+    """
+    g, peaks, mu = template.graph, template.peaks, cfg.mu
+    mesh = refined_mesh(g, lam, peaks, nodes_per_width=nodes_per_width, plans=plans)
+    op = assemble(g, mesh, lam)
+    # each star's tapered kernel modes, sampled at most once: for the
+    # seed where its coefficients are nonzero, and for the kernel split
+    # once Newton has converged
+    modes = [
+        sample_kernel_modes(mesh, star, lam, mu, tapered=True) if any(c) else None
+        for star, c in zip(template.stars, template.coeffs)
+    ]
+    seed = assemble_ansatz(template, mesh, lam, mu, modes=modes)
+    if prev is None:
+        u0 = seed
+    else:
+        scale = (lam / prev.lam) ** (1.0 / (2.0 * mu))
+        u0 = DiscreteField(mesh, scale * _resample(prev.u, mesh))
+    res = newton_solve(op, u0, cfg)
+    res.correction_norm = lambda_norm(
+        op, DiscreteField(mesh, res.u.values - seed.values)
+    )
+    if res.converged:
+        modes = [
+            sample_kernel_modes(mesh, star, lam, mu, tapered=True)
+            if star_modes is None
+            else star_modes
+            for star, star_modes in zip(template.stars, modes)
+        ]
+        res.kernel_component_norm = kernel_projection_diagnostics(
+            op, res, template, seed, modes=modes
+        )
+    res.peak_locations = peak_offsets(res.u, template)
+    return res
 
 
 def __getattr__(name: str):

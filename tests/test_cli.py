@@ -16,6 +16,7 @@ import pytest
 
 import graphnls.acceptance
 import graphnls.errors
+import graphnls.profiles
 import graphnls.solve
 from graphnls import cli, load_graph, reference_graph
 from graphnls.cli import ExperimentConfig, _state_text, _write_state_files, main
@@ -242,7 +243,7 @@ def test_symmetric_state_is_formatted_once_per_shift(tmp_path, monkeypatch):
         return _state_text(nodes, values)
 
     def sweep_spy(*args):
-        sweeps.append(continuation_sweep(*args))
+        sweeps.append(list(continuation_sweep(*args)))
         return sweeps[-1]
 
     monkeypatch.setattr(cli, "_state_text", state_text_spy)
@@ -534,6 +535,8 @@ def test_a_shorter_rerun_leaves_no_stale_shift(tmp_path):
         ["solve", "--graph", "tripod", "--peak", "nope"],
         # refused in main, by ExperimentConfig, before cmd_solve runs
         FAST_SOLVE + ["--max-iters", "-1"],
+        # refused by continuation_sweep, at the call, before any shift
+        FAST_SOLVE + ["--nodes-per-width", "1e12"],
     ],
 )
 def test_a_rerun_refused_on_input_leaves_only_its_error_record(tmp_path, argv):
@@ -541,6 +544,56 @@ def test_a_rerun_refused_on_input_leaves_only_its_error_record(tmp_path, argv):
     assert main(FAST_SOLVE + ["--outdir", str(out)]) == 0
     assert main(argv + ["--outdir", str(out)]) == 1
     assert _tree(out) == ["error.json"]
+
+
+def test_a_run_stopped_mid_sweep_keeps_every_completed_shift(tmp_path, monkeypatch):
+    # each shift's files are written as it completes: an error main does
+    # not catch, at the third shift, stands in for a kill
+    argv = ["solve", "--graph", "star5", "--peak", "c", "--lambdas", "25,50,100"]
+    full = tmp_path / "full"
+    assert main(argv + ["--outdir", str(full)]) == 0
+    real_newton = graphnls.solve.newton_solve
+    solves = []
+
+    def newton(*args):
+        solves.append(args)
+        if len(solves) == 3:
+            raise RuntimeError("stopped")
+        return real_newton(*args)
+
+    monkeypatch.setattr(graphnls.solve, "newton_solve", newton)
+    out = tmp_path / "stopped"
+    with pytest.raises(RuntimeError, match="stopped"):
+        main(argv + ["--outdir", str(out)])
+    states = [f"state_lam{lam}/e{i}.txt" for lam in (25, 50) for i in range(1, 6)]
+    assert _tree(out) == sorted(
+        ["diagnostics.csv", "manifest.json", "state_lam25", "state_lam50"] + states
+    )
+    csv = (out / "diagnostics.csv").read_text().splitlines()
+    assert csv == (full / "diagnostics.csv").read_text().splitlines()[:4]
+    manifest = json.loads((out / "manifest.json").read_text())
+    full_manifest = json.loads((full / "manifest.json").read_text())
+    assert manifest["results"] == full_manifest["results"][:2]
+    for path in states:
+        assert (out / path).read_bytes() == (full / path).read_bytes()
+
+
+def test_a_coeffs_run_samples_each_shifts_kernel_modes_once(tmp_path, monkeypatch):
+    # the seed and the kernel split of a converged shift share one
+    # sampling of its tapered kernel modes
+    sampled = []
+    real = graphnls.profiles.sample_kernel_modes
+
+    def counted(mesh, star, lam, mu, tapered=False):
+        sampled.append(lam)
+        return real(mesh, star, lam, mu, tapered)
+
+    for module in (graphnls.profiles, graphnls.solve):
+        monkeypatch.setattr(module, "sample_kernel_modes", counted)
+    out = tmp_path / "run"
+    argv = FAST_SOLVE + ["--coeffs", "0.3,-0.2", "--outdir", str(out)]
+    assert main(argv) == 0
+    assert sampled == [25.0, 50.0]
 
 
 def test_a_rerun_keeps_the_files_it_did_not_write(tmp_path):

@@ -50,7 +50,7 @@ def _description(name: str) -> dict:
 
 def _sweep(doc: dict, peaks, coeffs=None):
     template = peak_template(build_graph(doc), tuple(peaks), coeffs=coeffs)
-    return continuation_sweep(template, SolveConfig(lambdas=LAMBDAS))
+    return list(continuation_sweep(template, SolveConfig(lambdas=LAMBDAS)))
 
 
 def _same_seed(doc: dict, other: dict, peak: str, coeffs) -> tuple[float, ...]:

@@ -286,7 +286,7 @@ def test_damped_newton_reuses_the_accepted_trial_residual(
     monkeypatch.setattr(graphnls.solve, "nonlinear_residual", counted)
     monkeypatch.setattr(graphnls.solve, "newton_solve", newton)
     template = peak_template(reference_graph(graph), (peak,))
-    results = continuation_sweep(template, SolveConfig(lambdas=lambdas))
+    results = list(continuation_sweep(template, SolveConfig(lambdas=lambdas)))
     assert per_solve == [1 + r.iterations + r.backtracks for r in results]
     res = results[-1]
     assert res.termination == termination
@@ -318,9 +318,9 @@ def test_resumed_halving_lands_on_the_states_of_plain_halving(
     # rejects, so every accepted step and state is the same
     template = peak_template(reference_graph(graph), peaks)
     cfg = SolveConfig(lambdas=lambdas)
-    resumed = continuation_sweep(template, cfg)
+    resumed = list(continuation_sweep(template, cfg))
     monkeypatch.setattr(graphnls.solve, "LINE_SEARCH_RESUME", math.inf)
-    halved = continuation_sweep(template, cfg)
+    halved = list(continuation_sweep(template, cfg))
     for a, b in zip(resumed, halved, strict=True):
         assert a.termination == b.termination
         assert a.iterations == b.iterations
@@ -417,7 +417,7 @@ def test_continuation_sweep_populates_diagnostics():
     cfg = SolveConfig(
         mu=1.0, lambdas=(25.0, 50.0), nodes_per_width=20.0, seed="previous"
     )
-    results = continuation_sweep(template, cfg)
+    results = list(continuation_sweep(template, cfg))
     assert [r.lam for r in results] == [25.0, 50.0]
     for res in results:
         assert res.converged
@@ -497,9 +497,7 @@ def test_seed_strategies_agree_on_easy_sweeps():
         assert np.max(np.abs(a.u.values - b.u.values)) < 1e-8
 
 
-def test_sweep_warns_outside_odd_degree_hypotheses():
-    g = build_graph(
-        """
+FOUR_STAR = """
 vertices: [c, a1, a2, a3, a4]
 edges:
   - {id: e1, from: c, to: a1, length: 1.0}
@@ -507,12 +505,30 @@ edges:
   - {id: e3, from: c, to: a3, length: 1.0}
   - {id: e4, from: c, to: a4, length: 1.0}
 """
-    )
-    template = peak_template(g, ("c",))
+
+
+def test_sweep_warns_outside_odd_degree_hypotheses():
+    template = peak_template(build_graph(FOUR_STAR), ("c",))
     cfg = SolveConfig(lambdas=(25.0,), nodes_per_width=15.0)
     with pytest.warns(UserWarning, match="outside the odd-degree hypotheses"):
-        results = continuation_sweep(template, cfg)
+        results = list(continuation_sweep(template, cfg))
     assert results[0].converged
+
+
+def test_sweep_refuses_and_warns_at_the_call_before_any_shift(monkeypatch):
+    # the shifts are solved as the sweep is drawn; the ceiling and the
+    # degree are checked when it is called, before any mesh is built
+    built = []
+    monkeypatch.setattr(
+        graphnls.discrete, "build_mesh", lambda *a, **k: built.append(a)
+    )
+    tripod = peak_template(build_graph(TRIPOD), ("c",))
+    with pytest.raises(ValueError, match="more than the ceiling"):
+        continuation_sweep(tripod, SolveConfig(lambdas=(25.0,), nodes_per_width=1e12))
+    four_star = peak_template(build_graph(FOUR_STAR), ("c",))
+    with pytest.warns(UserWarning, match="outside the odd-degree hypotheses"):
+        continuation_sweep(four_star, SolveConfig(lambdas=(25.0, 50.0)))
+    assert built == []
 
 
 def test_peak_templates_equal_the_hand_built_ones():
