@@ -474,8 +474,11 @@ def _solve_shift(
     # each star's tapered kernel modes, sampled at most once: for the
     # seed where its coefficients are nonzero, and for the kernel split
     # once Newton has converged
+    def star_modes(star):
+        return sample_kernel_modes(mesh, star, lam, mu, tapered=True)
+
     modes = [
-        sample_kernel_modes(mesh, star, lam, mu, tapered=True) if any(c) else None
+        star_modes(star) if any(c) else None
         for star, c in zip(template.stars, template.coeffs)
     ]
     seed = assemble_ansatz(template, mesh, lam, mu, modes=modes)
@@ -490,10 +493,8 @@ def _solve_shift(
     )
     if res.converged:
         modes = [
-            sample_kernel_modes(mesh, star, lam, mu, tapered=True)
-            if star_modes is None
-            else star_modes
-            for star, star_modes in zip(template.stars, modes)
+            star_modes(star) if m is None else m
+            for star, m in zip(template.stars, modes)
         ]
         res.kernel_component_norm = kernel_projection_diagnostics(
             op, res, template, seed, modes=modes
