@@ -445,7 +445,9 @@ def continuation_sweep(
     return _sweep_shifts(template, cfg, planned)
 
 
-def _sweep_shifts(template: AnsatzSpec, cfg: SolveConfig, planned):
+def _sweep_shifts(
+    template: AnsatzSpec, cfg: SolveConfig, planned
+) -> Iterator[BoundStateResult]:
     """continuation_sweep's results, one shift at a time."""
     prev: BoundStateResult | None = None
     for lam, npw, plans, _ in planned:
@@ -471,6 +473,7 @@ def _solve_shift(
     g, peaks, mu = template.graph, template.peaks, cfg.mu
     mesh = refined_mesh(g, lam, peaks, nodes_per_width=nodes_per_width, plans=plans)
     op = assemble(g, mesh, lam)
+
     # each star's tapered kernel modes, sampled at most once: for the
     # seed where its coefficients are nonzero, and for the kernel split
     # once Newton has converged
