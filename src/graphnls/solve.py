@@ -47,12 +47,12 @@ from .profiles import (
 
 # Largest mesh a sweep may build.  A star5 sweep to lam=1600 with
 # nodes_per_width raised to 1450 (311,271 unknowns on its last mesh)
-# peaked at 260 bytes of traced memory (tracemalloc) per unknown of that
-# last, largest mesh when drawn one shift at a time, and at 324 when
-# every shift's result was kept to the end, so this ceiling keeps a
-# sweep's arrays under about 2.6 GB (3.2 GB for a caller that lists
-# them); far beyond it a run would swap or be killed instead of
-# finishing.  The graded mesh (fine spacing
+# peaked at 268 bytes of traced memory (tracemalloc) per unknown of that
+# last, largest mesh when drawn one shift at a time, and at 330 when
+# every shift's result was kept to the end (8 of them the int64 pivots
+# of the two live factors), so this ceiling keeps a sweep's arrays under
+# about 2.7 GB (3.3 GB for a caller that lists them); far beyond it a
+# run would swap or be killed instead of finishing.  The graded mesh (fine spacing
 # within 15 peak widths of the peak) has 11,796 unknowns at that shift
 # by default, so only a nodes_per_width far above its default comes
 # near the ceiling.

@@ -919,10 +919,14 @@ def _modules_loaded_by(code):
 def _skip_unless_lapack_loads_directly():
     from graphnls import discrete
 
-    if discrete.lapack.__name__ == "scipy.linalg.lapack":
+    lapack = discrete.lapack
+    if not isinstance(lapack, discrete._NumpyLapack) and (
+        lapack.__name__ == "scipy.linalg.lapack"
+    ):
         pytest.skip(
-            "scipy's _flapack extension does not load by file path here, so "
-            "graphnls imports scipy.linalg for LAPACK"
+            "numpy carries no ILP64 OpenBLAS and scipy's _flapack extension "
+            "does not load by file path here, so graphnls imports scipy.linalg "
+            "for LAPACK"
         )
 
 
@@ -1000,6 +1004,41 @@ def test_verify_and_solve_run_without_scipy_or_numpy_ma(tmp_path):
     assert _scipy_modules(solve) == []
     # np.unique, and the set routines built on it, import numpy.ma
     assert "numpy.ma" not in solve
+
+
+def test_solve_and_verify_map_one_openblas(tmp_path):
+    # numpy maps its own OpenBLAS at import, and graphnls calls LAPACK
+    # there: scipy's second OpenBLAS (scipy.libs, about 3.7 MB resident)
+    # and its _flapack extension are never mapped
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/self/maps")
+    from graphnls import discrete
+
+    if discrete._numpy_lapack() is None:
+        pytest.skip("numpy carries no ILP64 OpenBLAS here; LAPACK comes from scipy")
+    argv = ["solve", "--graph", "star5", "--peak", "c", "--lambdas", "25,50"]
+    argv += ["--outdir", str(tmp_path / "run")]
+    code = (
+        "from graphnls.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "assert main(['verify', '--criteria', '1,9']) == 0\n"
+        "import sys\n"
+        "print(open('/proc/self/maps').read(), file=sys.stderr)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    # the sixth field of a mapping is its file, if it has one
+    mappings = (line.split(maxsplit=5) for line in run.stderr.splitlines())
+    files = {Path(m[5]) for m in mappings if len(m) == 6}
+    assert any("openblas" in f.name for f in files)
+    assert [f for f in files if "scipy.libs" in f.parts] == []
+    assert [f for f in files if f.name.startswith("_flapack")] == []
 
 
 def test_verify_subset_passes(capsys):

@@ -490,8 +490,52 @@ def test_count_below_names_the_shift_at_a_zero_pivot():
         count_below(bands, op.mass, 0.0)
 
 
+def _factor_and_counts(module, bands, b, pencil):
+    """A CondensedFactor of bands, its solve of b and count_below counts
+    on pencil, all run with the LAPACK routines of module."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discrete, "lapack", module)
+        factor = CondensedFactor(bands)
+        x = factor.solve(b)
+        shifts = SMALL_LAM * np.array([-1.0, 0.01, 0.5])
+        counts = [count_below(*pencil, sigma) for sigma in shifts]
+    return factor, x, counts
+
+
 @pytest.mark.parametrize("name", sorted(PEAKS))
-def test_lapack_fallback_gives_bitwise_equal_factors_and_solves(monkeypatch, name):
+def test_lapack_fallback_gives_bitwise_equal_factors_and_solves(name):
+    # numpy's OpenBLAS, through graphnls' binding, against scipy's LAPACK,
+    # which the fallback loads
+    binding = discrete._numpy_lapack()
+    if binding is None:
+        pytest.skip("numpy carries no ILP64 OpenBLAS here")
+    op, seed = _seeded_operator(name)
+    bands = jacobian(op, 1.0, seed)
+    b = np.random.default_rng(6).standard_normal(op.mesh.ndof)
+    small, small_seed = _seeded_operator(name, SMALL_LAM, nodes_per_width=2.0)
+    pencil = (linearization_bands(small, 1.0, small_seed), small.mass)
+    ours, x, counts = _factor_and_counts(binding, bands, b, pencil)
+    theirs, x_ref, counts_ref = _factor_and_counts(
+        scipy.linalg.lapack, bands, b, pencil
+    )
+    # the factor's bands, its Schur complement and that block's LU
+    arrays = (*ours._tri[:4], ours.schur, ours._schur[0])
+    references = (*theirs._tri[:4], theirs.schur, theirs._schur[0])
+    assert [a.tobytes() for a in arrays] == [a.tobytes() for a in references]
+    assert x.tobytes() == x_ref.tobytes()
+    assert counts == counts_ref
+    # pivots as values: the binding's are ILP64, and its getrf pivots are
+    # LAPACK's 1-based ones where scipy's are 0-based
+    ipiv, piv = ours._tri[4], ours._schur[1]
+    assert ipiv.dtype == piv.dtype == np.int64
+    assert np.array_equal(ipiv, theirs._tri[4])
+    assert np.array_equal(piv, theirs._schur[1] + 1)
+
+
+def test_lapack_falls_back_to_scipy_without_numpys_openblas(monkeypatch):
+    # where numpy carries no ILP64 OpenBLAS, scipy's _flapack extension
+    # is loaded by file path, and where that fails, scipy.linalg.lapack
+    monkeypatch.setattr(discrete, "_numpy_lapack", lambda: None)
     direct = discrete._load_lapack()
     if direct.__name__ == "scipy.linalg.lapack":
         pytest.skip("scipy's _flapack extension does not load by file path here")
@@ -501,15 +545,53 @@ def test_lapack_fallback_gives_bitwise_equal_factors_and_solves(monkeypatch, nam
 
     with monkeypatch.context() as patch:
         patch.setattr(importlib.util, "spec_from_file_location", refuse)
-        fallback = discrete._load_lapack()
-    assert fallback.__name__ == "scipy.linalg.lapack"
-    op, seed = _seeded_operator(name)
+        assert discrete._load_lapack() is scipy.linalg.lapack
+    op, seed = _seeded_operator("figure1")
     bands = jacobian(op, 1.0, seed)
     b = np.random.default_rng(6).standard_normal(op.mesh.ndof)
+    pencil = (linearization_bands(op, 1.0, seed), op.mass)
     outputs = []
-    for module in (direct, fallback):
-        monkeypatch.setattr(discrete, "lapack", module)
-        factor = CondensedFactor(bands)
-        arrays = (*factor._tri, *factor._schur, factor.solve(b))
-        outputs.append([a.tobytes() for a in arrays])
+    for module in (direct, scipy.linalg.lapack):
+        factor, x, counts = _factor_and_counts(module, bands, b, pencil)
+        arrays = (*factor._tri, *factor._schur, factor.schur, x)
+        outputs.append(([a.tobytes() for a in arrays], counts))
     assert outputs[0] == outputs[1]
+
+
+def test_numpy_lapack_writes_only_where_its_overwrite_flags_allow():
+    binding = discrete._numpy_lapack()
+    if binding is None:
+        pytest.skip("numpy carries no ILP64 OpenBLAS here")
+    rng = np.random.default_rng(8)
+    n = 7
+    dl, du = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+    d = np.abs(rng.standard_normal(n)) + 4.0
+    b = rng.standard_normal(n)
+    a = rng.standard_normal((3, 3)) + 4.0 * np.eye(3)
+    inputs = (dl, d, du, b, a)
+    before = [arr.tobytes() for arr in inputs]
+    tri = binding.dgttrf(dl, d, du)[:5]
+    x, info = binding.dgttrs(*tri, b)
+    lu, piv, _ = binding.dgetrf(a)
+    y, _ = binding.dgetrs(lu, piv, b[:3])
+    pd, pe, _ = binding.dpttrf(d, dl)
+    z, _ = binding.dpttrs(pd, pe, b)
+    assert [arr.tobytes() for arr in inputs] == before
+    assert info == 0 and not any(np.shares_memory(r, b) for r in (x, y, z))
+    # copies of a factor's arrays, not the ones it returned, solve alike
+    assert binding.dgttrs(*(t.copy() for t in tri), b)[0].tobytes() == x.tobytes()
+    with pytest.raises(ValueError, match="sizes"):
+        binding.dgttrs(*tri[:4], tri[4][:-1], b)
+    with pytest.raises(ValueError, match="right-hand side"):
+        binding.dgttrs(*tri, b[:-1])
+    # in place where allowed, on a writable Fortran-ordered float64 array
+    assert binding.dgttrs(*tri, b, overwrite_b=True)[0] is b
+    assert b.tobytes() == x.tobytes()
+    c = rng.standard_normal(3)
+    assert binding.dgetrs(lu, piv, c, overwrite_b=True)[0] is c
+    pd, pe, _ = binding.dpttrf(d, dl, overwrite_d=True, overwrite_e=True)
+    assert pd is d and pe is dl
+    units = np.zeros((n, 2), order="F")
+    assert binding.dpttrs(d, dl, units, overwrite_b=True)[0] is units
+    c_ordered = np.zeros((n, 2))
+    assert binding.dgttrs(*tri, c_ordered, overwrite_b=True)[0] is not c_ordered

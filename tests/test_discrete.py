@@ -563,6 +563,32 @@ def test_positive_power_is_bitwise_the_plain_expression(p):
     assert not np.shares_memory(got, v)
 
 
+def _masked_positive_power(v, p):
+    """positive_power as it was for every p, 2 included: entries whose
+    power is known to be +0.0 are raised as 1.0 and then zeroed."""
+    m = np.maximum(v, 0.0)
+    zero = (v <= 10.0 ** (-330.0 / p)) & (v != 0.0)
+    m[zero] = 1.0
+    m **= p
+    m[zero] = 0.0
+    return m
+
+
+def test_positive_power_squares_plainly_at_two_as_the_masked_form_did():
+    # at p = 2 numpy squares without pow, so the plain square is taken;
+    # its bits are the masked form's on every kind of entry
+    tiny = np.nextafter(0.0, 1.0)
+    v = np.array(
+        [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308 / 3.0, 1e-200, -1e-200]
+        + [1e-160, 1.5e-154, 1e-150, -1.0, -3.5, 0.5, 2.0, 1e150]
+        + [np.inf, -np.inf, np.nan, -np.nan]
+    )
+    v = np.concatenate([v, np.random.default_rng(3).standard_normal(1000) * 1e-150])
+    got = positive_power(v, 2.0)
+    assert got.tobytes() == _masked_positive_power(v, 2.0).tobytes()
+    assert not np.shares_memory(got, v)
+
+
 def test_positive_power_on_a_decaying_state():
     # a sharp peak whose tail underflows and flips sign by rounding, as
     # a bound state's does far from its peak

@@ -15,19 +15,21 @@ from graphnls import (
     reference_graph,
 )
 
-# measured on this sweep: a peak of 283 bytes per dof, reached while the
+# measured on this sweep: a peak of 291 bytes per dof, reached while the
 # Jacobian is factored from a copy of its bands, and 64 bytes per dof
 # held by the results.  Holding per-element index arrays in every
 # mesh's layout, a second off-diagonal in the shifted form and all
-# kernel-mode products at once measured 357 and 125.
+# kernel-mode products at once measured 357 and 125; the int64 pivots
+# of numpy's ILP64 OpenBLAS, in place of scipy's int32 ones, add 8 to
+# the peak, 4 for each of the two factors alive.
 PEAK_BYTES_PER_DOF = 300
 HELD_BYTES_PER_DOF = 80
 
 # measured on the same sweep drawn one shift at a time, keeping only the
-# last result: a peak of 265 bytes per dof and 25 held, the last state
-# and its mesh.  Each earlier shift's state, mesh and operator kept
-# alive to the end, as a list of the results holds them, measured 283
-# and 64.
+# last result: a peak of 274 bytes per dof (265 with int32 pivots) and
+# 26 held, the last state and its mesh.  Each earlier shift's state,
+# mesh and operator kept alive to the end, as a list of the results
+# holds them, measured 291 and 64.
 STREAMED_PEAK_BYTES_PER_DOF = 275
 STREAMED_HELD_BYTES_PER_DOF = 35
 
