@@ -150,7 +150,8 @@ class _NumpyLapack:
     def _factor(name: str, arrays, pivots, n: int, sizes):
         """What pivots carry, if this binding returned them with arrays;
         else the same for copies of arrays and pivots, checked against
-        sizes(n), the sizes of arrays."""
+        sizes(n), the sizes of arrays.  The caller holds the first item,
+        the arrays at the addresses, until LAPACK returns."""
         factor = getattr(pivots, "factor", None)
         if factor is not None and all(map(operator.is_, factor[0], arrays)):
             return factor
@@ -294,7 +295,8 @@ def _load_lapack():
     (`_numpy_lapack`), so that one BLAS library and one thread pool serve
     the process, and scipy's f2py wrappers (`_load_flapack`) only where
     numpy carries no such library.  The second OpenBLAS that scipy's
-    extension maps costs about 3.7 MB resident and 4.5 ms of start-up.
+    extension maps cost 2.6 MB of peak RSS on a star5 sweep (41.2
+    against 38.7 MB) and about 2 ms of import.
     """
     return _numpy_lapack() or _load_flapack()
 
@@ -715,8 +717,9 @@ def positive_power(v: np.ndarray, p: float) -> np.ndarray:
     negative entries are replaced.
 
     At p = 2 numpy squares instead of calling pow, so there is no slow
-    path to avoid and the masking passes would be pure cost (36 against
-    20 us on that state): the plain square is taken.
+    path to avoid and the masking passes are pure cost: on that state
+    they took 45 us against 10 us for the square in place (best of
+    7x200 calls), which is taken instead.
     """
     m = np.maximum(v, 0.0)
     if p == 2.0:

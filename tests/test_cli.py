@@ -1008,8 +1008,8 @@ def test_verify_and_solve_run_without_scipy_or_numpy_ma(tmp_path):
 
 def test_solve_and_verify_map_one_openblas(tmp_path):
     # numpy maps its own OpenBLAS at import, and graphnls calls LAPACK
-    # there: scipy's second OpenBLAS (scipy.libs, about 3.7 MB resident)
-    # and its _flapack extension are never mapped
+    # there: scipy's second OpenBLAS (scipy.libs, about 2.5 MB of peak
+    # RSS) and its _flapack extension are never mapped
     if not sys.platform.startswith("linux"):
         pytest.skip("reads /proc/self/maps")
     from graphnls import discrete
