@@ -21,12 +21,15 @@ tridiagonal factorization `?pttrf`, resumed past each negative pivot,
 plus the eigenvalues of the Schur complement that the same unpivoted
 factor gives) and invert through the pivoted factor.
 
-The LAPACK routines come from the OpenBLAS that numpy itself links,
-called through ctypes behind scipy's f2py signatures, so that one BLAS
+LAPACK is called through one narrow seam, `lapack`: `gttrf(lower, diag,
+upper)` and `getrf(a)` copy their inputs into a factor that owns them,
+`(arrays, handle)`, and return it with LAPACK's info; `gttrs(factor, b)`,
+`getrs(factor, b)`, `pttrf(d, e)` and `pttrs(d, e, b)` work in place on
+arrays the caller owns and return info.  `_NumpyLapack` implements it in
+the OpenBLAS that numpy itself links, through ctypes, so that one BLAS
 library and one thread pool serve the process and scipy is never
-imported.  Where numpy carries no such library, they are scipy's
-compiled f2py wrappers, loaded from their extension file without the
-scipy package (`_load_lapack`).
+imported.  Where numpy carries no such library, `_F2pyLapack` implements
+it with scipy's compiled f2py wrappers (`_load_flapack`).
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import ctypes
 import importlib.machinery
 import importlib.util
 import math
-import operator
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -61,17 +63,6 @@ def _int(n: int):
 _ONE = _int(1)
 
 
-def _operand(a: np.ndarray, in_place: bool) -> np.ndarray:
-    """a as LAPACK takes it: a itself where in_place allows it and a is a
-    writable Fortran-ordered float64 array, else such a copy (f2py's
-    rule for its overwrite flags)."""
-    if in_place and a.dtype == np.float64:
-        flags = a.flags
-        if flags.f_contiguous and flags.writeable:
-            return a
-    return np.array(a, dtype=np.float64, order="F")
-
-
 def _pointer(a: np.ndarray) -> ctypes.c_void_p:
     """An array argument: the data address of a writable Fortran-ordered
     array, read through a zero-length ctypes view of a.T, which is
@@ -79,49 +70,39 @@ def _pointer(a: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(ctypes.addressof(_CHARS.from_buffer(a.T)))
 
 
-def _tridiagonal_sizes(n: int) -> tuple[int, ...]:
-    """The sizes of dl, d, du and du2 of an n-row tridiagonal factor."""
-    return n - 1, n, n - 1, max(n - 2, 0)
+def _address(name: str, a: np.ndarray, rows: int) -> ctypes.c_void_p:
+    """The address of an array the caller owns, refused unless a is a
+    writable Fortran-ordered float64 array of 1 or 2 dimensions and rows
+    rows: LAPACK reads and writes through it unchecked."""
+    flags = a.flags
+    if not (a.dtype == np.float64 and flags.f_contiguous and flags.writeable) or (
+        a.ndim not in (1, 2) or a.shape[0] != rows
+    ):
+        raise ValueError(
+            f"{name}: needs a writable Fortran-ordered float64 array of {rows} "
+            f"rows, got {a.dtype} of shape {a.shape}"
+        )
+    return _pointer(a)
 
 
-def _sizes(name: str, arrays, sizes) -> None:
-    """Refuse arrays whose sizes are not sizes, before LAPACK reads them."""
-    got = [a.size for a in arrays]
-    if got != list(sizes):
-        raise ValueError(f"{name}: array sizes {got}, expected {list(sizes)}")
-
-
-class _Pivots(np.ndarray):
-    """The pivots a factorization returns, holding what a solve with that
-    factor passes again: its other arrays, their addresses and n."""
-
-    factor: tuple
+def _columns(b: np.ndarray):
+    """A right-hand side's column count (NRHS), by reference."""
+    return _ONE if b.ndim == 1 else _int(b.shape[1])
 
 
 class _NumpyLapack:
-    """The six LAPACK routines of the OpenBLAS that numpy itself calls,
-    behind the f2py signatures of scipy.linalg.lapack that this module
-    uses: dgttrf, dgttrs, dgetrf, dgetrs, dpttrf and dpttrs take the same
-    arguments and overwrite flags and return the same results.
+    """The seam in the ILP64 OpenBLAS that numpy itself calls, through ctypes.
 
-    That OpenBLAS is ILP64: every integer argument and every pivot is
-    int64, passed by reference as Fortran takes it, and the solves pass
-    TRANS with Fortran's hidden length.  The pivots are LAPACK's own,
-    1-based from dgetrf too (scipy's dgetrf returns them 0-based), and
-    dgetrs takes them back as dgetrf gave them.  Arrays are checked for
-    size and converted before any address is passed, and no call writes
-    into an array that its overwrite flags do not hand it.
-
-    A ctypes call costs more than an f2py one, and reading an array's
-    address is part of that.  So a factorization's pivots (`_Pivots`)
-    carry its other arrays with their addresses and its n by reference,
-    and a solve handed those same arrays reads only its right-hand
-    side's address: 3.6 us a dgttrs call at n = 50, against 1.4 us for
-    f2py.  For the same reason the routines declare no argtypes, whose
-    per-argument conversion cost about 1 us of each 12-argument call:
-    every argument is passed as a ctypes object of its C type instead,
-    a c_int64 or c_char by reference (`_int`), a c_void_p (`_pointer`)
-    or a c_size_t, so ctypes converts none of them.
+    Every integer argument and every pivot is int64, passed by reference
+    as Fortran takes it, and the solves pass TRANS with Fortran's hidden
+    length.  The pivots are LAPACK's own, 1-based from dgetrf too.  A
+    factor's handle is n, n by reference and the addresses of its arrays,
+    read once, so a solve reads only its right-hand side's address: 3.6
+    us a dgttrs call at n = 50, against 1.4 us for f2py.  For the same
+    reason the routines declare no argtypes, whose per-argument
+    conversion cost about 1 us of each 12-argument call: every argument
+    is passed as a ctypes object of its C type instead, a c_int64 or
+    c_char by reference (`_int`), a c_void_p (`_pointer`) or a c_size_t.
     """
 
     def __init__(self, lib: ctypes.CDLL, symbol: str):
@@ -138,107 +119,118 @@ class _NumpyLapack:
         self._pttrs = routine("dpttrs")
 
     @staticmethod
-    def _pivots(arrays, n: int) -> _Pivots:
-        """n pivots for a factor whose other arrays are given, carrying
-        them, every address (the pivots' last) and n by reference."""
-        raw = np.empty(n, dtype=np.int64)
-        pivots = raw.view(_Pivots)
-        pivots.factor = (arrays, [_pointer(a) for a in (*arrays, raw)], _int(n))
-        return pivots
+    def _factor(arrays, n: int):
+        """A factor of n rows owning arrays, the last of them its pivots."""
+        return arrays, (n, _int(n), [_pointer(a) for a in arrays])
 
-    @staticmethod
-    def _factor(name: str, arrays, pivots, n: int, sizes):
-        """What pivots carry, if this binding returned them with arrays;
-        else the same for copies of arrays and pivots, checked against
-        sizes(n), the sizes of arrays.  The caller holds the first item,
-        the arrays at the addresses, until LAPACK returns."""
-        factor = getattr(pivots, "factor", None)
-        if factor is not None and all(map(operator.is_, factor[0], arrays)):
-            return factor
-        arrays = [np.array(a, dtype=np.float64, order="F") for a in arrays]
-        arrays.append(np.array(pivots, dtype=np.int64))
-        _sizes(name, arrays, (*sizes(n), n))
-        return arrays, [_pointer(a) for a in arrays], _int(n)
-
-    def dgttrf(self, dl, d, du):
-        dl, d, du = (np.array(a, dtype=np.float64) for a in (dl, d, du))
+    def gttrf(self, lower, diag, upper):
+        dl, d, du = (np.array(a, dtype=np.float64) for a in (lower, diag, upper))
         n = d.size
-        _sizes("dgttrf", (dl, du), (n - 1, n - 1))
-        arrays = (dl, d, du, np.empty(max(n - 2, 0)))
-        ipiv = self._pivots(arrays, n)
-        _, addresses, n_ref = ipiv.factor
+        if d.ndim != 1 or not dl.shape == du.shape == (n - 1,):
+            raise ValueError(f"gttrf: band shapes {dl.shape}, {d.shape}, {du.shape}")
+        pivots = np.empty(n, dtype=np.int64)
+        factor = self._factor((dl, d, du, np.empty(max(n - 2, 0)), pivots), n)
+        _, (_, n_ref, addresses) = factor
         info = ctypes.c_int64()
         self._gttrf(n_ref, *addresses, ctypes.byref(info))
-        return (*arrays, ipiv, info.value)
+        return factor, info.value
 
-    def dgttrs(self, dl, d, du, du2, ipiv, b, overwrite_b=False):
-        n = d.size
-        held, addresses, n_ref = self._factor(
-            "dgttrs", (dl, d, du, du2), ipiv, n, _tridiagonal_sizes
-        )
-        b = _operand(b, overwrite_b)
-        if b.ndim not in (1, 2) or b.shape[0] != n:
-            raise ValueError(f"dgttrs: right-hand side of shape {b.shape}, n = {n}")
-        nrhs = _ONE if b.ndim == 1 else _int(b.shape[1])
+    def gttrs(self, factor, b) -> int:
+        _, (n, n_ref, addresses) = factor
+        b_at = _address("gttrs", b, n)
         info = ctypes.c_int64()
         self._gttrs(
-            _NO_TRANSPOSE, n_ref, nrhs, *addresses, _pointer(b), n_ref,
+            _NO_TRANSPOSE, n_ref, _columns(b), *addresses, b_at, n_ref,
             ctypes.byref(info), _LENGTH_1,
         )
-        return b, info.value
+        return info.value
 
-    def dgetrf(self, a):
+    def getrf(self, a):
         lu = np.array(a, dtype=np.float64, order="F")
         if lu.ndim != 2 or lu.shape[0] != lu.shape[1]:
-            raise ValueError(f"dgetrf: expected a square matrix, got shape {lu.shape}")
+            raise ValueError(f"getrf: expected a square matrix, got shape {lu.shape}")
         n = lu.shape[0]
-        piv = self._pivots((lu,), n)
-        _, (lu_at, piv_at), n_ref = piv.factor
+        factor = self._factor((lu, np.empty(n, dtype=np.int64)), n)
+        _, (_, n_ref, (lu_at, piv_at)) = factor
         info = ctypes.c_int64()
         self._getrf(n_ref, n_ref, lu_at, n_ref, piv_at, ctypes.byref(info))
-        return lu, piv, info.value
+        return factor, info.value
 
-    def dgetrs(self, lu, piv, b, overwrite_b=False):
-        n = len(piv)
-        held, (lu_at, piv_at), n_ref = self._factor(
-            "dgetrs", (lu,), piv, n, lambda n: (n * n,)
-        )
-        b = _operand(b, overwrite_b)
-        if b.shape != (n,):
-            raise ValueError(f"dgetrs: right-hand side of shape {b.shape}, n = {n}")
+    def getrs(self, factor, b) -> int:
+        _, (n, n_ref, (lu_at, piv_at)) = factor
+        b_at = _address("getrs", b, n)
         info = ctypes.c_int64()
         self._getrs(
-            _NO_TRANSPOSE, n_ref, _ONE, lu_at, n_ref, piv_at, _pointer(b), n_ref,
+            _NO_TRANSPOSE, n_ref, _columns(b), lu_at, n_ref, piv_at, b_at, n_ref,
             ctypes.byref(info), _LENGTH_1,
         )
-        return b, info.value
+        return info.value
 
-    def dpttrf(self, d, e, overwrite_d=False, overwrite_e=False):
-        d, e = _operand(d, overwrite_d), _operand(e, overwrite_e)
-        _sizes("dpttrf", (e,), (d.size - 1,))
-        info = ctypes.c_int64()
-        self._pttrf(_int(d.size), _pointer(d), _pointer(e), ctypes.byref(info))
-        return d, e, info.value
-
-    def dpttrs(self, d, e, b, overwrite_b=False):
-        # pttrs only reads d and e, so they are used in place
-        d, e, b = _operand(d, True), _operand(e, True), _operand(b, overwrite_b)
+    def pttrf(self, d, e) -> int:
         n = d.size
-        _sizes("dpttrs", (e,), (n - 1,))
-        if b.ndim not in (1, 2) or b.shape[0] != n:
-            raise ValueError(f"dpttrs: right-hand side of shape {b.shape}, n = {n}")
-        n_ref = _int(n)
-        nrhs = _ONE if b.ndim == 1 else _int(b.shape[1])
+        d_at, e_at = _address("pttrf", d, n), _address("pttrf", e, n - 1)
         info = ctypes.c_int64()
-        self._pttrs(
-            n_ref, nrhs, _pointer(d), _pointer(e), _pointer(b), n_ref,
-            ctypes.byref(info),
-        )
-        return b, info.value
+        self._pttrf(_int(n), d_at, e_at, ctypes.byref(info))
+        return info.value
+
+    def pttrs(self, d, e, b) -> int:
+        n = d.size
+        d_at, e_at = _address("pttrs", d, n), _address("pttrs", e, n - 1)
+        b_at, n_ref = _address("pttrs", b, n), _int(n)
+        info = ctypes.c_int64()
+        self._pttrs(n_ref, _columns(b), d_at, e_at, b_at, n_ref, ctypes.byref(info))
+        return info.value
+
+
+def _in_place(a: np.ndarray, x: np.ndarray, info: int) -> int:
+    """info, once x, f2py's result for a, is in a: written into it where
+    f2py returned x in a copy."""
+    if x is not a:
+        a[...] = x
+    return info
+
+
+class _F2pyLapack:
+    """The seam over a module of scipy's f2py LAPACK wrappers.
+
+    f2py's factorizations copy their inputs, and its own pivots (0-based
+    from dgetrf) go back to its solves; a factor's handle is None.  Under
+    its overwrite flags it works in place, but returns a copy for an
+    array that is not a writable Fortran-ordered float64 one, so such a
+    result is written back (`_in_place`).  Its dpttrf refuses an empty
+    e, so the one pivot at n = 1 is tested here, as LAPACK tests it.
+    """
+
+    def __init__(self, module):
+        self.module = module
+
+    def gttrf(self, lower, diag, upper):
+        *arrays, info = self.module.dgttrf(lower, diag, upper)
+        return (tuple(arrays), None), info
+
+    def gttrs(self, factor, b) -> int:
+        return _in_place(b, *self.module.dgttrs(*factor[0], b, overwrite_b=True))
+
+    def getrf(self, a):
+        lu, piv, info = self.module.dgetrf(a)
+        return ((lu, piv), None), info
+
+    def getrs(self, factor, b) -> int:
+        return _in_place(b, *self.module.dgetrs(*factor[0], b, overwrite_b=True))
+
+    def pttrf(self, d, e) -> int:
+        if d.size == 1:
+            return int(d[0] <= 0.0)
+        pd, pe, info = self.module.dpttrf(d, e, overwrite_d=True, overwrite_e=True)
+        _in_place(e, pe, info)
+        return _in_place(d, pd, info)
+
+    def pttrs(self, d, e, b) -> int:
+        return _in_place(b, *self.module.dpttrs(d, e, b, overwrite_b=True))
 
 
 def _numpy_lapack() -> _NumpyLapack | None:
-    """LAPACK from the OpenBLAS that numpy's own linear algebra calls, or
+    """The seam in the OpenBLAS that numpy's own linear algebra calls, or
     None where numpy carries no ILP64 OpenBLAS.
 
     numpy's wheels link np.linalg against a bundled ILP64 OpenBLAS that
@@ -290,15 +282,15 @@ def _load_flapack():
     return lapack
 
 
-def _load_lapack():
-    """The LAPACK routines this module calls: numpy's own OpenBLAS
+def _load_lapack() -> _NumpyLapack | _F2pyLapack:
+    """The seam this module calls: numpy's own OpenBLAS
     (`_numpy_lapack`), so that one BLAS library and one thread pool serve
     the process, and scipy's f2py wrappers (`_load_flapack`) only where
     numpy carries no such library.  The second OpenBLAS that scipy's
     extension maps cost 2.6 MB of peak RSS on a star5 sweep (41.2
     against 38.7 MB) and about 2 ms of import.
     """
-    return _numpy_lapack() or _load_flapack()
+    return _numpy_lapack() or _F2pyLapack(_load_flapack())
 
 
 lapack = _load_lapack()
@@ -903,19 +895,17 @@ class CondensedFactor:
             bands.head_col,
             bands.tail_col,
         )
-        dl, d, du, du2, ipiv, info = lapack.dgttrf(
-            bands.lower, bands.diag, bands.upper
-        )
+        self._tri, info = lapack.gttrf(bands.lower, bands.diag, bands.upper)
         if info != 0:
             raise SolveFailure(f"zero pivot at interior dof {lay.nv + info - 1}")
-        self._tri = (dl, d, du, du2, ipiv)
-        z, _ = lapack.dgttrs(*self._tri, _end_units(lay), overwrite_b=True)
+        z = _end_units(lay)
+        lapack.gttrs(self._tri, z)
         self._from_head, self._from_tail = z[:, 0], z[:, 1]
         self.schur = _vertex_schur(bands, z)
-        lu, piv, info = lapack.dgetrf(self.schur)
+        self._schur, info = lapack.getrf(self.schur)
+        (lu, _), _ = self._schur
         if info != 0 or not np.all(np.isfinite(lu)):
             raise SolveFailure("singular vertex Schur complement")
-        self._schur = (lu, piv)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The solution of bands @ x = b on the free dofs."""
@@ -923,12 +913,8 @@ class CondensedFactor:
         head_row, tail_row, head_col, tail_col = self._couplings
         nv = lay.nv
         x = np.array(b, dtype=float)
-        # the interior solve runs in place on x's interior slice; y must be
-        # that slice, since the corrections below go into y and x returns
-        y, _ = lapack.dgttrs(*self._tri, x[nv:], overwrite_b=True)
-        if not np.shares_memory(y, x):  # f2py copied b after all
-            x[nv:] = y
-            y = x[nv:]
+        y = x[nv:]
+        lapack.gttrs(self._tri, y)
         rhs = (
             b[:nv]
             - np.bincount(lay.src, head_row * y[lay.first], minlength=nv)
@@ -936,7 +922,9 @@ class CondensedFactor:
         )
         xv = x[:nv]
         xv[:] = 0.0
-        xv[lay.free_vertices] = lapack.dgetrs(*self._schur, rhs[lay.free_vertices])[0]
+        rhs = rhs[lay.free_vertices]
+        lapack.getrs(self._schur, rhs)
+        xv[lay.free_vertices] = rhs
         correction = np.repeat(head_col * xv[lay.src], lay.sizes)
         y -= np.multiply(self._from_head, correction, out=correction)
         del correction  # before the second one allocates
@@ -1066,17 +1054,11 @@ def count_below(bands: EdgeBands, mass: EdgeBands, sigma: float) -> int:
         raise ValueError("count_below needs symmetric bands")
     # shifted's interior bands are its own, so they are factored in
     # place: d and e become the whole LDL^T factor, D's diagonal and L's
-    # subdiagonal.  pttrf's part of each pass is written back, and the
-    # multiplier at each negative pivot is stored here
+    # subdiagonal, and the multiplier at each negative pivot is stored here
     d, e = shifted.diag, shifted.upper
     negative, start = 0, 0
     while start < d.size:
-        if d.size - start > 1:  # f2py refuses an empty e
-            d[start:], e[start:], info = lapack.dpttrf(
-                d[start:], e[start:], overwrite_d=True, overwrite_e=True
-            )
-        else:
-            info = int(d[start] <= 0.0)
+        info = lapack.pttrf(d[start:], e[start:])
         if info == 0:
             break
         k = start + info - 1
@@ -1092,7 +1074,8 @@ def count_below(bands: EdgeBands, mass: EdgeBands, sigma: float) -> int:
             e[k] = ek / pivot
             d[k + 1] -= e[k] * ek
         start = k + 1
-    z, _ = lapack.dpttrs(d, e, _end_units(shifted.mesh.layout), overwrite_b=True)
+    z = _end_units(shifted.mesh.layout)
+    lapack.pttrs(d, e, z)
     schur = _vertex_schur(shifted, z)
     return negative + int(np.count_nonzero(np.linalg.eigvalsh(schur) < 0.0))
 

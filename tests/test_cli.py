@@ -920,8 +920,8 @@ def _skip_unless_lapack_loads_directly():
     from graphnls import discrete
 
     lapack = discrete.lapack
-    if not isinstance(lapack, discrete._NumpyLapack) and (
-        lapack.__name__ == "scipy.linalg.lapack"
+    if isinstance(lapack, discrete._F2pyLapack) and (
+        lapack.module.__name__ == "scipy.linalg.lapack"
     ):
         pytest.skip(
             "numpy carries no ILP64 OpenBLAS and scipy's _flapack extension "
@@ -1039,6 +1039,26 @@ def test_solve_and_verify_map_one_openblas(tmp_path):
     assert any("openblas" in f.name for f in files)
     assert [f for f in files if "scipy.libs" in f.parts] == []
     assert [f for f in files if f.name.startswith("_flapack")] == []
+
+
+def test_solve_through_the_f2py_fallback_writes_the_same_bytes(tmp_path, monkeypatch):
+    # the fallback seam over scipy's wrappers carries a whole sweep, not
+    # only the small factors that tests/test_condensed.py compares
+    import scipy.linalg
+
+    from graphnls import discrete
+
+    argv = ["solve", "--graph", "star5", "--peak", "c", "--lambdas", "25,50"]
+    default, fallback = tmp_path / "default", tmp_path / "fallback"
+    assert main(argv + ["--outdir", str(default)]) == 0
+    monkeypatch.setattr(discrete, "lapack", discrete._F2pyLapack(scipy.linalg.lapack))
+    assert main(argv + ["--outdir", str(fallback)]) == 0
+    files = _tree(default)
+    assert files == _tree(fallback)
+    written = [f for f in files if f.endswith((".txt", ".csv"))]
+    assert "diagnostics.csv" in written and len(written) == 11
+    for f in written:
+        assert (fallback / f).read_bytes() == (default / f).read_bytes(), f
 
 
 def test_verify_subset_passes(capsys):

@@ -129,19 +129,24 @@ def test_shifted_solve_matches_sparse_direct_reference(name):
 
 
 def test_solve_does_not_rely_on_dgttrs_writing_in_place(monkeypatch):
-    # were overwrite_b ever to hand back a copy, the solve must not change
+    # were f2py's dgttrs ever to hand back a copy under overwrite_b, the
+    # f2py seam writes it back and the solve must not change
     op, _ = _seeded_operator("figure1")
-    factor = op.factor()
     b = np.random.default_rng(2).standard_normal(op.mesh.ndof)
-    expect = factor.solve(b)
-    dgttrs = discrete.lapack.dgttrs
+    expect = op.factor().solve(b)
+    flapack = scipy.linalg.lapack
 
     def copying_dgttrs(*args, overwrite_b=False):
-        return dgttrs(*args[:-1], args[-1].copy(), overwrite_b=overwrite_b)
+        return flapack.dgttrs(*args[:-1], args[-1].copy(), overwrite_b=overwrite_b)
 
-    lapack = SimpleNamespace(dgttrs=copying_dgttrs, dgetrs=discrete.lapack.dgetrs)
-    monkeypatch.setattr(discrete, "lapack", lapack)
-    assert factor.solve(b).tobytes() == expect.tobytes()
+    module = SimpleNamespace(
+        dgttrf=flapack.dgttrf,
+        dgttrs=copying_dgttrs,
+        dgetrf=flapack.dgetrf,
+        dgetrs=flapack.dgetrs,
+    )
+    monkeypatch.setattr(discrete, "lapack", discrete._F2pyLapack(module))
+    assert CondensedFactor(op.shifted).solve(b).tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(PEAKS))
@@ -401,13 +406,13 @@ def test_count_below_matches_a_dense_eigensolve(monkeypatch, name):
     dense = scipy.linalg.eigh(
         free_block(L).toarray(), free_block(M).toarray(), eigvals_only=True
     )
-    pttrf, calls = discrete.lapack.dpttrf, []
+    pttrf, calls = discrete.lapack.pttrf, []
 
-    def counted(d, e, **kwargs):
+    def counted(d, e):
         calls.append(d.size)
-        return pttrf(d, e, **kwargs)
+        return pttrf(d, e)
 
-    monkeypatch.setattr(discrete.lapack, "dpttrf", counted)
+    monkeypatch.setattr(discrete.lapack, "pttrf", counted)
     # below everything, between the one negative eigenvalue per peak
     # (about -2.85 lam) and the near-kernel ones (about 0.05 lam on this
     # coarse mesh), above those, and twice in the continuum above lam
@@ -490,11 +495,11 @@ def test_count_below_names_the_shift_at_a_zero_pivot():
         count_below(bands, op.mass, 0.0)
 
 
-def _factor_and_counts(module, bands, b, pencil):
+def _factor_and_counts(seam, bands, b, pencil):
     """A CondensedFactor of bands, its solve of b and count_below counts
-    on pencil, all run with the LAPACK routines of module."""
+    on pencil, all run through the LAPACK seam given."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(discrete, "lapack", module)
+        patch.setattr(discrete, "lapack", seam)
         factor = CondensedFactor(bands)
         x = factor.solve(b)
         shifts = SMALL_LAM * np.array([-1.0, 0.01, 0.5])
@@ -516,20 +521,20 @@ def test_lapack_fallback_gives_bitwise_equal_factors_and_solves(name):
     pencil = (linearization_bands(small, 1.0, small_seed), small.mass)
     ours, x, counts = _factor_and_counts(binding, bands, b, pencil)
     theirs, x_ref, counts_ref = _factor_and_counts(
-        scipy.linalg.lapack, bands, b, pencil
+        discrete._F2pyLapack(scipy.linalg.lapack), bands, b, pencil
     )
     # the factor's bands, its Schur complement and that block's LU
-    arrays = (*ours._tri[:4], ours.schur, ours._schur[0])
-    references = (*theirs._tri[:4], theirs.schur, theirs._schur[0])
+    arrays = (*ours._tri[0][:4], ours.schur, ours._schur[0][0])
+    references = (*theirs._tri[0][:4], theirs.schur, theirs._schur[0][0])
     assert [a.tobytes() for a in arrays] == [a.tobytes() for a in references]
     assert x.tobytes() == x_ref.tobytes()
     assert counts == counts_ref
     # pivots as values: the binding's are ILP64, and its getrf pivots are
     # LAPACK's 1-based ones where scipy's are 0-based
-    ipiv, piv = ours._tri[4], ours._schur[1]
+    ipiv, piv = ours._tri[0][4], ours._schur[0][1]
     assert ipiv.dtype == piv.dtype == np.int64
-    assert np.array_equal(ipiv, theirs._tri[4])
-    assert np.array_equal(piv, theirs._schur[1] + 1)
+    assert np.array_equal(ipiv, theirs._tri[0][4])
+    assert np.array_equal(piv, theirs._schur[0][1] + 1)
 
 
 def test_lapack_falls_back_to_scipy_without_numpys_openblas(monkeypatch):
@@ -537,7 +542,8 @@ def test_lapack_falls_back_to_scipy_without_numpys_openblas(monkeypatch):
     # is loaded by file path, and where that fails, scipy.linalg.lapack
     monkeypatch.setattr(discrete, "_numpy_lapack", lambda: None)
     direct = discrete._load_lapack()
-    if direct.__name__ == "scipy.linalg.lapack":
+    assert isinstance(direct, discrete._F2pyLapack)
+    if direct.module.__name__ == "scipy.linalg.lapack":
         pytest.skip("scipy's _flapack extension does not load by file path here")
 
     def refuse(*args, **kwargs):
@@ -545,53 +551,93 @@ def test_lapack_falls_back_to_scipy_without_numpys_openblas(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(importlib.util, "spec_from_file_location", refuse)
-        assert discrete._load_lapack() is scipy.linalg.lapack
+        assert discrete._load_lapack().module is scipy.linalg.lapack
     op, seed = _seeded_operator("figure1")
     bands = jacobian(op, 1.0, seed)
     b = np.random.default_rng(6).standard_normal(op.mesh.ndof)
     pencil = (linearization_bands(op, 1.0, seed), op.mass)
     outputs = []
-    for module in (direct, scipy.linalg.lapack):
-        factor, x, counts = _factor_and_counts(module, bands, b, pencil)
-        arrays = (*factor._tri, *factor._schur, factor.schur, x)
+    for seam in (direct, discrete._F2pyLapack(scipy.linalg.lapack)):
+        factor, x, counts = _factor_and_counts(seam, bands, b, pencil)
+        arrays = (*factor._tri[0], *factor._schur[0], factor.schur, x)
         outputs.append(([a.tobytes() for a in arrays], counts))
     assert outputs[0] == outputs[1]
 
 
-def test_numpy_lapack_writes_only_where_its_overwrite_flags_allow():
+def _seams():
+    """The seam's backends here: numpy's OpenBLAS, where numpy carries
+    it, and scipy's f2py wrappers."""
     binding = discrete._numpy_lapack()
-    if binding is None:
-        pytest.skip("numpy carries no ILP64 OpenBLAS here")
+    flapack = discrete._F2pyLapack(scipy.linalg.lapack)
+    return [flapack] if binding is None else [binding, flapack]
+
+
+def test_lapack_seam_factors_copy_and_solves_write_in_place_on_both_backends():
+    flapack = scipy.linalg.lapack
     rng = np.random.default_rng(8)
     n = 7
     dl, du = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
     d = np.abs(rng.standard_normal(n)) + 4.0
-    b = rng.standard_normal(n)
     a = rng.standard_normal((3, 3)) + 4.0 * np.eye(3)
-    inputs = (dl, d, du, b, a)
-    before = [arr.tobytes() for arr in inputs]
-    tri = binding.dgttrf(dl, d, du)[:5]
-    x, info = binding.dgttrs(*tri, b)
-    lu, piv, _ = binding.dgetrf(a)
-    y, _ = binding.dgetrs(lu, piv, b[:3])
-    pd, pe, _ = binding.dpttrf(d, dl)
-    z, _ = binding.dpttrs(pd, pe, b)
-    assert [arr.tobytes() for arr in inputs] == before
-    assert info == 0 and not any(np.shares_memory(r, b) for r in (x, y, z))
-    # copies of a factor's arrays, not the ones it returned, solve alike
-    assert binding.dgttrs(*(t.copy() for t in tri), b)[0].tobytes() == x.tobytes()
-    with pytest.raises(ValueError, match="sizes"):
-        binding.dgttrs(*tri[:4], tri[4][:-1], b)
-    with pytest.raises(ValueError, match="right-hand side"):
-        binding.dgttrs(*tri, b[:-1])
-    # in place where allowed, on a writable Fortran-ordered float64 array
-    assert binding.dgttrs(*tri, b, overwrite_b=True)[0] is b
-    assert b.tobytes() == x.tobytes()
-    c = rng.standard_normal(3)
-    assert binding.dgetrs(lu, piv, c, overwrite_b=True)[0] is c
-    pd, pe, _ = binding.dpttrf(d, dl, overwrite_d=True, overwrite_e=True)
-    assert pd is d and pe is dl
+    b = rng.standard_normal(n)
     units = np.zeros((n, 2), order="F")
-    assert binding.dpttrs(d, dl, units, overwrite_b=True)[0] is units
-    c_ordered = np.zeros((n, 2))
-    assert binding.dgttrs(*tri, c_ordered, overwrite_b=True)[0] is not c_ordered
+    units[0, 0] = units[-1, 1] = 1.0
+    # the results of scipy's routines, called directly
+    tri = flapack.dgttrf(dl, d, du)[:5]
+    lu, piv, _ = flapack.dgetrf(a)
+    pd, pe, _ = flapack.dpttrf(d, 0.5 * dl)
+    expect = [
+        flapack.dgttrs(*tri, b)[0],
+        flapack.dgttrs(*tri, units)[0],
+        flapack.dgetrs(lu, piv, b[:3])[0],
+        pd,
+        pe,
+        flapack.dpttrs(pd, pe, units)[0],
+    ]
+    inputs = (dl, d, du, a)
+    before = [x.tobytes() for x in inputs]
+    for seam in _seams():
+        tri, tri_info = seam.gttrf(dl, d, du)
+        lu, lu_info = seam.getrf(a)
+        assert tri_info == lu_info == 0
+        assert [x.tobytes() for x in inputs] == before
+        out = [b.copy(), units.copy(order="F"), b[:3].copy(), d.copy(), 0.5 * dl]
+        infos = [
+            seam.gttrs(tri, out[0]),
+            seam.gttrs(tri, out[1]),
+            seam.getrs(lu, out[2]),
+            seam.pttrf(out[3], out[4]),
+        ]
+        out.append(units.copy(order="F"))
+        infos.append(seam.pttrs(out[3], out[4], out[5]))
+        assert infos == [0] * 5
+        assert [x.tobytes() for x in out] == [x.tobytes() for x in expect]
+        # the one pivot at n = 1, where f2py's dpttrf refuses an empty e
+        assert seam.pttrf(np.array([-2.0]), np.empty(0)) == 1
+        assert seam.pttrf(np.array([2.0]), np.empty(0)) == 0
+
+
+def test_numpy_lapack_refuses_an_array_it_cannot_write_through():
+    binding = discrete._numpy_lapack()
+    if binding is None:
+        pytest.skip("numpy carries no ILP64 OpenBLAS here")
+    n = 7
+    tri, _ = binding.gttrf(np.zeros(n - 1), np.ones(n), np.zeros(n - 1))
+    read_only = np.zeros(n)
+    read_only.flags.writeable = False
+    refused = (
+        np.zeros(n - 1),  # the wrong row count
+        np.zeros(n, dtype=np.float32),
+        read_only,
+        np.zeros((n, 2)),  # C-ordered
+    )
+    for b in refused:
+        with pytest.raises(ValueError, match="writable Fortran-ordered float64"):
+            binding.gttrs(tri, b)
+        with pytest.raises(ValueError, match="writable Fortran-ordered float64"):
+            binding.pttrs(np.ones(n), np.zeros(n - 1), b)
+    lu, _ = binding.getrf(np.eye(3))
+    with pytest.raises(ValueError, match="of 3 rows"):
+        binding.getrs(lu, np.zeros(4))
+    with pytest.raises(ValueError, match="of 6 rows"):
+        binding.pttrf(np.ones(n), np.zeros(n))
