@@ -97,8 +97,8 @@ class _NumpyLapack:
     as Fortran takes it, and the solves pass TRANS with Fortran's hidden
     length.  The pivots are LAPACK's own, 1-based from dgetrf too.  A
     factor's handle is n, n by reference and the addresses of its arrays,
-    read once, so a solve reads only its right-hand side's address: 3.6
-    us a dgttrs call at n = 50, against 1.4 us for f2py.  For the same
+    read once, so a solve reads only its right-hand side's address: 3.3
+    us a dgttrs call at n = 50, against 1.5 us for f2py.  For the same
     reason the routines declare no argtypes, whose per-argument
     conversion cost about 1 us of each 12-argument call: every argument
     is passed as a ctypes object of its C type instead, a c_int64 or

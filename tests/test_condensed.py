@@ -564,14 +564,6 @@ def test_lapack_falls_back_to_scipy_without_numpys_openblas(monkeypatch):
     assert outputs[0] == outputs[1]
 
 
-def _seams():
-    """The seam's backends here: numpy's OpenBLAS, where numpy carries
-    it, and scipy's f2py wrappers."""
-    binding = discrete._numpy_lapack()
-    flapack = discrete._F2pyLapack(scipy.linalg.lapack)
-    return [flapack] if binding is None else [binding, flapack]
-
-
 def test_lapack_seam_factors_copy_and_solves_write_in_place_on_both_backends():
     flapack = scipy.linalg.lapack
     rng = np.random.default_rng(8)
@@ -596,7 +588,8 @@ def test_lapack_seam_factors_copy_and_solves_write_in_place_on_both_backends():
     ]
     inputs = (dl, d, du, a)
     before = [x.tobytes() for x in inputs]
-    for seam in _seams():
+    # numpy's OpenBLAS, where numpy carries it, and scipy's f2py wrappers
+    for seam in filter(None, (discrete._numpy_lapack(), discrete._F2pyLapack(flapack))):
         tri, tri_info = seam.gttrf(dl, d, du)
         lu, lu_info = seam.getrf(a)
         assert tri_info == lu_info == 0
