@@ -18,7 +18,6 @@ benchmark pins 1 thread.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import sys
@@ -142,7 +141,6 @@ def _clear_outdir(outdir: Path) -> None:
 def cmd_solve(cfg: ExperimentConfig) -> int:
     """Run the sweep described by cfg and write its artifacts."""
     outdir = Path(cfg.outdir)
-    _clear_outdir(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     name = cfg.graph
     g = reference_graph(name) if name in BUILTIN_GRAPHS else load_graph(name)
@@ -337,13 +335,13 @@ def main(argv=None) -> int:
         knobs["peaks"] = tuple(knobs["peaks"])
         if "coeffs" in knobs:
             knobs["coeffs"] = tuple(knobs["coeffs"])
+        outdir = Path(knobs.get("outdir", ExperimentConfig.outdir))
         try:
+            # first, so a run refused on input leaves no earlier run's
+            # artifacts, and an error mid-sweep keeps the shifts it finished
+            _clear_outdir(outdir)
             return cmd_solve(ExperimentConfig(**knobs))
         except (GraphNLSError, ValueError, OSError) as exc:
-            # a run refused on input leaves no earlier run's artifacts either
-            outdir = Path(knobs.get("outdir", ExperimentConfig.outdir))
-            with contextlib.suppress(OSError):
-                _clear_outdir(outdir)
             _write_error_record(outdir, type(exc).__name__, str(exc))
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1

@@ -546,9 +546,22 @@ def test_a_rerun_refused_on_input_leaves_only_its_error_record(tmp_path, argv):
     assert _tree(out) == ["error.json"]
 
 
-def test_a_run_stopped_mid_sweep_keeps_every_completed_shift(tmp_path, monkeypatch):
-    # each shift's files are written as it completes: an error main does
-    # not catch, at the third shift, stands in for a kill
+@pytest.mark.parametrize(
+    "error",
+    [
+        # main does not catch it: it stands in for a kill
+        RuntimeError("stopped"),
+        # main reports these with exit 1 and error.json
+        ValueError("stopped"),
+        graphnls.errors.SolveFailure("stopped"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_a_run_stopped_mid_sweep_keeps_every_completed_shift(
+    tmp_path, monkeypatch, error
+):
+    # each shift's files are written as it completes, and an error at the
+    # third shift leaves the first two as a kill would
     argv = ["solve", "--graph", "star5", "--peak", "c", "--lambdas", "25,50,100"]
     full = tmp_path / "full"
     assert main(argv + ["--outdir", str(full)]) == 0
@@ -558,17 +571,22 @@ def test_a_run_stopped_mid_sweep_keeps_every_completed_shift(tmp_path, monkeypat
     def newton(*args):
         solves.append(args)
         if len(solves) == 3:
-            raise RuntimeError("stopped")
+            raise error
         return real_newton(*args)
 
     monkeypatch.setattr(graphnls.solve, "newton_solve", newton)
     out = tmp_path / "stopped"
-    with pytest.raises(RuntimeError, match="stopped"):
-        main(argv + ["--outdir", str(out)])
+    written = ["diagnostics.csv", "manifest.json", "state_lam25", "state_lam50"]
+    if isinstance(error, RuntimeError):
+        with pytest.raises(RuntimeError, match="stopped"):
+            main(argv + ["--outdir", str(out)])
+    else:
+        assert main(argv + ["--outdir", str(out)]) == 1
+        record = json.loads((out / "error.json").read_text())
+        assert record == {"error": type(error).__name__, "message": "stopped"}
+        written.append("error.json")
     states = [f"state_lam{lam}/e{i}.txt" for lam in (25, 50) for i in range(1, 6)]
-    assert _tree(out) == sorted(
-        ["diagnostics.csv", "manifest.json", "state_lam25", "state_lam50"] + states
-    )
+    assert _tree(out) == sorted(written + states)
     csv = (out / "diagnostics.csv").read_text().splitlines()
     assert csv == (full / "diagnostics.csv").read_text().splitlines()[:4]
     manifest = json.loads((out / "manifest.json").read_text())
@@ -576,6 +594,15 @@ def test_a_run_stopped_mid_sweep_keeps_every_completed_shift(tmp_path, monkeypat
     assert manifest["results"] == full_manifest["results"][:2]
     for path in states:
         assert (out / path).read_bytes() == (full / path).read_bytes()
+
+
+def test_an_outdir_that_is_a_file_is_refused_and_left_unchanged(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.write_bytes(b"not a directory\n")
+    assert main(FAST_SOLVE + ["--outdir", str(out)]) == 1
+    assert "error: NotADirectoryError" in capsys.readouterr().err
+    assert out.read_bytes() == b"not a directory\n"
+    assert sorted(tmp_path.iterdir()) == [out]
 
 
 def test_a_coeffs_run_samples_each_shifts_kernel_modes_once(tmp_path, monkeypatch):
@@ -940,8 +967,9 @@ def _yaml_modules(modules):
 
 def test_cli_import_leaves_out_scipy():
     # importing scipy's Python package costs about a third of a second of
-    # every process start; graphnls loads only its compiled LAPACK
-    # extension, and the soliton constants have closed forms.  PyYAML
+    # every process start; graphnls calls LAPACK in numpy's own OpenBLAS
+    # through ctypes (scipy's _flapack extension loads only where numpy
+    # carries none), and the soliton constants have closed forms.  PyYAML
     # (15-40 ms) is imported only to read a graph file
     modules = _modules_loaded_by("import graphnls.cli")
     assert _yaml_modules(modules) == []
@@ -991,8 +1019,9 @@ def test_verify_and_solve_run_without_scipy_or_numpy_ma(tmp_path):
     record = json.loads((tmp_path / "bad" / "error.json").read_text())
     assert "not valid YAML" in record["message"]
 
-    # verify runs every criterion in its own process; either package
-    # would cost about 18 ms of import
+    # verify runs its criteria one after another in this process, so
+    # nothing needs a process or thread pool; either package would cost
+    # about 18 ms of import
     assert "multiprocessing" not in verify
     assert "concurrent.futures" not in verify
 
